@@ -185,27 +185,20 @@ def neighborhood(g: BipartiteGraph, lefts: Sequence[int]) -> frozenset[int]:
     return frozenset(out)
 
 
-def _violator_from(g: BipartiteGraph, m: Matching) -> tuple[int, ...]:
-    """Hall violator given a maximum matching m that is not perfect:
-    the least unsaturated left vertex plus everything it reaches by
-    alternating paths."""
-    n = g.n
-    s = next(i for i in range(n) if m.get(i) is None)
-    layers, _ = _alternating_reach(g, m, s)
-    reached = {v for layer in layers[1:] for v in layer}
-    violator = sorted({s} | {v for v in reached if v < n})
-    return tuple(violator)
-
-
 def hall_violator(g: BipartiteGraph) -> tuple[int, ...]:
     """Left vertex set S with |S| > |N(S)|, for a graph with no perfect
-    matching.  Raises PerfectMatchingExistsError otherwise."""
+    matching.  Raises PerfectMatchingExistsError otherwise.
+
+    S is the least unsaturated left vertex of a maximum matching plus
+    every left vertex it reaches by alternating paths."""
     m = maximum_matching(g)
     if m.size == g.n:
         raise PerfectMatchingExistsError(
             "graph has a perfect matching; no Hall violator exists"
         )
-    s = _violator_from(g, m)
+    start = next(i for i in range(g.n) if m.get(i) is None)
+    layers, _ = _alternating_reach(g, m, start)
+    s = tuple(sorted(v for layer in layers for v in layer if v < g.n))
     if len(neighborhood(g, s)) >= len(s):
         raise AssertionError("constructed violator fails |S| > |N(S)|")
     return s
@@ -230,42 +223,70 @@ def is_cover(w: Sequence[Sequence[int]], cover: WeightCover) -> bool:
     )
 
 
-def _equality_subgraph(
-    n: int, w: Sequence[Sequence[int]], u: Sequence[int], v: Sequence[int]
-) -> BipartiteGraph:
-    return BipartiteGraph.from_rows(
-        [[w[i][j] == u[i] + v[j] for j in range(n)] for i in range(n)]
-    )
+def _dual_steps(n: int, w: Sequence[Sequence[int]]):
+    """Generator driving the primal-dual Hungarian method.
 
+    Yields the starting cover and the cover after every dual step; its
+    return value (carried by StopIteration) is the perfect matching
+    that the last cover certifies.
 
-def _hungarian_rounds(n: int, w: Sequence[Sequence[int]]):
-    """Generator driving the Hungarian algorithm.
-
-    Yields the cover at the start of each round; sends back nothing.
-    The final round's cover certifies the matching returned by
-    hungarian_max_weight: the equality subgraph of that cover has a
-    perfect matching.
+    Invariants: the cover is feasible (w[i][j] <= u[i] + v[j]) and every
+    matched pair is tight (w[i][j] = u[i] + v[j]).  Each root grows one
+    alternating tree of tight edges, S holding its lefts and T its
+    rights, so |S| = |T| + 1; slack[j] is the least slack between S and
+    a right j outside T.  A dual step by delta = min slack >= 1 lowers u
+    on S and raises v on T: tree edges stay tight, edges from S to
+    rights outside T lose delta of slack and none goes negative, and
+    the cover cost drops by exactly delta.  The right attaining the
+    minimum then joins T, and the tree either augments (that right is
+    free) or grows by its mate.  A tree gains one right per O(n) scan,
+    so each root costs O(n^2) and the whole run O(n^3).
     """
-    u = [max(w[i][j] for j in range(n)) for i in range(n)]
+    u = [max(row) for row in w]
     v = [0] * n
-    while True:
-        yield WeightCover(tuple(u), tuple(v))
-        h = _equality_subgraph(n, w, u, v)
-        m = maximum_matching(h)
-        if m.size == n:
-            return
-        s = _violator_from(h, m)
-        ns = neighborhood(h, s)
-        delta = min(
-            u[i] + v[j] - w[i][j]
-            for i in s
-            for j in range(n)
-            if j not in ns
-        )
-        for i in s:
-            u[i] -= delta
-        for j in ns:
-            v[j] += delta
+    mate_of_left = [-1] * n
+    mate_of_right = [-1] * n
+    yield WeightCover(tuple(u), tuple(v))
+    for root in range(n):
+        in_tree = [False] * n
+        lefts = [root]
+        rights = []
+        row, ui = w[root], u[root]
+        slack = [ui + v[j] - row[j] for j in range(n)]
+        parent = [root] * n  # left end of the edge attaining slack[j]
+        while True:
+            delta = j = -1
+            for k in range(n):
+                if not in_tree[k] and (j < 0 or slack[k] < delta):
+                    delta, j = slack[k], k
+            if delta:
+                for i in lefts:
+                    u[i] -= delta
+                for k in rights:
+                    v[k] += delta
+                for k in range(n):
+                    if not in_tree[k]:
+                        slack[k] -= delta
+                yield WeightCover(tuple(u), tuple(v))
+            in_tree[j] = True
+            rights.append(j)
+            i = mate_of_right[j]
+            if i < 0:
+                break
+            lefts.append(i)
+            row, ui = w[i], u[i]
+            for k in range(n):
+                if not in_tree[k]:
+                    s = ui + v[k] - row[k]
+                    if s < slack[k]:
+                        slack[k] = s
+                        parent[k] = i
+        # Flip the tree path from the free right j back to the root.
+        while j >= 0:
+            i = parent[j]
+            mate_of_right[j] = i
+            mate_of_left[i], j = j, mate_of_left[i]
+    return Matching.from_pairs(enumerate(mate_of_left))
 
 
 def hungarian_max_weight(
@@ -274,13 +295,12 @@ def hungarian_max_weight(
     """Maximum-weight matching of the complete n x n instance w, plus a
     minimum-cost weight cover certifying it.
 
-    Starts from u[i] = max of row i, v = 0.  While the equality
-    subgraph (positions with w[i][j] = u[i] + v[j]) has no perfect
-    matching, a Hall violator S shrinks the cover: u drops by delta on
-    S, v rises by delta on N(S), with delta the smallest slack between
-    S and the rights outside N(S).  The cover cost strictly decreases
-    by at least 1 per round, so termination is bounded by the initial
-    cost.  At return, matching weight equals cover cost.
+    Primal-dual Kuhn-Munkres in O(n^3) arithmetic operations, starting
+    from the cover u[i] = max of row i, v = 0.  The cover stays
+    feasible throughout and every dual step lowers its cost by exactly
+    its step size (see _dual_steps).  The returned matching is perfect
+    and uses only tight positions (w[i][j] = u[i] + v[j]), so its
+    weight equals the cover cost, which proves both optimal.
     """
     if n < 1:
         raise ValueError("instance dimension must be >= 1")
@@ -288,24 +308,33 @@ def hungarian_max_weight(
         raise ValueError(f"weight grid must be {n}x{n}")
     if any(w[i][j] < 0 for i in range(n) for j in range(n)):
         raise ValueError("negative weights are not accepted")
+    steps = _dual_steps(n, w)
     cover = None
-    rounds = _hungarian_rounds(n, w)
-    for cover in rounds:
-        pass
-    h = _equality_subgraph(n, w, cover.u, cover.v)
-    m = maximum_matching(h)
-    return m, cover
+    while True:
+        try:
+            cover = next(steps)
+        except StopIteration as done:
+            return done.value, cover
 
 
-def mwpm(g: BipartiteGraph, w: WeightAssignment) -> Matching:
-    """Minimum-weight perfect matching of g, or the empty matching if g
-    has no perfect matching.
+def _mwpm_with_dual(
+    g: BipartiteGraph, w: WeightAssignment
+) -> tuple[Matching, tuple[tuple[int, ...], tuple[int, ...]]]:
+    """mwpm's matching together with potentials (a, b) such that
+    a[i] + b[j] <= w(i, j) on every edge of g, with equality on the
+    matched pairs.
+
+    When the matching is non-empty the potentials are an optimal dual,
+    so by complementary slackness the minimum-weight perfect matchings
+    of g are exactly the perfect matchings of its tight edges, those
+    with a[i] + b[j] = w(i, j).
 
     Reduces to maximum-weight matching on the complete instance with
     transformed weights c - w on edges and 0 elsewhere, where
     c = n * max edge weight + 1.  Any perfect matching of g then beats
     every matching that uses a non-edge, so a non-edge in the result
-    proves there is no perfect matching.
+    proves there is no perfect matching.  The cover (u, v) of the
+    transformed instance maps back to a = c - u, b = -v.
     """
     n = g.n
     if w.n != n:
@@ -317,9 +346,14 @@ def mwpm(g: BipartiteGraph, w: WeightAssignment) -> Matching:
         [c - w.value(i, j) if g.edges[i][j] else 0 for j in range(n)]
         for i in range(n)
     ]
-    m, _ = hungarian_max_weight(n, transformed)
-    if any(not g.has_edge(i, j) for i, j in m.pairs):
-        return Matching.empty()
+    m, cover = hungarian_max_weight(n, transformed)
+    dual = (tuple(c - x for x in cover.u), tuple(-x for x in cover.v))
     if not is_perfect_matching(g, m):
-        return Matching.empty()
-    return m
+        return Matching.empty(), dual
+    return m, dual
+
+
+def mwpm(g: BipartiteGraph, w: WeightAssignment) -> Matching:
+    """Minimum-weight perfect matching of g, or the empty matching if g
+    has no perfect matching (see _mwpm_with_dual for the reduction)."""
+    return _mwpm_with_dual(g, w)[0]

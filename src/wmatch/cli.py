@@ -9,18 +9,21 @@ Subcommands::
     wmatch verify SUITE          exhaustive/randomized verification suites
 
 Exit codes: 0 = yes/found/pass, 1 = no/failed, 2 = input error,
-3 = enumeration budget exceeded.  Identical inputs, seed and flags
-produce byte-identical output; the default seed is the documented
-constant ``wmatch.rng.DEFAULT_SEED`` (pass ``--seed random`` to opt
-into entropy; the drawn seed is echoed in the report).  The
-``WM_THREADS`` environment variable caps the worker count used by the
-exhaustive surjectivity checks.
+3 = enumeration budget exceeded, 141 (128 + SIGPIPE) = the reader
+closed stdout early (``wmatch ... | head``), which ends the run
+without a traceback.  Identical inputs, seed and flags produce
+byte-identical output; the default seed is the documented constant
+``wmatch.rng.DEFAULT_SEED`` (pass ``--seed random`` to opt into
+entropy; the drawn seed is echoed in the report).  The ``WM_THREADS``
+environment variable caps the worker count used by the exhaustive
+surjectivity checks.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import secrets
 import sys
 from importlib import resources
@@ -45,6 +48,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_INPUT_ERROR = 2
 EXIT_BUDGET = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _seed_value(text: str) -> int:
@@ -334,7 +338,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        # Flush here so a closed pipe surfaces inside this try block
+        # rather than at interpreter exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

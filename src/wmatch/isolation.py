@@ -8,10 +8,14 @@ onto them, so their fraction is at most m/k.  As with the zero-set
 witnesses, the map's surjectivity is the executable content of that
 bound and is checked exhaustively at small sizes.
 
-The non-isolating predicate itself is decided with the exact
-minimum-weight perfect matching solver: a minimum matching ties with
-another one iff deleting one of its edges leaves a perfect matching of
-equal minimum weight.
+The non-isolating predicate itself takes one exact minimum-weight
+perfect matching solve, M with an optimal dual (a, b).  By
+complementary slackness the minimum-weight perfect matchings are
+exactly the perfect matchings of the tight edges (a[i] + b[j] = w(i, j)),
+and M is one of them.  Any other one differs from M on disjoint
+M-alternating cycles, so the minimum ties iff the tight edges carry an
+M-alternating cycle: a directed cycle in the graph on left vertices
+with an arc i -> M^-1(j) for every tight non-matching edge (i, j).
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Sequence
 
-from .classical import mwpm
+from .classical import _mwpm_with_dual, mwpm
 from .graphs import BipartiteGraph, WeightAssignment, matching_weight
 from .oracle import DEFAULT_BUDGET, BudgetExceededError
 
@@ -38,18 +42,42 @@ def _check_edge_weights(g: BipartiteGraph, w: WeightAssignment, k: int) -> None:
 def is_nonisolating(g: BipartiteGraph, w: WeightAssignment, k: int) -> bool:
     """True iff g has two distinct minimum-weight perfect matchings
     under w.  Graphs without any perfect matching have nothing to
-    isolate, so the answer there is False for every assignment."""
+    isolate, so the answer there is False for every assignment.
+
+    One solve gives a minimum matching M and an optimal dual (a, b);
+    the minimum ties iff the digraph of tight non-matching edges
+    described in the module docstring has a cycle, that is, iff
+    repeatedly deleting its vertices with no incoming arc leaves some.
+    """
     _check_edge_weights(g, w, k)
-    m = mwpm(g, w)
+    m, (a, b) = _mwpm_with_dual(g, w)
     if m.is_empty:
         return False
-    target = matching_weight(m, w)
-    for i, j in m.pairs:
-        rival = mwpm(g.without_edge(i, j), w)
-        if not rival.is_empty and matching_weight(rival, w) == target:
-            # rival avoids (i, j) by construction, so it differs from m.
-            return True
-    return False
+    n = g.n
+    mate = m.as_dict()
+    mate_of_right = {j: i for i, j in m.pairs}
+    arcs = [
+        [
+            mate_of_right[j]
+            for j in g.neighbors(i)
+            if j != mate[i] and w.value(i, j) == a[i] + b[j]
+        ]
+        for i in range(n)
+    ]
+    indegree = [0] * n
+    for targets in arcs:
+        for t in targets:
+            indegree[t] += 1
+    sources = [i for i in range(n) if indegree[i] == 0]
+    deleted = 0
+    while sources:
+        i = sources.pop()
+        deleted += 1
+        for t in arcs[i]:
+            indegree[t] -= 1
+            if indegree[t] == 0:
+                sources.append(t)
+    return deleted < n
 
 
 def nonisolating_witness(

@@ -5,7 +5,7 @@ import pytest
 from wmatch.classical import (
     PerfectMatchingExistsError,
     WeightCover,
-    _hungarian_rounds,
+    _dual_steps,
     cover_cost,
     find_augmenting_path,
     hall_violator,
@@ -61,6 +61,50 @@ def all_matchings(g):
 
     walk(0, 0, [])
     return out
+
+
+def random_rows(rng, n, hi):
+    return [[rng.randint(0, hi) for _ in range(n)] for _ in range(n)]
+
+
+def planted_graph(rng, n, violator):
+    """Density-1/2 graph with a planted perfect matching, or, with
+    ``violator``, with three rows confined to two columns (so |S| = 3 >
+    |N(S)| = 2 and no perfect matching exists)."""
+    rows = [[rng.random() < 0.5 for _ in range(n)] for _ in range(n)]
+    if violator:
+        for i in rng.sample(range(n), 3):
+            rows[i] = [j < 2 and rows[i][j] for j in range(n)]
+    else:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        for i, j in enumerate(perm):
+            rows[i][j] = True
+    return BipartiteGraph.from_rows(rows)
+
+
+def has_negative_alternating_cycle(g, w, m):
+    """Bellman-Ford on the residual digraph of the perfect matching m:
+    a non-matching edge (i, j) is an arc from left i to right j of cost
+    w(i, j), a matching edge an arc from right j to left i of cost
+    -w(i, j).  Every vertex starts at distance 0 (a virtual source), so
+    with no negative cycle the distances settle within 2n rounds."""
+    n = g.n
+    matched = set(m.pairs)
+    arcs = [
+        (n + j, i, -w.value(i, j)) if (i, j) in matched else (i, n + j, w.value(i, j))
+        for i, j in g.edge_list()
+    ]
+    dist = [0] * (2 * n)
+    for _ in range(2 * n):
+        changed = False
+        for a, b, cost in arcs:
+            if dist[a] + cost < dist[b]:
+                dist[b] = dist[a] + cost
+                changed = True
+        if not changed:
+            return False
+    return True
 
 
 class TestAugmentingPath:
@@ -215,7 +259,7 @@ class TestHungarian:
         for _ in range(50):
             n = rng.randint(2, 4)
             w = [[rng.randint(0, 8) for _ in range(n)] for _ in range(n)]
-            costs = [cover_cost(c) for c in _hungarian_rounds(n, w)]
+            costs = [cover_cost(c) for c in _dual_steps(n, w)]
             assert all(a > b for a, b in zip(costs, costs[1:]))
             assert len(costs) <= costs[0] + 1
 
@@ -228,6 +272,40 @@ class TestHungarian:
             g = BipartiteGraph.complete(n)
             for m in all_matchings(g):
                 assert sum(w[i][j] for i, j in m.pairs) <= cover_cost(cover)
+
+
+class TestHungarianAtScale:
+    """The cover is a complete optimality proof at any n: a perfect
+    matching whose weight equals the cost of a feasible cover is
+    maximum, and the cover minimum.  Checked with the test's own
+    arithmetic, at the sizes and weights the CLI takes."""
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_certificate(self, n):
+        rng = random.Random(1000 + n)
+        for exponent in (1, 6, 15):
+            w = random_rows(rng, n, 10**exponent)
+            m, (u, v) = hungarian_max_weight(n, w)
+            assert sorted(i for i, _ in m.pairs) == list(range(n))
+            assert sorted(j for _, j in m.pairs) == list(range(n))
+            assert all(w[i][j] <= u[i] + v[j] for i in range(n) for j in range(n))
+            assert sum(u) + sum(v) == sum(w[i][j] for i, j in m.pairs)
+
+    def test_vs_oracles_up_to_n7(self):
+        # brute_max_weight_matching stops at n = 5.  Beyond it, weights
+        # are nonnegative, so some perfect matching of the complete
+        # graph attains the maximum over all matchings.
+        rng = random.Random(41)
+        for n in range(1, 8):
+            pms = enumerate_perfect_matchings(BipartiteGraph.complete(n))
+            for hi in (3, 3, 10**15, 10**15):
+                w = random_rows(rng, n, hi)
+                m, cover = hungarian_max_weight(n, w)
+                if n <= 5:
+                    best = brute_max_weight_matching(n, w)
+                else:
+                    best = max(sum(w[i][j] for i, j in pm.pairs) for pm in pms)
+                assert sum(w[i][j] for i, j in m.pairs) == best == cover_cost(cover)
 
 
 class TestCover:
@@ -277,6 +355,35 @@ class TestMwpm:
                 assert matching_weight(got, w) == min(
                     matching_weight(m, w) for m in pms
                 )
+
+    def test_n32_no_improving_cycle(self):
+        rng = random.Random(43)
+        for t in range(12):
+            violator = t % 4 == 3
+            g = planted_graph(rng, 32, violator)
+            w = WeightAssignment.from_grid(random_rows(rng, 32, 10 ** (1 + t % 15)))
+            got = mwpm(g, w)
+            if violator:
+                assert got.is_empty
+            else:
+                assert is_perfect_matching(g, got)
+                assert not has_negative_alternating_cycle(g, w, got)
+
+    def test_up_to_n7_vs_enumeration(self):
+        rng = random.Random(47)
+        for _ in range(60):
+            n = rng.randint(5, 7)
+            g = BipartiteGraph.from_rows(
+                [[rng.random() < 0.6 for _ in range(n)] for _ in range(n)]
+            )
+            w = WeightAssignment.from_grid(random_rows(rng, n, rng.choice((3, 10**15))))
+            got = mwpm(g, w)
+            pms = enumerate_perfect_matchings(g)
+            if not pms:
+                assert got.is_empty
+            else:
+                assert is_perfect_matching(g, got)
+                assert matching_weight(got, w) == min(matching_weight(m, w) for m in pms)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -121,6 +125,31 @@ class TestHungarian:
         code, _, err = run(capsys, ["hungarian", str(p)])
         assert code == 2
         assert "line 2" in err
+
+
+class TestClosedStdout:
+    def test_closed_pipe_ends_quietly(self, files):
+        # The read end is closed before the child starts, so its first
+        # write to stdout meets a broken pipe, as under `wmatch ... | head`.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "wmatch.cli", "hungarian",
+                 files["w3.weights"], "--format", "json"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert b"Traceback" not in proc.stderr
+        assert proc.stderr == b""
+        assert proc.returncode == cli.EXIT_BROKEN_PIPE
 
 
 class TestMwpm:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -45,6 +46,26 @@ class TestIsNonisolating:
     def test_matches_oracle_exhaustively_k3(self):
         for w in assignments(K22, 3):
             assert is_nonisolating(K22, w, 3) == oracle_bad(K22, w)
+
+    def test_matches_oracle_on_random_graphs(self):
+        # Weights in [1, k] with k <= 4 make ties common; non-edge
+        # positions carry values too, which the predicate must ignore.
+        rng = random.Random(59)
+        outcomes = {"pm_free": 0, "tied": 0, "isolated": 0}
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            k = rng.choice((2, 3, 4))
+            g = BipartiteGraph.from_rows(
+                [[rng.random() < 0.6 for _ in range(n)] for _ in range(n)]
+            )
+            w = WeightAssignment.from_grid(
+                [[rng.randint(1, k) for _ in range(n)] for _ in range(n)]
+            )
+            truth = brute_min_weight_pms(g, w)
+            tied = len(truth.matchings) >= 2
+            outcomes["pm_free" if truth.weight is None else "tied" if tied else "isolated"] += 1
+            assert is_nonisolating(g, w, k) == tied
+        assert min(outcomes.values()) >= 20, outcomes
 
     def test_weight_out_of_range(self):
         with pytest.raises(ValueError):
