@@ -43,13 +43,16 @@ from .isolation import (
     is_nonisolating,
     nonisolating_fraction,
     nonisolating_witness,
+    nonisolating_witness_map,
 )
 from .linalg import (
     IntMatrix,
+    cofactors,
     det_berkowitz,
     det_cofactor,
     det_lagrange,
     minor,
+    minor_cofactors,
     trailing_zeros,
 )
 from .mvv import (

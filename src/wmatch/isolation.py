@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .classical import _mwpm_with_dual, mwpm
 from .graphs import BipartiteGraph, WeightAssignment, matching_weight
@@ -99,52 +99,68 @@ def nonisolating_witness(
     caller-supplied ``dummy`` (itself required to be non-isolating) is
     returned.
     """
-    edges = g.edge_list()
-    m = len(edges)
-    if not 0 <= i < m:
-        raise ValueError(f"edge index {i} out of range [0, {m})")
-    if len(w_rest) != m - 1:
-        raise ValueError(f"expected {m - 1} weights, got {len(w_rest)}")
-    for v in w_rest:
-        if not 1 <= v <= k:
-            raise ValueError(f"weight {v} out of range [1, {k}]")
+    return nonisolating_witness_map(g, k, dummy)(i, w_rest)
+
+
+def nonisolating_witness_map(
+    g: BipartiteGraph, k: int, dummy: WeightAssignment
+) -> Callable[[int, Sequence[int]], WeightAssignment]:
+    """:func:`nonisolating_witness` with g, k and ``dummy`` fixed, as a
+    function of (i, w_rest).
+
+    ``dummy`` is checked to be non-isolating once, here, so a caller
+    that maps a whole domain pays for that solve once rather than per
+    point; the returned map still checks each point's arguments.
+    """
     if not is_nonisolating(g, dummy, k):
         raise ValueError("dummy assignment is not non-isolating")
+    edges = g.edge_list()
+    m = len(edges)
 
-    a, b = edges[i]
-    rest_values = list(w_rest[:i]) + [0] + list(w_rest[i:])  # 0 fills e_i's slot
-    grid = [[0] * g.n for _ in range(g.n)]
-    for (r, c), v in zip(edges, rest_values):
-        grid[r][c] = v
-    w_partial = WeightAssignment.from_grid(grid)
+    def witness(i: int, w_rest: Sequence[int]) -> WeightAssignment:
+        if not 0 <= i < m:
+            raise ValueError(f"edge index {i} out of range [0, {m})")
+        if len(w_rest) != m - 1:
+            raise ValueError(f"expected {m - 1} weights, got {len(w_rest)}")
+        for v in w_rest:
+            if not 1 <= v <= k:
+                raise ValueError(f"weight {v} out of range [1, {k}]")
+        a, b = edges[i]
+        rest_values = list(w_rest[:i]) + [0] + list(w_rest[i:])  # 0 fills e_i's slot
+        grid = [[0] * g.n for _ in range(g.n)]
+        for (r, c), v in zip(edges, rest_values):
+            grid[r][c] = v
+        w_partial = WeightAssignment.from_grid(grid)
 
-    m_prime = mwpm(g.without_edge(a, b), w_partial)
-    if m_prime.is_empty:
-        return dummy
-
-    if g.n == 1:
-        # Deleting both endpoints leaves the empty graph, whose perfect
-        # matching is the empty matching of weight 0.
-        m1_weight = 0
-    else:
-        sub = g.without_vertices(a, b)
-        sub_w = WeightAssignment.from_grid(
-            [
-                [grid[r][c] for c in range(g.n) if c != b]
-                for r in range(g.n)
-                if r != a
-            ]
-        )
-        m1 = mwpm(sub, sub_w)
-        if m1.is_empty:
+        m_prime = mwpm(g.without_edge(a, b), w_partial)
+        if m_prime.is_empty:
             return dummy
-        m1_weight = matching_weight(m1, sub_w)
 
-    spliced = matching_weight(m_prime, w_partial) - m1_weight
-    if not 1 <= spliced <= k:
-        return dummy
-    grid[a][b] = spliced
-    return WeightAssignment.from_grid(grid)
+        if g.n == 1:
+            # Deleting both endpoints leaves the empty graph, whose perfect
+            # matching is the empty matching of weight 0.
+            m1_weight = 0
+        else:
+            sub = g.without_vertices(a, b)
+            sub_w = WeightAssignment.from_grid(
+                [
+                    [grid[r][c] for c in range(g.n) if c != b]
+                    for r in range(g.n)
+                    if r != a
+                ]
+            )
+            m1 = mwpm(sub, sub_w)
+            if m1.is_empty:
+                return dummy
+            m1_weight = matching_weight(m1, sub_w)
+
+        spliced = matching_weight(m_prime, w_partial) - m1_weight
+        if not 1 <= spliced <= k:
+            return dummy
+        grid[a][b] = spliced
+        return WeightAssignment.from_grid(grid)
+
+    return witness
 
 
 def enumerate_nonisolating(

@@ -1,10 +1,10 @@
-"""Exact integer matrices and determinants.
+"""Exact integer matrices, determinants and cofactors.
 
 All arithmetic is over Python's built-in arbitrary-precision integers,
 so nothing here overflows or rounds.  Three determinant routines are
 provided on purpose:
 
-* :func:`det_berkowitz` is the production path.  Division-free,
+* :func:`det_berkowitz` is the production determinant.  Division-free,
   O(n^4) integer multiplications.
 * :func:`det_cofactor` is recursive last-row cofactor expansion.
   Factorial time; independent oracle, guarded to n <= 12.
@@ -13,6 +13,23 @@ provided on purpose:
 
 The two oracles exist so the production path can be cross-checked
 without trusting any shared code.
+
+Every loop that needs the determinants of many minors (edge membership
+in the MVV finder, nonzero-diagonal extraction) reads them off one
+adjugate instead:
+
+* :func:`cofactors` returns ``(det, adj)`` by fraction-free Gauss-Jordan
+  elimination (Bareiss) on ``[A | I]``: O(n^3) exact divisions, and
+  ``adj[j][i] = (-1)^(i+j) * det(minor(A, i, j))``.
+* :func:`minor_cofactors` turns the kernel's output for A into the
+  kernel's output for ``minor(A, i, j)`` in O(n^2), by the
+  Desnanot-Jacobi (Sylvester) identity, so deleting one row and column
+  after another costs O(n^3) in all.
+
+Berkowitz stays the path for callers that need only the determinant:
+on power matrices, whose entries are large powers of two, Bareiss's
+exact divisions make one elimination slower than one Berkowitz run, so
+``cofactors`` pays off only where it replaces a determinant per minor.
 """
 
 from __future__ import annotations
@@ -127,6 +144,85 @@ def det_berkowitz(m: IntMatrix) -> int:
         ]
     det = coeffs[n]
     return det if n % 2 == 0 else -det
+
+
+def cofactors(m: IntMatrix) -> tuple[int, Optional[list[list[int]]]]:
+    """Determinant and adjugate of m, exactly.
+
+    Fraction-free Gauss-Jordan elimination on ``[A | I]`` with row
+    pivoting: at step k every other row becomes
+    ``(p_k * row - row[k] * pivot_row) / p_(k-1)``, where p_k is the
+    pivot, and every division is exact.  After the last step the left
+    block is ``d * I`` with d = ±det(A) and the right block is
+    ``d * A^-1``; the sign is that of the row swaps.  The result is
+    ``(det, adj)`` with ``adj[j][i] = (-1)^(i+j) * det(minor(m, i, j))``
+    (``[[1]]`` for a 1x1 matrix), or ``(0, None)`` when m is singular.
+    Nothing is retained between calls.
+    """
+    n = m.n
+    rows = [list(row) + [1 if c == r else 0 for c in range(n)] for r, row in enumerate(m.rows)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        p = next((r for r in range(k, n) if rows[r][k] != 0), None)
+        if p is None:
+            return 0, None
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            sign = -sign
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        # Left columns <= k now hold their final d * I values and are
+        # never read again, so only the later columns are updated.
+        for r in range(n):
+            if r == k:
+                continue
+            row = rows[r]
+            f = row[k]
+            for c in range(k + 1, 2 * n):
+                row[c] = (row[c] * pivot - f * pivot_row[c]) // prev
+        prev = pivot
+    return sign * prev, [[sign * x for x in row[n:]] for row in rows]
+
+
+def minor_cofactors(
+    det: int, adj: Sequence[Sequence[int]], i: int, j: int
+) -> tuple[int, list[list[int]]]:
+    """Cofactors of ``minor(A, i, j)`` from those of A.
+
+    ``(det, adj)`` is the output of :func:`cofactors` for a nonsingular
+    A, and ``det(minor(A, i, j)) = (-1)^(i+j) * adj[j][i]`` must be
+    nonzero.  With B = A^-1, the inverse of the minor is B without row
+    j and column i, minus ``B[r][i] * B[j][s] / B[j][i]`` (a rank-one
+    Schur complement update); scaled to adjugates this is the
+    Desnanot-Jacobi identity::
+
+        adj'[r][s] = (-1)^(i+j) * (adj[j][i] * adj[r][s] - adj[r][i] * adj[j][s]) / det
+
+    over the rows r != j and columns s != i of adj, an exact division.
+    Returns ``(det', adj')``, exactly what :func:`cofactors` returns
+    for the minor, in O(n^2).
+    """
+    n = len(adj)
+    if n < 2:
+        raise ValueError("minor of a 1x1 matrix is empty")
+    if not (0 <= i < n and 0 <= j < n):
+        raise IndexError(f"minor index ({i}, {j}) out of range for n={n}")
+    pivot = adj[j][i]
+    if pivot == 0 or det == 0:
+        raise ValueError("minor_cofactors needs a nonsingular matrix and minor")
+    sign = -1 if (i + j) % 2 else 1
+    row_j = adj[j]
+    out = []
+    for r in range(n):
+        if r == j:
+            continue
+        row = adj[r]
+        f = row[i]
+        out.append(
+            [sign * ((pivot * row[s] - f * row_j[s]) // det) for s in range(n) if s != i]
+        )
+    return sign * pivot, out
 
 
 def det_cofactor(m: IntMatrix) -> int:

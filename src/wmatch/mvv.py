@@ -7,9 +7,9 @@ weight survives as the position of the determinant's least significant
 1-bit: everything below it cancels nothing and everything else is
 divisible by a higher power of two.  That single number drives the
 whole pipeline: it recovers the minimum weight, decides per-edge
-membership in the unique minimum matching via minors, and (with random
-weights to make uniqueness hold with probability >= 1/2) finds a
-perfect matching.
+membership in the unique minimum matching from the cofactors of one
+adjugate, and (with random weights to make uniqueness hold with
+probability >= 1/2) finds a perfect matching.
 
 The finder is Las Vegas here: the assembled edge set is verified to be
 a perfect matching of the right weight before it is returned, so
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .edmonds import ZeroDeterminantError
+from .edmonds import ZeroDeterminantError, extract_diagonal
 from .graphs import (
     BipartiteGraph,
     Matching,
@@ -31,7 +31,7 @@ from .graphs import (
     matching_weight,
     random_weights,
 )
-from .linalg import IntMatrix, det_berkowitz, trailing_zeros
+from .linalg import IntMatrix, cofactors, det_berkowitz, trailing_zeros
 
 
 def build_power_matrix(g: BipartiteGraph, w: WeightAssignment) -> IntMatrix:
@@ -46,6 +46,13 @@ def build_power_matrix(g: BipartiteGraph, w: WeightAssignment) -> IntMatrix:
             for i in range(n)
         )
     )
+
+
+def fewest_trailing_zeros(prod: int, terms: list[tuple[int, int]]) -> int:
+    """Choice rule of :func:`extract_pm_weight_bounded`: the column
+    whose term times the running product has the fewest trailing zero
+    bits, least column on ties."""
+    return min(terms, key=lambda term: trailing_zeros(prod * term[1]))[0]
 
 
 def extract_pm_weight_bounded(
@@ -63,11 +70,14 @@ def extract_pm_weight_bounded(
     fewer trailing zeros than all its terms, so the minimum term keeps
     the invariant.  The final product of chosen entries is exactly
     2^(matching weight), hence the weight bound.  This holds whether or
-    not the minimum-weight perfect matching is unique.
+    not the minimum-weight perfect matching is unique.  The minors'
+    determinants come from one adjugate updated row by row
+    (:func:`~wmatch.edmonds.extract_diagonal`): O(n^3) exact operations
+    in all.
     """
     if b.n != g.n:
         raise ValueError(f"matrix is {b.n}x{b.n}, graph is {g.n}x{g.n}")
-    det = det_berkowitz(b)
+    det, adj = cofactors(b)
     if det == 0:
         raise ZeroDeterminantError("matrix has zero determinant; nothing to extract")
     if trailing_zeros(det) != p:
@@ -75,33 +85,7 @@ def extract_pm_weight_bounded(
             f"p={p} does not match the determinant's trailing zero count "
             f"{trailing_zeros(det)}"
         )
-    n = b.n
-    cur = b
-    cols = list(range(n))
-    sigma = [0] * n
-    prod = 1  # product of the entries chosen so far
-    for i in range(n - 1, 0, -1):
-        best_j = None
-        best_tz = None
-        for j in range(i + 1):
-            entry = cur.at(i, j)
-            if entry == 0:
-                continue
-            d = det_berkowitz(cur.minor(i, j))
-            if d == 0:
-                continue
-            tz = trailing_zeros(prod * entry * d)
-            if best_tz is None or tz < best_tz:
-                best_tz = tz
-                best_j = j
-        if best_j is None:
-            raise AssertionError("nonzero determinant but no nonzero cofactor term")
-        sigma[i] = cols[best_j]
-        prod *= cur.at(i, best_j)
-        cur = cur.minor(i, best_j)
-        del cols[best_j]
-    sigma[0] = cols[0]
-    m = Matching.from_pairs(enumerate(sigma))
+    m = extract_diagonal(b, det, adj, fewest_trailing_zeros).matching
     if not is_perfect_matching(g, m):
         raise ValueError("extracted diagonal is not a matching of the graph; "
                          "was the matrix built from this graph?")
@@ -130,33 +114,57 @@ def min_weight_via_trailing_zeros(
     return trailing_zeros(det)
 
 
+def _in_min_pm(adj: list[list[int]], p: int, w: WeightAssignment, i: int, j: int) -> bool:
+    """The membership rule: with p the determinant's trailing zero
+    count, edge (i, j) is in the unique minimum-weight perfect matching
+    iff its minor's determinant, ±adj[j][i], is nonzero with exactly
+    p - w(i, j) trailing zeros."""
+    return trailing_zeros(adj[j][i]) == p - w.value(i, j)
+
+
 def edge_in_unique_min_pm(
     g: BipartiteGraph, w: WeightAssignment, b: IntMatrix, i: int, j: int
 ) -> bool:
     """Membership of edge (i, j) in the unique minimum-weight perfect
     matching: delete row i and column j and compare trailing zero
     counts: the edge is in iff the minor's count is defined and equals
-    (minimum weight) - w(i,j)."""
+    (minimum weight) - w(i,j).  The minor's determinant is the cofactor
+    ±adj[j][i] of one :func:`~wmatch.linalg.cofactors` call."""
     if not g.has_edge(i, j):
         raise ValueError(f"({i}, {j}) is not an edge")
-    det = det_berkowitz(b)
+    det, adj = cofactors(b)
     if det == 0:
         raise ZeroDeterminantError("determinant is zero; no unique minimum matching")
-    if g.n == 1:
-        return True  # the single edge is the matching
-    target = trailing_zeros(det) - w.value(i, j)
-    sub_tz = trailing_zeros(det_berkowitz(b.minor(i, j)))
-    return sub_tz is not None and sub_tz == target
+    return _in_min_pm(adj, trailing_zeros(det), w, i, j)
+
+
+# MvvTrial.reason values, one per way a trial can fail.
+ZERO_DETERMINANT = "zero-determinant"
+WRONG_SIZE = "wrong-size"
+NOT_INJECTIVE = "not-injective"
+NOT_PERFECT = "not-perfect-matching"
+WEIGHT_MISMATCH = "weight-mismatch"
 
 
 @dataclass(frozen=True)
 class MvvTrial:
-    """Full record of one randomized find attempt."""
+    """Full record of one randomized find attempt.
+
+    ``reason`` is None on success and names the failure otherwise:
+    ``"zero-determinant"`` (no perfect matching, or the weights
+    canceled), ``"wrong-size"`` (the membership test collected other
+    than n edges), ``"not-injective"`` (n edges, but two share a
+    vertex), ``"not-perfect-matching"`` (the collected set fails the
+    final perfect-matching check) or ``"weight-mismatch"`` (a perfect
+    matching whose weight is not the determinant's trailing zero
+    count).
+    """
 
     seed: int
     weights: WeightAssignment
     min_weight: Optional[int]  # trailing zero count of det, None if det = 0
     matching: Optional[Matching]  # verified perfect matching, None on failure
+    reason: Optional[str] = None
 
     @property
     def success(self) -> bool:
@@ -167,39 +175,35 @@ def mvv_trial(g: BipartiteGraph, seed: int) -> MvvTrial:
     """One attempt: draw uniform weights in [1, 2m], build the power
     matrix, and collect the edges passing the membership test.
 
-    The collected set is only trusted after verification: it must be a
-    perfect matching of g whose weight equals the determinant's
-    trailing zero count.  Anything else (zero determinant, non-matching
-    collection, weight mismatch) is reported as failure.
+    A Berkowitz determinant decides first whether the power matrix is
+    singular; only a nonsingular one pays for the adjugate
+    (:func:`~wmatch.linalg.cofactors`), off which every edge's
+    membership is read.  The collected set is only trusted after
+    verification: it must be a perfect matching of g whose weight
+    equals the determinant's trailing zero count.  Anything else is
+    reported as failure, with its ``reason``.
     """
     n = g.n
     m = g.num_edges
     if m == 0:
         empty_w = WeightAssignment.from_grid([[0] * n for _ in range(n)])
-        return MvvTrial(seed, empty_w, None, None)
+        return MvvTrial(seed, empty_w, None, None, ZERO_DETERMINANT)
     w = random_weights(g, 2 * m, seed)
     b = build_power_matrix(g, w)
-    det = det_berkowitz(b)
-    if det == 0:
-        return MvvTrial(seed, w, None, None)
+    if det_berkowitz(b) == 0:
+        return MvvTrial(seed, w, None, None, ZERO_DETERMINANT)
+    det, adj = cofactors(b)
     p = trailing_zeros(det)
-    pairs = []
-    for i, j in g.edge_list():
-        if n == 1:
-            pairs.append((i, j))
-            continue
-        sub_tz = trailing_zeros(det_berkowitz(b.minor(i, j)))
-        if sub_tz is not None and sub_tz == p - w.value(i, j):
-            pairs.append((i, j))
+    pairs = [(i, j) for i, j in g.edge_list() if _in_min_pm(adj, p, w, i, j)]
     if len(pairs) != n:
-        return MvvTrial(seed, w, p, None)
+        return MvvTrial(seed, w, p, None, WRONG_SIZE)
     if len({i for i, _ in pairs}) != n or len({j for _, j in pairs}) != n:
-        return MvvTrial(seed, w, p, None)
+        return MvvTrial(seed, w, p, None, NOT_INJECTIVE)
     candidate = Matching.from_pairs(pairs)
     if not is_perfect_matching(g, candidate):
-        return MvvTrial(seed, w, p, None)
+        return MvvTrial(seed, w, p, None, NOT_PERFECT)
     if matching_weight(candidate, w) != p:
-        return MvvTrial(seed, w, p, None)
+        return MvvTrial(seed, w, p, None, WEIGHT_MISMATCH)
     return MvvTrial(seed, w, p, candidate)
 
 

@@ -31,7 +31,7 @@ from .graphs import (
     is_perfect_matching,
     matching_weight,
 )
-from .isolation import enumerate_nonisolating, nonisolating_witness
+from .isolation import enumerate_nonisolating, nonisolating_witness_map
 from .linalg import IntMatrix, det_berkowitz, det_cofactor, det_lagrange, trailing_zeros
 from .mvv import (
     build_power_matrix,
@@ -473,7 +473,7 @@ def check_isolation(
             if len(brute_min_weight_pms(g, w).matchings) >= 2
         ]
         mismatches = len(set(bad) ^ set(oracle_bad))
-        dummy = bad[0]
+        witness = nonisolating_witness_map(g, k, bad[0])
         domain = (
             (i, rest)
             for i in range(m)
@@ -481,7 +481,7 @@ def check_isolation(
         )
         report = check_surjection(
             domain,
-            lambda x, k=k, dummy=dummy: nonisolating_witness(g, k, x[0], x[1], dummy),
+            lambda x, witness=witness: witness(x[0], x[1]),
             bad,
             budget=budget,
             threads=threads,

@@ -13,6 +13,23 @@ from wmatch.graphs import BipartiteGraph, is_perfect_matching
 from wmatch.linalg import IntMatrix, det_berkowitz
 
 
+def per_minor_steps(b):
+    """Reference for extract_pm_trace: the per-minor loop it replaced,
+    one Berkowitz determinant for every candidate minor (O(n^6))."""
+    cur = b
+    cols = list(range(b.n))
+    steps = []
+    for i in range(b.n - 1, 0, -1):
+        chosen = next(
+            j for j in range(i + 1) if cur.at(i, j) != 0 and det_berkowitz(cur.minor(i, j)) != 0
+        )
+        steps.append((i, chosen, cols[chosen]))
+        cur = cur.minor(i, chosen)
+        del cols[chosen]
+    steps.append((0, 0, cols[0]))
+    return tuple(steps)
+
+
 class TestExtract:
     def test_1x1(self):
         g = BipartiteGraph.complete(1)
@@ -57,6 +74,29 @@ class TestExtract:
         trace = extract_pm_trace(BipartiteGraph.complete(2), b)
         assert trace.sigma == (1, 0)
         assert trace.matching.pairs == ((0, 1), (1, 0))
+
+    def test_steps_match_per_minor_reference(self):
+        # Lovasz samples and 0/±1 evaluations up to n = 12; the sparse
+        # ones force choices past column 0.
+        rng = random.Random(53)
+        done = 0
+        while done < 50:
+            n = rng.randint(1, 12)
+            density = rng.choice((0.3, 0.5, 0.8))
+            g = BipartiteGraph.from_rows(
+                [[i == j or rng.random() < density for j in range(n)] for i in range(n)]
+            )
+            if done % 2:
+                b = lovasz_sample(g, done)
+            else:
+                b = IntMatrix.from_rows(
+                    [[rng.choice((-1, 1)) if g.has_edge(i, j) else 0 for j in range(n)]
+                     for i in range(n)]
+                )
+            if det_berkowitz(b) == 0:
+                continue
+            done += 1
+            assert extract_pm_trace(g, b).steps == per_minor_steps(b)
 
     def test_foreign_matrix_rejected(self):
         g = BipartiteGraph.from_rows([[1, 0], [0, 1]])  # diagonal edges only

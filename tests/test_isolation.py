@@ -10,6 +10,7 @@ from wmatch.isolation import (
     is_nonisolating,
     nonisolating_fraction,
     nonisolating_witness,
+    nonisolating_witness_map,
 )
 from wmatch.oracle import BudgetExceededError, brute_min_weight_pms
 
@@ -117,6 +118,18 @@ class TestWitness:
         assert not is_nonisolating(K22, isolating, 2)
         with pytest.raises(ValueError):
             nonisolating_witness(K22, 2, 0, (1, 1, 1), isolating)
+
+    def test_map_checks_dummy_once_and_points_always(self):
+        isolating = WeightAssignment.from_grid([[1, 2], [2, 1]])
+        with pytest.raises(ValueError):
+            nonisolating_witness_map(K22, 2, isolating)
+        witness = nonisolating_witness_map(K22, 2, ALL_ONES)
+        for bad_point in ((4, (1, 1, 1)), (0, (1, 1)), (0, (1, 3, 1))):
+            with pytest.raises(ValueError):
+                witness(*bad_point)
+        for i in range(4):
+            for rest in product((1, 2), repeat=3):
+                assert witness(i, rest) == nonisolating_witness(K22, 2, i, rest, ALL_ONES)
 
     def test_soundness_every_output_bad(self):
         k = 3

@@ -4,10 +4,12 @@ import pytest
 
 from wmatch.linalg import (
     IntMatrix,
+    cofactors,
     det_berkowitz,
     det_cofactor,
     det_lagrange,
     minor,
+    minor_cofactors,
     trailing_zeros,
 )
 
@@ -138,6 +140,142 @@ class TestDeterminants:
                     for j in range(n)
                 )
                 assert expansion == d
+
+
+def power_matrix(rng, n):
+    """The shape `find` gives the kernel: a density-1/2 graph with a
+    planted diagonal, each edge (i, j) holding 2^w with w uniform in
+    [1, 2m]."""
+    edges = [[i == j or rng.random() < 0.5 for j in range(n)] for i in range(n)]
+    m = sum(map(sum, edges))
+    return IntMatrix.from_rows(
+        [[1 << rng.randint(1, 2 * m) if edges[i][j] else 0 for j in range(n)] for i in range(n)]
+    )
+
+
+def lovasz_matrix(rng, n):
+    """The shape `decide` gives extraction: entries in [1, 2n] on a
+    density-1/2 graph with a planted diagonal."""
+    return IntMatrix.from_rows(
+        [
+            [rng.randint(1, 2 * n) if i == j or rng.random() < 0.5 else 0 for j in range(n)]
+            for i in range(n)
+        ]
+    )
+
+
+def assert_cofactors_match_minors(m):
+    det, adj = cofactors(m)
+    assert det == det_berkowitz(m) != 0
+    n = m.n
+    if n == 1:
+        assert adj == [[1]]
+        return
+    for i in range(n):
+        for j in range(n):
+            expected = det_berkowitz(minor(m, i, j))
+            assert adj[j][i] == (-expected if (i + j) % 2 else expected), (i, j)
+
+
+class TestCofactors:
+    def test_small_hand_cases(self):
+        assert cofactors(IntMatrix.from_rows([[7]])) == (7, [[1]])
+        assert cofactors(IntMatrix.from_rows([[1, 2], [3, 4]])) == (-2, [[4, -2], [-3, 1]])
+        # The first pivot is 0, so rows swap.
+        assert cofactors(IntMatrix.from_rows([[0, 1], [1, 0]])) == (-1, [[0, -1], [-1, 0]])
+
+    def test_random_small_matrices(self):
+        rng = random.Random(17)
+        done = 0
+        while done < 200:
+            m = random_matrix(rng, rng.randint(1, 6), -3, 3)
+            if det_berkowitz(m) == 0:
+                continue
+            done += 1
+            assert_cofactors_match_minors(m)
+
+    @pytest.mark.parametrize("n,count", [(8, 4), (12, 2), (16, 1)])
+    def test_power_matrices_at_find_size(self, n, count):
+        rng = random.Random(1000 + n)
+        done = 0
+        while done < count:
+            m = power_matrix(rng, n)
+            if det_berkowitz(m) == 0:
+                continue
+            done += 1
+            assert max(abs(x).bit_length() for row in m.rows for x in row) > 2 * n
+            assert_cofactors_match_minors(m)
+
+    def test_lovasz_sample_at_decide_size(self):
+        rng = random.Random(20)
+        m = lovasz_matrix(rng, 20)
+        assert_cofactors_match_minors(m)
+
+    def test_singular_inputs_report_zero(self):
+        rng = random.Random(23)
+        for n in range(1, 13):
+            m = power_matrix(rng, n)
+            rows = [list(row) for row in m.rows]
+            zero_col = [[0 if c == n - 1 else x for c, x in enumerate(row)] for row in rows]
+            assert cofactors(IntMatrix.from_rows(zero_col)) == (0, None)
+            if n >= 2:
+                rows[n - 1] = [3 * x - 2 * y for x, y in zip(rows[0], rows[n - 2])]
+                assert cofactors(IntMatrix.from_rows(rows)) == (0, None)
+                # Rank n - 1 with every entry nonzero: a product of an
+                # n x (n-1) and an (n-1) x n matrix.
+                left = [[rng.randint(1, 1 << 40) for _ in range(n - 1)] for _ in range(n)]
+                right = [[rng.randint(1, 1 << 40) for _ in range(n)] for _ in range(n - 1)]
+                prod = [
+                    [sum(left[r][t] * right[t][c] for t in range(n - 1)) for c in range(n)]
+                    for r in range(n)
+                ]
+                assert cofactors(IntMatrix.from_rows(prod)) == (0, None)
+
+    def test_input_unmodified(self):
+        m = IntMatrix.from_rows([[0, 2], [3, 4]])
+        cofactors(m)
+        assert m.rows == ((0, 2), (3, 4))
+
+
+class TestMinorCofactors:
+    def test_chain_from_n12_to_1x1(self):
+        rng = random.Random(29)
+        for _ in range(3):
+            cur = power_matrix(rng, 12)
+            det, adj = cofactors(cur)
+            if det == 0:
+                continue
+            while cur.n > 1:
+                n = cur.n
+                i, j = rng.choice(
+                    [(i, j) for i in range(n) for j in range(n) if adj[j][i] != 0]
+                )
+                det, adj = minor_cofactors(det, adj, i, j)
+                cur = minor(cur, i, j)
+                assert (det, adj) == cofactors(cur)
+
+    def test_chain_on_lovasz_samples(self):
+        rng = random.Random(31)
+        cur = lovasz_matrix(rng, 12)
+        det, adj = cofactors(cur)
+        assert det != 0
+        while cur.n > 1:
+            # Always the last row, as extraction deletes it.
+            i = cur.n - 1
+            j = next(j for j in range(cur.n) if adj[j][i] != 0)
+            det, adj = minor_cofactors(det, adj, i, j)
+            cur = minor(cur, i, j)
+            assert (det, adj) == cofactors(cur)
+
+    def test_rejects_vanishing_minor(self):
+        det, adj = cofactors(IntMatrix.from_rows([[1, 1], [1, 2]]))
+        assert adj == [[2, -1], [-1, 1]]
+        with pytest.raises(ValueError):
+            minor_cofactors(det, [[2, 0], [-1, 1]], 1, 0)
+        with pytest.raises(ValueError):
+            minor_cofactors(1, [[1]], 0, 0)
+        with pytest.raises(IndexError):
+            minor_cofactors(det, adj, 2, 0)
 
 
 class TestTrailingZeros:

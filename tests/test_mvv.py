@@ -6,13 +6,16 @@ import pytest
 from wmatch.edmonds import ZeroDeterminantError
 from wmatch.graphs import (
     BipartiteGraph,
+    Matching,
     WeightAssignment,
     is_perfect_matching,
     matching_weight,
+    random_weights,
 )
 from wmatch.isolation import is_nonisolating
 from wmatch.linalg import det_berkowitz, trailing_zeros
 from wmatch.mvv import (
+    MvvTrial,
     build_power_matrix,
     edge_in_unique_min_pm,
     extract_pm_weight_bounded,
@@ -23,6 +26,14 @@ from wmatch.mvv import (
 from wmatch.oracle import brute_min_weight_pms
 
 K22 = BipartiteGraph.complete(2)
+# Found by search: the membership test collects five edges of this
+# graph, one per row but two in column 1, under the weights of seed 91.
+NON_INJECTIVE = (
+    BipartiteGraph.from_rows(
+        [[1, 1, 1, 1, 1], [1, 1, 1, 0, 1], [1, 0, 1, 1, 0], [0, 1, 1, 1, 1], [0, 1, 1, 0, 1]]
+    ),
+    91,
+)
 
 
 def random_graph(rng, n):
@@ -35,6 +46,61 @@ def random_assignment(rng, n, k):
     return WeightAssignment.from_grid(
         [[rng.randint(1, k) for _ in range(n)] for _ in range(n)]
     )
+
+
+def per_minor_weight_bounded(g, w, b):
+    """Reference for extract_pm_weight_bounded: the per-minor loop it
+    replaced, one Berkowitz determinant per candidate minor."""
+    cur = b
+    cols = list(range(b.n))
+    sigma = [0] * b.n
+    prod = 1
+    for i in range(b.n - 1, 0, -1):
+        best_j = best_tz = None
+        for j in range(i + 1):
+            entry = cur.at(i, j)
+            d = det_berkowitz(cur.minor(i, j)) if entry else 0
+            if d == 0:
+                continue
+            tz = trailing_zeros(prod * entry * d)
+            if best_tz is None or tz < best_tz:
+                best_j, best_tz = j, tz
+        sigma[i] = cols[best_j]
+        prod *= cur.at(i, best_j)
+        cur = cur.minor(i, best_j)
+        del cols[best_j]
+    sigma[0] = cols[0]
+    return Matching.from_pairs(enumerate(sigma))
+
+
+def per_minor_trial(g, seed):
+    """Reference for mvv_trial: one Berkowitz determinant per edge's
+    minor, and the same verification steps and failure reasons."""
+    n, m = g.n, g.num_edges
+    if m == 0:
+        w = WeightAssignment.from_grid([[0] * n for _ in range(n)])
+        return MvvTrial(seed, w, None, None, "zero-determinant")
+    w = random_weights(g, 2 * m, seed)
+    b = build_power_matrix(g, w)
+    det = det_berkowitz(b)
+    if det == 0:
+        return MvvTrial(seed, w, None, None, "zero-determinant")
+    p = trailing_zeros(det)
+    pairs = [
+        (i, j)
+        for i, j in g.edge_list()
+        if n == 1 or trailing_zeros(det_berkowitz(b.minor(i, j))) == p - w.value(i, j)
+    ]
+    if len(pairs) != n:
+        return MvvTrial(seed, w, p, None, "wrong-size")
+    if len({i for i, _ in pairs}) != n or len({j for _, j in pairs}) != n:
+        return MvvTrial(seed, w, p, None, "not-injective")
+    candidate = Matching.from_pairs(pairs)
+    if not is_perfect_matching(g, candidate):
+        return MvvTrial(seed, w, p, None, "not-perfect-matching")
+    if matching_weight(candidate, w) != p:
+        return MvvTrial(seed, w, p, None, "weight-mismatch")
+    return MvvTrial(seed, w, p, candidate)
 
 
 class TestPowerMatrix:
@@ -99,6 +165,27 @@ class TestWeightBoundedExtraction:
             m = extract_pm_weight_bounded(g, w, b, p)
             assert is_perfect_matching(g, m)
             assert matching_weight(m, w) <= p
+
+
+    def test_matches_per_minor_reference(self):
+        # Up to n = 12, with weights from [1, 2] (many ties: the
+        # minimum is rarely unique) and from [1, 2m].
+        rng = random.Random(59)
+        done = 0
+        while done < 50:
+            n = rng.randint(1, 12)
+            g = BipartiteGraph.from_rows(
+                [[i == j or rng.random() < 0.5 for j in range(n)] for i in range(n)]
+            )
+            k = 2 if done % 2 else 2 * g.num_edges
+            w = random_assignment(rng, n, k)
+            b = build_power_matrix(g, w)
+            det = det_berkowitz(b)
+            if det == 0:
+                continue
+            done += 1
+            p = trailing_zeros(det)
+            assert extract_pm_weight_bounded(g, w, b, p) == per_minor_weight_bounded(g, w, b)
 
 
 class TestMinWeight:
@@ -193,6 +280,65 @@ class TestFinder:
         t1, t2 = mvv_trial(g, 123), mvv_trial(g, 123)
         assert t1.weights == t2.weights
         assert t1.matching == t2.matching
+
+    def test_every_field_matches_per_minor_reference(self):
+        rng = random.Random(61)
+        reasons = set()
+        cases = [(BipartiteGraph.empty(3), 0), NON_INJECTIVE]
+        for _ in range(48):
+            n = rng.randint(1, 12)
+            cases.append((random_graph(rng, n), rng.randrange(1 << 32)))
+        # Small dense graphs draw from [1, 2m] with few edges, so ties
+        # (and wrong collections) are common there.
+        cases += [(BipartiteGraph.complete(3), seed) for seed in range(20)]
+        for g, seed in cases:
+            trial = mvv_trial(g, seed)
+            assert trial == per_minor_trial(g, seed)
+            reasons.add(trial.reason)
+        assert {None, "zero-determinant", "wrong-size", "not-injective"} <= reasons
+
+    def test_reason_zero_determinant(self):
+        g = BipartiteGraph.from_rows([[0, 0], [1, 1]])
+        trial = mvv_trial(g, 5)
+        assert (trial.reason, trial.min_weight, trial.matching) == ("zero-determinant", None, None)
+        assert mvv_trial(BipartiteGraph.empty(2), 5).reason == "zero-determinant"
+
+    def test_reason_wrong_size(self):
+        g = BipartiteGraph.complete(3)
+        failures = [mvv_trial(g, seed) for seed in range(200)]
+        failures = [t for t in failures if t.reason == "wrong-size"]
+        assert failures
+        for t in failures:
+            assert t.matching is None and t.min_weight is not None
+            assert is_nonisolating(g, t.weights, 2 * g.num_edges)
+
+    def test_reason_not_injective(self):
+        g, seed = NON_INJECTIVE
+        trial = mvv_trial(g, seed)
+        assert trial.reason == "not-injective" and trial.matching is None
+        assert is_nonisolating(g, trial.weights, 2 * g.num_edges)
+
+    def test_weight_mismatch_collection_exists(self):
+        # No seeded trial searched drew weights like these, so the
+        # "weight-mismatch" branch is shown on the membership rule that
+        # mvv_trial shares with edge_in_unique_min_pm: four minimum
+        # matchings of weight 7 cancel, the trailing zero count is 8,
+        # and the collected set is a perfect matching of weight 9.
+        g = BipartiteGraph.from_rows([[1, 1, 1, 1], [0, 1, 1, 1], [1, 0, 1, 0], [1, 1, 1, 1]])
+        w = WeightAssignment.from_grid([[2, 1, 2, 3], [2, 3, 3, 2], [2, 1, 1, 1], [3, 3, 2, 1]])
+        b = build_power_matrix(g, w)
+        p = min_weight_via_trailing_zeros(g, w, b)
+        collected = Matching.from_pairs(
+            e for e in g.edge_list() if edge_in_unique_min_pm(g, w, b, *e)
+        )
+        truth = brute_min_weight_pms(g, w)
+        assert (p, truth.weight, len(truth.matchings)) == (8, 7, 4)
+        assert is_perfect_matching(g, collected)
+        assert matching_weight(collected, w) == 9
+
+    def test_success_has_no_reason(self):
+        trial = mvv_trial(BipartiteGraph.complete(1), 3)
+        assert trial.success and trial.reason is None
 
     def test_collection_equals_min_pm_when_isolating(self):
         # Whenever the drawn weights isolate, the assembled edge set is
