@@ -48,6 +48,7 @@ from .isolation import (
 from .linalg import (
     IntMatrix,
     cofactors,
+    det_bareiss,
     det_berkowitz,
     det_cofactor,
     det_lagrange,
@@ -79,6 +80,7 @@ from .zeroset import (
     zero_set,
     zero_witness_complete,
     zero_witness_graph,
+    zero_witness_graph_map,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .graphs import BipartiteGraph, Matching, edmonds_eval, is_perfect_matching
-from .linalg import IntMatrix, cofactors, det_berkowitz, minor_cofactors
+from .linalg import (  # noqa: F401  (perfbench/tests wraps det_berkowitz here)
+    IntMatrix,
+    cofactors,
+    det_bareiss,
+    det_berkowitz,
+    minor_cofactors,
+)
 from .rng import SplitMix64
 
 
@@ -139,5 +145,7 @@ def lovasz_decide(g: BipartiteGraph, seed: int) -> bool:
     same evaluation produces one).  False may be wrong with probability
     at most 1/2 when a perfect matching exists, and is always right
     when none does, since then every evaluation has determinant zero.
+    The determinant is :func:`~wmatch.linalg.det_bareiss`, O(n^3) exact
+    operations.
     """
-    return det_berkowitz(lovasz_sample(g, seed)) != 0
+    return det_bareiss(lovasz_sample(g, seed)) != 0

@@ -31,7 +31,13 @@ from .graphs import (
     matching_weight,
     random_weights,
 )
-from .linalg import IntMatrix, cofactors, det_berkowitz, trailing_zeros
+from .linalg import (  # noqa: F401  (perfbench/tests wraps det_berkowitz here)
+    IntMatrix,
+    cofactors,
+    det_bareiss,
+    det_berkowitz,
+    trailing_zeros,
+)
 
 
 def build_power_matrix(g: BipartiteGraph, w: WeightAssignment) -> IntMatrix:
@@ -105,7 +111,7 @@ def min_weight_via_trailing_zeros(
     (see extract_pm_weight_bounded) but not necessarily the minimum
     weight.
     """
-    det = det_berkowitz(b)
+    det = det_bareiss(b)
     if det == 0:
         raise ZeroDeterminantError(
             "determinant is zero: no perfect matching (or weights canceled, "
@@ -120,6 +126,19 @@ def _in_min_pm(adj: list[list[int]], p: int, w: WeightAssignment, i: int, j: int
     iff its minor's determinant, ±adj[j][i], is nonzero with exactly
     p - w(i, j) trailing zeros."""
     return trailing_zeros(adj[j][i]) == p - w.value(i, j)
+
+
+def unique_min_pm_edges(
+    g: BipartiteGraph, w: WeightAssignment, adj: list[list[int]], p: int
+) -> list[tuple[int, int]]:
+    """The edges of g passing the membership rule, in row-major order.
+
+    ``adj`` is the adjugate from :func:`~wmatch.linalg.cofactors` of
+    the power matrix and p its determinant's trailing zero count, so
+    one adjugate decides every edge.  When the minimum-weight perfect
+    matching is unique these are exactly its edges.
+    """
+    return [(i, j) for i, j in g.edge_list() if _in_min_pm(adj, p, w, i, j)]
 
 
 def edge_in_unique_min_pm(
@@ -175,13 +194,14 @@ def mvv_trial(g: BipartiteGraph, seed: int) -> MvvTrial:
     """One attempt: draw uniform weights in [1, 2m], build the power
     matrix, and collect the edges passing the membership test.
 
-    A Berkowitz determinant decides first whether the power matrix is
-    singular; only a nonsingular one pays for the adjugate
-    (:func:`~wmatch.linalg.cofactors`), off which every edge's
-    membership is read.  The collected set is only trusted after
-    verification: it must be a perfect matching of g whose weight
-    equals the determinant's trailing zero count.  Anything else is
-    reported as failure, with its ``reason``.
+    A fraction-free determinant (:func:`~wmatch.linalg.det_bareiss`)
+    decides first whether the power matrix is singular, stopping at the
+    first column without a pivot; only a nonsingular one pays for the
+    adjugate (:func:`~wmatch.linalg.cofactors`), off which every edge's
+    membership is read (:func:`unique_min_pm_edges`).  The collected
+    set is only trusted after verification: it must be a perfect
+    matching of g whose weight equals the determinant's trailing zero
+    count.  Anything else is reported as failure, with its ``reason``.
     """
     n = g.n
     m = g.num_edges
@@ -190,11 +210,11 @@ def mvv_trial(g: BipartiteGraph, seed: int) -> MvvTrial:
         return MvvTrial(seed, empty_w, None, None, ZERO_DETERMINANT)
     w = random_weights(g, 2 * m, seed)
     b = build_power_matrix(g, w)
-    if det_berkowitz(b) == 0:
+    if det_bareiss(b) == 0:
         return MvvTrial(seed, w, None, None, ZERO_DETERMINANT)
     det, adj = cofactors(b)
     p = trailing_zeros(det)
-    pairs = [(i, j) for i, j in g.edge_list() if _in_min_pm(adj, p, w, i, j)]
+    pairs = unique_min_pm_edges(g, w, adj, p)
     if len(pairs) != n:
         return MvvTrial(seed, w, p, None, WRONG_SIZE)
     if len({i for i, _ in pairs}) != n or len({j for _, j in pairs}) != n:

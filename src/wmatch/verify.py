@@ -32,12 +32,12 @@ from .graphs import (
     matching_weight,
 )
 from .isolation import enumerate_nonisolating, nonisolating_witness_map
-from .linalg import IntMatrix, det_berkowitz, det_cofactor, det_lagrange, trailing_zeros
+from .linalg import IntMatrix, cofactors, det_bareiss, det_cofactor, det_lagrange, trailing_zeros
 from .mvv import (
     build_power_matrix,
-    edge_in_unique_min_pm,
     extract_pm_weight_bounded,
     mvv_trial,
+    unique_min_pm_edges,
 )
 from .oracle import (
     DEFAULT_BUDGET,
@@ -46,7 +46,7 @@ from .oracle import (
     check_surjection,
 )
 from .rng import DEFAULT_SEED, SplitMix64, derive_seed
-from .zeroset import zero_set, zero_witness_complete, zero_witness_graph
+from .zeroset import zero_set, zero_witness_complete, zero_witness_graph_map
 
 SUITE_NAMES = ("det", "classical", "sz", "iso", "mvv")
 
@@ -132,14 +132,16 @@ def brute_max_matching_size(g: BipartiteGraph) -> int:
 
 def check_det_agreement(seed: int = DEFAULT_SEED, samples: int = 200,
                         max_n: int = 6) -> CheckResult:
-    """Three-way determinant agreement: exhaustive over all 0/1 3x3
-    matrices, randomized with entries in [-9, 9] for n in {4..max_n}."""
+    """Three-way determinant agreement of the production determinant
+    (:func:`~wmatch.linalg.det_bareiss`) with both expansion oracles:
+    exhaustive over all 0/1 3x3 matrices, randomized with entries in
+    [-9, 9] for n in {4..max_n}."""
     mismatches = []
     for bits in range(1 << 9):
         m = IntMatrix.from_rows(
             [[(bits >> (3 * i + j)) & 1 for j in range(3)] for i in range(3)]
         )
-        if not det_berkowitz(m) == det_cofactor(m) == det_lagrange(m):
+        if not det_bareiss(m) == det_cofactor(m) == det_lagrange(m):
             mismatches.append([list(r) for r in m.rows])
     random_cases = 0
     for n in range(4, max_n + 1):
@@ -147,7 +149,7 @@ def check_det_agreement(seed: int = DEFAULT_SEED, samples: int = 200,
         for _ in range(samples):
             m = _random_matrix(stream, n, -9, 9)
             random_cases += 1
-            if not det_berkowitz(m) == det_cofactor(m) == det_lagrange(m):
+            if not det_bareiss(m) == det_cofactor(m) == det_lagrange(m):
                 mismatches.append([list(r) for r in m.rows])
     return CheckResult(
         "determinant 3-way agreement",
@@ -167,7 +169,7 @@ def check_permutation_determinants(max_n: int = 6) -> CheckResult:
     for n in range(1, max_n + 1):
         for p in _permutation_matrices(n):
             checked += 1
-            if det_berkowitz(p) not in (-1, 1):
+            if det_bareiss(p) not in (-1, 1):
                 bad.append([list(r) for r in p.rows])
     return CheckResult(
         "permutation matrix determinants in {-1,1}",
@@ -187,6 +189,7 @@ def check_matching_determinant_equivalence(
     stream = SplitMix64(derive_seed(seed, 101))
     for t in range(samples):
         graphs.append(_random_graph(stream, 4 + t % 2))
+    perm_matrices = {n: list(_permutation_matrices(n)) for n in {g.n for g in graphs}}
     with_pm = without_pm = 0
     for idx, g in enumerate(graphs):
         n = g.n
@@ -194,24 +197,24 @@ def check_matching_determinant_equivalence(
         if mm.size == n:
             with_pm += 1
             b = edmonds_eval(g, mm.permutation_matrix(n))
-            if det_berkowitz(b) not in (-1, 1):
+            if det_bareiss(b) not in (-1, 1):
                 failures.append({"graph": idx, "reason": "PM evaluation det not ±1"})
                 continue
             if not is_perfect_matching(g, extract_pm(g, b)):
                 failures.append({"graph": idx, "reason": "extraction invalid"})
             sample = lovasz_sample(g, derive_seed(seed, 7000 + idx))
-            if det_berkowitz(sample) != 0:
+            if det_bareiss(sample) != 0:
                 if not is_perfect_matching(g, extract_pm(g, sample)):
                     failures.append({"graph": idx, "reason": "random extraction invalid"})
         else:
             without_pm += 1
             if any(
-                det_berkowitz(edmonds_eval(g, p)) != 0
-                for p in _permutation_matrices(n)
+                det_bareiss(edmonds_eval(g, p)) != 0
+                for p in perm_matrices[n]
             ):
                 failures.append({"graph": idx, "reason": "no PM but nonzero perm det"})
             if any(
-                det_berkowitz(lovasz_sample(g, derive_seed(seed, 9000 + 8 * idx + r))) != 0
+                det_bareiss(lovasz_sample(g, derive_seed(seed, 9000 + 8 * idx + r))) != 0
                 for r in range(5)
             ):
                 failures.append({"graph": idx, "reason": "no PM but nonzero sample det"})
@@ -417,11 +420,10 @@ def check_zero_witness_graph(
                 for i in range(n)
                 for rest in product(range(s), repeat=n * n - 1)
             )
+            witness = zero_witness_graph_map(g, s, cert)
             report = check_surjection(
                 domain,
-                lambda x, g=g, s=s, cert=cert: zero_witness_graph(
-                    g, s, cert, x[0], x[1]
-                ),
+                lambda x, witness=witness: witness(x[0], x[1]),
                 target,
                 budget=budget,
                 threads=threads,
@@ -544,23 +546,25 @@ def check_unique_min_theorems(
         truth = brute_min_weight_pms(g, w)
         b = build_power_matrix(g, w)
         if truth.weight is None:
-            if det_berkowitz(b) != 0:
+            if det_bareiss(b) != 0:
                 weight_failures.append({"instance": tag, "reason": "no PM but det != 0"})
             return
         if not truth.unique:
             return
         unique_cases += 1
-        det = det_berkowitz(b)
+        det, adj = cofactors(b)
         if det == 0:
             weight_failures.append({"instance": tag, "reason": "unique min but det = 0"})
             return
-        if trailing_zeros(det) != truth.weight:
+        p = trailing_zeros(det)
+        if p != truth.weight:
             weight_failures.append(
                 {"instance": tag, "reason": "trailing zeros != min weight"}
             )
         pm = truth.matchings[0]
+        members = set(unique_min_pm_edges(g, w, adj, p))
         for i, j in g.edge_list():
-            if edge_in_unique_min_pm(g, w, b, i, j) != ((i, j) in pm.pairs):
+            if ((i, j) in members) != ((i, j) in pm.pairs):
                 membership_failures.append(
                     {"instance": tag, "edge": [i, j], "reason": "membership mismatch"}
                 )
@@ -615,7 +619,7 @@ def check_weight_bounded_extraction(
             [[stream.randint(1, 6) for _ in range(n)] for _ in range(n)]
         )
         b = build_power_matrix(g, w)
-        det = det_berkowitz(b)
+        det = det_bareiss(b)
         if det == 0:
             continue
         done += 1

@@ -9,7 +9,8 @@ determinant).  This module provides:
 * :func:`zero_set`: exhaustive enumeration of the zero set, the
   ground-truth side of every check;
 * :func:`zero_witness_complete` / :func:`zero_witness_graph`: explicit
-  maps from [0, n) x S^(n^2 - 1) onto the zero set.
+  maps from [0, n) x S^(n^2 - 1) onto the zero set
+  (:func:`zero_witness_graph_map` fixes the graph's certificate once).
 
 The maps being surjections is the whole point: the domain has
 n * s^(n^2 - 1) elements, so the zero set can have at most that many,
@@ -32,11 +33,11 @@ inconsistent with the input.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .edmonds import ZeroDeterminantError, extract_pm_trace
 from .graphs import BipartiteGraph, GridLike, edmonds_eval
-from .linalg import IntMatrix, det_berkowitz
+from .linalg import IntMatrix, det_bareiss
 from .oracle import DEFAULT_BUDGET, BudgetExceededError
 
 Grid = tuple[tuple[int, ...], ...]
@@ -60,7 +61,7 @@ def zero_set(g: BipartiteGraph, s: int, budget: int = DEFAULT_BUDGET) -> Iterato
         for (i, j), v in zip(edges, values):
             rows[i][j] = v
         grid = tuple(tuple(row) for row in rows)
-        if det_berkowitz(IntMatrix(grid)) == 0:
+        if det_bareiss(IntMatrix(grid)) == 0:
             yield grid
 
 
@@ -103,12 +104,12 @@ def _solve_unknown(
         return 0  # the 1x1 step matrix is the unknown itself
     cols = sorted(sigma[t] for t in range(i + 1))
     prev_cols = sorted(sigma[t] for t in range(i))
-    d_prev = det_berkowitz(_submatrix(grid, range(i), prev_cols))
+    d_prev = det_bareiss(_submatrix(grid, range(i), prev_cols))
     if d_prev == 0:
         return None
     loc_j = cols.index(sigma[i])
     sign = -1 if (i + loc_j) % 2 else 1
-    d_rest = det_berkowitz(_submatrix(grid, range(i + 1), cols))  # unknown cell holds 0
+    d_rest = det_bareiss(_submatrix(grid, range(i + 1), cols))  # unknown cell holds 0
     denom = sign * d_prev
     if d_rest % denom != 0:
         return None
@@ -139,7 +140,7 @@ def _witness(
     filled = list(list(row) for row in grid)
     filled[i][sigma[i]] = candidate
     out = tuple(tuple(row) for row in filled)
-    if det_berkowitz(IntMatrix(out)) != 0:
+    if det_bareiss(IntMatrix(out)) != 0:
         return dummy
     return out
 
@@ -163,15 +164,33 @@ def zero_witness_graph(
     nonzero diagonal from it fixes the deletion chain: at step i the
     unknown sits at (i, sigma(i)), which is always an edge.
     """
+    return zero_witness_graph_map(g, s, cert)(i, rest)
+
+
+def zero_witness_graph_map(
+    g: BipartiteGraph, s: int, cert: GridLike
+) -> Callable[[int, Sequence[int]], Grid]:
+    """:func:`zero_witness_graph` with g, s and ``cert`` fixed, as a
+    function of (i, rest).
+
+    The certificate is evaluated, its determinant checked and sigma
+    extracted once, here, so a caller that maps a whole domain pays for
+    that once rather than per point; the returned map still checks each
+    point's arguments.
+    """
     if s < 1:
         raise ValueError(f"value range bound must be >= 1, got {s}")
     b = edmonds_eval(g, cert)
-    if det_berkowitz(b) == 0:
+    if det_bareiss(b) == 0:
         raise ZeroDeterminantError(
             "certificate evaluates to zero determinant; cannot fix a deletion chain"
         )
     sigma = extract_pm_trace(g, b).sigma
-    return _witness(g.n, s, i, rest, sigma, g)
+
+    def witness(i: int, rest: Sequence[int]) -> Grid:
+        return _witness(g.n, s, i, rest, sigma, g)
+
+    return witness
 
 
 def vanishing_step(grid: Grid, sigma: Optional[Sequence[int]] = None) -> int:
@@ -184,12 +203,12 @@ def vanishing_step(grid: Grid, sigma: Optional[Sequence[int]] = None) -> int:
     n = len(grid)
     if sigma is None:
         sigma = tuple(range(n))
-    if det_berkowitz(IntMatrix(grid)) != 0:
+    if det_bareiss(IntMatrix(grid)) != 0:
         raise ValueError("grid has nonzero determinant; no vanishing step")
     i = n - 1
     while i > 0:
         cols = sorted(sigma[t] for t in range(i))
-        if det_berkowitz(_submatrix(grid, range(i), cols)) != 0:
+        if det_bareiss(_submatrix(grid, range(i), cols)) != 0:
             return i
         i -= 1
     return 0

@@ -5,6 +5,7 @@ import pytest
 from wmatch.linalg import (
     IntMatrix,
     cofactors,
+    det_bareiss,
     det_berkowitz,
     det_cofactor,
     det_lagrange,
@@ -76,16 +77,20 @@ class TestMinor:
 class TestDeterminants:
     def test_identity(self):
         assert det_berkowitz(IntMatrix.identity(3)) == 1
+        assert det_bareiss(IntMatrix.identity(3)) == 1
         assert det_cofactor(IntMatrix.identity(4)) == 1
 
     def test_1x1(self):
         assert det_cofactor(IntMatrix.from_rows([[7]])) == 7
         assert det_berkowitz(IntMatrix.from_rows([[7]])) == 7
+        assert det_bareiss(IntMatrix.from_rows([[7]])) == 7
+        assert det_bareiss(IntMatrix.from_rows([[0]])) == 0
 
     def test_swap_matrix(self):
         m = IntMatrix.from_rows([[0, 1], [1, 0]])
         assert det_cofactor(m) == -1
         assert det_berkowitz(m) == -1
+        assert det_bareiss(m) == -1
 
     def test_2x2_products(self):
         assert det_berkowitz(IntMatrix.from_rows([[2, 3], [4, 5]])) == -2
@@ -96,19 +101,19 @@ class TestDeterminants:
 
     def test_three_way_agreement_exhaustive_3x3(self):
         for m in all_01_matrices(3):
-            assert det_berkowitz(m) == det_cofactor(m) == det_lagrange(m)
+            assert det_bareiss(m) == det_berkowitz(m) == det_cofactor(m) == det_lagrange(m)
 
     def test_three_way_agreement_random(self):
         rng = random.Random(7)
         for n in (4, 5, 6):
             for _ in range(60):
                 m = random_matrix(rng, n)
-                assert det_berkowitz(m) == det_cofactor(m) == det_lagrange(m)
+                assert det_bareiss(m) == det_berkowitz(m) == det_cofactor(m) == det_lagrange(m)
 
     def test_big_entries_stay_exact(self):
         big = 10**30
         m = IntMatrix.from_rows([[big, 1], [1, big]])
-        assert det_berkowitz(m) == big * big - 1
+        assert det_berkowitz(m) == det_bareiss(m) == big * big - 1
 
     def test_cofactor_guard(self):
         with pytest.raises(ValueError):
@@ -126,7 +131,7 @@ class TestDeterminants:
                 p = IntMatrix.from_rows(
                     [[1 if perm[i] == j else 0 for j in range(n)] for i in range(n)]
                 )
-                assert det_berkowitz(p) in (-1, 1)
+                assert det_bareiss(p) == det_berkowitz(p) in (-1, 1)
 
     def test_cofactor_expansion_identity_any_row(self):
         rng = random.Random(11)
@@ -162,6 +167,81 @@ def lovasz_matrix(rng, n):
             for i in range(n)
         ]
     )
+
+
+class TestBareissAgainstBerkowitz:
+    """The production determinant against the division-free oracle at
+    the sizes and entry sizes production uses."""
+
+    def test_power_matrices_n7_to_20(self):
+        rng = random.Random(41)
+        for n in range(7, 21):
+            m = power_matrix(rng, n)
+            assert det_bareiss(m) == det_berkowitz(m)
+
+    def test_power_matrix_n32(self):
+        m = power_matrix(random.Random(32), 32)
+        assert max(abs(x).bit_length() for row in m.rows for x in row) > 1000
+        assert det_bareiss(m) == det_berkowitz(m) != 0
+
+    def test_lovasz_samples_n20_to_32(self):
+        rng = random.Random(43)
+        for n in range(20, 33):
+            m = lovasz_matrix(rng, n)
+            assert det_bareiss(m) == det_berkowitz(m)
+
+    def test_row_swap_sign(self):
+        # Column 0 has its first nonzero entry in row 2: one swap.
+        m = IntMatrix.from_rows([[0, 1, 2], [0, 3, 5], [4, 1, 1]])
+        assert det_bareiss(m) == det_lagrange(m) == -4
+        rng = random.Random(47)
+        for n in range(2, 13):
+            rows = [list(row) for row in power_matrix(rng, n).rows]
+            rows[0][0] = 0
+            m = IntMatrix.from_rows(rows)
+            assert det_bareiss(m) == det_berkowitz(m)
+
+    def test_singular_inputs(self):
+        rng = random.Random(53)
+        for n in range(2, 17):
+            rows = [list(row) for row in power_matrix(rng, n).rows]
+            zero_col = [[0 if c == n // 2 else x for c, x in enumerate(row)] for row in rows]
+            assert det_bareiss(IntMatrix.from_rows(zero_col)) == 0
+            # Hall violator: rows 0 and 1 see only column 0.
+            hall = [list(row) for row in rows]
+            for r in (0, 1):
+                hall[r] = [hall[r][0] or 1] + [0] * (n - 1)
+            assert det_bareiss(IntMatrix.from_rows(hall)) == det_berkowitz(
+                IntMatrix.from_rows(hall)) == 0
+            # Rank n - 1 with every entry nonzero.
+            left = [[rng.randint(1, 1 << 40) for _ in range(n - 1)] for _ in range(n)]
+            right = [[rng.randint(1, 1 << 40) for _ in range(n)] for _ in range(n - 1)]
+            prod = [
+                [sum(left[r][t] * right[t][c] for t in range(n - 1)) for c in range(n)]
+                for r in range(n)
+            ]
+            assert det_bareiss(IntMatrix.from_rows(prod)) == 0
+
+    def test_singular_only_at_last_pivot(self):
+        # The leading (n-1) x (n-1) block is nonsingular, so every
+        # column but the last finds a pivot; the last row is a
+        # combination of the others, so the final pivot is 0.
+        rng = random.Random(59)
+        done = 0
+        while done < 10:
+            n = rng.randint(2, 14)
+            rows = [list(row) for row in power_matrix(rng, n).rows]
+            lead = IntMatrix.from_rows([row[:-1] for row in rows[:-1]])
+            if det_berkowitz(lead) == 0:
+                continue
+            done += 1
+            rows[-1] = [3 * x - 2 * y for x, y in zip(rows[0], rows[-2])]
+            assert det_bareiss(IntMatrix.from_rows(rows)) == 0
+
+    def test_input_unmodified(self):
+        m = IntMatrix.from_rows([[0, 2], [3, 4]])
+        assert det_bareiss(m) == -6
+        assert m.rows == ((0, 2), (3, 4))
 
 
 def assert_cofactors_match_minors(m):

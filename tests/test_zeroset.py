@@ -11,6 +11,7 @@ from wmatch.zeroset import (
     zero_set,
     zero_witness_complete,
     zero_witness_graph,
+    zero_witness_graph_map,
 )
 
 
@@ -165,6 +166,23 @@ class TestWitnessGraph:
         g = BipartiteGraph.from_rows([[0, 0], [1, 1]])
         with pytest.raises(ZeroDeterminantError):
             zero_witness_graph(g, 2, IntMatrix.identity(2), 0, (0, 0, 0))
+
+    def test_map_checks_certificate_once_and_points_always(self):
+        g = BipartiteGraph.from_rows([[1, 0], [1, 1]])
+        with pytest.raises(ZeroDeterminantError):
+            zero_witness_graph_map(g, 3, IntMatrix.zeros(2))
+        with pytest.raises(ValueError):
+            zero_witness_graph_map(g, 0, IntMatrix.identity(2))
+        cert = IntMatrix.from_rows([[2, 7], [1, 3]])
+        witness = zero_witness_graph_map(g, 3, cert)
+        for bad_point in ((2, (0, 0, 0)), (0, (0, 0)), (0, (0, 3, 0))):
+            with pytest.raises(ValueError):
+                witness(*bad_point)
+        # One map serves the whole domain, in any order.
+        domain = list(complete_domain(2, 3))
+        outs = [witness(i, rest) for i, rest in reversed(domain)][::-1]
+        assert outs == [zero_witness_graph(g, 3, cert, i, rest) for i, rest in domain]
+        assert set(zero_set(g, 3)) <= set(outs)
 
 
 class TestVanishingStep:
