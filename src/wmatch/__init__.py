@@ -69,10 +69,12 @@ from .oracle import (
     BruteMinResult,
     BudgetExceededError,
     SurjectivityReport,
+    brute_max_matching_size,
     brute_max_weight_matching,
     brute_min_weight_pms,
     check_surjection,
     enumerate_perfect_matchings,
+    min_weight_pms_map,
 )
 from .rng import DEFAULT_SEED, SplitMix64, derive_seed
 from .zeroset import (

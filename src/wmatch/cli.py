@@ -14,9 +14,7 @@ closed stdout early (``wmatch ... | head``), which ends the run
 without a traceback.  Identical inputs, seed and flags produce
 byte-identical output; the default seed is the documented constant
 ``wmatch.rng.DEFAULT_SEED`` (pass ``--seed random`` to opt into
-entropy; the drawn seed is echoed in the report).  The ``WM_THREADS``
-environment variable caps the worker count used by the exhaustive
-surjectivity checks.
+entropy; the drawn seed is echoed in the report).
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from .graphs import (
 )
 from .linalg import det_bareiss, det_berkowitz  # noqa: F401  (perfbench/tests wraps det_berkowitz here)
 from .mvv import mvv_trial
-from .oracle import BudgetExceededError, DEFAULT_BUDGET, worker_count
+from .oracle import BudgetExceededError, DEFAULT_BUDGET
 from .rng import DEFAULT_SEED, derive_seed
 from .verify import SUITE_NAMES, run_suite
 
@@ -314,7 +312,6 @@ def cmd_verify(args) -> int:
         max_s=args.max_s,
         max_k=args.max_k,
         budget=args.budget,
-        threads=worker_count(),
     )
     lines = [f"suite: {report.suite}"]
     for check in report.checks:

