@@ -21,6 +21,7 @@ from .edmonds import (
     ZeroDeterminantError,
     extract_pm,
     extract_pm_trace,
+    extract_pm_trace_from,
     lovasz_decide,
     lovasz_sample,
 )

@@ -28,7 +28,7 @@ from importlib import resources
 from pathlib import Path
 
 from .classical import cover_cost, hungarian_max_weight, is_cover, mwpm
-from .edmonds import extract_pm, lovasz_sample
+from .edmonds import extract_pm_trace_from, lovasz_sample
 from .graphs import (
     FileFormatError,
     Matching,
@@ -36,7 +36,7 @@ from .graphs import (
     parse_graph,
     parse_weights,
 )
-from .linalg import det_bareiss, det_berkowitz  # noqa: F401  (perfbench/tests wraps det_berkowitz here)
+from .linalg import cofactors, det_berkowitz  # noqa: F401  (perfbench/tests wraps det_berkowitz here)
 from .mvv import mvv_trial
 from .oracle import BudgetExceededError, DEFAULT_BUDGET
 from .rng import DEFAULT_SEED, derive_seed
@@ -151,11 +151,22 @@ def _matching_text(m: Matching) -> str:
 
 
 def cmd_decide(args) -> int:
+    """Lovasz's test, up to ``--trials`` times, with a matching on YES.
+
+    Each trial makes one :func:`~wmatch.linalg.cofactors` call on a
+    fresh random evaluation of the edge matrix.  Its forward pass is
+    the zero test, so a trial with a zero determinant costs one
+    fraction-free determinant; on the first nonzero one the matching is
+    read off that same ``(det, adj)``
+    (:func:`~wmatch.edmonds.extract_pm_trace_from`), with no second
+    elimination.
+    """
     g = _read(args.graph, parse_graph)
     for t in range(args.trials):
         b = lovasz_sample(g, derive_seed(args.seed, t))
-        if det_bareiss(b) != 0:
-            m = extract_pm(g, b)
+        det, adj = cofactors(b)
+        if det != 0:
+            m = extract_pm_trace_from(g, b, det, adj).matching
             _emit(
                 args,
                 {

@@ -112,6 +112,16 @@ def extract_pm_trace(g: BipartiteGraph, b: IntMatrix) -> ExtractionTrace:
     det, adj = cofactors(b)
     if det == 0:
         raise ZeroDeterminantError("matrix has zero determinant; no diagonal to extract")
+    return extract_pm_trace_from(g, b, det, adj)
+
+
+def extract_pm_trace_from(
+    g: BipartiteGraph, b: IntMatrix, det: int, adj: list[list[int]]
+) -> ExtractionTrace:
+    """:func:`extract_pm_trace` for a caller that already holds
+    ``(det, adj) = cofactors(b)`` with det != 0, so no second
+    elimination runs.  Raises ValueError unless the diagonal found is a
+    perfect matching of g."""
     trace = extract_diagonal(b, det, adj, least_column)
     if not is_perfect_matching(g, trace.matching):
         raise ValueError("extracted diagonal is not a matching of the graph; "
@@ -141,11 +151,15 @@ def lovasz_sample(g: BipartiteGraph, seed: int) -> IntMatrix:
 def lovasz_decide(g: BipartiteGraph, seed: int) -> bool:
     """One-sided randomized perfect-matching test.
 
-    True means a perfect matching certainly exists (extract_pm on the
+    True means a perfect matching certainly exists (extraction from the
     same evaluation produces one).  False may be wrong with probability
     at most 1/2 when a perfect matching exists, and is always right
     when none does, since then every evaluation has determinant zero.
-    The determinant is :func:`~wmatch.linalg.det_bareiss`, O(n^3) exact
-    operations.
+    The determinant is :func:`~wmatch.linalg.det_bareiss`, the forward
+    pass alone: O(n^3) exact operations, stopping at the first column
+    without a pivot.  A caller that wants the matching too calls
+    :func:`~wmatch.linalg.cofactors` instead, whose forward pass is the
+    same test, and reads the matching off its output with
+    :func:`extract_pm_trace_from`.
     """
     return det_bareiss(lovasz_sample(g, seed)) != 0

@@ -13,7 +13,7 @@ edges, so the resulting determinant depends only on edge positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .linalg import IntMatrix
@@ -56,12 +56,15 @@ class BipartiteGraph:
     def edge_list(self) -> tuple[tuple[int, int], ...]:
         """All edges (i, j) in row-major order; fixes the enumeration
         e_0 ... e_{m-1} used wherever edges are indexed."""
-        return tuple(
-            (i, j)
-            for i in range(self.n)
-            for j in range(self.n)
-            if self.edges[i][j]
-        )
+        # Built on first use and kept, as the graph is immutable.  It is
+        # not a dataclass field, so it takes no part in ==, hash or repr.
+        edges = self.__dict__.get("_edge_list")
+        if edges is None:
+            edges = tuple(
+                (i, j) for i, row in enumerate(self.edges) for j, e in enumerate(row) if e
+            )
+            object.__setattr__(self, "_edge_list", edges)
+        return edges
 
     @property
     def num_edges(self) -> int:
@@ -98,16 +101,18 @@ class Matching:
     """
 
     pairs: tuple[tuple[int, int], ...]
+    # left -> right, for get(); not compared, hashed or shown.
+    _right_of: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lefts = [i for i, _ in self.pairs]
-        rights = [j for _, j in self.pairs]
-        if len(set(lefts)) != len(lefts):
+        right_of = dict(self.pairs)
+        if len(right_of) != len(self.pairs):
             raise ValueError("matching maps a left vertex twice")
-        if len(set(rights)) != len(rights):
+        if len(set(right_of.values())) != len(right_of):
             raise ValueError("matching is not injective")
         if list(self.pairs) != sorted(self.pairs):
             raise ValueError("matching pairs must be sorted by left index")
+        object.__setattr__(self, "_right_of", right_of)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Matching":
@@ -130,10 +135,8 @@ class Matching:
         return not self.pairs
 
     def get(self, left: int) -> Optional[int]:
-        for i, j in self.pairs:
-            if i == left:
-                return j
-        return None
+        """Right partner of ``left``, or None when it is unmatched."""
+        return self._right_of.get(left)
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.pairs)

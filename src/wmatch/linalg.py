@@ -6,7 +6,8 @@ three oracles are provided on purpose:
 
 * :func:`det_bareiss` is the production determinant: fraction-free
   (Bareiss) forward elimination, O(n^3) exact operations, every
-  division exact.  It stops at the first column without a pivot.
+  division exact.  It stops at the first column without a pivot.  Its
+  elimination routine is the forward pass of :func:`cofactors` too.
 * :func:`det_berkowitz` is the division-free oracle: the
   Samuelson-Berkowitz algorithm, O(n^4) multiplications, no size cap,
   so it checks the production determinant at the sizes production uses.
@@ -53,18 +54,60 @@ Every loop that needs the determinants of many minors (edge membership
 in the MVV finder, nonzero-diagonal extraction) reads them off one
 adjugate instead:
 
-* :func:`cofactors` returns ``(det, adj)`` by fraction-free Gauss-Jordan
-  elimination (Bareiss) on ``[A | I]``: O(n^3) exact divisions, and
-  ``adj[j][i] = (-1)^(i+j) * det(minor(A, i, j))``.
+* :func:`cofactors` returns ``(det, adj)``, with
+  ``adj[j][i] = (-1)^(i+j) * det(minor(A, i, j))``, from one
+  fraction-free LU (Bareiss 1968; Nakos, Turner and Williams 1997):
+  the forward pass of :func:`det_bareiss`, then, only if every column
+  found a pivot, a replay of its recorded steps on the identity and a
+  back-substitution.  Every division is exact: the forward pass and
+  the replay produce minors of ``[PA | P]`` (P the row swaps), and the
+  back-substitution solves ``U X = det * F`` for ``X = adj(A) P^-1``,
+  an integer matrix, so each numerator is its pivot times an entry
+  of X.  A caller that needs the determinant and, when it is nonzero,
+  the adjugate makes this one call: its forward pass is the zero test.
 * :func:`minor_cofactors` turns the kernel's output for A into the
   kernel's output for ``minor(A, i, j)`` in O(n^2), by the
   Desnanot-Jacobi (Sylvester) identity, so deleting one row and column
   after another costs O(n^3) in all.
+
+Measured per call against the two eliminations it replaced,
+``det_bareiss`` then, on a nonzero result, Gauss-Jordan elimination on
+``[A | I]`` (kept in the tests as the reference), and against that
+Gauss-Jordan pass alone (CPU time, best of 15 rounds over a fixed set
+of matrices, same machine and interpreter; power matrices as above;
+the singular ones are Hall violators, where the pair runs only
+``det_bareiss``):
+
+=========================  ==============  ============  =========
+input                      det + G-J pair  G-J alone     cofactors
+=========================  ==============  ============  =========
+power matrix, n = 2        7.5 us          5.0 us        5.8 us
+power matrix, n = 3        15.3 us         9.9 us        11.7 us
+power matrix, n = 4        31.2 us         20.7 us       23.2 us
+power matrix, n = 5        59.2 us         42.2 us       44.7 us
+power matrix, n = 6        115 us          83 us         77 us
+power matrix, n = 12       5.17 ms         4.51 ms       2.21 ms
+power matrix, n = 20       451 ms          400 ms        154 ms
+singular, n = 2            2.0 us          3.4 us        1.9 us
+singular, n = 3            3.9 us          5.6 us        3.3 us
+singular, n = 4            6.8 us          10.4 us       6.1 us
+singular, n = 5            12.2 us         22.4 us       11.1 us
+singular, n = 6            21.0 us         43.0 us       19.7 us
+singular, n = 12           0.387 ms        2.15 ms       0.392 ms
+singular, n = 20           23.6 ms         234 ms        22.0 ms
+Lovasz sample, n = 20      2.70 ms         2.09 ms       1.52 ms
+=========================  ==============  ============  =========
+
+Below n = 6 the replay and back-substitution cost more interpreter
+overhead than the Gauss-Jordan pass alone (up to 1.2x).  Against the
+pair it replaces, one call is faster on every nonsingular input and
+within 2% on the singular ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 COFACTOR_MAX_N = 12
@@ -177,78 +220,151 @@ def det_berkowitz(m: IntMatrix) -> int:
     return det if n % 2 == 0 else -det
 
 
-def det_bareiss(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) forward elimination.
+def _eliminate(m: IntMatrix):
+    """Fraction-free (Bareiss) forward elimination of m, recorded.
 
     At step k the pivot is the first nonzero entry of column k at or
-    below row k (a row swap flips the sign); every later row becomes
+    below row k; a row swap flips the sign.  Every later row becomes
     ``row[c] = (row[c] * piv - f * pr[c]) // prev`` with ``f = row[k]``,
     pr the pivot row and prev the previous pivot (1 at the start).
     Each entry is then a minor of m, so every division is exact.
-    Returns 0 at the first column without a pivot; O(n^3) exact
-    operations.
+
+    Returns None at the first column without a pivot.  Otherwise
+    returns ``(sign, upper, steps)``: ``upper[k]`` is the pivot row of
+    step k from column k on, so ``upper[k][0]`` is its pivot (the
+    previous pivot of step k + 1) and the last pivot is
+    ``sign * det(m)``; ``steps[k] = (p, fs)`` records, for each step
+    but the last, that row k + p was swapped into row k (p = 0: no
+    swap) and the multipliers f of rows k + 1, ..., n - 1 after it.
     """
     rows = [list(row) for row in m.rows]
     sign = 1
     prev = 1
+    upper = []
+    steps = []
     # rows holds the trailing (n - k) x (n - k) block; the finished
     # pivot row and column are dropped each step.
-    while len(rows) > 1:
-        p = next((r for r, row in enumerate(rows) if row[0] != 0), None)
-        if p is None:
-            return 0
-        if p != 0:
-            rows[0], rows[p] = rows[p], rows[0]
+    while True:
+        for p, pr in enumerate(rows):
+            if pr[0]:
+                break
+        else:
+            return None
+        if p:
+            # Swap; row 0 itself is dropped below, so it is not rewritten.
+            rows[p] = rows[0]
             sign = -sign
-        pr = rows[0]
+        upper.append(pr)
+        if len(rows) == 1:
+            return sign, upper, steps
         piv = pr[0]
         tail = pr[1:]
+        fs = []
         block = []
         for row in rows[1:]:
             f = row[0]
+            fs.append(f)
             block.append([(x * piv - f * y) // prev for x, y in zip(row[1:], tail)])
+        steps.append((p, fs))
         rows = block
         prev = piv
-    return sign * rows[0][0]
+
+
+def det_bareiss(m: IntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) forward elimination.
+
+    The sign of the row swaps times the last pivot of
+    :func:`_eliminate`, or 0 as soon as a column has no pivot: O(n^3)
+    exact operations, every division exact.  :func:`cofactors` runs the
+    same elimination, so the two never disagree on singularity.
+    """
+    fwd = _eliminate(m)
+    if fwd is None:
+        return 0
+    sign, upper, _ = fwd
+    return sign * upper[-1][0]
 
 
 def cofactors(m: IntMatrix) -> tuple[int, Optional[list[list[int]]]]:
-    """Determinant and adjugate of m, exactly.
+    """Determinant and adjugate of m, exactly: one fraction-free LU.
 
-    Fraction-free Gauss-Jordan elimination on ``[A | I]`` with row
-    pivoting: at step k every other row becomes
-    ``(p_k * row - row[k] * pivot_row) / p_(k-1)``, where p_k is the
-    pivot, and every division is exact.  After the last step the left
-    block is ``d * I`` with d = ±det(A) and the right block is
-    ``d * A^-1``; the sign is that of the row swaps.  The result is
-    ``(det, adj)`` with ``adj[j][i] = (-1)^(i+j) * det(minor(m, i, j))``
-    (``[[1]]`` for a 1x1 matrix), or ``(0, None)`` when m is singular.
-    Nothing is retained between calls.
+    The forward pass is :func:`_eliminate`, so a singular m costs what
+    :func:`det_bareiss` costs and returns ``(0, None)``.  On a
+    nonsingular m the forward pass has turned PA into the upper
+    triangle U by row operations E (``E @ P @ A = U``), with P the row
+    swaps and d = sign * det(m) the last pivot.  The adjugate phase
+    then
+
+    * replays the recorded steps, swaps included, on the identity.  In
+      the final pivot order this gives F = E: lower triangular, with
+      the previous pivot of step i at (i, i), so only its strict lower
+      triangle is computed.  Its entries are minors of ``[PA | P]``, so
+      every division of the replay is exact;
+    * back-substitutes ``U @ X = det * F`` from the bottom row up:
+      ``X[i] = (det * F[i] - sum_(j > i) U[i][j] * X[j]) // U[i][i]``.
+      ``X = det * (PA)^-1 = adj(m) @ P^-1`` is an integer matrix, so
+      each numerator is exactly ``U[i][i] * X[i]``: every division is
+      exact;
+    * returns ``adj(m) = X @ P``: column k of X becomes the column of
+      the row that step k pivoted on.
+
+    The result is ``(det, adj)`` with
+    ``adj[j][i] = (-1)^(i+j) * det(minor(m, i, j))`` (``[[1]]`` for a
+    1x1 matrix).  About n^3 / 3 products in the forward pass, n^3 / 6
+    in the replay and n^3 / 2 in the back-substitution, against about
+    1.5 n^3 for Gauss-Jordan elimination on ``[A | I]``.  Nothing is
+    retained between calls.
     """
-    n = m.n
-    rows = [list(row) + [1 if c == r else 0 for c in range(n)] for r, row in enumerate(m.rows)]
-    sign = 1
-    prev = 1
-    for k in range(n):
-        p = next((r for r in range(k, n) if rows[r][k] != 0), None)
-        if p is None:
-            return 0, None
-        if p != k:
-            rows[k], rows[p] = rows[p], rows[k]
-            sign = -sign
-        pivot_row = rows[k]
-        pivot = pivot_row[k]
-        # Left columns <= k now hold their final d * I values and are
-        # never read again, so only the later columns are updated.
-        for r in range(n):
-            if r == k:
-                continue
-            row = rows[r]
-            f = row[k]
-            for c in range(k + 1, 2 * n):
-                row[c] = (row[c] * pivot - f * pivot_row[c]) // prev
-        prev = pivot
-    return sign * prev, [[sign * x for x in row[n:]] for row in rows]
+    fwd = _eliminate(m)
+    if fwd is None:
+        return 0, None
+    sign, upper, steps = fwd
+    n = len(upper)
+    pivots = [row[0] for row in upper]
+    d = pivots[-1]
+    if n == 1:
+        return sign * d, [[1]]
+    # low[r]: strict lower triangle of row r of F, in the current row
+    # order; perm[r]: the row of m now at row r.  Step 0 leaves -f in
+    # column 0, since F's diagonal entry there is 1.
+    p, fs = steps[0]
+    perm = list(range(n))
+    perm[0], perm[p] = p, 0
+    low = [[]] + [[-f] for f in fs]
+    for k in range(1, n - 1):
+        p, fs = steps[k]
+        if p:
+            low[k], low[k + p] = low[k + p], low[k]
+            perm[k], perm[k + p] = perm[k + p], perm[k]
+        pr = low[k]
+        piv = pivots[k]
+        prev = pivots[k - 1]
+        for r, f in enumerate(fs, k + 1):
+            # F[k][k] = prev and F[r][k] = 0, so F[r][k] becomes -f.
+            row = [(x * piv - f * y) // prev for x, y in zip(low[r], pr)]
+            row.append(-f)
+            low[r] = row
+    # cols[c] holds column c of X from the bottom up.  U's last pivot
+    # is d, so X's last row is sign times F's: low[-1] and F's diagonal
+    # entry there, the previous pivot.
+    det = sign * d
+    cols = [[sign * x] for x in low[-1]]
+    cols.append([sign * pivots[-2]])
+    for i in range(n - 2, -1, -1):
+        ur = upper[i][:0:-1]  # U[i][n-1], ..., U[i][i+1]
+        pv = pivots[i]
+        dfi = [det * x for x in low[i]]
+        dfi.append(det * pivots[i - 1] if i else det)
+        for fd, col in zip(dfi, cols):
+            col.append((fd - sum(map(mul, ur, col))) // pv)
+        for col in cols[i + 1:]:
+            col.append(-sum(map(mul, ur, col)) // pv)
+    adj_cols = [None] * n
+    for c, col in enumerate(cols):
+        adj_cols[perm[c]] = col
+    adj = list(map(list, zip(*adj_cols)))
+    adj.reverse()
+    return det, adj
 
 
 def minor_cofactors(

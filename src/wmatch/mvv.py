@@ -194,14 +194,15 @@ def mvv_trial(g: BipartiteGraph, seed: int) -> MvvTrial:
     """One attempt: draw uniform weights in [1, 2m], build the power
     matrix, and collect the edges passing the membership test.
 
-    A fraction-free determinant (:func:`~wmatch.linalg.det_bareiss`)
-    decides first whether the power matrix is singular, stopping at the
-    first column without a pivot; only a nonsingular one pays for the
-    adjugate (:func:`~wmatch.linalg.cofactors`), off which every edge's
-    membership is read (:func:`unique_min_pm_edges`).  The collected
-    set is only trusted after verification: it must be a perfect
-    matching of g whose weight equals the determinant's trailing zero
-    count.  Anything else is reported as failure, with its ``reason``.
+    One :func:`~wmatch.linalg.cofactors` call per trial: its
+    fraction-free forward pass decides whether the power matrix is
+    singular, stopping at the first column without a pivot, so a
+    singular trial costs one determinant; only a nonsingular one goes
+    on to the adjugate phase, off which every edge's membership is read
+    (:func:`unique_min_pm_edges`).  The collected set is only trusted
+    after verification: it must be a perfect matching of g whose weight
+    equals the determinant's trailing zero count.  Anything else is
+    reported as failure, with its ``reason``.
     """
     n = g.n
     m = g.num_edges
@@ -209,10 +210,9 @@ def mvv_trial(g: BipartiteGraph, seed: int) -> MvvTrial:
         empty_w = WeightAssignment.from_grid([[0] * n for _ in range(n)])
         return MvvTrial(seed, empty_w, None, None, ZERO_DETERMINANT)
     w = random_weights(g, 2 * m, seed)
-    b = build_power_matrix(g, w)
-    if det_bareiss(b) == 0:
+    det, adj = cofactors(build_power_matrix(g, w))
+    if det == 0:
         return MvvTrial(seed, w, None, None, ZERO_DETERMINANT)
-    det, adj = cofactors(b)
     p = trailing_zeros(det)
     pairs = unique_min_pm_edges(g, w, adj, p)
     if len(pairs) != n:

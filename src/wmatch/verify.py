@@ -23,7 +23,7 @@ from .classical import (
     mwpm,
     neighborhood,
 )
-from .edmonds import extract_pm, lovasz_sample
+from .edmonds import extract_diagonal, extract_pm_trace_from, lovasz_sample
 from .graphs import (
     BipartiteGraph,
     WeightAssignment,
@@ -35,7 +35,7 @@ from .isolation import enumerate_nonisolating, nonisolating_witness_map
 from .linalg import IntMatrix, cofactors, det_bareiss, det_cofactor, det_lagrange, trailing_zeros
 from .mvv import (
     build_power_matrix,
-    extract_pm_weight_bounded,
+    fewest_trailing_zeros,
     mvv_trial,
     unique_min_pm_edges,
 )
@@ -183,14 +183,17 @@ def check_matching_determinant_equivalence(
         if mm.size == n:
             with_pm += 1
             b = edmonds_eval(g, mm.permutation_matrix(n))
-            if det_bareiss(b) not in (-1, 1):
+            det, adj = cofactors(b)
+            if det not in (-1, 1):
                 failures.append({"graph": idx, "reason": "PM evaluation det not ±1"})
                 continue
-            if not is_perfect_matching(g, extract_pm(g, b)):
+            if not is_perfect_matching(g, extract_pm_trace_from(g, b, det, adj).matching):
                 failures.append({"graph": idx, "reason": "extraction invalid"})
             sample = lovasz_sample(g, derive_seed(seed, 7000 + idx))
-            if det_bareiss(sample) != 0:
-                if not is_perfect_matching(g, extract_pm(g, sample)):
+            det, adj = cofactors(sample)
+            if det != 0:
+                extracted = extract_pm_trace_from(g, sample, det, adj).matching
+                if not is_perfect_matching(g, extracted):
                     failures.append({"graph": idx, "reason": "random extraction invalid"})
         else:
             without_pm += 1
@@ -602,12 +605,12 @@ def check_weight_bounded_extraction(
             [[stream.randint(1, 6) for _ in range(n)] for _ in range(n)]
         )
         b = build_power_matrix(g, w)
-        det = det_bareiss(b)
+        det, adj = cofactors(b)
         if det == 0:
             continue
         done += 1
         p = trailing_zeros(det)
-        m = extract_pm_weight_bounded(g, w, b, p)
+        m = extract_diagonal(b, det, adj, fewest_trailing_zeros).matching
         if not is_perfect_matching(g, m):
             failures.append({"case": done, "reason": "extraction not a PM"})
         elif matching_weight(m, w) > p:

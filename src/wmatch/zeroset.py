@@ -35,9 +35,9 @@ from __future__ import annotations
 from itertools import product
 from typing import Callable, Iterator, Optional, Sequence
 
-from .edmonds import ZeroDeterminantError, extract_pm_trace
+from .edmonds import ZeroDeterminantError, extract_pm_trace_from
 from .graphs import BipartiteGraph, GridLike, edmonds_eval
-from .linalg import IntMatrix, det_bareiss
+from .linalg import IntMatrix, cofactors, det_bareiss
 from .oracle import DEFAULT_BUDGET, BudgetExceededError
 
 Grid = tuple[tuple[int, ...], ...]
@@ -181,11 +181,12 @@ def zero_witness_graph_map(
     if s < 1:
         raise ValueError(f"value range bound must be >= 1, got {s}")
     b = edmonds_eval(g, cert)
-    if det_bareiss(b) == 0:
+    det, adj = cofactors(b)
+    if det == 0:
         raise ZeroDeterminantError(
             "certificate evaluates to zero determinant; cannot fix a deletion chain"
         )
-    sigma = extract_pm_trace(g, b).sigma
+    sigma = extract_pm_trace_from(g, b, det, adj).sigma
 
     def witness(i: int, rest: Sequence[int]) -> Grid:
         return _witness(g.n, s, i, rest, sigma, g)

@@ -7,7 +7,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from wmatch import cli
+from wmatch import cli, linalg
 from wmatch.verify import CheckResult, SuiteReport
 
 K33 = "3\n1 1 1\n1 1 1\n1 1 1\n"
@@ -82,6 +82,38 @@ class TestDecide:
         _, out1, _ = run(capsys, argv)
         _, out2, _ = run(capsys, argv)
         assert out1 == out2
+
+
+    def test_one_forward_pass_per_trial(self, capsys, tmp_path, monkeypatch):
+        # Each trial's cofactors call is also its zero test, so a trial
+        # runs exactly one fraction-free forward pass, YES or not.
+        counts = {"forward": 0, "trials": 0}
+        eliminate, sample = linalg._eliminate, cli.lovasz_sample
+
+        def counting_eliminate(m):
+            counts["forward"] += 1
+            return eliminate(m)
+
+        def counting_sample(g, seed):
+            counts["trials"] += 1
+            return sample(g, seed)
+
+        monkeypatch.setattr(linalg, "_eliminate", counting_eliminate)
+        monkeypatch.setattr(cli, "lovasz_sample", counting_sample)
+        k22 = tmp_path / "k22.graph"
+        k22.write_text("2\n1 1\n1 1\n")
+        pm_free = tmp_path / "pmfree.graph"
+        pm_free.write_text(PM_FREE)
+        retried = 0
+        for seed in range(40):
+            for path, code in ((k22, 0), (pm_free, 1)):
+                counts.update(forward=0, trials=0)
+                assert run(capsys, ["decide", str(path), "--trials", "5",
+                                    "--seed", str(seed)])[0] == code
+                assert counts["forward"] == counts["trials"] >= 1
+                retried += path == k22 and counts["trials"] > 1
+        # Some K2,2 samples have a zero determinant before the YES.
+        assert retried >= 3
 
 
 class TestFind:

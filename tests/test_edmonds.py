@@ -6,11 +6,12 @@ from wmatch.edmonds import (
     ZeroDeterminantError,
     extract_pm,
     extract_pm_trace,
+    extract_pm_trace_from,
     lovasz_decide,
     lovasz_sample,
 )
 from wmatch.graphs import BipartiteGraph, is_perfect_matching
-from wmatch.linalg import IntMatrix, det_berkowitz
+from wmatch.linalg import IntMatrix, cofactors, det_berkowitz
 
 
 def per_minor_steps(b):
@@ -97,12 +98,15 @@ class TestExtract:
                 continue
             done += 1
             assert extract_pm_trace(g, b).steps == per_minor_steps(b)
+            assert extract_pm_trace_from(g, b, *cofactors(b)) == extract_pm_trace(g, b)
 
     def test_foreign_matrix_rejected(self):
         g = BipartiteGraph.from_rows([[1, 0], [0, 1]])  # diagonal edges only
         b = IntMatrix.from_rows([[0, 1], [1, 0]])  # anti-diagonal support
         with pytest.raises(ValueError):
             extract_pm(g, b)
+        with pytest.raises(ValueError):
+            extract_pm_trace_from(g, b, *cofactors(b))
 
 
 class TestLovasz:

@@ -28,6 +28,13 @@ class TestBipartiteGraph:
         g = BipartiteGraph.from_rows([[0, 1], [1, 1]])
         assert g.edge_list() == ((0, 1), (1, 0), (1, 1))
         assert g.num_edges == 3
+        # Built once per graph.
+        assert g.edge_list() is g.edge_list()
+        h = BipartiteGraph.from_rows([[0, 1], [1, 1]])
+        # h has not built its list: equality, hash and repr ignore it.
+        assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
+        assert g != BipartiteGraph.complete(2)
+        assert {g: 1}[h] == 1
 
     def test_without_edge(self):
         g = BipartiteGraph.complete(2).without_edge(0, 1)
@@ -51,9 +58,12 @@ class TestMatching:
     def test_from_dict_and_lookup(self):
         m = Matching.from_dict({1: 0, 0: 2})
         assert m.pairs == ((0, 2), (1, 0))
-        assert m.get(1) == 0
+        assert [m.get(i) for i in range(3)] == [2, 0, None]
         assert m.get(5) is None
         assert (0, 2) in m
+        # The lookup table takes no part in equality, hashing or repr.
+        same = Matching.from_pairs([(1, 0), (0, 2)])
+        assert m == same and hash(m) == hash(same) and repr(m) == repr(same)
 
     def test_permutation_matrix(self):
         m = Matching.from_pairs([(0, 1), (1, 0)])

@@ -3,6 +3,7 @@ from itertools import permutations
 
 import pytest
 
+from wmatch import linalg
 from wmatch.linalg import (
     IntMatrix,
     cofactors,
@@ -410,6 +411,132 @@ class TestCofactors:
         m = IntMatrix.from_rows([[0, 2], [3, 4]])
         cofactors(m)
         assert m.rows == ((0, 2), (3, 4))
+
+
+def gauss_jordan_cofactors(m):
+    """Reference ``(det, adj)``, test-only: fraction-free Gauss-Jordan
+    elimination on ``[A | I]`` with the production pivot rule.  At step
+    k every other row becomes ``(p_k * row - row[k] * pivot_row) /
+    p_(k-1)``; the left block ends as ``d * I`` and the right block as
+    ``d * A^-1``.  Its elimination order shares nothing with the
+    kernel's forward pass and back-substitution."""
+    n = m.n
+    rows = [list(row) + [1 if c == r else 0 for c in range(n)] for r, row in enumerate(m.rows)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        p = next((r for r in range(k, n) if rows[r][k] != 0), None)
+        if p is None:
+            return 0, None
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            sign = -sign
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for r in range(n):
+            if r == k:
+                continue
+            row = rows[r]
+            f = row[k]
+            for c in range(k + 1, 2 * n):
+                row[c] = (row[c] * pivot - f * pivot_row[c]) // prev
+        prev = pivot
+    return sign * prev, [[sign * x for x in row[n:]] for row in rows]
+
+
+def staircase_matrix(rng, n, dense=3):
+    """Rows D, S_0, ..., S_(n-1-dense), then dense - 1 full rows, where
+    D is full and S_k is c_k * D plus a row that is zero left of column
+    k + 2.  Step 0 pivots on D and leaves every S_k with a nonzero
+    multiplier; from step 1 on, the row at (k, k) is zero and a later
+    one is swapped in, at n - dense of the n - 1 steps."""
+    def pick():
+        return rng.choice([1, 2, 3, -1, -2, 1 << 40])
+
+    first = [pick() for _ in range(n)]
+    rows = [first]
+    for k in range(n - dense):
+        c = rng.choice([1, -1, 2, 5])
+        rows.append([(pick() if col >= k + 2 else 0) + c * x for col, x in enumerate(first)])
+    rows += [[pick() for _ in range(n)] for _ in range(dense - 1)]
+    return IntMatrix.from_rows(rows)
+
+
+def singular_family(rng, n):
+    """A zero column, a Hall violator, a rank n - 1 product and a matrix
+    singular only at the last pivot, all n x n."""
+    while True:
+        rows = [list(row) for row in power_matrix(rng, n).rows]
+        if det_berkowitz(IntMatrix.from_rows([row[:-1] for row in rows[:-1]])) != 0:
+            break
+    zero_col = [[0 if c == n // 2 else x for c, x in enumerate(row)] for row in rows]
+    # Rows 0 and 1 see only column 0.
+    hall = [[row[0] or 1] + [0] * (n - 1) if r < 2 else row for r, row in enumerate(rows)]
+    left = [[rng.randint(1, 1 << 40) for _ in range(n - 1)] for _ in range(n)]
+    right = [[rng.randint(1, 1 << 40) for _ in range(n)] for _ in range(n - 1)]
+    prod = [
+        [sum(left[r][t] * right[t][c] for t in range(n - 1)) for c in range(n)]
+        for r in range(n)
+    ]
+    # The leading (n-1) x (n-1) block is nonsingular, so every column
+    # but the last finds a pivot; the last row is a combination of two
+    # others.
+    last = rows[:-1] + [[3 * x - 2 * y for x, y in zip(rows[0], rows[-2])]]
+    return [IntMatrix.from_rows(x) for x in (zero_col, hall, prod, last)]
+
+
+class TestCofactorsAgainstGaussJordan:
+    """The one-forward-pass kernel against the Gauss-Jordan reference at
+    the sizes and entry sizes production uses."""
+
+    @pytest.mark.parametrize("n,count", [(8, 3), (12, 2), (16, 2), (20, 1)])
+    def test_power_matrices(self, n, count):
+        rng = random.Random(2000 + n)
+        for _ in range(count):
+            m = power_matrix(rng, n)
+            expected = gauss_jordan_cofactors(m)
+            assert expected[0] != 0
+            assert cofactors(m) == expected
+            assert det_bareiss(m) == expected[0]
+
+    def test_power_matrix_n24(self):
+        m = power_matrix(random.Random(2024), 24)
+        expected = gauss_jordan_cofactors(m)
+        assert expected[0] != 0
+        assert cofactors(m) == expected
+
+    def test_lovasz_samples_n20_to_32(self):
+        rng = random.Random(2032)
+        for n in range(20, 33):
+            m = lovasz_matrix(rng, n)
+            expected = gauss_jordan_cofactors(m)
+            assert cofactors(m) == expected
+            assert det_bareiss(m) == expected[0]
+
+    def test_swap_heavy(self):
+        rng = random.Random(2041)
+        for n in range(6, 17):
+            m = staircase_matrix(rng, n)
+            _, _, steps = linalg._eliminate(m)
+            assert sum(1 for p, _ in steps if p) == n - 3
+            assert sum(1 for _, fs in steps for f in fs if f) >= n - 1
+            expected = gauss_jordan_cofactors(m)
+            assert expected[0] != 0
+            assert cofactors(m) == expected
+
+    def test_one_by_one(self):
+        for x in (7, -3, 1 << 70):
+            assert cofactors(IntMatrix.from_rows([[x]])) == gauss_jordan_cofactors(
+                IntMatrix.from_rows([[x]])) == (x, [[1]])
+        assert cofactors(IntMatrix.from_rows([[0]])) == (0, None)
+
+    def test_singular_inputs(self):
+        rng = random.Random(2053)
+        for n in range(2, 15):
+            for m in singular_family(rng, n):
+                assert gauss_jordan_cofactors(m) == (0, None)
+                assert cofactors(m) == (0, None)
+                assert det_bareiss(m) == 0
 
 
 class TestMinorCofactors:

@@ -13,6 +13,7 @@ from wmatch.graphs import (
     random_weights,
 )
 from wmatch.isolation import is_nonisolating
+from wmatch import linalg
 from wmatch.linalg import det_berkowitz, trailing_zeros
 from wmatch.mvv import (
     MvvTrial,
@@ -352,3 +353,25 @@ class TestFinder:
             truth = brute_min_weight_pms(g, trial.weights)
             assert trial.success
             assert trial.matching == truth.matchings[0]
+
+    def test_one_forward_pass_per_trial(self, monkeypatch):
+        # The cofactors call is also the zero test: a singular power
+        # matrix costs one forward pass, a nonsingular one no second.
+        calls = []
+        eliminate = linalg._eliminate
+
+        def counting_eliminate(m):
+            calls.append(m.n)
+            return eliminate(m)
+
+        monkeypatch.setattr(linalg, "_eliminate", counting_eliminate)
+        rng = random.Random(83)
+        reasons = set()
+        for seed in range(60):
+            g = random_graph(rng, rng.randint(1, 6))
+            calls.clear()
+            trial = mvv_trial(g, seed)
+            assert calls == ([g.n] if g.num_edges else [])
+            reasons.add(trial.reason)
+        assert {None, "zero-determinant"} <= reasons
+
