@@ -154,10 +154,11 @@ def cmd_decide(args) -> int:
     """Lovasz's test, up to ``--trials`` times, with a matching on YES.
 
     Each trial makes one :func:`~wmatch.linalg.cofactors` call on a
-    fresh random evaluation of the edge matrix.  Its forward pass is
-    the zero test, so a trial with a zero determinant costs one
-    fraction-free determinant; on the first nonzero one the matching is
-    read off that same ``(det, adj)``
+    fresh random evaluation of the edge matrix.  Its forward pass, on
+    the lines sparsest first, is the zero test, so a trial with a zero
+    determinant costs at most one fraction-free determinant, and a few
+    pivots on a graph whose sparsest lines form a Hall violator; on the
+    first nonzero one the matching is read off that same ``(det, adj)``
     (:func:`~wmatch.edmonds.extract_pm_trace_from`), with no second
     elimination.
     """

@@ -156,10 +156,11 @@ def lovasz_decide(g: BipartiteGraph, seed: int) -> bool:
     at most 1/2 when a perfect matching exists, and is always right
     when none does, since then every evaluation has determinant zero.
     The determinant is :func:`~wmatch.linalg.det_bareiss`, the forward
-    pass alone: O(n^3) exact operations, stopping at the first column
-    without a pivot.  A caller that wants the matching too calls
-    :func:`~wmatch.linalg.cofactors` instead, whose forward pass is the
-    same test, and reads the matching off its output with
-    :func:`extract_pm_trace_from`.
+    pass alone: O(n^3) exact operations on the matrix's lines sparsest
+    first, stopping at the first of them without a pivot, so a graph
+    with a small Hall violator is refuted after a few pivots.  A caller
+    that wants the matching too calls :func:`~wmatch.linalg.cofactors`
+    instead, whose forward pass is the same test, and reads the
+    matching off its output with :func:`extract_pm_trace_from`.
     """
     return det_bareiss(lovasz_sample(g, seed)) != 0

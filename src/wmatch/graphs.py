@@ -14,6 +14,7 @@ edges, so the resulting determinant depends only on edge positions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .linalg import IntMatrix
@@ -72,7 +73,15 @@ class BipartiteGraph:
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         """Right neighbors of left vertex i."""
-        return tuple(j for j in range(self.n) if self.edges[i][j])
+        # Built for every vertex on first use and kept, like edge_list,
+        # and like it outside ==, hash and repr.
+        adjacency = self.__dict__.get("_neighbors")
+        if adjacency is None:
+            adjacency = tuple(
+                tuple(j for j, e in enumerate(row) if e) for row in self.edges
+            )
+            object.__setattr__(self, "_neighbors", adjacency)
+        return adjacency[i]
 
     def without_edge(self, i: int, j: int) -> "BipartiteGraph":
         rows = [list(row) for row in self.edges]
@@ -177,13 +186,13 @@ class WeightAssignment:
         for i, row in enumerate(self.grid):
             if len(row) != n:
                 raise ValueError(f"weight row {i} has {len(row)} entries, expected {n}")
-            for x in row:
-                if x < 0:
-                    raise ValueError(f"negative weight {x} at row {i}")
+            if min(row) < 0:
+                x = next(x for x in row if x < 0)
+                raise ValueError(f"negative weight {x} at row {i}")
 
     @classmethod
     def from_grid(cls, rows: Iterable[Iterable[int]]) -> "WeightAssignment":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
+        return cls(tuple(tuple(map(int, row)) for row in rows))
 
     @classmethod
     def from_edge_values(
@@ -215,7 +224,7 @@ GridLike = Union[IntMatrix, Sequence[Sequence[int]]]
 
 def _as_rows(values: GridLike, n: int) -> tuple[tuple[int, ...], ...]:
     rows = values.rows if isinstance(values, IntMatrix) else tuple(
-        tuple(int(x) for x in row) for row in values
+        tuple(map(int, row)) for row in values
     )
     if len(rows) != n or any(len(row) != n for row in rows):
         raise ValueError(f"value grid must be {n}x{n}")
@@ -230,11 +239,9 @@ def edmonds_eval(g: BipartiteGraph, values: GridLike) -> IntMatrix:
     computed from the result.
     """
     rows = _as_rows(values, g.n)
+    # x * True is x and x * False is 0.
     return IntMatrix(
-        tuple(
-            tuple(rows[i][j] if g.edges[i][j] else 0 for j in range(g.n))
-            for i in range(g.n)
-        )
+        tuple(tuple(map(mul, row, edges)) for row, edges in zip(rows, g.edges))
     )
 
 

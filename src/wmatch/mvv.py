@@ -196,13 +196,15 @@ def mvv_trial(g: BipartiteGraph, seed: int) -> MvvTrial:
 
     One :func:`~wmatch.linalg.cofactors` call per trial: its
     fraction-free forward pass decides whether the power matrix is
-    singular, stopping at the first column without a pivot, so a
-    singular trial costs one determinant; only a nonsingular one goes
-    on to the adjugate phase, off which every edge's membership is read
-    (:func:`unique_min_pm_edges`).  The collected set is only trusted
-    after verification: it must be a perfect matching of g whose weight
-    equals the determinant's trailing zero count.  Anything else is
-    reported as failure, with its ``reason``.
+    singular, taking its lines sparsest first and stopping at the first
+    without a pivot, so a singular trial costs at most one determinant,
+    and a few pivots when a small Hall violator leads the order; only a
+    nonsingular one goes on to the adjugate phase, off which every
+    edge's membership is read (:func:`unique_min_pm_edges`).  The
+    collected set is only trusted after verification: it must be a
+    perfect matching of g whose weight equals the determinant's
+    trailing zero count.  Anything else is reported as failure, with
+    its ``reason``.
     """
     n = g.n
     m = g.num_edges

@@ -36,6 +36,17 @@ class TestBipartiteGraph:
         assert g != BipartiteGraph.complete(2)
         assert {g: 1}[h] == 1
 
+    def test_neighbors_cached(self):
+        g = BipartiteGraph.from_rows([[0, 1, 1], [0, 0, 0], [1, 0, 1]])
+        assert [g.neighbors(i) for i in range(3)] == [(1, 2), (), (0, 2)]
+        assert g.neighbors(-1) == (0, 2)
+        with pytest.raises(IndexError):
+            g.neighbors(3)
+        # Built once per graph, and not part of ==, hash or repr.
+        assert g.neighbors(0) is g.neighbors(0)
+        h = BipartiteGraph.from_rows([[0, 1, 1], [0, 0, 0], [1, 0, 1]])
+        assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
+
     def test_without_edge(self):
         g = BipartiteGraph.complete(2).without_edge(0, 1)
         assert not g.has_edge(0, 1)
@@ -141,6 +152,34 @@ class TestMatchingWeight:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             WeightAssignment.from_grid([[-1, 0], [0, 0]])
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            ([], "weight grid must have n >= 1"),
+            ([[1, 2], [3]], "weight row 1 has 1 entries, expected 2"),
+            ([[1, 2, 3], [4, 5, 6], [7, 8]], "weight row 2 has 2 entries, expected 3"),
+            ([[0, 1], [2, -3]], "negative weight -3 at row 1"),
+            ([[5, -1, -7], [0, 0, 0], [0, 0, 0]], "negative weight -1 at row 0"),
+            # Rows are checked in order, length before sign.
+            ([[0, -2], [1]], "negative weight -2 at row 0"),
+            ([[0, 1, 2], [1], [-1, 0, 0]], "weight row 1 has 1 entries, expected 3"),
+        ],
+    )
+    def test_rejection_messages(self, rows, message):
+        with pytest.raises(ValueError) as info:
+            WeightAssignment.from_grid(rows)
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            WeightAssignment(tuple(tuple(row) for row in rows))
+        assert str(info.value) == message
+
+    def test_entries_become_ints(self):
+        w = WeightAssignment.from_grid([[True, "7"], (3.0, 0)])
+        assert w.grid == ((1, 7), (3, 0))
+        assert all(type(x) is int for row in w.grid for x in row)
+        with pytest.raises(ValueError):
+            WeightAssignment.from_grid([["x", 0], [0, 0]])
 
 
 class TestRandomWeights:

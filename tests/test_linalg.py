@@ -445,20 +445,31 @@ def gauss_jordan_cofactors(m):
 
 
 def staircase_matrix(rng, n, dense=3):
-    """Rows D, S_0, ..., S_(n-1-dense), then dense - 1 full rows, where
-    D is full and S_k is c_k * D plus a row that is zero left of column
-    k + 2.  Step 0 pivots on D and leaves every S_k with a nonzero
-    multiplier; from step 1 on, the row at (k, k) is zero and a later
-    one is swapped in, at n - dense of the n - 1 steps."""
+    """Rows D, S_0, ..., S_(n-1-dense), then dense - 1 rows that are
+    zero in column 0 and nowhere else, where D is full and S_k is
+    c_k * D plus a row that is zero left of column k + 2, with no zero
+    entry.  Column 0 is the one sparsest line, every row has at most one
+    zero, and the other columns none, so sparsest first keeps the
+    columns in place.  Step 0 pivots on D and leaves every S_k with a
+    nonzero multiplier; from step 1 on, the row at (k, k) is zero and a
+    later one is swapped in, at n - dense of the n - 1 steps."""
     def pick():
         return rng.choice([1, 2, 3, -1, -2, 1 << 40])
+
+    def nonzero_sum(y):
+        while True:
+            x = pick() + y
+            if x:
+                return x
 
     first = [pick() for _ in range(n)]
     rows = [first]
     for k in range(n - dense):
         c = rng.choice([1, -1, 2, 5])
-        rows.append([(pick() if col >= k + 2 else 0) + c * x for col, x in enumerate(first)])
-    rows += [[pick() for _ in range(n)] for _ in range(dense - 1)]
+        rows.append(
+            [nonzero_sum(c * x) if col >= k + 2 else c * x for col, x in enumerate(first)]
+        )
+    rows += [[0] + [pick() for _ in range(n - 1)] for _ in range(dense - 1)]
     return IntMatrix.from_rows(rows)
 
 
@@ -514,15 +525,25 @@ class TestCofactorsAgainstGaussJordan:
             assert det_bareiss(m) == expected[0]
 
     def test_swap_heavy(self):
+        # The staircase's sparsest line, column 0, is moved to column
+        # pos, or to row pos of the transpose; the presort puts it back
+        # in front of the other lines, which keep their order, so the
+        # loop runs on the staircase itself.
         rng = random.Random(2041)
         for n in range(6, 17):
-            m = staircase_matrix(rng, n)
-            _, _, steps = linalg._eliminate(m)
-            assert sum(1 for p, _ in steps if p) == n - 3
-            assert sum(1 for _, fs in steps for f in fs if f) >= n - 1
-            expected = gauss_jordan_cofactors(m)
-            assert expected[0] != 0
-            assert cofactors(m) == expected
+            cols = list(zip(*staircase_matrix(rng, n).rows))
+            pos = rng.randrange(1, n)
+            cols.insert(pos, cols.pop(0))
+            for m, transposed in ((IntMatrix.from_rows(zip(*cols)), False),
+                                  (IntMatrix.from_rows(cols), True)):
+                _, _, steps, order, flipped = linalg._eliminate(m)
+                assert flipped == transposed
+                assert order == [pos] + [c for c in range(n) if c != pos]
+                assert sum(1 for p, _ in steps if p) == n - 3
+                assert sum(1 for _, fs in steps for f in fs if f) >= n - 1
+                expected = gauss_jordan_cofactors(m)
+                assert expected[0] != 0
+                assert cofactors(m) == expected
 
     def test_one_by_one(self):
         for x in (7, -3, 1 << 70):
@@ -537,6 +558,181 @@ class TestCofactorsAgainstGaussJordan:
                 assert gauss_jordan_cofactors(m) == (0, None)
                 assert cofactors(m) == (0, None)
                 assert det_bareiss(m) == 0
+
+
+def transpose(rows):
+    return [list(col) for col in zip(*rows)]
+
+
+def plant_left(rows, kind, rng):
+    """Copy of the n x n ``rows`` (nonzero diagonal) with a structure
+    planted on left vertices, that is rows: ``violator`` confines 3
+    rows to 2 columns, ``isolated`` zeroes a row, and ``degree-1`` keeps
+    only the diagonal entry of 2 rows."""
+    n = len(rows)
+    rows = [list(row) for row in rows]
+    if kind == "violator":
+        hits = rng.sample(range(n), 2)
+        for i in rng.sample(range(n), 3):
+            d = rows[i][i]
+            rows[i] = [x if j in hits else 0 for j, x in enumerate(rows[i])]
+            j = rng.choice(hits)
+            rows[i][j] = rows[i][j] or d
+    elif kind == "isolated":
+        rows[rng.randrange(n)] = [0] * n
+    else:
+        for i in rng.sample(range(n), 2):
+            rows[i] = [x if j == i else 0 for j, x in enumerate(rows[i])]
+    return rows
+
+
+def planted(rows, side, kind, rng):
+    """plant_left on rows (side "left") or, mirrored, on columns."""
+    if side == "left":
+        return IntMatrix.from_rows(plant_left(rows, kind, rng))
+    return IntMatrix.from_rows(transpose(plant_left(transpose(rows), kind, rng)))
+
+
+def tied(rows, rng):
+    """A degree-1 row and a degree-1 column (diagonal entries kept):
+    the sparsest row and the sparsest column tie."""
+    n = len(rows)
+    i, j = rng.sample(range(n), 2)
+    rows = [list(row) for row in rows]
+    rows[i] = [x if c == i else 0 for c, x in enumerate(rows[i])]
+    for r in range(n):
+        if r != j:
+            rows[r][j] = 0
+    return IntMatrix.from_rows(rows)
+
+
+SHAPES = [("power", 12), ("power", 20), ("lovasz", 12), ("lovasz", 20), ("lovasz", 32)]
+
+
+def base_rows(shape, n, rng):
+    make = power_matrix if shape == "power" else lovasz_matrix
+    return make(rng, n).rows
+
+
+class Counted(int):
+    """An int that counts the products it takes part in; -, // and *
+    keep the result Counted, so the count follows an elimination."""
+
+    products = 0
+
+    def __mul__(self, other):
+        Counted.products += 1
+        return Counted(int.__mul__(self, other))
+
+    __rmul__ = __mul__
+
+    def __sub__(self, other):
+        return Counted(int.__sub__(self, other))
+
+    def __floordiv__(self, other):
+        return Counted(int.__floordiv__(self, other))
+
+
+def forward_products(m):
+    """Products made by the forward pass on m, and its result."""
+    counted = IntMatrix(tuple(tuple(map(Counted, row)) for row in m.rows))
+    Counted.products = 0
+    fwd = linalg._eliminate(counted)
+    return Counted.products, fwd
+
+
+def fewest_nonzeros(lines):
+    return min(sum(1 for x in line if x) for line in lines)
+
+
+def sparsest_is_row(m):
+    """True when a row of m has fewer nonzeros than every column."""
+    return fewest_nonzeros(m.rows) < fewest_nonzeros(zip(*m.rows))
+
+
+def count_inversions(order):
+    return sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+
+
+class TestSparsestLineFirst:
+    """Sparsest-first elimination against the Gauss-Jordan reference and
+    Berkowitz on planted structure, in both orientations."""
+
+    @pytest.mark.parametrize("shape,n", SHAPES)
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_singular_plants(self, shape, n, side):
+        rng = random.Random(f"singular:{shape}:{n}:{side}")
+        for kind in ("violator", "isolated"):
+            m = planted(base_rows(shape, n, rng), side, kind, rng)
+            assert linalg._eliminate(m) is None
+            assert gauss_jordan_cofactors(m) == cofactors(m) == (0, None)
+            assert det_bareiss(m) == det_berkowitz(m) == 0
+
+    @pytest.mark.parametrize("shape,n", SHAPES)
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_degree_one_lines(self, shape, n, side):
+        # One input whose presort is an even permutation and one whose
+        # presort is odd, so its sign is tested.
+        rng = random.Random(f"degree-1:{shape}:{n}:{side}")
+        parities = set()
+        flips = set()
+        for _ in range(10):
+            m = planted(base_rows(shape, n, rng), side, "degree-1", rng)
+            fwd = linalg._eliminate(m)
+            assert fwd[4] == sparsest_is_row(m)
+            flips.add(fwd[4])
+            parity = count_inversions(fwd[3]) % 2
+            if parity in parities:
+                continue
+            parities.add(parity)
+            expected = gauss_jordan_cofactors(m)
+            assert expected[0] != 0
+            assert cofactors(m) == expected
+            assert det_bareiss(m) == det_berkowitz(m) == expected[0]
+        assert parities == {0, 1}
+        # Degree-1 rows make the transpose the working matrix.
+        assert (side == "left") in flips
+
+    @pytest.mark.parametrize("shape,n", SHAPES)
+    def test_ties_go_to_columns(self, shape, n):
+        rng = random.Random(f"tie:{shape}:{n}")
+        m = tied(base_rows(shape, n, rng), rng)
+        expected = gauss_jordan_cofactors(m)
+        assert expected[0] != 0
+        assert cofactors(m) == expected
+        assert det_bareiss(m) == det_berkowitz(m) == expected[0]
+        assert linalg._eliminate(m)[4] is False
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_power_matrix_n32_violator(self, side):
+        # On a power matrix at n = 32 Berkowitz takes seconds and
+        # Gauss-Jordan half a minute, so only Berkowitz runs, once.
+        rng = random.Random(f"n32:{side}")
+        m = planted(power_matrix(rng, 32).rows, side, "violator", rng)
+        assert max(abs(x).bit_length() for row in m.rows for x in row) > 1000
+        assert cofactors(m) == (0, None)
+        assert det_bareiss(m) == 0
+        if side == "left":
+            assert det_berkowitz(m) == 0
+
+    @pytest.mark.parametrize("n", [20, 32])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("shape", ["power", "lovasz"])
+    def test_violator_stops_after_few_pivots(self, shape, n, side):
+        # About 2 n^3 / 3 products for a pass that runs to its end.
+        rng = random.Random(f"work:{shape}:{n}:{side}")
+        for kind in ("violator", "isolated"):
+            m = planted(base_rows(shape, n, rng), side, kind, rng)
+            products, fwd = forward_products(m)
+            assert fwd is None
+            assert products < 6 * n * n
+
+    def test_counted_products_of_a_full_pass(self):
+        rng = random.Random(7)
+        m = lovasz_matrix(rng, 20)
+        products, fwd = forward_products(m)
+        assert fwd[0] * fwd[1][-1][0] == det_berkowitz(m) != 0
+        assert products == sum(2 * k * k for k in range(1, 20))
 
 
 class TestMinorCofactors:
