@@ -123,9 +123,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read(path: str, parse):
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise FileFormatError(0, f"cannot read: {exc.strerror or exc}", source=path) from exc
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(0, f"cannot read: {exc}", source=path) from exc
     try:
         return parse(text)
     except FileFormatError as exc:

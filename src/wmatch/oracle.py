@@ -157,19 +157,15 @@ def check_surjection(
     domain: Iterable,
     fn: Callable,
     target: Iterable,
-    key: Optional[Callable] = None,
     budget: int = DEFAULT_BUDGET,
 ) -> SurjectivityReport:
     """Exhaustively check that ``fn`` maps ``domain`` onto ``target``.
 
-    ``key`` canonicalizes target elements to something hashable (the
-    identity by default); two elements are considered equal when their
-    keys are.  The domain is consumed in order, and enumeration stops
-    with :class:`BudgetExceededError` at its (budget + 1)-th element.
+    Images and target elements must be hashable; two are the same
+    element when they compare equal.  The domain is consumed in order,
+    and enumeration stops with :class:`BudgetExceededError` at its
+    (budget + 1)-th element.
     """
-    if key is None:
-        key = lambda x: x
-
     target_list = list(target)
     if len(target_list) > budget:
         raise BudgetExceededError(
@@ -182,9 +178,9 @@ def check_surjection(
         domain_size += 1
         if domain_size > budget:
             raise BudgetExceededError(f"domain enumeration exceeded budget {budget}")
-        hit.add(key(fn(x)))
+        hit.add(fn(x))
 
-    uncovered = tuple(t for t in target_list if key(t) not in hit)
+    uncovered = tuple(t for t in target_list if t not in hit)
     return SurjectivityReport(
         domain_size=domain_size,
         target_size=len(target_list),

@@ -18,16 +18,22 @@ i.e. a uniform random assignment evaluates to zero with probability at
 most n/s.  Surjectivity is checked exhaustively at small sizes by the
 verification suites rather than taken on faith.
 
-Mechanism: a zero determinant forces a zero somewhere along the nested
-chain of submatrices obtained by repeatedly deleting the last row and
-its matched column.  At the first such step the deleted entry is
-*uniquely determined* by the rest of the matrix (the determinant is
-linear in that entry with a nonzero coefficient), so dropping it loses
-no information.  The witness inverts this: it receives the remaining
-n^2 - 1 entries plus the step index, solves the linear equation for the
-missing entry, and returns the completed assignment, or the all-zero
-assignment (always in the zero set) when the reconstruction is
-inconsistent with the input.
+Mechanism: a nonzero diagonal sigma of the graph (read off a
+certificate; the identity for the complete graph) fixes a nested chain
+of submatrices.  The step-k submatrix is the leading (k+1) x (k+1)
+block of the grid with its columns taken in sigma's order, sigma(0),
+..., sigma(k), so step k-1 is step k without its last row and column.
+A zero determinant makes the last step singular; let i be the least
+step from which every step on up is singular (:func:`vanishing_step`),
+so that i = 0 or step i-1 is regular.  The entry x at (i, sigma(i))
+sits on step i's diagonal with cofactor +det(step i-1), so step i's
+determinant is d(0) + x * det(step i-1) (at i = 0 it is x itself).
+Setting it to zero determines x *uniquely* from the rest of the
+matrix, so dropping it loses no information.  The witness inverts
+this: it receives the remaining n^2 - 1 entries plus the step index,
+solves the linear equation for the missing entry, and returns the
+completed assignment, or the all-zero assignment (always in the zero
+set) when the reconstruction is inconsistent with the input.
 """
 
 from __future__ import annotations
@@ -65,93 +71,60 @@ def zero_set(g: BipartiteGraph, s: int, budget: int = DEFAULT_BUDGET) -> Iterato
             yield grid
 
 
-def _submatrix(grid: Grid, rows: Sequence[int], cols: Sequence[int]) -> IntMatrix:
-    return IntMatrix(tuple(tuple(grid[r][c] for c in cols) for r in rows))
-
-
-def _assemble(n: int, i: int, unknown_col: int, rest: Sequence[int], s: int) -> list[list[int]]:
-    """Lay out the n^2 - 1 known values row-major around the unknown cell."""
-    if len(rest) != n * n - 1:
-        raise ValueError(f"expected {n * n - 1} values, got {len(rest)}")
-    values = iter(rest)
-    rows = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            if (r, c) == (i, unknown_col):
-                row.append(0)  # placeholder, solved for below
-            else:
-                v = int(next(values))
-                if not 0 <= v < s:
-                    raise ValueError(f"value {v} out of range [0, {s})")
-                row.append(v)
-        rows.append(row)
-    return rows
-
-
-def _solve_unknown(
-    grid: Grid, i: int, sigma: Sequence[int], s: int
-) -> Optional[int]:
-    """Value at (i, sigma[i]) making the chain submatrix at step i
-    singular, if it exists, is integral, and lies in [0, s).
-
-    The step-i submatrix keeps rows 0..i and columns sigma[0..i]; its
-    determinant is linear in the unknown with coefficient
-    ±det(step-(i-1) submatrix), so the equation is solvable exactly
-    when that smaller determinant is nonzero.
-    """
-    if i == 0:
-        return 0  # the 1x1 step matrix is the unknown itself
-    cols = sorted(sigma[t] for t in range(i + 1))
-    prev_cols = sorted(sigma[t] for t in range(i))
-    d_prev = det_bareiss(_submatrix(grid, range(i), prev_cols))
-    if d_prev == 0:
-        return None
-    loc_j = cols.index(sigma[i])
-    sign = -1 if (i + loc_j) % 2 else 1
-    d_rest = det_bareiss(_submatrix(grid, range(i + 1), cols))  # unknown cell holds 0
-    denom = sign * d_prev
-    if d_rest % denom != 0:
-        return None
-    candidate = -d_rest // denom
-    if not 0 <= candidate < s:
-        return None
-    return candidate
+def _chain_det(grid: Sequence[Sequence[int]], sigma: Sequence[int], k: int) -> int:
+    """Determinant of the step-k chain submatrix: rows 0..k of grid with
+    columns sigma[0], ..., sigma[k], in that order."""
+    cols = sigma[: k + 1]
+    return det_bareiss(IntMatrix(tuple(tuple(row[c] for c in cols) for row in grid[: k + 1])))
 
 
 def _witness(
-    n: int, s: int, i: int, rest: Sequence[int], sigma: Sequence[int],
-    g: Optional[BipartiteGraph],
+    g: BipartiteGraph, s: int, i: int, rest: Sequence[int], sigma: Sequence[int]
 ) -> Grid:
+    n = g.n
     if not 0 <= i < n:
         raise ValueError(f"step index {i} out of range [0, {n})")
+    if len(rest) != n * n - 1:
+        raise ValueError(f"expected {n * n - 1} values, got {len(rest)}")
+    # Lay out the known values row-major around the unknown cell, which
+    # holds 0 until it is solved for; non-edge positions are
+    # structurally zero in every evaluation.
+    unknown = (i, sigma[i])
+    values = iter(rest)
+    rows = []
+    for r, edge_row in enumerate(g.edges):
+        row = []
+        for c, edge in enumerate(edge_row):
+            v = 0 if (r, c) == unknown else int(next(values))
+            if not 0 <= v < s:
+                raise ValueError(f"value {v} out of range [0, {s})")
+            row.append(v if edge else 0)
+        rows.append(row)
     dummy: Grid = tuple((0,) * n for _ in range(n))
-    rows = _assemble(n, i, sigma[i], rest, s)
-    if g is not None:
-        # Non-edge positions are structurally zero in every evaluation.
-        for r in range(n):
-            for c in range(n):
-                if not g.edges[r][c]:
-                    rows[r][c] = 0
-    grid = tuple(tuple(row) for row in rows)
-    candidate = _solve_unknown(grid, i, sigma, s)
-    if candidate is None:
-        return dummy
-    filled = list(list(row) for row in grid)
-    filled[i][sigma[i]] = candidate
-    out = tuple(tuple(row) for row in filled)
+    if i:
+        # Step i's determinant is d(0) + x * d_prev in the unknown x (the
+        # cofactor carries no sign in sigma's column order).  At i = 0 it
+        # is x itself, which must be 0.
+        d_prev = _chain_det(rows, sigma, i - 1)
+        if d_prev == 0:
+            return dummy
+        x, remainder = divmod(-_chain_det(rows, sigma, i), d_prev)
+        if remainder or not 0 <= x < s:
+            return dummy
+        rows[i][sigma[i]] = x
+    out = tuple(map(tuple, rows))
     if det_bareiss(IntMatrix(out)) != 0:
         return dummy
     return out
 
 
 def zero_witness_complete(n: int, s: int, i: int, rest: Sequence[int]) -> Grid:
-    """Witness for the complete graph: every position is in play and
-    the deletion chain runs down the main diagonal, so the unknown sits
-    at (i, i)."""
+    """Witness for the complete graph: :func:`zero_witness_graph` with
+    sigma the identity, so the deletion chain runs down the main
+    diagonal and the unknown sits at (i, i)."""
     if n < 1 or s < 1:
         raise ValueError("need n >= 1 and s >= 1")
-    return _witness(n, s, i, rest, tuple(range(n)), None)
+    return _witness(BipartiteGraph.complete(n), s, i, rest, range(n))
 
 
 def zero_witness_graph(
@@ -189,7 +162,7 @@ def zero_witness_graph_map(
     sigma = extract_pm_trace_from(g, b, det, adj).sigma
 
     def witness(i: int, rest: Sequence[int]) -> Grid:
-        return _witness(g.n, s, i, rest, sigma, g)
+        return _witness(g, s, i, rest, sigma)
 
     return witness
 
@@ -197,9 +170,12 @@ def zero_witness_graph_map(
 def vanishing_step(grid: Grid, sigma: Optional[Sequence[int]] = None) -> int:
     """Least step index i such that every chain submatrix from step i
     up through the full matrix is singular (the full grid must have
-    determinant 0).  At that i, either i = 0 or the step-(i-1)
-    submatrix is regular, which is exactly the situation the witnesses
-    invert.
+    determinant 0).  The chain is the one a witness with the same
+    sigma (the identity by default) inverts: step k is the leading
+    (k+1) x (k+1) block with columns sigma(0), ..., sigma(k).  At that
+    i, either i = 0 or the step-(i-1) submatrix is regular, which is
+    exactly the situation the witnesses invert, with the dropped entry
+    at (i, sigma(i)).
     """
     n = len(grid)
     if sigma is None:
@@ -207,9 +183,6 @@ def vanishing_step(grid: Grid, sigma: Optional[Sequence[int]] = None) -> int:
     if det_bareiss(IntMatrix(grid)) != 0:
         raise ValueError("grid has nonzero determinant; no vanishing step")
     i = n - 1
-    while i > 0:
-        cols = sorted(sigma[t] for t in range(i))
-        if det_bareiss(_submatrix(grid, range(i), cols)) != 0:
-            return i
+    while i > 0 and _chain_det(grid, sigma, i - 1) == 0:
         i -= 1
-    return 0
+    return i

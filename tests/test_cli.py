@@ -71,6 +71,17 @@ class TestDecide:
         assert code == 2
         assert "error:" in err
 
+    def test_undecodable_file_exit_2(self, capsys, files, tmp_path):
+        # Not UTF-8: an input error (2), never a NO (1) or a traceback.
+        p = tmp_path / "binary.graph"
+        p.write_bytes(b"\xff\xfe2\n1 0\n0 1\n")
+        for argv in (["decide", str(p)], ["find", str(p)],
+                     ["mwpm", str(p), files["w2.weights"]]):
+            code, out, err = run(capsys, argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith(f"error: {p}") and "cannot read:" in err
+
     def test_json_schema(self, capsys, files):
         code, payload, _ = run_json(capsys, ["decide", files["k33.graph"]])
         assert code == 0
@@ -156,6 +167,15 @@ class TestHungarian:
         code, _, err = run(capsys, ["hungarian", str(p)])
         assert code == 2
         assert "line 2" in err
+
+    def test_undecodable_weights_exit_2(self, capsys, files, tmp_path):
+        p = tmp_path / "binary.weights"
+        p.write_bytes(b"2\n1 2\n3 \xe9\n")
+        for argv in (["hungarian", str(p)], ["mwpm", files["k33.graph"], str(p)]):
+            code, out, err = run(capsys, argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith(f"error: {p}") and "cannot read:" in err
 
 
 class TestClosedStdout:

@@ -152,12 +152,6 @@ class TestCheckSurjection:
         assert report.uncovered == (1,)
         assert report.covered_count == 1
 
-    def test_key_canonicalization(self):
-        report = check_surjection(
-            [(0, 1), (2, 3)], lambda x: list(x), [[0, 1], [2, 3]], key=tuple
-        )
-        assert report.surjective
-
     def test_domain_budget(self):
         with pytest.raises(BudgetExceededError):
             check_surjection(range(10**7 + 1), lambda x: x, [0], budget=1000)

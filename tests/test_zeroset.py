@@ -2,10 +2,12 @@ from itertools import product
 
 import pytest
 
+from wmatch.classical import maximum_matching
 from wmatch.graphs import BipartiteGraph
 from wmatch.edmonds import ZeroDeterminantError
-from wmatch.linalg import IntMatrix, det_berkowitz, det_lagrange
+from wmatch.linalg import IntMatrix, det_bareiss, det_berkowitz, det_lagrange
 from wmatch.oracle import BudgetExceededError
+from wmatch.verify import _fixed_witness_graphs
 from wmatch.zeroset import (
     vanishing_step,
     zero_set,
@@ -33,6 +35,65 @@ def complete_domain(n, s):
     return [
         (i, rest) for i in range(n) for rest in product(range(s), repeat=n * n - 1)
     ]
+
+
+def graphs_with_pm(n):
+    """Every n x n bipartite graph with a perfect matching, paired with
+    that matching's sigma (row r matched to column sigma[r])."""
+    out = []
+    for bits in product((0, 1), repeat=n * n):
+        g = BipartiteGraph.from_rows([bits[r * n:(r + 1) * n] for r in range(n)])
+        m = maximum_matching(g)
+        if m.size == n:
+            out.append((g, tuple(m.get(r) for r in range(n))))
+    return out
+
+
+def sorted_column_witness(g, s, i, rest, sigma):
+    """Reference witness that takes each chain submatrix's columns in
+    sorted order, so the unknown sits at (i, cols.index(sigma[i])) with
+    cofactor sign (-1)^(i + loc).  It solves the same linear equation
+    as the production witness, so the two agree at every point, dummy
+    outputs included."""
+    n = g.n
+    if not 0 <= i < n:
+        raise ValueError(f"step index {i} out of range [0, {n})")
+    if len(rest) != n * n - 1:
+        raise ValueError(f"expected {n * n - 1} values, got {len(rest)}")
+    values = iter(rest)
+    rows = []
+    for r in range(n):
+        row = []
+        for c in range(n):
+            if (r, c) == (i, sigma[i]):
+                row.append(0)
+            else:
+                v = int(next(values))
+                if not 0 <= v < s:
+                    raise ValueError(f"value {v} out of range [0, {s})")
+                row.append(v if g.edges[r][c] else 0)
+        rows.append(row)
+
+    def det_sub(row_count, cols):
+        return det_bareiss(IntMatrix(tuple(tuple(rows[r][c] for c in cols) for r in range(row_count))))
+
+    dummy = tuple((0,) * n for _ in range(n))
+    candidate = 0
+    if i > 0:
+        cols = sorted(sigma[: i + 1])
+        d_prev = det_sub(i, sorted(sigma[:i]))
+        if d_prev == 0:
+            return dummy
+        sign = -1 if (i + cols.index(sigma[i])) % 2 else 1
+        d_rest = det_sub(i + 1, cols)
+        if d_rest % (sign * d_prev) != 0:
+            return dummy
+        candidate = -d_rest // (sign * d_prev)
+        if not 0 <= candidate < s:
+            return dummy
+    rows[i][sigma[i]] = candidate
+    out = tuple(tuple(row) for row in rows)
+    return dummy if det_bareiss(IntMatrix(out)) != 0 else out
 
 
 class TestZeroSet:
@@ -196,3 +257,65 @@ class TestVanishingStep:
     def test_regular_prefix(self):
         # leading 1x1 is regular, full matrix singular: step 1.
         assert vanishing_step(((2, 3), (2, 3))) == 1
+
+    def test_follows_sigma(self):
+        # Under sigma = (1, 0) the step-0 block is the entry at (0, 1),
+        # which is regular here, while under the identity it is the 0
+        # at (0, 0).
+        assert vanishing_step(((0, 2), (0, 3)), (1, 0)) == 1
+        assert vanishing_step(((0, 2), (0, 3))) == 0
+        # Under sigma = (1, 2, 0) the step-1 block has columns 1, 2 and
+        # is singular; under the identity it has columns 0, 1 and is
+        # regular.
+        grid = ((0, 1, 0), (1, 1, 0), (0, 0, 0))
+        assert vanishing_step(grid, (1, 2, 0)) == 1
+        assert vanishing_step(grid) == 2
+
+
+class TestWitnessAnySigma:
+    def test_reconstruction_fidelity_every_small_graph(self):
+        # On every 2x2 and 3x3 graph with a perfect matching, most of
+        # them with a sigma that is not the identity: dropping the entry
+        # at (i, sigma(i)) for the vanishing step i and handing the rest
+        # to the witness reproduces every zero-set element.
+        two, three = graphs_with_pm(2), graphs_with_pm(3)
+        assert (len(two), len(three)) == (7, 247)
+        assert sum(sigma != tuple(range(g.n)) for g, sigma in two + three) == 186
+        elements = 0
+        for graphs, s in ((two, 2), (two, 3), (three, 2)):
+            for g, sigma in graphs:
+                n = g.n
+                cert = maximum_matching(g).permutation_matrix(n)
+                witness = zero_witness_graph_map(g, s, cert)
+                for elem in zero_set(g, s):
+                    i = vanishing_step(elem, sigma)
+                    rest = tuple(
+                        elem[r][c]
+                        for r in range(n)
+                        for c in range(n)
+                        if (r, c) != (i, sigma[i])
+                    )
+                    assert witness(i, rest) == elem
+                    elements += 1
+        assert elements == 12677
+
+    def test_matches_sorted_column_reference_pointwise(self):
+        cases = [(g, sigma, s) for g, sigma in graphs_with_pm(2) for s in (2, 3, 4)]
+        g3 = _fixed_witness_graphs()[2]
+        sigma3 = dict(graphs_with_pm(3))[g3]
+        cases += [(g3, sigma3, s) for s in (2, 3)]
+        dummies = 0
+        for g, sigma, s in cases:
+            n = g.n
+            witness = zero_witness_graph_map(g, s, maximum_matching(g).permutation_matrix(n))
+            for i, rest in complete_domain(n, s):
+                out = witness(i, rest)
+                assert out == sorted_column_witness(g, s, i, rest, sigma)
+                dummies += out == tuple((0,) * n for _ in range(n))
+        assert dummies > 0
+        for s in (2, 3, 4):
+            k2 = BipartiteGraph.complete(2)
+            for i, rest in complete_domain(2, s):
+                assert zero_witness_complete(2, s, i, rest) == sorted_column_witness(
+                    k2, s, i, rest, (0, 1)
+                )
