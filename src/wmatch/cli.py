@@ -341,8 +341,8 @@ def cmd_verify(args) -> int:
 
 def report_schema() -> dict:
     """The JSON schema that every ``--format json`` output satisfies."""
-    text = resources.files("wmatch").joinpath("schemas/report.schema.json").read_text()
-    return json.loads(text)
+    schema = resources.files("wmatch").joinpath("schemas/report.schema.json")
+    return json.loads(schema.read_text(encoding="utf-8"))
 
 
 def main(argv=None) -> int:

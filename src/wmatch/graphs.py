@@ -13,6 +13,7 @@ edges, so the resulting determinant depends only on edge positions.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -287,11 +288,23 @@ class FileFormatError(ValueError):
         super().__init__(f"{prefix}{where}{message}")
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _decimal(token: str) -> int:
+    """An ASCII decimal integer, ``-?[0-9]+``.  ``int()`` alone also
+    takes ``1_000``, ``+2`` and non-ASCII digits (Arabic-Indic,
+    fullwidth, ...); this raises ``ValueError`` for them."""
+    if not _DECIMAL.fullmatch(token):
+        raise ValueError(token)
+    return int(token)
+
+
 def _parse_header(lines: list[str]) -> int:
     if not lines:
         raise FileFormatError(1, "empty file, expected dimension n on line 1")
     try:
-        n = int(lines[0].strip())
+        n = _decimal(lines[0].strip())
     except ValueError:
         raise FileFormatError(1, f"expected integer dimension, got {lines[0].strip()!r}") from None
     if n < 1:
@@ -308,10 +321,13 @@ def _parse_row(line: str, lineno: int, n: int) -> list[int]:
     fields = line.split()
     if len(fields) != n:
         raise FileFormatError(lineno, f"expected {n} entries, got {len(fields)}")
+    # On ASCII text with no "+" or "_", int() itself accepts exactly
+    # -?[0-9]+, so only other lines pay for the pattern match.
+    parse = int if line.isascii() and "+" not in line and "_" not in line else _decimal
     out = []
     for f in fields:
         try:
-            out.append(int(f))
+            out.append(parse(f))
         except ValueError:
             raise FileFormatError(lineno, f"expected integer entry, got {f!r}") from None
     return out

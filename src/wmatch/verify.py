@@ -4,14 +4,23 @@ acceptance test module.
 
 Each check returns a :class:`CheckResult` with a JSON-able details
 dict; suites group the checks the way the CLI exposes them.  All
-randomness is drawn from seeded SplitMix64 streams, so a suite's
-report is a pure function of its arguments.
+randomness is drawn from seeded SplitMix64 streams, and every sample
+count is fixed, so a suite's report is a pure function of its
+arguments.
+
+Both error bounds are checked through one driver, :func:`_coverage`:
+an error set is at most as large as a padded sample space
+[0, count) x values^arity that a witness map covers.  The zero-set
+checks cover Z from [0, n) x [0, s)^(n^2 - 1), the isolation check
+covers the non-isolating weights from [0, m) x [1, k]^(m - 1).  A new
+coverage case is one call to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, permutations, product
 
 from .classical import (
@@ -116,12 +125,11 @@ def _permutation_matrices(n: int):
 # det suite
 
 
-def check_det_agreement(seed: int = DEFAULT_SEED, samples: int = 200,
-                        max_n: int = 6) -> CheckResult:
+def check_det_agreement(seed: int = DEFAULT_SEED, max_n: int = 6) -> CheckResult:
     """Three-way determinant agreement of the production determinant
     (:func:`~wmatch.linalg.det_bareiss`) with both expansion oracles:
-    exhaustive over all 0/1 3x3 matrices, randomized with entries in
-    [-9, 9] for n in {4..max_n}."""
+    exhaustive over all 0/1 3x3 matrices, and 200 random matrices with
+    entries in [-9, 9] for each n in {4..max_n}."""
     mismatches = []
     for bits in range(1 << 9):
         m = IntMatrix.from_rows(
@@ -132,7 +140,7 @@ def check_det_agreement(seed: int = DEFAULT_SEED, samples: int = 200,
     random_cases = 0
     for n in range(4, max_n + 1):
         stream = SplitMix64(derive_seed(seed, n))
-        for _ in range(samples):
+        for _ in range(200):
             m = _random_matrix(stream, n, -9, 9)
             random_cases += 1
             if not det_bareiss(m) == det_cofactor(m) == det_lagrange(m):
@@ -164,16 +172,15 @@ def check_permutation_determinants(max_n: int = 6) -> CheckResult:
     )
 
 
-def check_matching_determinant_equivalence(
-    seed: int = DEFAULT_SEED, samples: int = 500
-) -> CheckResult:
+def check_matching_determinant_equivalence(seed: int = DEFAULT_SEED) -> CheckResult:
     """A perfect matching exists iff some evaluation of the edge matrix
     has nonzero determinant; any nonzero evaluation yields a verified
-    perfect matching via extraction."""
+    perfect matching via extraction.  Every 3x3 graph, and 500 random
+    graphs with n in {4, 5}."""
     failures = []
     graphs = list(_all_graphs(3))
     stream = SplitMix64(derive_seed(seed, 101))
-    for t in range(samples):
+    for t in range(500):
         graphs.append(_random_graph(stream, 4 + t % 2))
     perm_matrices = {n: list(_permutation_matrices(n)) for n in {g.n for g in graphs}}
     with_pm = without_pm = 0
@@ -222,11 +229,10 @@ def check_matching_determinant_equivalence(
 # classical suite
 
 
-def check_hungarian_against_brute(
-    seed: int = DEFAULT_SEED, samples: int = 500, max_n: int = 5
-) -> CheckResult:
+def check_hungarian_against_brute(seed: int = DEFAULT_SEED, max_n: int = 5) -> CheckResult:
     """Certificate (weight = cover cost, cover valid) and optimality
-    against full matching enumeration on random small instances."""
+    against full matching enumeration on 500 random small instances."""
+    samples = 500
     stream = SplitMix64(derive_seed(seed, 201))
     failures = []
     for t in range(samples):
@@ -247,11 +253,10 @@ def check_hungarian_against_brute(
     )
 
 
-def check_mwpm_against_brute(
-    seed: int = DEFAULT_SEED, samples: int = 500, max_n: int = 5
-) -> CheckResult:
+def check_mwpm_against_brute(seed: int = DEFAULT_SEED, max_n: int = 5) -> CheckResult:
     """Empty result iff no perfect matching; otherwise the weight
-    matches exhaustive enumeration."""
+    matches exhaustive enumeration.  500 random instances."""
+    samples = 500
     stream = SplitMix64(derive_seed(seed, 301))
     failures = []
     for t in range(samples):
@@ -279,14 +284,15 @@ def check_mwpm_against_brute(
     )
 
 
-def check_berge_hall(seed: int = DEFAULT_SEED, samples: int = 500) -> CheckResult:
+def check_berge_hall(seed: int = DEFAULT_SEED) -> CheckResult:
     """Maximum matching size vs brute force; Hall violators on every
     perfect-matching-free instance; Hall's condition equivalent to
-    perfect matching existence on small graphs."""
+    perfect matching existence on small graphs.  Every 3x3 graph, and
+    500 random graphs with n in {4, 5, 6}."""
     failures = []
     graphs = list(_all_graphs(3))
     stream = SplitMix64(derive_seed(seed, 401))
-    for t in range(samples):
+    for t in range(500):
         graphs.append(_random_graph(stream, 4 + t % 3))
     pm_free = 0
     for idx, g in enumerate(graphs):
@@ -309,7 +315,7 @@ def check_berge_hall(seed: int = DEFAULT_SEED, samples: int = 500) -> CheckResul
         hall_holds = all(
             len(subset) <= len(neighborhood(g, subset))
             for size in range(n + 1)
-            for subset in _subsets(n, size)
+            for subset in combinations(range(n), size)
         )
         if has_pm != hall_holds:
             failures.append({"graph": idx, "reason": "Hall equivalence broken"})
@@ -325,12 +331,31 @@ def check_berge_hall(seed: int = DEFAULT_SEED, samples: int = 500) -> CheckResul
     )
 
 
-def _subsets(n: int, size: int):
-    return combinations(range(n), size)
-
-
 # ---------------------------------------------------------------------------
-# sz suite
+# coverage driver (sz and iso suites)
+
+
+def _coverage(witness, count: int, values: range, arity: int, target: list,
+              budget: int) -> tuple[bool, dict]:
+    """One case of the counting argument behind both error bounds:
+    ``witness(i, rest)`` maps the padded sample space
+    [0, count) x values^arity onto ``target``, so |target| is at most
+    bound = count * |values|^arity.
+
+    The domain is enumerated in that order under ``budget``.  Returns
+    whether the case holds (the map is onto, the whole space was
+    enumerated and the target fits the bound) and the case's
+    ``"bound"`` and ``"surjectivity"`` entries."""
+    domain = ((i, rest) for i in range(count) for rest in product(values, repeat=arity))
+    report = check_surjection(domain, lambda x: witness(*x), target, budget=budget)
+    bound = count * len(values) ** arity
+    holds = report.surjective and report.domain_size == bound and len(target) <= bound
+    return holds, {"bound": bound, "surjectivity": report.to_dict()}
+
+
+def _all_passed(cases: list[dict]) -> bool:
+    # A check that ran no case shows nothing, so it fails.
+    return bool(cases) and all(case["passed"] for case in cases)
 
 
 def check_zero_witness_complete(
@@ -342,41 +367,18 @@ def check_zero_witness_complete(
     bound |Z| <= n * s^(n^2 - 1)."""
     anchors = {(2, 2): 10, (2, 4): 64}
     per_case = []
-    ok = True
     for n, s in cases:
-        g = BipartiteGraph.complete(n)
-        target = list(zero_set(g, s, budget))
-        domain = (
-            (i, rest)
-            for i in range(n)
-            for rest in product(range(s), repeat=n * n - 1)
-        )
-        report = check_surjection(
-            domain,
-            lambda x, n=n, s=s: zero_witness_complete(n, s, x[0], x[1]),
-            target,
-            budget=budget,
-        )
-        bound = n * s ** (n * n - 1)
-        case_ok = (
-            report.surjective
-            and len(target) <= bound
-            and anchors.get((n, s), len(target)) == len(target)
-        )
-        ok = ok and case_ok
+        target = list(zero_set(BipartiteGraph.complete(n), s, budget))
+        witness = partial(zero_witness_complete, n, s)
+        holds, entries = _coverage(witness, n, range(s), n * n - 1, target, budget)
         per_case.append(
-            {
-                "n": n,
-                "s": s,
-                "zero_set_size": len(target),
-                "bound": bound,
-                "surjectivity": report.to_dict(),
-                "passed": case_ok,
-            }
+            {"n": n, "s": s, "zero_set_size": len(target)}
+            | entries
+            | {"passed": holds and anchors.get((n, s), len(target)) == len(target)}
         )
     return CheckResult(
         "complete-graph zero-set witness surjective",
-        ok and bool(per_case),  # a check that ran no case shows nothing
+        _all_passed(per_case),
         {"cases": per_case},
     )
 
@@ -389,59 +391,31 @@ def _fixed_witness_graphs() -> list[BipartiteGraph]:
     ]
 
 
-def check_zero_witness_graph(
-    s_values=(2, 3), budget: int = DEFAULT_BUDGET
-) -> CheckResult:
+def check_zero_witness_graph(s_values=(2, 3), budget: int = DEFAULT_BUDGET) -> CheckResult:
     """Exhaustive surjectivity of the general-graph witness on fixed
     non-complete graphs, certified by a perfect matching's permutation
     matrix."""
     per_case = []
-    ok = True
     for g in _fixed_witness_graphs():
         n = g.n
         cert = maximum_matching(g).permutation_matrix(n)
         for s in s_values:
             target = list(zero_set(g, s, budget))
-            domain = (
-                (i, rest)
-                for i in range(n)
-                for rest in product(range(s), repeat=n * n - 1)
-            )
             witness = zero_witness_graph_map(g, s, cert)
-            report = check_surjection(
-                domain,
-                lambda x, witness=witness: witness(x[0], x[1]),
-                target,
-                budget=budget,
-            )
-            bound = n * s ** (n * n - 1)
-            case_ok = report.surjective and len(target) <= bound
-            ok = ok and case_ok
+            holds, entries = _coverage(witness, n, range(s), n * n - 1, target, budget)
             per_case.append(
-                {
-                    "n": n,
-                    "edges": g.num_edges,
-                    "s": s,
-                    "zero_set_size": len(target),
-                    "bound": bound,
-                    "surjectivity": report.to_dict(),
-                    "passed": case_ok,
-                }
+                {"n": n, "edges": g.num_edges, "s": s, "zero_set_size": len(target)}
+                | entries
+                | {"passed": holds}
             )
     return CheckResult(
         "general-graph zero-set witness surjective",
-        ok and bool(per_case),  # a check that ran no case shows nothing
+        _all_passed(per_case),
         {"cases": per_case},
     )
 
 
-# ---------------------------------------------------------------------------
-# iso suite
-
-
-def check_isolation(
-    k_values=(2, 3, 4, 8), budget: int = DEFAULT_BUDGET
-) -> CheckResult:
+def check_isolation(k_values=(2, 3, 4, 8), budget: int = DEFAULT_BUDGET) -> CheckResult:
     """On the complete 2x2 graph: the non-isolating predicate matches
     brute force on every assignment, the witness covers the whole bad
     set, and the counting bounds hold."""
@@ -449,7 +423,6 @@ def check_isolation(
     m = g.num_edges
     min_weight_pms = min_weight_pms_map(g)
     per_k = []
-    ok = True
     for k in k_values:
         # The target reuses the module's lexicographic bad-set
         # enumeration; an independent brute-force sweep checks the
@@ -463,38 +436,23 @@ def check_isolation(
         ]
         mismatches = len(set(bad) ^ set(oracle_bad))
         witness = nonisolating_witness_map(g, k, bad[0])
-        domain = (
-            (i, rest)
-            for i in range(m)
-            for rest in product(range(1, k + 1), repeat=m - 1)
-        )
-        report = check_surjection(
-            domain,
-            lambda x, witness=witness: witness(x[0], x[1]),
-            bad,
-            budget=budget,
-        )
-        bound_ok = len(bad) <= m * k ** (m - 1)
+        holds, entries = _coverage(witness, m, range(1, k + 1), m - 1, bad, budget)
         fraction = Fraction(len(bad), k ** m)
-        fraction_ok = fraction <= Fraction(m, k)
-        case_ok = mismatches == 0 and report.surjective and bound_ok and fraction_ok
-        ok = ok and case_ok
         per_k.append(
             {
                 "k": k,
                 "assignments": k ** m,
                 "bad_count": len(bad),
                 "oracle_mismatches": mismatches,
-                "bound": m * k ** (m - 1),
                 "fraction": f"{fraction.numerator}/{fraction.denominator}",
                 "fraction_bound": f"{m}/{k}",
-                "surjectivity": report.to_dict(),
-                "passed": case_ok,
             }
+            | entries
+            | {"passed": holds and mismatches == 0 and fraction <= Fraction(m, k)}
         )
     return CheckResult(
         "isolating weights: predicate, witness coverage, bounds",
-        ok and bool(per_k),  # a check that ran no case shows nothing
+        _all_passed(per_k),
         {"graph": "complete 2x2", "cases": per_k},
     )
 
@@ -515,14 +473,13 @@ def _fixed_unique_min_graphs() -> list[BipartiteGraph]:
     ]
 
 
-def check_unique_min_theorems(
-    seed: int = DEFAULT_SEED, random_samples: int = 300
-) -> tuple[CheckResult, CheckResult]:
+def check_unique_min_theorems(seed: int = DEFAULT_SEED) -> tuple[CheckResult, CheckResult]:
     """On every instance whose minimum-weight perfect matching the
     oracle confirms unique: the determinant's trailing zero count
     equals the minimum weight, and the per-edge membership test agrees
     with the oracle's matching edge by edge.  Weights are exhaustive in
-    [1, 3] on fixed graphs and random in [1, 6] on n = 5 graphs."""
+    [1, 3] on fixed graphs and random in [1, 6] on 300 n = 5 graphs."""
+    random_samples = 300
     weight_failures = []
     membership_failures = []
     unique_cases = 0
@@ -588,12 +545,11 @@ def check_unique_min_theorems(
     )
 
 
-def check_weight_bounded_extraction(
-    seed: int = DEFAULT_SEED, samples: int = 300
-) -> CheckResult:
-    """On random nonzero-determinant instances (unique or not), the
-    extracted matching is valid and weighs at most the determinant's
-    trailing zero count."""
+def check_weight_bounded_extraction(seed: int = DEFAULT_SEED) -> CheckResult:
+    """On 300 random nonzero-determinant instances (unique or not),
+    the extracted matching is valid and weighs at most the
+    determinant's trailing zero count."""
+    samples = 300
     stream = SplitMix64(derive_seed(seed, 601))
     failures = []
     done = attempts = 0
@@ -622,11 +578,11 @@ def check_weight_bounded_extraction(
     )
 
 
-def check_mvv_success_rate(
-    seed: int = DEFAULT_SEED, trials: int = 1000, min_rate: float = 0.45
-) -> CheckResult:
+def check_mvv_success_rate(seed: int = DEFAULT_SEED, trials: int = 1000) -> CheckResult:
     """Empirical success of the randomized finder: at least min_rate on
-    graphs with a perfect matching, exactly zero on graphs without."""
+    graphs with a perfect matching, exactly zero on graphs without.  The
+    guarantee is 1/2; the 0.45 floor absorbs sampling noise."""
+    min_rate = 0.45
     ring5 = BipartiteGraph.from_rows(
         [[1 if j in (i, (i + 1) % 5) else 0 for j in range(5)] for i in range(5)]
     )
@@ -684,58 +640,43 @@ def run_suite(
     budget: int = DEFAULT_BUDGET,
 ) -> SuiteReport:
     """Run one named verification suite (or every suite for "all")."""
-    if name == "all":
-        checks = []
-        for sub in SUITE_NAMES:
-            checks.extend(
-                run_suite(
-                    sub,
-                    seed=seed,
-                    trials=trials,
-                    max_n=max_n,
-                    max_s=max_s,
-                    max_k=max_k,
-                    budget=budget,
-                ).checks
-            )
-        return SuiteReport("all", checks)
-    if name == "det":
-        checks = [
-            check_det_agreement(seed=seed, max_n=min(max_n, 6)),
-            check_permutation_determinants(max_n=min(max_n, 6)),
-            check_matching_determinant_equivalence(seed=seed),
-        ]
-    elif name == "classical":
-        checks = [
-            check_hungarian_against_brute(seed=seed, max_n=min(max_n, 5)),
-            check_mwpm_against_brute(seed=seed, max_n=min(max_n, 5)),
-            check_berge_hall(seed=seed),
-        ]
-    elif name == "sz":
-        cases = [(n, s) for (n, s) in ((2, 2), (2, 3), (2, 4), (3, 2))
-                 if n <= max_n and s <= max_s]
-        checks = [
-            check_zero_witness_complete(cases=cases, budget=budget),
-            check_zero_witness_graph(
-                s_values=tuple(s for s in (2, 3) if s <= max_s),
-                budget=budget,
-            ),
-        ]
-    elif name == "iso":
-        checks = [
-            check_isolation(
-                k_values=tuple(k for k in (2, 3, 4, 8) if k <= max_k),
-                budget=budget,
-            )
-        ]
-    elif name == "mvv":
-        thm_weight, thm_membership = check_unique_min_theorems(seed=seed)
-        checks = [
-            thm_weight,
-            thm_membership,
-            check_weight_bounded_extraction(seed=seed),
-            check_mvv_success_rate(seed=seed, trials=trials),
-        ]
-    else:
+    if name not in SUITE_NAMES + ("all",):
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
+    checks = []
+    for suite in SUITE_NAMES if name == "all" else (name,):
+        if suite == "det":
+            checks += [
+                check_det_agreement(seed=seed, max_n=min(max_n, 6)),
+                check_permutation_determinants(max_n=min(max_n, 6)),
+                check_matching_determinant_equivalence(seed=seed),
+            ]
+        elif suite == "classical":
+            checks += [
+                check_hungarian_against_brute(seed=seed, max_n=min(max_n, 5)),
+                check_mwpm_against_brute(seed=seed, max_n=min(max_n, 5)),
+                check_berge_hall(seed=seed),
+            ]
+        elif suite == "sz":
+            cases = [(n, s) for (n, s) in ((2, 2), (2, 3), (2, 4), (3, 2))
+                     if n <= max_n and s <= max_s]
+            checks += [
+                check_zero_witness_complete(cases=cases, budget=budget),
+                check_zero_witness_graph(
+                    s_values=tuple(s for s in (2, 3) if s <= max_s),
+                    budget=budget,
+                ),
+            ]
+        elif suite == "iso":
+            checks.append(
+                check_isolation(
+                    k_values=tuple(k for k in (2, 3, 4, 8) if k <= max_k),
+                    budget=budget,
+                )
+            )
+        elif suite == "mvv":
+            checks += [
+                *check_unique_min_theorems(seed=seed),
+                check_weight_bounded_extraction(seed=seed),
+                check_mvv_success_rate(seed=seed, trials=trials),
+            ]
     return SuiteReport(name, checks)

@@ -42,7 +42,7 @@ def test_criterion_1_determinant_oracle_agreement():
         1,
         "det_berkowitz = det_cofactor = det_lagrange, exhaustive 3x3 "
         "and 200 random cases each for n in {4,5,6}",
-        check_det_agreement(samples=200, max_n=6),
+        check_det_agreement(max_n=6),
     )
 
 
@@ -59,7 +59,7 @@ def test_criterion_3_matching_determinant_equivalence():
         3,
         "perfect matching exists iff an evaluation has nonzero "
         "determinant; extraction certifies every nonzero evaluation",
-        check_matching_determinant_equivalence(samples=500),
+        check_matching_determinant_equivalence(),
     )
 
 
@@ -89,7 +89,7 @@ def test_criterion_6_hungarian():
         6,
         "Hungarian: w(M) = cover cost, cover valid, and w(M) matches "
         "brute force on 500 random instances (n <= 5, weights <= 10)",
-        check_hungarian_against_brute(samples=500),
+        check_hungarian_against_brute(),
     )
 
 
@@ -98,7 +98,7 @@ def test_criterion_7_mwpm():
         7,
         "minimum-weight perfect matching: empty iff no PM, else "
         "minimum weight, on 500 random weighted graphs (n <= 5)",
-        check_mwpm_against_brute(samples=500),
+        check_mwpm_against_brute(),
     )
 
 
@@ -125,7 +125,7 @@ def test_criterion_10_weight_bounded_extraction():
         10,
         "on 300 random nonzero-determinant instances (unique or not), "
         "the extracted matching is valid with weight <= trailing zeros",
-        check_weight_bounded_extraction(samples=300),
+        check_weight_bounded_extraction(),
     )
 
 
@@ -144,5 +144,5 @@ def test_criterion_12_berge_hall():
         "maximum matching size matches brute force (exhaustive n = 3, "
         "500 random n in {4,5,6}); Hall violators valid on every "
         "PM-free instance; Hall equivalence exhaustive",
-        check_berge_hall(samples=500),
+        check_berge_hall(),
     )

@@ -29,7 +29,7 @@ def files(tmp_path):
         ("bad.graph", "2\n1 0 1\n0 1\n"),
     ]:
         p = tmp_path / name
-        p.write_text(text)
+        p.write_text(text, encoding="utf-8")
         paths[name] = str(p)
     return paths
 
@@ -82,6 +82,17 @@ class TestDecide:
             assert out == ""
             assert err.startswith(f"error: {p}") and "cannot read:" in err
 
+    def test_non_ascii_digit_exit_2(self, capsys, tmp_path):
+        # An Arabic-Indic one is no edge, and no dimension either.
+        for name, text, line in (("entry.graph", "2\n\u0661 0\n0 1\n", 2),
+                                 ("header.graph", "\u0662\n1 0\n0 1\n", 1)):
+            p = tmp_path / name
+            p.write_text(text, encoding="utf-8")
+            code, out, err = run(capsys, ["decide", str(p)])
+            assert code == 2
+            assert out == ""
+            assert err.startswith(f"error: {p}: line {line}: expected integer")
+
     def test_json_schema(self, capsys, files):
         code, payload, _ = run_json(capsys, ["decide", files["k33.graph"]])
         assert code == 0
@@ -112,9 +123,9 @@ class TestDecide:
         monkeypatch.setattr(linalg, "_eliminate", counting_eliminate)
         monkeypatch.setattr(cli, "lovasz_sample", counting_sample)
         k22 = tmp_path / "k22.graph"
-        k22.write_text("2\n1 1\n1 1\n")
+        k22.write_text("2\n1 1\n1 1\n", encoding="utf-8")
         pm_free = tmp_path / "pmfree.graph"
-        pm_free.write_text(PM_FREE)
+        pm_free.write_text(PM_FREE, encoding="utf-8")
         retried = 0
         for seed in range(40):
             for path, code in ((k22, 0), (pm_free, 1)):
@@ -163,10 +174,20 @@ class TestHungarian:
 
     def test_negative_weight_exit_2(self, capsys, tmp_path):
         p = tmp_path / "neg.weights"
-        p.write_text("2\n1 -2\n3 1\n")
+        p.write_text("2\n1 -2\n3 1\n", encoding="utf-8")
         code, _, err = run(capsys, ["hungarian", str(p)])
         assert code == 2
         assert "line 2" in err
+
+    def test_non_ascii_decimal_weights_exit_2(self, capsys, files, tmp_path):
+        # int() would read this row as 1000 and 2.
+        p = tmp_path / "underscore.weights"
+        p.write_text("2\n1_000 +2\n3 1\n", encoding="utf-8")
+        for argv in (["hungarian", str(p)], ["mwpm", files["diag2.graph"], str(p)]):
+            code, out, err = run(capsys, argv)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: {p}: line 2: expected integer entry, got '1_000'\n"
 
     def test_undecodable_weights_exit_2(self, capsys, files, tmp_path):
         p = tmp_path / "binary.weights"
@@ -214,7 +235,7 @@ class TestMwpm:
 
     def test_no_pm(self, capsys, files, tmp_path):
         p = tmp_path / "w.weights"
-        p.write_text("2\n0 0\n0 0\n")
+        p.write_text("2\n0 0\n0 0\n", encoding="utf-8")
         code, out, _ = run(capsys, ["mwpm", files["pmfree.graph"], str(p)])
         assert code == 1
         assert "no perfect matching" in out

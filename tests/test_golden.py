@@ -57,7 +57,7 @@ def command_digests(capsys, tmp_path, monkeypatch, command, kind):
         rows = golden_graph(kind, n)
         name = f"{kind}-{n}.graph"
         body = "\n".join(" ".join(map(str, row)) for row in rows)
-        (tmp_path / name).write_text(f"{n}\n{body}\n")
+        (tmp_path / name).write_text(f"{n}\n{body}\n", encoding="utf-8")
         out[n] = digest(capsys, [command, name, "--format", "json", "--seed", str(1000 + n)])
     return out
 
@@ -133,6 +133,12 @@ VERIFY_ALL_SEED_1 = (
     "9fd7884ae85c236270df1f82fd804857e4d86748e43fd84ef281d5e85caa6899"
 )
 
+# Recorded before the coverage checks moved onto one driver.
+VERIFY_ALL_MORE = {
+    ("text", 1): "7d41833d3cd97f07fdb5810a5058c0540fa997bd6f8c618df2be4ff88b6ff394",
+    ("json", 2): "92c578fd78a0797f65ae2e2e1472767b459e84c99ed5ef5600dcc936a85d581e",
+}
+
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_find(capsys, tmp_path, monkeypatch, kind):
@@ -147,3 +153,9 @@ def test_decide(capsys, tmp_path, monkeypatch, kind):
 def test_verify_all(capsys):
     argv = ["verify", "all", "--format", "json", "--seed", "1"]
     assert digest(capsys, argv) == VERIFY_ALL_SEED_1
+
+
+@pytest.mark.parametrize("fmt, seed", list(VERIFY_ALL_MORE))
+def test_verify_all_text_and_other_seed(capsys, fmt, seed):
+    argv = ["verify", "all", "--format", fmt, "--seed", str(seed)]
+    assert digest(capsys, argv) == VERIFY_ALL_MORE[fmt, seed]

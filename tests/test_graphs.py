@@ -267,3 +267,36 @@ class TestFileFormats:
 
     def test_trailing_blank_lines_ok(self):
         assert parse_graph("1\n1\n\n").n == 1
+
+    # int() alone reads each of these as a number: an underscore
+    # separator, an explicit plus sign, Arabic-Indic one, fullwidth one.
+    NOT_ASCII_DECIMAL = ("1_000", "+2", "\u0661", "\uff11")
+
+    @pytest.mark.parametrize("token", NOT_ASCII_DECIMAL)
+    def test_weight_entry_ascii_decimal_only(self, token):
+        with pytest.raises(FileFormatError) as exc:
+            parse_weights(f"2\n1 1\n{token} 1\n")
+        assert exc.value.line == 3
+        assert exc.value.message == f"expected integer entry, got {token!r}"
+
+    @pytest.mark.parametrize("token", NOT_ASCII_DECIMAL)
+    def test_graph_entry_ascii_decimal_only(self, token):
+        with pytest.raises(FileFormatError) as exc:
+            parse_graph(f"2\n{token} 0\n0 1\n")
+        assert exc.value.line == 2
+        assert exc.value.message == f"expected integer entry, got {token!r}"
+
+    @pytest.mark.parametrize("header", ["\u0662", "+2", "2_0", "\uff12"])
+    def test_header_ascii_decimal_only(self, header):
+        for parse in (parse_graph, parse_weights):
+            with pytest.raises(FileFormatError) as exc:
+                parse(f"{header}\n1 0\n0 1\n")
+            assert exc.value.line == 1
+            assert exc.value.message == f"expected integer dimension, got {header!r}"
+
+    def test_negative_and_zero_padded_tokens(self):
+        with pytest.raises(FileFormatError) as exc:
+            parse_weights("2\n1 1\n-1 1\n")
+        assert exc.value.message == "weights must be nonnegative, got -1"
+        assert parse_weights("2\n007 0\n-0 1\n").grid == ((7, 0), (0, 1))
+        assert parse_graph(" 2 \n1 0\n0 1\n").n == 2

@@ -1,0 +1,50 @@
+"""The coverage checks fail when their witness does not cover.
+
+Each witness is replaced by a map that returns one constant element of
+its error set, so every case with more than one error leaves some of
+it uncovered.  No correct run of the package reaches these failures.
+"""
+
+from wmatch import verify
+
+
+def zero_grid(n):
+    return tuple((0,) * n for _ in range(n))
+
+
+def assert_fails_uncovered(result):
+    assert result.passed is False
+    cases = result.details["cases"]
+    assert cases
+    for case in cases:
+        report = case["surjectivity"]
+        assert case["passed"] is False
+        assert report["surjective"] is False
+        assert report["uncovered"]
+        assert report["covered_count"] == 1
+        assert report["target_size"] == report["covered_count"] + len(report["uncovered"])
+
+
+def test_complete_witness_constant(monkeypatch):
+    monkeypatch.setattr(verify, "zero_witness_complete", lambda n, s, i, rest: zero_grid(n))
+    assert_fails_uncovered(verify.check_zero_witness_complete())
+
+
+def test_graph_witness_constant(monkeypatch):
+    def constant_map(g, s, cert):
+        return lambda i, rest: zero_grid(g.n)
+
+    monkeypatch.setattr(verify, "zero_witness_graph_map", constant_map)
+    assert_fails_uncovered(verify.check_zero_witness_graph())
+
+
+def test_nonisolating_witness_constant(monkeypatch):
+    def constant_map(g, k, dummy):
+        return lambda i, rest: dummy
+
+    monkeypatch.setattr(verify, "nonisolating_witness_map", constant_map)
+    result = verify.check_isolation()
+    assert_fails_uncovered(result)
+    # The predicate sweep still agrees; only the coverage fails.
+    assert all(case["oracle_mismatches"] == 0 for case in result.details["cases"])
+
