@@ -1,8 +1,9 @@
 """Deterministic bipartite matching algorithms.
 
-Augmenting-path search and maximum matching (Berge), Hall violators,
-the Hungarian algorithm with its self-certifying weight cover, and the
-minimum-weight perfect matching solver built on top of it.
+Augmenting-path search (Berge), maximum matching by one alternating
+search per left vertex (Kuhn), Hall violators, the Hungarian algorithm
+with its self-certifying weight cover, and the minimum-weight perfect
+matching solver built on top of it.
 
 Vertex encoding for paths: left vertex i is i, right vertex j is n + j,
 so a path is a plain sequence of ints that alternates sides.
@@ -75,59 +76,35 @@ class AlternatingPath:
 
 
 def _alternating_reach(
-    g: BipartiteGraph, m: Matching, start: int
-) -> tuple[list[list[int]], dict[int, int]]:
-    """Layered BFS over the directed alternation graph from left vertex
-    ``start``: unmatched edges go left-to-right, matched edges go
-    right-to-left.  Returns the layers and a trace of predecessors.
+    g: BipartiteGraph, mate_of_left: dict[int, int], mate_of_right: dict[int, int], start: int
+) -> tuple[list[int], dict[int, int]]:
+    """Breadth-first search over the directed alternation graph from the
+    free left vertex ``start``: unmatched edges go left to right,
+    matched edges right to left.  Returns the reached vertices in order
+    of discovery, ``start`` first, and each later one's predecessor.
 
-    A right vertex appears in some layer iff it is reachable from
-    ``start`` by an alternating path; tracing back through ``trace``
-    recovers one such path.
+    The search stops at the first free right vertex it discovers.  Every
+    other right vertex it reaches is matched and followed later by its
+    mate, so the order ends at a right vertex iff ``start`` has an
+    augmenting path; following ``parent`` back from there to ``start``
+    recovers one.
     """
     n = g.n
-    match_of_left = m.as_dict()
-    match_of_right = {j: i for i, j in m.pairs}
-    layers = [[start]]
-    trace: dict[int, int] = {}
-    seen = {start}
-    while True:
-        frontier: list[int] = []
-        for v in layers[-1]:
-            if v < n:
-                matched_right = match_of_left.get(v)
-                targets = (
-                    n + j
-                    for j in g.neighbors(v)
-                    if j != matched_right
-                )
-            else:
-                i = match_of_right.get(v - n)
-                targets = (i,) if i is not None else ()
-            for t in targets:
-                if t not in seen:
-                    seen.add(t)
-                    trace[t] = v
-                    frontier.append(t)
-        if not frontier:
-            return layers, trace
-        layers.append(frontier)
-
-
-def _trace_path(
-    g: BipartiteGraph, m: Matching, trace: dict[int, int], start: int, end: int
-) -> AlternatingPath:
-    vertices = [end]
-    while vertices[-1] != start:
-        vertices.append(trace[vertices[-1]])
-    vertices.reverse()
-    matched = set(m.pairs)
-    n = g.n
-    flags = []
-    for a, b in zip(vertices, vertices[1:]):
-        left, right = (a, b) if a < n else (b, a)
-        flags.append((left, right - n) in matched)
-    return AlternatingPath(tuple(vertices), tuple(flags))
+    order = [start]
+    parent: dict[int, int] = {}
+    for v in order:  # the loop also visits what it appends
+        if v < n:
+            mate = mate_of_left.get(v)
+            targets = [n + j for j in g.neighbors(v) if j != mate]
+        else:
+            targets = [mate_of_right[v - n]]
+        for t in targets:
+            if t not in parent:
+                parent[t] = v
+                order.append(t)
+                if t >= n and t - n not in mate_of_right:
+                    return order, parent
+    return order, parent
 
 
 def find_augmenting_path(
@@ -136,45 +113,57 @@ def find_augmenting_path(
     """Find an augmenting path for m in g, or None if none exists.
 
     Searches from each unsaturated left vertex in increasing index
-    order; within a search, takes the unsaturated right vertex that is
-    discovered first (earliest layer, then lowest index).  The returned
-    path is re-verified to be augmenting before it is handed out.
+    order; within a search, ends at the unsaturated right vertex that
+    the breadth-first search discovers first (earliest layer, and
+    within a layer the order of discovery).  The returned path is
+    re-verified to be augmenting before it is handed out.
     """
     n = g.n
-    saturated_rights = m.rights()
+    mate_of_left = m.as_dict()
+    mate_of_right = {j: i for i, j in m.pairs}
     for s in range(n):
-        if m.get(s) is not None:
+        if s in mate_of_left:
             continue
-        layers, trace = _alternating_reach(g, m, s)
-        for layer in layers[1:]:
-            for v in layer:
-                if v >= n and (v - n) not in saturated_rights:
-                    path = _trace_path(g, m, trace, s, v)
-                    if not path.is_augmenting(g, m):
-                        raise AssertionError("traced path failed augmenting check")
-                    return path
+        order, parent = _alternating_reach(g, mate_of_left, mate_of_right, s)
+        v = order[-1]
+        if v >= n:
+            vertices = [v]
+            while v != s:
+                v = parent[v]
+                vertices.append(v)
+            vertices.reverse()
+            # The edges alternate unmatched, matched, ..., unmatched.
+            flags = tuple(k % 2 == 1 for k in range(len(vertices) - 1))
+            path = AlternatingPath(tuple(vertices), flags)
+            if not path.is_augmenting(g, m):
+                raise AssertionError("traced path failed augmenting check")
+            return path
     return None
 
 
-def _augment(m: Matching, path: AlternatingPath, n: int) -> Matching:
-    """Symmetric difference of m with the path's edges."""
-    pairs = set(m.pairs)
-    for pair in path.edge_pairs(n):
-        if pair in pairs:
-            pairs.remove(pair)
-        else:
-            pairs.add(pair)
-    return Matching.from_pairs(pairs)
-
-
 def maximum_matching(g: BipartiteGraph) -> Matching:
-    """Maximum-cardinality matching by repeated augmentation."""
-    m = Matching.empty()
-    while True:
-        path = find_augmenting_path(g, m)
-        if path is None:
-            return m
-        m = _augment(m, path, g.n)
+    """Maximum-cardinality matching by Kuhn's single pass: one
+    alternating search from each left vertex in index order, flipping
+    the path to the first free right vertex it discovers.
+
+    A left vertex with no augmenting path never gains one as the
+    matching grows elsewhere (Berge 1957; Kuhn 1955), so one search per
+    left vertex is enough.  The pass augments along exactly the paths
+    that restarting :func:`find_augmenting_path` from scratch after
+    every augmentation finds, and returns the same matching.
+    """
+    n = g.n
+    mate_of_left: dict[int, int] = {}
+    mate_of_right: dict[int, int] = {}
+    for s in range(n):
+        order, parent = _alternating_reach(g, mate_of_left, mate_of_right, s)
+        # Flip the path: each left on it takes the right after it.
+        j = order[-1] - n  # the free right, if the search ended at one
+        while j >= 0:
+            i = parent[n + j]
+            mate_of_right[j] = i
+            mate_of_left[i], j = j, mate_of_left.get(i, -1)
+    return Matching.from_dict(mate_of_left)
 
 
 def neighborhood(g: BipartiteGraph, lefts: Sequence[int]) -> frozenset[int]:
@@ -197,8 +186,9 @@ def hall_violator(g: BipartiteGraph) -> tuple[int, ...]:
             "graph has a perfect matching; no Hall violator exists"
         )
     start = next(i for i in range(g.n) if m.get(i) is None)
-    layers, _ = _alternating_reach(g, m, start)
-    s = tuple(sorted(v for layer in layers for v in layer if v < g.n))
+    # m is maximum, so the search finds no free right and runs to the end.
+    order, _ = _alternating_reach(g, m.as_dict(), {j: i for i, j in m.pairs}, start)
+    s = tuple(sorted(v for v in order if v < g.n))
     if len(neighborhood(g, s)) >= len(s):
         raise AssertionError("constructed violator fails |S| > |N(S)|")
     return s

@@ -122,8 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str, parse):
+    # Decoded without newline translation: the parser alone decides
+    # where a line ends, so a lone "\r" is not a line break here either.
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_bytes().decode("utf-8")
     except OSError as exc:
         raise FileFormatError(0, f"cannot read: {exc.strerror or exc}", source=path) from exc
     except UnicodeDecodeError as exc:

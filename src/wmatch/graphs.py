@@ -89,18 +89,6 @@ class BipartiteGraph:
         rows[i][j] = False
         return BipartiteGraph.from_rows(rows)
 
-    def without_vertices(self, i: int, j: int) -> "BipartiteGraph":
-        """Delete left vertex i and right vertex j, reindexing the rest."""
-        if self.n < 2:
-            raise ValueError("cannot delete vertices from an n=1 graph")
-        return BipartiteGraph(
-            tuple(
-                tuple(row[c] for c in range(self.n) if c != j)
-                for r, row in enumerate(self.edges)
-                if r != i
-            )
-        )
-
 
 @dataclass(frozen=True)
 class Matching:
@@ -289,41 +277,54 @@ class FileFormatError(ValueError):
 
 
 _DECIMAL = re.compile(r"-?[0-9]+")
+# A row of ASCII digits, minus signs, spaces and tabs; on such a row
+# int() accepts exactly the tokens that match _DECIMAL.
+_PLAIN_ROW = re.compile(r"[0-9 \t-]*")
+_BLANKS = " \t"
 
 
 def _decimal(token: str) -> int:
     """An ASCII decimal integer, ``-?[0-9]+``.  ``int()`` alone also
-    takes ``1_000``, ``+2`` and non-ASCII digits (Arabic-Indic,
-    fullwidth, ...); this raises ``ValueError`` for them."""
+    takes ``1_000``, ``+2``, non-ASCII digits (Arabic-Indic,
+    fullwidth, ...) and surrounding Unicode whitespace; this raises
+    ``ValueError`` for them."""
     if not _DECIMAL.fullmatch(token):
         raise ValueError(token)
     return int(token)
 
 
+def _lines(text: str) -> list[str]:
+    r"""Split at "\n" only, as a line-oriented reader does, so that
+    U+2028, "\x0b", "\x1c" and the like stay inside their line; each
+    line loses one trailing "\r", so CRLF files parse too."""
+    lines = text.removesuffix("\n").split("\n") if text else []
+    return [line.removesuffix("\r") for line in lines]
+
+
 def _parse_header(lines: list[str]) -> int:
     if not lines:
         raise FileFormatError(1, "empty file, expected dimension n on line 1")
+    header = lines[0].strip(_BLANKS)
     try:
-        n = _decimal(lines[0].strip())
+        n = _decimal(header)
     except ValueError:
-        raise FileFormatError(1, f"expected integer dimension, got {lines[0].strip()!r}") from None
+        raise FileFormatError(1, f"expected integer dimension, got {header!r}") from None
     if n < 1:
         raise FileFormatError(1, f"dimension must be >= 1, got {n}")
     if len(lines) < n + 1:
         raise FileFormatError(len(lines) + 1, f"expected {n} data rows, file ends after {len(lines) - 1}")
     for extra in range(n + 1, len(lines)):
-        if lines[extra].strip():
+        if lines[extra].strip(_BLANKS):
             raise FileFormatError(extra + 1, "unexpected trailing content")
     return n
 
 
 def _parse_row(line: str, lineno: int, n: int) -> list[int]:
-    fields = line.split()
+    fields = [f for f in line.replace("\t", " ").split(" ") if f]
     if len(fields) != n:
         raise FileFormatError(lineno, f"expected {n} entries, got {len(fields)}")
-    # On ASCII text with no "+" or "_", int() itself accepts exactly
-    # -?[0-9]+, so only other lines pay for the pattern match.
-    parse = int if line.isascii() and "+" not in line and "_" not in line else _decimal
+    # Only a row with some other character pays for the per-token match.
+    parse = int if _PLAIN_ROW.fullmatch(line) else _decimal
     out = []
     for f in fields:
         try:
@@ -335,8 +336,10 @@ def _parse_row(line: str, lineno: int, n: int) -> list[int]:
 
 def parse_graph(text: str) -> BipartiteGraph:
     """Parse the graph text format: line 1 is n, then n rows of n 0/1
-    entries (row i lists the right neighbors of left vertex i)."""
-    lines = text.splitlines()
+    entries (row i lists the right neighbors of left vertex i).  Lines
+    end at LF or CRLF only, and entries are separated by spaces and tabs
+    only."""
+    lines = _lines(text)
     n = _parse_header(lines)
     rows = []
     for i in range(n):
@@ -350,8 +353,9 @@ def parse_graph(text: str) -> BipartiteGraph:
 
 def parse_weights(text: str) -> WeightAssignment:
     """Parse the weight text format: line 1 is n, then n rows of n
-    nonnegative decimal integers (non-edge entries present, ignored)."""
-    lines = text.splitlines()
+    nonnegative decimal integers (non-edge entries present, ignored),
+    with lines and entries separated as in :func:`parse_graph`."""
+    lines = _lines(text)
     n = _parse_header(lines)
     rows = []
     for i in range(n):

@@ -90,14 +90,18 @@ def nonisolating_witness(
     """Map (edge index, weights for the other m-1 edges) to a
     non-isolating assignment.
 
-    Let e_i = (a, b).  Find a minimum perfect matching M' of g minus
-    the edge e_i, and a minimum perfect matching M1 of g minus both
-    endpoints of e_i.  If both exist and w(M') - w(M1) lands in [1, k],
-    splicing that difference in as e_i's weight makes M' and
-    M1 + {e_i} two distinct minimum-weight perfect matchings, so the
-    spliced assignment is non-isolating and is returned.  Otherwise the
-    caller-supplied ``dummy`` (itself required to be non-isolating) is
-    returned.
+    Let e_i = (a, b), weighted 0 for now, M' a minimum perfect matching
+    of g minus the edge e_i, and M1 one of g minus both endpoints of
+    e_i.  If both exist and d = w(M') - w(M1) lands in [1, k], splicing
+    d in as e_i's weight makes M' and M1 + {e_i} two distinct
+    minimum-weight perfect matchings, so the spliced assignment is
+    non-isolating and is returned.  Otherwise the caller-supplied
+    ``dummy`` (itself required to be non-isolating) is returned.
+
+    M1 needs no subgraph of its own: a minimum perfect matching M of g
+    either uses e_i or avoids it, so w(M) = min(w(M1), w(M')).  Hence
+    w(M') - w(M) is d whenever d >= 1, and 0, which no k accepts, when
+    d <= 0 or M1 does not exist.
     """
     return nonisolating_witness_map(g, k, dummy)(i, w_rest)
 
@@ -108,14 +112,16 @@ def nonisolating_witness_map(
     """:func:`nonisolating_witness` with g, k and ``dummy`` fixed, as a
     function of (i, w_rest).
 
-    ``dummy`` is checked to be non-isolating once, here, so a caller
-    that maps a whole domain pays for that solve once rather than per
-    point; the returned map still checks each point's arguments.
+    ``dummy`` is checked to be non-isolating once, here, and g minus
+    each edge is built once, so a caller that maps a whole domain pays
+    for them once rather than per point; the returned map still checks
+    each point's arguments.
     """
     if not is_nonisolating(g, dummy, k):
         raise ValueError("dummy assignment is not non-isolating")
     edges = g.edge_list()
     m = len(edges)
+    without = [g.without_edge(a, b) for a, b in edges]
 
     def witness(i: int, w_rest: Sequence[int]) -> WeightAssignment:
         if not 0 <= i < m:
@@ -132,29 +138,12 @@ def nonisolating_witness_map(
             grid[r][c] = v
         w_partial = WeightAssignment.from_grid(grid)
 
-        m_prime = mwpm(g.without_edge(a, b), w_partial)
+        m_prime = mwpm(without[i], w_partial)
         if m_prime.is_empty:
             return dummy
-
-        if g.n == 1:
-            # Deleting both endpoints leaves the empty graph, whose perfect
-            # matching is the empty matching of weight 0.
-            m1_weight = 0
-        else:
-            sub = g.without_vertices(a, b)
-            sub_w = WeightAssignment.from_grid(
-                [
-                    [grid[r][c] for c in range(g.n) if c != b]
-                    for r in range(g.n)
-                    if r != a
-                ]
-            )
-            m1 = mwpm(sub, sub_w)
-            if m1.is_empty:
-                return dummy
-            m1_weight = matching_weight(m1, sub_w)
-
-        spliced = matching_weight(m_prime, w_partial) - m1_weight
+        # g has a perfect matching (m_prime), so m_g is not empty.
+        m_g = mwpm(g, w_partial)
+        spliced = matching_weight(m_prime, w_partial) - matching_weight(m_g, w_partial)
         if not 1 <= spliced <= k:
             return dummy
         grid[a][b] = spliced

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from wmatch import classical
 from wmatch.classical import (
     PerfectMatchingExistsError,
     WeightCover,
@@ -183,6 +184,79 @@ class TestMaximumMatching:
             )
             m = maximum_matching(g)
             assert all(g.has_edge(i, j) for i, j in m.pairs)
+
+
+def reference_maximum_matching(g):
+    """Repeat until no augmenting path is left: search afresh from the
+    least free left vertex and take the symmetric difference."""
+    m = Matching.empty()
+    while (path := find_augmenting_path(g, m)) is not None:
+        m = Matching.from_pairs(set(m.pairs) ^ set(path.edge_pairs(g.n)))
+    return m
+
+
+def reference_hall_violator(g):
+    """The least free left vertex of the reference matching, plus every
+    left vertex it reaches along alternating paths (closed as a set).
+    The matching is maximum, so each neighbour of a reached left vertex
+    is matched."""
+    m = reference_maximum_matching(g)
+    mate_of_right = {j: i for i, j in m.pairs}
+    reached = {next(i for i in range(g.n) if m.get(i) is None)}
+    grown = True
+    while grown:
+        grown = False
+        for i in list(reached):
+            for j in g.neighbors(i):
+                if mate_of_right[j] not in reached:
+                    reached.add(mate_of_right[j])
+                    grown = True
+    return tuple(sorted(reached))
+
+
+def reference_graphs():
+    """Every graph with n <= 3, then 1,200 seeded graphs with n = 4..9
+    at densities from sparse to nearly complete."""
+    for n in (1, 2, 3):
+        yield from all_graphs(n)
+    rng = random.Random(71)
+    for _ in range(1200):
+        n = rng.randint(4, 9)
+        p = rng.choice((0.15, 0.3, 0.5, 0.7, 0.9))
+        yield BipartiteGraph.from_rows(
+            [[rng.random() < p for _ in range(n)] for _ in range(n)]
+        )
+
+
+class TestSinglePassAgainstRestarts:
+    def test_same_matching_and_violator(self):
+        deficient = 0
+        for g in reference_graphs():
+            m = maximum_matching(g)
+            assert m == reference_maximum_matching(g)
+            if m.size < g.n:
+                deficient += 1
+                assert hall_violator(g) == reference_hall_violator(g)
+        assert deficient >= 300
+
+    def test_one_search_per_left_vertex(self, monkeypatch):
+        calls = []
+        reach = classical._alternating_reach
+
+        def counted(g, *args):
+            calls.append(g.n)
+            return reach(g, *args)
+
+        monkeypatch.setattr(classical, "_alternating_reach", counted)
+        rng = random.Random(73)
+        for n in range(1, 10):
+            for p in (0.0, 0.3, 1.0):
+                g = BipartiteGraph.from_rows(
+                    [[rng.random() < p for _ in range(n)] for _ in range(n)]
+                )
+                calls.clear()
+                maximum_matching(g)
+                assert len(calls) == n
 
 
 class TestHallViolator:

@@ -93,6 +93,21 @@ class TestDecide:
             assert out == ""
             assert err.startswith(f"error: {p}: line {line}: expected integer")
 
+    def test_lines_end_at_newline_only(self, capsys, tmp_path):
+        # U+2028 and a lone "\r" end no line, so each file below holds a
+        # single row; CRLF still ends one.
+        for name, data, code, err in (
+            ("u2028.graph", "2\n1 0 0 1\n".encode(), 2,
+             "line 3: expected 2 data rows, file ends after 1\n"),
+            ("cr.graph", b"2\r1 0\r0 1\r", 2,
+             "line 1: expected integer dimension, got '2\\r1 0\\r0 1'\n"),
+            ("crlf.graph", b"2\r\n1 0\r\n0 1\r\n", 0, ""),
+        ):
+            p = tmp_path / name
+            p.write_bytes(data)
+            got = run(capsys, ["decide", str(p)])
+            assert (got[0], got[2]) == (code, err and f"error: {p}: {err}")
+
     def test_json_schema(self, capsys, files):
         code, payload, _ = run_json(capsys, ["decide", files["k33.graph"]])
         assert code == 0

@@ -52,12 +52,6 @@ class TestBipartiteGraph:
         assert not g.has_edge(0, 1)
         assert g.has_edge(0, 0)
 
-    def test_without_vertices_reindexes(self):
-        g = BipartiteGraph.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
-        sub = g.without_vertices(1, 0)
-        # remaining lefts 0,2 -> rows; remaining rights 1,2 -> cols
-        assert sub.edges == ((True, False), (False, True))
-
 
 class TestMatching:
     def test_injectivity_enforced(self):
@@ -293,6 +287,32 @@ class TestFileFormats:
                 parse(f"{header}\n1 0\n0 1\n")
             assert exc.value.line == 1
             assert exc.value.message == f"expected integer dimension, got {header!r}"
+
+    # Each parsed at one time as another file: str.splitlines() broke
+    # lines at U+2028 and "\x0b" (so later line numbers drifted), and
+    # str.split() broke rows at U+00A0 and "\x1c".
+    @pytest.mark.parametrize(
+        "parse, text, line, message",
+        [
+            (parse_graph, "2\n1 0\u20280 1\n", 3, "expected 2 data rows, file ends after 1"),
+            (parse_weights, "2\n1\xa02\n3 4\n", 2, "expected 2 entries, got 1"),
+            (parse_graph, "2\n1 0\x1c0 1\n0 1\n", 2, "expected 2 entries, got 3"),
+            (parse_graph, "2\n1 0\x0b\n0 1\n", 2, "expected integer entry, got '0\\x0b'"),
+            (parse_graph, "2\x0b\n1 0\n0 1\n", 1, "expected integer dimension, got '2\\x0b'"),
+            (parse_graph, "1\n1\n\u2029\n", 3, "unexpected trailing content"),
+            (parse_graph, "2\r1 0\r0 1\r", 1, "expected integer dimension, got '2\\r1 0\\r0 1'"),
+        ],
+        ids=["u2028", "nbsp", "x1c", "x0b", "x0b-header", "u2029-trailing", "lone-cr"],
+    )
+    def test_only_newline_and_blanks_separate(self, parse, text, line, message):
+        with pytest.raises(FileFormatError) as exc:
+            parse(text)
+        assert (exc.value.line, exc.value.message) == (line, message)
+
+    def test_crlf_and_tabs_accepted(self):
+        assert parse_graph("2\r\n1 0\r\n1 1\r\n") == parse_graph(GRAPH_TEXT)
+        assert parse_weights("2\n3\t0\n\t5 \t 7\t\r\n\n") == parse_weights(WEIGHT_TEXT)
+        assert parse_graph("\t2\r\n1 0\n1 1") == parse_graph(GRAPH_TEXT)
 
     def test_negative_and_zero_padded_tokens(self):
         with pytest.raises(FileFormatError) as exc:

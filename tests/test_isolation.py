@@ -4,7 +4,8 @@ from itertools import product
 
 import pytest
 
-from wmatch.graphs import BipartiteGraph, WeightAssignment
+from wmatch.classical import mwpm
+from wmatch.graphs import BipartiteGraph, WeightAssignment, matching_weight
 from wmatch.isolation import (
     enumerate_nonisolating,
     is_nonisolating,
@@ -19,6 +20,10 @@ DIAG2 = BipartiteGraph.from_rows([[1, 0], [0, 1]])
 # three-vertex graph with exactly two perfect matchings (identity and
 # the 0<->1 swap); edge (2, 2) is in both.
 SWAP3 = BipartiteGraph.from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+SEVEN3 = BipartiteGraph.from_rows([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
+# two perfect matchings, and edge (0, 2) lies in neither: g minus that
+# edge has a perfect matching, g minus both its endpoints has none.
+DEAD_EDGE3 = BipartiteGraph.from_rows([[1, 1, 1], [1, 1, 0], [0, 0, 1]])
 
 
 def assignments(g, k):
@@ -159,6 +164,67 @@ class TestWitness:
             for rest in product(range(1, k + 1), repeat=m - 1)
         }
         assert set(bad) <= hits
+
+
+def subgraph_witness(g, k, dummy, i, w_rest):
+    """The witness as first written: M1 solved on g minus both
+    endpoints of e_i, reindexed, under its own weight grid."""
+    edges = g.edge_list()
+    a, b = edges[i]
+    grid = [[0] * g.n for _ in range(g.n)]
+    for (r, c), v in zip(edges, list(w_rest[:i]) + [0] + list(w_rest[i:])):
+        grid[r][c] = v
+    w_partial = WeightAssignment.from_grid(grid)
+    m_prime = mwpm(g.without_edge(a, b), w_partial)
+    if m_prime.is_empty:
+        return dummy
+    if g.n == 1:
+        m1_weight = 0
+    else:
+        rows = [r for r in range(g.n) if r != a]
+        cols = [c for c in range(g.n) if c != b]
+        sub = BipartiteGraph.from_rows([[g.edges[r][c] for c in cols] for r in rows])
+        sub_w = WeightAssignment.from_grid([[grid[r][c] for c in cols] for r in rows])
+        m1 = mwpm(sub, sub_w)
+        if m1.is_empty:
+            return dummy
+        m1_weight = matching_weight(m1, sub_w)
+    spliced = matching_weight(m_prime, w_partial) - m1_weight
+    if not 1 <= spliced <= k:
+        return dummy
+    grid[a][b] = spliced
+    return WeightAssignment.from_grid(grid)
+
+
+class TestWitnessAgainstSubgraph:
+    @pytest.mark.parametrize(
+        "g, k",
+        [(K22, 2), (K22, 3), (K22, 4), (SEVEN3, 2), (SWAP3, 3), (DEAD_EDGE3, 2)],
+        ids=["k22-2", "k22-3", "k22-4", "seven3-2", "swap3-3", "dead-edge3-2"],
+    )
+    def test_pointwise_over_the_whole_domain(self, g, k):
+        dummy = next(enumerate_nonisolating(g, k))
+        witness = nonisolating_witness_map(g, k, dummy)
+        m = g.num_edges
+        spliced = 0
+        for i in range(m):
+            for rest in product(range(1, k + 1), repeat=m - 1):
+                out = witness(i, rest)
+                assert out == subgraph_witness(g, k, dummy, i, rest)
+                spliced += out != dummy
+        assert spliced > 0
+
+    def test_single_vertex_pair(self):
+        # K_1,1 has one perfect matching, so no dummy is non-isolating
+        # and the map is never built; the old n = 1 branch was never
+        # reached either, as g minus its one edge has no perfect matching.
+        g = BipartiteGraph.complete(1)
+        for k in (1, 2, 3):
+            for v in range(1, k + 1):
+                w = WeightAssignment.from_grid([[v]])
+                with pytest.raises(ValueError):
+                    nonisolating_witness_map(g, k, w)
+                assert subgraph_witness(g, k, w, 0, ()) == w
 
 
 class TestFraction:
