@@ -84,6 +84,18 @@ class BipartiteGraph:
             object.__setattr__(self, "_neighbors", adjacency)
         return adjacency[i]
 
+    def has_perfect_matching(self) -> bool:
+        """Whether the graph has a perfect matching, decided exactly by
+        :func:`~wmatch.classical.maximum_matching` on first use and kept,
+        like :meth:`neighbors`."""
+        known = self.__dict__.get("_has_perfect_matching")
+        if known is None:
+            from .classical import maximum_matching  # classical imports this module
+
+            known = maximum_matching(self).size == self.n
+            object.__setattr__(self, "_has_perfect_matching", known)
+        return known
+
     def without_edge(self, i: int, j: int) -> "BipartiteGraph":
         rows = [list(row) for row in self.edges]
         rows[i][j] = False

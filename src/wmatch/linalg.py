@@ -48,41 +48,13 @@ and :func:`cofactors` return exactly what column order returns.
 Every entry is still a minor of the working matrix, so the exactness
 argument is unchanged.
 
-Measured against Berkowitz (mean time per matrix, same machine and
-interpreter), Bareiss wins on small-entry matrices and on power
-matrices up to n ~ 24; past that its exact divisions of numbers of
-thousands of bits cost more than Berkowitz's extra multiplications on
-a nonsingular matrix, while a singular one with a small Hall violator
-stops after a few pivots:
+The presort costs a few microseconds of interpreter work per call,
+which the smallest calls feel; from n = 12 on it is lost in the
+elimination, and a singular matrix whose sparsest lines form a small
+Hall violator costs 5 to 200 times less than in column order.
 
-==============================================  =========  =========
-input                                           Bareiss    Berkowitz
-==============================================  =========  =========
-entries in [-9, 9], n = 3..6 (``verify det``)   0.027 ms   0.074 ms
-Lovasz sample, n = 20, entries in [1, 2n]       1.0 ms     8.3 ms
-power matrix, n = 12 (``find``)                 1.04 ms    2.22 ms
-power matrix, n = 16                            6.8 ms     10.8 ms
-power matrix, n = 20                            42 ms      47 ms
-power matrix, n = 24                            205 ms     203 ms
-power matrix, n = 24, two rows in column 0      0.29 ms    143 ms
-power matrix, n = 24, left violator             0.58 ms    148 ms
-power matrix, n = 24, right violator            0.57 ms    151 ms
-power matrix, n = 32                            3.33 s     2.29 s
-power matrix, n = 32, two rows in column 0      0.52 ms    1.58 s
-power matrix, n = 32, left violator             1.5 ms     1.55 s
-power matrix, n = 32, right violator            1.8 ms     1.54 s
-==============================================  =========  =========
-
-(Power matrices: density 1/2 plus a planted diagonal, entries 2^w with
-w uniform in [1, 2m].  The singular ones drop the diagonal: "two rows
-in column 0" has two rows that see only column 0; a left violator has
-3 rows whose entries lie in 2 columns, as in the ``search`` benchmark,
-and a right violator 3 columns whose entries lie in 2 rows.)  No
-benchmark workload reaches the slower side, and there a successful
-MVV trial's adjugate costs far more than the zero check.
-
-Every loop that needs the determinants of many minors (edge membership
-in the MVV finder, nonzero-diagonal extraction) reads them off one
+Every loop that needs the determinants of many minors (nonzero-diagonal
+extraction, the membership oracles of ``verify``) reads them off one
 adjugate instead:
 
 * :func:`cofactors` returns ``(det, adj)``, with
@@ -104,41 +76,21 @@ adjugate instead:
   Desnanot-Jacobi (Sylvester) identity, so deleting one row and column
   after another costs O(n^3) in all.
 
-Per call, column order against sparsest first (CPU time, best of at
-least 10 interleaved rounds over a fixed set of matrices, same machine
-and interpreter; power matrices and violators as above):
-
-==================================  =================  =================
-input                               ``det_bareiss``    ``cofactors``
-                                    column / sparsest  column / sparsest
-==================================  =================  =================
-power matrix, n = 2                 3.8 / 8.2 us       11.3 / 17.5 us
-power matrix, n = 3                 5.8 / 11.1 us      14.6 / 21.4 us
-power matrix, n = 4                 8.6 / 13.8 us      27.4 / 33.9 us
-power matrix, n = 5                 15.7 / 20.7 us     51.5 / 62.1 us
-power matrix, n = 6                 28.3 / 36.4 us     102 / 115 us
-power matrix, n = 12                0.95 / 0.88 ms     3.48 / 3.27 ms
-Lovasz sample, n = 20               0.85 / 0.86 ms     2.35 / 2.29 ms
-power matrix, n = 3, left viol.     3.9 / 5.9 us       4.1 / 5.7 us
-power matrix, n = 6, left viol.     26.2 / 22.1 us     26.9 / 22.3 us
-power matrix, n = 12, left viol.    484 / 97 us        560 / 113 us
-power matrix, n = 12, right viol.   568 / 87 us        554 / 87 us
-Lovasz sample, n = 20, left viol.   844 / 143 us       849 / 143 us
-Lovasz sample, n = 20, right viol.  636 / 138 us       664 / 119 us
-power matrix, n = 24, left viol.    124 / 0.73 ms      132 / 0.58 ms
-power matrix, n = 24, right viol.   91 / 0.41 ms       101 / 0.59 ms
-==================================  =================  =================
-
-The presort costs about 4 us of interpreter work per call, which
-doubles the smallest calls; from n = 12 on it is lost in the
-elimination, and a singular matrix with a small violator costs 5 to
-200 times less.
+The MVV finder reads only 2-adic valuations off the power matrix 2^w,
+whose determinant has about 30,000 bits at n = 32.
+:func:`power_det_valuation` reads them exactly without building 2^w:
+it scales the exponents, factors over Z/2^K with pivots of least
+valuation, and needs K just above the scaled valuation, so a trial
+at n = 32 costs tens of milliseconds where :func:`cofactors` takes
+seconds.  :func:`cofactors` and :func:`det_bareiss` stay its exact
+oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from functools import reduce
+from operator import mul, or_
 from typing import Iterable, Optional, Sequence
 
 COFACTOR_MAX_N = 12
@@ -479,6 +431,200 @@ def minor_cofactors(
             [sign * ((pivot * row[s] - f * row_j[s]) // det) for s in range(n) if s != i]
         )
     return sign * pivot, out
+
+
+def _ldu_mod(a: Sequence[Sequence[int]], k_bits: int):
+    """LDU factorization of the integer matrix a over Z/2^K, K =
+    ``k_bits``, with full pivoting on the least 2-adic valuation.
+
+    The working array starts as a mod 2^K and is factored in place.  At
+    step k the pivot is the first odd entry of row k's trailing part, as
+    0 is the least valuation, or else the first entry of least valuation
+    in the trailing block (row-major).  It is moved to (k, k) by
+    swapping two whole rows and two whole columns, so L's finished
+    columns travel with the rows and U's finished rows with the
+    columns.  With the pivot d = 2^v u (u odd), the entries x below it
+    become the multipliers ``(x >> v) * u^-1``, the trailing block takes
+    its Schur complement, and the pivot row's tail is divided by d the
+    same way.
+
+    Returns None when the trailing block of some step is 0 mod 2^K, else
+    ``(rows, cols, lu, pivots)``: with ``B[k][l] = a[rows[k]][cols[l]]``,
+    ``B = L diag(pivots) U`` mod 2^K, L and U unit triangular with their
+    strict parts in ``lu``; L's column k and U's row k are known mod
+    2^(K - v_k), v_k the valuation of pivot k.
+    """
+    n = len(a)
+    mask = (1 << k_bits) - 1
+    lu = [[x & mask for x in row] for row in a]
+    rows = list(range(n))
+    cols = list(range(n))
+    pivots = []
+    for k in range(n):
+        # An odd entry of row k has the least valuation, 0.
+        r = k
+        c = next((t for t, x in enumerate(lu[k][k:], k) if x & 1), None)
+        if c is None:
+            ors = [reduce(or_, row[k:]) for row in lu[k:]]
+            low = reduce(or_, ors)
+            if not low:
+                return None
+            low &= -low
+            r = k + next(t for t, x in enumerate(ors) if x & low)
+            c = k + next(t for t, x in enumerate(lu[r][k:]) if x & low)
+        else:
+            low = 1
+        if r != k:
+            lu[k], lu[r] = lu[r], lu[k]
+            rows[k], rows[r] = rows[r], rows[k]
+        if c != k:
+            for row in lu:
+                row[k], row[c] = row[c], row[k]
+            cols[k], cols[c] = cols[c], cols[k]
+        pr = lu[k]
+        d = pr[k]
+        pivots.append(d)
+        if k == n - 1:
+            break
+        v = low.bit_length() - 1
+        inv = pow(d >> v, -1, mask + 1)
+        tail = pr[k + 1:]
+        for row in lu[k + 1:]:
+            f = ((row[k] >> v) * inv) & mask
+            row[k] = f
+            if f:
+                row[k + 1:] = [(x - f * y) & mask for x, y in zip(row[k + 1:], tail)]
+        pr[k + 1:] = [((y >> v) * inv) & mask for y in tail]
+    return rows, cols, lu, pivots
+
+
+def power_det_valuation(
+    w: Sequence[Sequence[Optional[int]]],
+) -> Optional[tuple[int, list[tuple[int, int]]]]:
+    """2-adic data of the power matrix ``A = 2^w``, exactly, without
+    building A: the valuation p of det(A), and the entries whose
+    cofactor has valuation exactly p minus their exponent.
+
+    ``w[i][j]`` is an integer exponent, or None where A is 0.  Returns
+    None when det(A) = 0, else ``(p, tight)``: ``tight`` lists, in
+    row-major order, the (i, j) with ``trailing_zeros(adj(A)[j][i]) ==
+    p - w[i][j]``.  These are the only facts about A that the MVV finder
+    reads (Mulmuley, Vazirani and Vazirani 1987), and they agree exactly
+    with :func:`cofactors` on A: this is not a Monte Carlo shortcut.
+
+    *Scale* (Kuhn 1955: the Hungarian method's reduction, on exponents).
+    r_i is the least exponent in row i and c_j the least in column j
+    after the rows are reduced, so ``w' = w - r_i - c_j >= 0`` and every
+    line of ``A' = 2^w'`` holds a 1.  With ``s = sum(r) + sum(c)``,
+    ``det(A) = 2^s det(A')`` and ``adj(A)[j][i] = 2^(s - r_i - c_j)
+    adj(A')[j][i]``, so ``p = p' + s`` and the rule keeps its form on
+    A': ``v(adj(A')[j][i]) == p' - w'[i][j]``.  Scaling removes the part
+    of every valuation that no cancellation can touch; the numbers below
+    carry O(p') bits instead of the thousands that 2^w has at n = 32.
+
+    *Factor over Z/2^K* (:func:`_ldu_mod`).  A pivot of least valuation
+    v divides its whole row and column 2-adically, so every multiplier
+    and Schur complement entry is a 2-adic integer, and elimination mod
+    2^K is the exact elimination read mod 2^K (the p-adic precision
+    argument of Dixon, "Exact solution of linear equations using p-adic
+    expansions", 1982).  Once every pivot d_k is nonzero mod 2^K its
+    valuation v_k is exact, ``det(A') = ±prod(d_k)`` and
+    ``p' = sum(v_k)``.  Then ``adj(A') = ±Q X P`` with
+    ``X = U^-1 diag(prod_(t != k) d_t) L^-1``, P and Q the row and
+    column swaps.  L's column t and U's row t are known mod
+    2^(K - v_t), so X is at least known mod 2^(K - max v_k), and
+    K = 2p' + 2 would do.  Term by term X is exact mod 2^K: term k of
+    X[l][m] is ``U^-1[l][k] * prod_(t != k) d_t * L^-1[k][m]``, whose
+    middle factor has valuation p' - v_k, and whose outer factors are
+    sums of products of U's rows l..k-1 and L's columns m..k-1 only,
+    known mod 2^(K - max_(t != k) v_t) with
+    ``max_(t != k) v_t <= p' - v_k``.  The rule reads valuations up to
+    p', so K = p' + 1 suffices, and X is formed mod 2^(p' + 1).
+
+    *Precision schedule.*  K starts at 64 and doubles while a pivot
+    vanishes mod 2^K; if then ``K <= p'``, the factorization is rerun
+    at K = p' + 1, where no pivot vanishes as every ``v_k <= p'``.
+
+    *Proof of zero* (Hadamard's bound).  If det(A') != 0, then
+    ``2^p' <= |det(A')| <= prod_i ||row_i|| < 2^h`` with
+    ``h = sum_i ceil(bitlen(sum_j 4^w'[i][j]) / 2)``, so every
+    ``v_k <= p' < h`` and no pivot vanishes mod 2^K once K >= h.  A
+    pivot that vanishes at K >= h therefore proves det(A) = 0.  A caller
+    that first rules out a structurally singular A (no perfect matching
+    in its pattern) meets this only through exact cancellation.
+
+    O(n^3) operations on numbers of O(p') bits.
+    """
+    r = []
+    for row in w:
+        present = [e for e in row if e is not None]
+        if not present:
+            return None
+        r.append(min(present))
+    c = []
+    for col in zip(*w):
+        present = [e - ri for e, ri in zip(col, r) if e is not None]
+        if not present:
+            return None
+        c.append(min(present))
+    a = [
+        [0 if e is None else 1 << (e - ri - cj) for e, cj in zip(row, c)]
+        for row, ri in zip(w, r)
+    ]
+    hadamard = sum((sum(map(mul, row, row)).bit_length() + 1) // 2 for row in a)
+    k_bits = 64
+    while (fac := _ldu_mod(a, k_bits)) is None:
+        if k_bits >= hadamard:
+            return None
+        k_bits *= 2
+    p = sum(map(trailing_zeros, fac[3]))  # p', the valuation of det(A')
+    if k_bits <= p:
+        fac = _ldu_mod(a, p + 1)
+    rows, cols, lu, pivots = fac
+    n = len(a)
+    mask = (2 << p) - 1
+    # after[k] = d_k ... d_(n-1), so prod_(l != k) d_l = before * after[k + 1].
+    after = [1]
+    for d in reversed(pivots):
+        after.append((after[-1] * d) & mask)
+    after.reverse()
+    # Row k of L^-1, up to and including its diagonal, is e_k minus the
+    # sum of L[k][t] times row t over t < k; scales[k] is the product of
+    # the pivots but d_k.
+    inv_l = []
+    scales = []
+    before = 1
+    for k, (lk, d) in enumerate(zip(lu, pivots)):
+        row = [0] * k + [1]
+        for t in range(k):
+            f = lk[t]
+            if f:
+                row[: t + 1] = [(x - f * z) & mask for x, z in zip(row, inv_l[t])]
+        inv_l.append(row)
+        scales.append(before * after[k + 1])
+        before = (before * d) & mask
+    # X = U^-1 diag(scales) L^-1 by back-substitution; xcols[c] holds
+    # column c of X from the bottom up, so X[l][c] = xcols[c][n - 1 - l].
+    xcols = [[] for _ in range(n)]
+    for k in range(n - 1, -1, -1):
+        ur = lu[k][:k:-1]  # U[k][n-1], ..., U[k][k+1]
+        s = scales[k]
+        for z, col in zip(inv_l[k], xcols):
+            col.append((s * z - sum(map(mul, ur, col))) & mask)
+        for col in xcols[k + 1:]:
+            col.append(-sum(map(mul, ur, col)) & mask)
+    # X[l][k] = ±adj(A')[cols[l]][rows[k]], and its valuation is
+    # p' - w'[i][j] iff X[l][k] * 2^w'[i][j] has valuation exactly p'.
+    # xcols[k] runs over the l from the bottom up, so it pairs with
+    # cols reversed.
+    top = 1 << p
+    rcols = cols[::-1]
+    tight = []
+    for i, col in zip(rows, xcols):
+        ai = a[i]
+        tight += [(i, j) for j, x in zip(rcols, col) if (x * ai[j]) & mask == top]
+    tight.sort()
+    return p + sum(r) + sum(c), tight
 
 
 def det_cofactor(m: IntMatrix) -> int:

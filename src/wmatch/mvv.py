@@ -36,6 +36,7 @@ from .linalg import (  # noqa: F401  (perfbench/tests wraps det_berkowitz here)
     cofactors,
     det_bareiss,
     det_berkowitz,
+    power_det_valuation,
     trailing_zeros,
 )
 
@@ -191,20 +192,23 @@ class MvvTrial:
 
 
 def mvv_trial(g: BipartiteGraph, seed: int) -> MvvTrial:
-    """One attempt: draw uniform weights in [1, 2m], build the power
-    matrix, and collect the edges passing the membership test.
+    """One attempt: draw uniform weights in [1, 2m] and collect the
+    edges passing the membership test.
 
-    One :func:`~wmatch.linalg.cofactors` call per trial: its
-    fraction-free forward pass decides whether the power matrix is
-    singular, taking its lines sparsest first and stopping at the first
-    without a pivot, so a singular trial costs at most one determinant,
-    and a few pivots when a small Hall violator leads the order; only a
-    nonsingular one goes on to the adjugate phase, off which every
-    edge's membership is read (:func:`unique_min_pm_edges`).  The
+    A graph with no perfect matching is singular at every weight, so
+    :meth:`~wmatch.graphs.BipartiteGraph.has_perfect_matching`, decided
+    once per graph and kept on it, answers ``zero-determinant`` for it
+    at once.  Otherwise one :func:`~wmatch.linalg.power_det_valuation`
+    call reads, without building the power matrix 2^w, the
+    determinant's trailing zero count p and every edge (i, j) whose
+    minor has exactly p - w(i, j) of them: the same facts, exactly,
+    that the adjugate from :func:`~wmatch.linalg.cofactors` gives
+    (:func:`unique_min_pm_edges`), on numbers of O(p) bits after the
+    exponents are scaled.  A zero determinant there is weight
+    cancellation, proved by the kernel's Hadamard bound.  The
     collected set is only trusted after verification: it must be a
-    perfect matching of g whose weight equals the determinant's
-    trailing zero count.  Anything else is reported as failure, with
-    its ``reason``.
+    perfect matching of g whose weight equals p.  Anything else is
+    reported as failure, with its ``reason``.
     """
     n = g.n
     m = g.num_edges
@@ -212,11 +216,12 @@ def mvv_trial(g: BipartiteGraph, seed: int) -> MvvTrial:
         empty_w = WeightAssignment.from_grid([[0] * n for _ in range(n)])
         return MvvTrial(seed, empty_w, None, None, ZERO_DETERMINANT)
     w = random_weights(g, 2 * m, seed)
-    det, adj = cofactors(build_power_matrix(g, w))
-    if det == 0:
+    found = g.has_perfect_matching() and power_det_valuation(
+        [[x if e else None for e, x in zip(er, wr)] for er, wr in zip(g.edges, w.grid)]
+    )
+    if not found:
         return MvvTrial(seed, w, None, None, ZERO_DETERMINANT)
-    p = trailing_zeros(det)
-    pairs = unique_min_pm_edges(g, w, adj, p)
+    p, pairs = found
     if len(pairs) != n:
         return MvvTrial(seed, w, p, None, WRONG_SIZE)
     if len({i for i, _ in pairs}) != n or len({j for _, j in pairs}) != n:

@@ -13,6 +13,7 @@ from wmatch.linalg import (
     det_lagrange,
     minor,
     minor_cofactors,
+    power_det_valuation,
     trailing_zeros,
 )
 
@@ -774,6 +775,215 @@ class TestMinorCofactors:
             minor_cofactors(1, [[1]], 0, 0)
         with pytest.raises(IndexError):
             minor_cofactors(det, adj, 2, 0)
+
+
+def exact_valuation(w):
+    """What power_det_valuation must return, from cofactors of 2^w."""
+    n = len(w)
+    det, adj = cofactors(
+        IntMatrix.from_rows([[0 if e is None else 1 << e for e in row] for row in w])
+    )
+    if det == 0:
+        return None
+    p = trailing_zeros(det)
+    return p, [
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if w[i][j] is not None and trailing_zeros(adj[j][i]) == p - w[i][j]
+    ]
+
+
+def random_exponents(rng, n, density, lo, hi):
+    return [[rng.randint(lo, hi) if rng.random() < density else None for _ in range(n)]
+            for _ in range(n)]
+
+
+def find_exponents(rng, n):
+    """The exponents `find` gives the kernel: a density-1/2 graph with a
+    planted diagonal, w uniform in [1, 2m]."""
+    edges = [[i == j or rng.random() < 0.5 for j in range(n)] for i in range(n)]
+    m = sum(map(sum, edges))
+    return [[rng.randint(1, 2 * m) if e else None for e in row] for row in edges]
+
+
+def cancellation_gadget(a, b):
+    """3 x 3 exponents whose two weight-0 permutations cancel, leaving
+    det = 2^(a + b) from the one cycle through the exponents a and b;
+    every line holds a 0, so scaling leaves p' = a + b."""
+    return [[0, 0, None], [0, 0, a], [b, None, 0]]
+
+
+def block_diagonal(blocks, rng, fill):
+    """Blocks on the diagonal; a fraction ``fill`` of the entries above
+    them gets a random exponent in [0, 300], which keeps det's
+    valuation the blocks' sum but mixes every adjugate entry."""
+    n = sum(map(len, blocks))
+    w = [[None] * n for _ in range(n)]
+    at = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            w[at + i][at:at + len(row)] = row
+            for j in range(at + len(row), n):
+                if rng.random() < fill:
+                    w[at + i][j] = rng.randint(0, 300)
+        at += len(block)
+    return w
+
+
+@pytest.fixture
+def ldu_calls(monkeypatch):
+    """The precisions K of the kernel's factorizations, in order."""
+    calls = []
+    ldu = linalg._ldu_mod
+
+    def counting(a, k_bits):
+        calls.append(k_bits)
+        return ldu(a, k_bits)
+
+    monkeypatch.setattr(linalg, "_ldu_mod", counting)
+    return calls
+
+
+class TestPowerDetValuation:
+    """The valuation kernel against the exact adjugate of 2^w."""
+
+    def test_random_exponents_n1_to_9(self):
+        rng = random.Random(101)
+        zero = nonzero = 0
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            w = random_exponents(rng, n, rng.choice([0.3, 0.6, 1.0]), rng.choice([0, 1]),
+                                 rng.choice([5, 2 * n * n, 200]))
+            expected = exact_valuation(w)
+            assert power_det_valuation(w) == expected
+            zero += expected is None
+            nonzero += expected is not None
+        assert zero > 20 and nonzero > 150
+
+    def test_tie_heavy_exponents(self):
+        # w in [1, 3]: many minimum permutations, so cancellation and
+        # ties are the rule.
+        rng = random.Random(103)
+        tight_sizes = set()
+        for _ in range(300):
+            n = rng.randint(2, 8)
+            w = random_exponents(rng, n, rng.choice([0.7, 1.0]), 1, 3)
+            expected = exact_valuation(w)
+            assert power_det_valuation(w) == expected
+            if expected:
+                tight_sizes.add(len(expected[1]) - n)
+        assert {-1, 0, 1} <= tight_sizes
+
+    @pytest.mark.parametrize("n", [12, 16, 20, 24])
+    def test_find_size(self, n):
+        # Exact cofactors take about a second at n = 24.
+        rng = random.Random(f"find-size:{n}")
+        for _ in range(4 if n == 12 else 1):
+            w = find_exponents(rng, n)
+            expected = exact_valuation(w)
+            assert expected is not None
+            assert power_det_valuation(w) == expected
+
+    def test_precision_schedule(self, ldu_calls):
+        # det(A') = 2^100 with one pivot of valuation 100: it vanishes mod
+        # 2^64, and K = 128 > p' reads everything.
+        w = cancellation_gadget(50, 50)
+        assert power_det_valuation(w) == exact_valuation(w)
+        assert power_det_valuation(w)[0] == 100
+        assert ldu_calls[:2] == [64, 128]
+        # Two pivots of valuation 50: none vanishes mod 2^64, but
+        # 64 <= p' = 100, so the factorization is rerun at K = 101.
+        ldu_calls.clear()
+        w = block_diagonal([cancellation_gadget(25, 25), cancellation_gadget(20, 30)],
+                           random.Random(0), 0.0)
+        assert power_det_valuation(w) == exact_valuation(w)
+        assert power_det_valuation(w)[0] == 100
+        assert ldu_calls[:2] == [64, 101]
+        # p' = 64 = K, still one bit short: rerun at K = 65.
+        ldu_calls.clear()
+        w = block_diagonal([cancellation_gadget(16, 16), cancellation_gadget(30, 2)],
+                           random.Random(0), 0.0)
+        assert power_det_valuation(w) == exact_valuation(w)
+        assert ldu_calls == [64, 65]
+        # p' = 63 < 64: one pass.
+        ldu_calls.clear()
+        w = block_diagonal([cancellation_gadget(30, 1), cancellation_gadget(2, 30)],
+                           random.Random(0), 0.0)
+        assert power_det_valuation(w) == exact_valuation(w)
+        assert ldu_calls == [64]
+
+    def test_high_valuation_blocks(self):
+        rng = random.Random(107)
+        for _ in range(12):
+            blocks = [cancellation_gadget(rng.randint(20, 70), rng.randint(20, 70))
+                      for _ in range(rng.randint(1, 3))]
+            blocks.insert(rng.randint(0, len(blocks)),
+                          random_exponents(rng, rng.randint(1, 3), 1.0, 0, 40))
+            w = block_diagonal(blocks, rng, 0.5)
+            expected = exact_valuation(w)
+            assert expected is not None and expected[0] >= 40
+            assert power_det_valuation(w) == expected
+
+    def test_structurally_singular(self):
+        rng = random.Random(109)
+        for n in range(2, 10):
+            w = find_exponents(rng, n)
+            empty_row = [row[:] for row in w]
+            empty_row[rng.randrange(n)] = [None] * n
+            empty_col = [row[:] for row in w]
+            j = rng.randrange(n)
+            for row in empty_col:
+                row[j] = None
+            cases = [empty_row, empty_col]
+            if n >= 3:
+                # A Hall violator: 3 rows whose entries lie in 2 columns.
+                hall = [row[:] for row in w]
+                hits = rng.sample(range(n), 2)
+                for i in rng.sample(range(n), 3):
+                    hall[i] = [e if c in hits else None for c, e in enumerate(hall[i])]
+                    hall[i][hits[0]] = hall[i][hits[0]] or 1
+                cases.append(hall)
+            for case in cases:
+                assert exact_valuation(case) is None
+                assert power_det_valuation(case) is None
+
+    def test_cancellation_proved_by_hadamard_bound(self, ldu_calls):
+        # The pattern has a perfect matching, and its six permutations
+        # cancel in pairs: the two of weight 0, and the 3-cycle and the
+        # transposition of weight 200.  Scaling changes nothing, the
+        # Hadamard bound is 2^203, and the zero is proved at K = 256.
+        w = [[0, 0, None], [0, 0, 100], [100, 100, 0]]
+        assert exact_valuation(w) is None
+        assert power_det_valuation(w) is None
+        assert ldu_calls == [64, 128, 256]
+        # K_2,2 with w00 + w11 = w01 + w10 scales to all zeros, so its
+        # bound is 2^2 and the first pass proves it.
+        ldu_calls.clear()
+        for a, b, c in [(1, 2, 3), (5, 5, 5), (0, 100, 100)]:
+            assert power_det_valuation([[a, b], [c, b + c - a]]) is None
+        assert ldu_calls == [64, 64, 64]
+
+    def test_one_by_one_and_shift(self):
+        assert power_det_valuation([[7]]) == (7, [(0, 0)])
+        assert power_det_valuation([[None]]) is None
+        # Adding a constant to a row adds it to p and keeps the set.
+        rng = random.Random(113)
+        for _ in range(40):
+            n = rng.randint(2, 6)
+            w = random_exponents(rng, n, 0.8, 0, 30)
+            base = power_det_valuation(w)
+            i, s = rng.randrange(n), rng.randint(1, 500)
+            shifted = [[e if e is None or r != i else e + s for e in row]
+                       for r, row in enumerate(w)]
+            got = power_det_valuation(shifted)
+            assert got == (base and (base[0] + s, base[1]))
+
+    def test_input_unmodified(self):
+        w = [[3, None, 5], [1, 2, None], [None, 4, 6]]
+        copy = [row[:] for row in w]
+        power_det_valuation(w)
+        assert w == copy
 
 
 class TestTrailingZeros:

@@ -3,6 +3,8 @@ from itertools import product
 
 import pytest
 
+from wmatch import classical, mvv
+from wmatch.classical import hall_violator, mwpm
 from wmatch.edmonds import ZeroDeterminantError
 from wmatch.graphs import (
     BipartiteGraph,
@@ -14,7 +16,7 @@ from wmatch.graphs import (
 )
 from wmatch.isolation import is_nonisolating
 from wmatch import linalg
-from wmatch.linalg import det_berkowitz, trailing_zeros
+from wmatch.linalg import cofactors, det_berkowitz, trailing_zeros
 from wmatch.mvv import (
     MvvTrial,
     build_power_matrix,
@@ -23,6 +25,7 @@ from wmatch.mvv import (
     min_weight_via_trailing_zeros,
     mvv_find_pm,
     mvv_trial,
+    unique_min_pm_edges,
 )
 from wmatch.oracle import brute_min_weight_pms
 
@@ -35,6 +38,57 @@ NON_INJECTIVE = (
     ),
     91,
 )
+
+
+# The membership rule collects a perfect matching of the wrong weight
+# here: four minimum matchings of weight 7 cancel, the trailing zero
+# count is 8, and the collected matching weighs 9.
+WEIGHT_MISMATCH = (
+    BipartiteGraph.from_rows([[1, 1, 1, 1], [0, 1, 1, 1], [1, 0, 1, 0], [1, 1, 1, 1]]),
+    WeightAssignment.from_grid([[2, 1, 2, 3], [2, 3, 3, 2], [2, 1, 1, 1], [3, 3, 2, 1]]),
+)
+
+
+def exact_trial(g, seed):
+    """Reference for mvv_trial: the exact adjugate of the power matrix
+    2^w from one cofactors call, and the same verification steps and
+    failure reasons.  It draws its weights through mvv.random_weights,
+    as mvv_trial does, so a test can fix them for both."""
+    n, m = g.n, g.num_edges
+    if m == 0:
+        w = WeightAssignment.from_grid([[0] * n for _ in range(n)])
+        return MvvTrial(seed, w, None, None, "zero-determinant")
+    w = mvv.random_weights(g, 2 * m, seed)
+    det, adj = cofactors(build_power_matrix(g, w))
+    if det == 0:
+        return MvvTrial(seed, w, None, None, "zero-determinant")
+    p = trailing_zeros(det)
+    pairs = unique_min_pm_edges(g, w, adj, p)
+    if len(pairs) != n:
+        return MvvTrial(seed, w, p, None, "wrong-size")
+    if len({i for i, _ in pairs}) != n or len({j for _, j in pairs}) != n:
+        return MvvTrial(seed, w, p, None, "not-injective")
+    candidate = Matching.from_pairs(pairs)
+    if not is_perfect_matching(g, candidate):
+        return MvvTrial(seed, w, p, None, "not-perfect-matching")
+    if matching_weight(candidate, w) != p:
+        return MvvTrial(seed, w, p, None, "weight-mismatch")
+    return MvvTrial(seed, w, p, candidate)
+
+
+def planted_graph(rng, n, violator=False):
+    """Density-1/2 graph on a random planted perfect matching or, with
+    ``violator``, with 3 left vertices confined to 2 right ones."""
+    rows = [[rng.random() < 0.5 for _ in range(n)] for _ in range(n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    for i, j in enumerate(perm):
+        rows[i][j] = True
+    if violator:
+        cols = rng.sample(range(n), 2)
+        for i in rng.sample(range(n), 3):
+            rows[i] = [j in cols for j in range(n)]
+    return BipartiteGraph.from_rows(rows)
 
 
 def random_graph(rng, n):
@@ -325,8 +379,7 @@ class TestFinder:
         # mvv_trial shares with edge_in_unique_min_pm: four minimum
         # matchings of weight 7 cancel, the trailing zero count is 8,
         # and the collected set is a perfect matching of weight 9.
-        g = BipartiteGraph.from_rows([[1, 1, 1, 1], [0, 1, 1, 1], [1, 0, 1, 0], [1, 1, 1, 1]])
-        w = WeightAssignment.from_grid([[2, 1, 2, 3], [2, 3, 3, 2], [2, 1, 1, 1], [3, 3, 2, 1]])
+        g, w = WEIGHT_MISMATCH
         b = build_power_matrix(g, w)
         p = min_weight_via_trailing_zeros(g, w, b)
         collected = Matching.from_pairs(
@@ -354,24 +407,89 @@ class TestFinder:
             assert trial.success
             assert trial.matching == truth.matchings[0]
 
-    def test_one_forward_pass_per_trial(self, monkeypatch):
-        # The cofactors call is also the zero test: a singular power
-        # matrix costs one forward pass, a nonsingular one no second.
-        calls = []
-        eliminate = linalg._eliminate
+    def test_every_field_matches_exact_reference(self, monkeypatch):
+        rng = random.Random(67)
+        reasons = []
+        cases = [(BipartiteGraph.empty(3), 0), NON_INJECTIVE]
+        for _ in range(400):
+            n = rng.randint(1, 12)
+            g = random_graph(rng, n) if rng.random() < 0.5 else planted_graph(rng, n)
+            cases.append((g, rng.randrange(1 << 32)))
+        cases += [(BipartiteGraph.complete(3), seed) for seed in range(30)]
+        for g, seed in cases:
+            trial = mvv_trial(g, seed)
+            assert trial == exact_trial(g, seed)
+            reasons.append(trial.reason)
+        # No seed is known to draw a weight mismatch, so fix the weights.
+        g, w = WEIGHT_MISMATCH
+        monkeypatch.setattr(mvv, "random_weights", lambda g, k, seed: w)
+        trial = mvv_trial(g, 0)
+        assert trial == exact_trial(g, 0)
+        assert (trial.reason, trial.min_weight) == ("weight-mismatch", 8)
+        assert {None, "zero-determinant", "wrong-size", "not-injective"} <= set(reasons)
+        assert reasons.count("zero-determinant") > 20
 
-        def counting_eliminate(m):
-            calls.append(m.n)
-            return eliminate(m)
+    def test_no_exact_elimination_per_trial(self, monkeypatch):
+        # A trial reads p and the membership set off the valuation
+        # kernel, never an exact elimination; the graph's perfect
+        # matching test runs once per graph, however many trials.
+        def forbidden(*args):
+            raise AssertionError("exact elimination in mvv_trial")
 
-        monkeypatch.setattr(linalg, "_eliminate", counting_eliminate)
+        matchings = []
+        maximum_matching = classical.maximum_matching
+
+        def counting_matching(g):
+            matchings.append(g)
+            return maximum_matching(g)
+
+        monkeypatch.setattr(linalg, "_eliminate", forbidden)
+        monkeypatch.setattr(mvv, "cofactors", forbidden)
+        monkeypatch.setattr(mvv, "det_bareiss", forbidden)
+        monkeypatch.setattr(classical, "maximum_matching", counting_matching)
         rng = random.Random(83)
         reasons = set()
-        for seed in range(60):
-            g = random_graph(rng, rng.randint(1, 6))
-            calls.clear()
-            trial = mvv_trial(g, seed)
-            assert calls == ([g.n] if g.num_edges else [])
-            reasons.add(trial.reason)
+        for _ in range(30):
+            g = random_graph(rng, rng.randint(1, 8))
+            for seed in range(3):
+                reasons.add(mvv_trial(g, seed).reason)
+            assert matchings == ([g] if g.num_edges else [])
+            matchings.clear()
         assert {None, "zero-determinant"} <= reasons
 
+
+class TestProductionSize:
+    """mvv_trial at the sizes find runs, against the isolation oracle:
+    whenever the drawn weights isolate (one Hungarian solve and a cycle
+    search, milliseconds), the trial must succeed with the minimum
+    matching that mwpm finds."""
+
+    @pytest.mark.parametrize("n", [24, 32])
+    def test_isolating_trials_find_the_mwpm(self, n):
+        rng = random.Random(f"production:{n}")
+        isolating = 0
+        for t in range(3):
+            g = planted_graph(rng, n)
+            for seed in range(2):
+                trial = mvv_trial(g, rng.randrange(1 << 32))
+                if trial.success:
+                    assert is_perfect_matching(g, trial.matching)
+                    assert matching_weight(trial.matching, trial.weights) == trial.min_weight
+                if is_nonisolating(g, trial.weights, 2 * g.num_edges):
+                    continue
+                isolating += 1
+                best = mwpm(g, trial.weights)
+                assert trial.success
+                assert trial.matching == best
+                assert trial.min_weight == matching_weight(best, trial.weights)
+        assert isolating >= 3
+
+    @pytest.mark.parametrize("n", [24, 32])
+    def test_hall_violator_is_always_zero(self, n):
+        rng = random.Random(f"violator:{n}")
+        g = planted_graph(rng, n, violator=True)
+        assert hall_violator(g)
+        for seed in range(5):
+            trial = mvv_trial(g, seed)
+            assert (trial.reason, trial.min_weight, trial.matching) == (
+                "zero-determinant", None, None)
