@@ -20,6 +20,7 @@ entropy; the drawn seed is echoed in the report).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import secrets
@@ -70,7 +71,10 @@ def _positive(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once: ``parse_args`` returns a fresh
+    namespace on every call and leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="wmatch",
         description="Exact randomized bipartite matching algorithms "
@@ -157,17 +161,19 @@ def _matching_text(m: Matching) -> str:
 def cmd_decide(args) -> int:
     """Lovasz's test, up to ``--trials`` times, with a matching on YES.
 
-    Each trial makes one :func:`~wmatch.linalg.cofactors` call on a
-    fresh random evaluation of the edge matrix.  Its forward pass, on
-    the lines sparsest first, is the zero test, so a trial with a zero
-    determinant costs at most one fraction-free determinant, and a few
-    pivots on a graph whose sparsest lines form a Hall violator; on the
+    On a graph with no perfect matching every evaluation of the edge
+    matrix is singular, so every trial would answer no: the graph's
+    :meth:`~wmatch.graphs.BipartiteGraph.has_perfect_matching` answers
+    NO at once, with no trial run.  Otherwise each trial makes one
+    :func:`~wmatch.linalg.cofactors` call on a fresh random evaluation.
+    Its forward pass is the zero test, so a trial with a zero
+    determinant costs at most one fraction-free determinant; on the
     first nonzero one the matching is read off that same ``(det, adj)``
     (:func:`~wmatch.edmonds.extract_pm_trace_from`), with no second
     elimination.
     """
     g = _read(args.graph, parse_graph)
-    for t in range(args.trials):
+    for t in range(args.trials if g.has_perfect_matching() else 0):
         b = lovasz_sample(g, derive_seed(args.seed, t))
         det, adj = cofactors(b)
         if det != 0:
@@ -203,8 +209,11 @@ def cmd_decide(args) -> int:
 
 
 def cmd_find(args) -> int:
+    """The MVV finder, up to ``--trials`` times.  A graph with no
+    perfect matching fails every trial, so it gets FAILED at once, as
+    in :func:`cmd_decide`, and no weights are drawn."""
     g = _read(args.graph, parse_graph)
-    for t in range(args.trials):
+    for t in range(args.trials if g.has_perfect_matching() else 0):
         trial = mvv_trial(g, derive_seed(args.seed, t))
         if trial.success:
             weight_rows = [list(row) for row in trial.weights.grid]

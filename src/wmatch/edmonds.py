@@ -155,12 +155,13 @@ def lovasz_decide(g: BipartiteGraph, seed: int) -> bool:
     same evaluation produces one).  False may be wrong with probability
     at most 1/2 when a perfect matching exists, and is always right
     when none does, since then every evaluation has determinant zero.
-    The determinant is :func:`~wmatch.linalg.det_bareiss`, the forward
-    pass alone: O(n^3) exact operations on the matrix's lines sparsest
-    first, stopping at the first of them without a pivot, so a graph
-    with a small Hall violator is refuted after a few pivots.  A caller
-    that wants the matching too calls :func:`~wmatch.linalg.cofactors`
+    That case depends only on g, so the graph's
+    :meth:`~wmatch.graphs.BipartiteGraph.has_perfect_matching`, decided
+    once and kept on g, answers it with no sample drawn.  Otherwise the
+    determinant of one sample is :func:`~wmatch.linalg.det_bareiss`,
+    the forward pass alone, O(n^3) exact operations.  A caller that
+    wants the matching too calls :func:`~wmatch.linalg.cofactors`
     instead, whose forward pass is the same test, and reads the
     matching off its output with :func:`extract_pm_trace_from`.
     """
-    return det_bareiss(lovasz_sample(g, seed)) != 0
+    return g.has_perfect_matching() and det_bareiss(lovasz_sample(g, seed)) != 0

@@ -6,8 +6,7 @@ three oracles are provided on purpose:
 
 * :func:`det_bareiss` is the production determinant: fraction-free
   (Bareiss) forward elimination, O(n^3) exact operations, every
-  division exact.  It takes the matrix's lines sparsest first and
-  stops at the first of them without a pivot (see below).  Its
+  division exact.  It stops at the first column without a pivot.  Its
   elimination routine is the forward pass of :func:`cofactors` too.
 * :func:`det_berkowitz` is the division-free oracle: the
   Samuelson-Berkowitz algorithm, O(n^4) multiplications, no size cap,
@@ -26,33 +25,6 @@ in [-9, 9], n = 6; CPU time per matrix, best of 7, 2-core x86-64 VM,
 CPython 3.11.7), ``det_bareiss`` takes 0.032 ms, ``det_cofactor``
 0.14 ms and ``det_lagrange`` 0.74 ms.
 
-Sparsest line first.  On a graph with no perfect matching every
-evaluation of its edge matrix is singular, and the usual obstruction
-is a small Hall violator: k + 1 vertices whose neighbours fit in k
-(near the threshold a random bipartite graph lacks a perfect matching
-essentially only through an isolated vertex; Erdos and Renyi, "On
-random matrices", 1964).  Taking the columns in their given order,
-elimination proves such a zero only at the violator's last line,
-often after n - 2 or n - 1 of its n steps.  So :func:`_eliminate`
-counts each row's and column's zeros once, takes the side that holds
-the sparsest line (columns on a tie), and stably sorts that side's
-lines by nonzero count (Markowitz 1957), eliminating the transpose
-when rows are the sorted side.  When the k + 1 sparsest lines of that
-side fit in k cross lines, a column of the remaining block is empty
-after at most k pivots, so the zero costs O(k * n^2) instead of
-O(n^3).  The working matrix is m, or its transpose, with its columns
-permuted: its determinant is det(m) times the permutation's sign,
-which joins the row-swap sign, and its adjugate maps back to adj(m)
-through the permutation and the transpose, so :func:`det_bareiss`
-and :func:`cofactors` return exactly what column order returns.
-Every entry is still a minor of the working matrix, so the exactness
-argument is unchanged.
-
-The presort costs a few microseconds of interpreter work per call,
-which the smallest calls feel; from n = 12 on it is lost in the
-elimination, and a singular matrix whose sparsest lines form a small
-Hall violator costs 5 to 200 times less than in column order.
-
 Every loop that needs the determinants of many minors (nonzero-diagonal
 extraction, the membership oracles of ``verify``) reads them off one
 adjugate instead:
@@ -63,11 +35,10 @@ adjugate instead:
   the forward pass of :func:`det_bareiss`, then, only if every column
   found a pivot, a replay of its recorded steps on the identity and a
   back-substitution.  Every division is exact: the forward pass and
-  the replay produce minors of ``[PB | P]`` (B the sorted working
-  matrix, P the row swaps), and the back-substitution solves
-  ``U X = det * F`` for ``X = sign(Q) * adj(B) P^-1`` (Q the sort), an
-  integer matrix, so each numerator is its pivot times an entry of X.
-  A caller that needs the determinant and, when it is nonzero, the
+  the replay produce minors of ``[PA | P]`` (P the row swaps), and the
+  back-substitution solves ``U X = det * F`` for ``X = adj(A) P^-1``,
+  an integer matrix, so each numerator is its pivot times an entry of
+  X.  A caller that needs the determinant and, when it is nonzero, the
   adjugate makes this one call: its forward pass is the zero test.
   Gauss-Jordan elimination on ``[A | I]``, about 1.5 n^3 products
   against about n^3, is kept in the tests as the reference.
@@ -204,54 +175,26 @@ def det_berkowitz(m: IntMatrix) -> int:
 
 
 def _eliminate(m: IntMatrix):
-    """Fraction-free (Bareiss) forward elimination of m, sparsest line
-    first, recorded.
-
-    Presort: count the zeros of every row and column of m once.  If the
-    sparsest line is a row (ties go to columns), B is the transpose of
-    m, else m itself; either way B's columns are its lines stably
-    sorted by nonzero count, sparsest first, so ``B = A Q`` with A = m
-    or its transpose and Q the sorting permutation.  The loop below
-    runs on B, built straight from the sorted lines.
+    """Fraction-free (Bareiss) forward elimination of m, recorded.
 
     At step k the pivot is the first nonzero entry of column k at or
     below row k; a row swap flips the sign.  Every later row becomes
     ``row[c] = (row[c] * piv - f * pr[c]) // prev`` with ``f = row[k]``,
     pr the pivot row and prev the previous pivot (1 at the start).
-    Each entry is then a minor of B, so every division is exact.
+    Each entry is then a minor of m, so every division is exact.
 
     Returns None at the first column without a pivot: that column of
-    the remaining block is zero, so B, and with it m, is singular.
-    When the k + 1 sparsest lines of the sorted side fit in k cross
-    lines (a Hall violator), they lead the order, and such a column
-    turns up after at most k pivots.  Otherwise returns ``(sign, upper, steps, order,
-    transposed)``: ``order[k]`` is the line of m that is column k of B
-    (a row when ``transposed``); ``sign`` is the sign of the row swaps
-    times that of ``order``; ``upper[k]`` is the pivot row of step k
-    from column k on, so ``upper[k][0]`` is its pivot (the previous
-    pivot of step k + 1) and the last pivot is ``sign * det(m)``;
-    ``steps[k] = (p, fs)`` records, for each step but the last, that
-    row k + p was swapped into row k (p = 0: no swap) and the
-    multipliers f of rows k + 1, ..., n - 1 after it.
+    the remaining block is zero, so m is singular.  Otherwise returns
+    ``(sign, upper, steps)``: ``sign`` is the sign of the row swaps;
+    ``upper[k]`` is the pivot row of step k from column k on, so
+    ``upper[k][0]`` is its pivot (the previous pivot of step k + 1) and
+    the last pivot is ``sign * det(m)``; ``steps[k] = (p, fs)`` records,
+    for each step but the last, that row k + p was swapped into row k
+    (p = 0: no swap) and the multipliers f of rows k + 1, ..., n - 1
+    after it.
     """
-    rows = m.rows
-    cols = list(zip(*rows))
-    row_zeros = [row.count(0) for row in rows]
-    col_zeros = [col.count(0) for col in cols]
-    transposed = max(row_zeros) > max(col_zeros)
-    lines, zeros = (rows, row_zeros) if transposed else (cols, col_zeros)
-    # Most zeros first is fewest nonzeros first; reverse keeps ties in
-    # index order.
-    order = sorted(range(len(rows)), key=zeros.__getitem__, reverse=True)
+    rows = list(m.rows)
     sign = 1
-    perm = order[:]
-    for i, c in enumerate(perm):
-        while c != i:
-            # Put c in place: one transposition.
-            perm[i], perm[c] = perm[c], c
-            sign = -sign
-            c = perm[i]
-    rows = list(zip(*[lines[c] for c in order]))
     prev = 1
     upper = []
     steps = []
@@ -269,7 +212,7 @@ def _eliminate(m: IntMatrix):
             sign = -sign
         upper.append(pr)
         if len(rows) == 1:
-            return sign, upper, steps, order, transposed
+            return sign, upper, steps
         piv = pr[0]
         tail = pr[1:]
         fs = []
@@ -286,67 +229,59 @@ def _eliminate(m: IntMatrix):
 def det_bareiss(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) forward elimination.
 
-    The sign of :func:`_eliminate` (its row swaps and its sparsest-first
-    line order) times its last pivot, or 0 as soon as a column has no
-    pivot: O(n^3) exact operations, every division exact, and
-    O(k * n^2) when the k + 1 sparsest lines of the side it sorts fit
-    in k cross lines, since they lead the order.  :func:`cofactors`
-    runs the same elimination, so the two never disagree on
-    singularity.
+    The sign of the row swaps times the last pivot of
+    :func:`_eliminate`, or 0 as soon as a column has no pivot: O(n^3)
+    exact operations, every division exact.  :func:`cofactors` runs the
+    same elimination, so the two never disagree on singularity.
     """
     fwd = _eliminate(m)
     if fwd is None:
         return 0
-    sign, upper, _, _, _ = fwd
+    sign, upper, _ = fwd
     return sign * upper[-1][0]
 
 
 def cofactors(m: IntMatrix) -> tuple[int, Optional[list[list[int]]]]:
     """Determinant and adjugate of m, exactly: one fraction-free LU.
 
-    The forward pass is :func:`_eliminate` on ``B = A @ Q``, with A = m
-    or, when a row of m is sparser than every column, m's transpose,
-    and Q the permutation that sorts A's columns sparsest first.  A
-    singular m costs what :func:`det_bareiss` costs and returns
-    ``(0, None)``.  On a nonsingular m the forward pass has turned PB
-    into the upper triangle U by row operations E (``E @ P @ B = U``),
-    with P the row swaps, and its sign, the sign of P times that of Q,
-    times the last pivot d is det = det(m).  The adjugate phase then
+    The forward pass is :func:`_eliminate`, so a singular m costs what
+    :func:`det_bareiss` costs and returns ``(0, None)``.  On a
+    nonsingular m the forward pass has turned PA into the upper
+    triangle U by row operations E (``E @ P @ A = U``), with P the row
+    swaps and d = sign * det(m) the last pivot.  The adjugate phase
+    then
 
     * replays the recorded steps, swaps included, on the identity.  In
       the final pivot order this gives F = E: lower triangular, with
       the previous pivot of step i at (i, i), so only its strict lower
-      triangle is computed.  Its entries are minors of ``[PB | P]``, so
+      triangle is computed.  Its entries are minors of ``[PA | P]``, so
       every division of the replay is exact;
     * back-substitutes ``U @ X = det * F`` from the bottom row up:
       ``X[i] = (det * F[i] - sum_(j > i) U[i][j] * X[j]) // U[i][i]``.
-      ``X = det * (PB)^-1 = sign(Q) * adj(B) @ P^-1`` is an integer
-      matrix, so each numerator is exactly ``U[i][i] * X[i]``: every
-      division is exact;
-    * returns ``adj(A) = sign(Q) * Q @ adj(B) = Q @ X @ P``, transposed
-      when A is m's transpose (``adj(A^T) = adj(A)^T``): column k of X
-      becomes the column of the row that step k pivoted on, and row k
-      the row of A's line ``order[k]``, in one placement.
+      ``X = det * (PA)^-1 = adj(m) @ P^-1`` is an integer matrix, so
+      each numerator is exactly ``U[i][i] * X[i]``: every division is
+      exact;
+    * returns ``adj(m) = X @ P``: column k of X becomes the column of
+      the row that step k pivoted on.
 
-    B is m up to a transpose and a column order, so the exactness
-    argument is that of the plain forward pass.  The result is
-    ``(det, adj)`` with ``adj[j][i] = (-1)^(i+j) * det(minor(m, i, j))``
-    (``[[1]]`` for a 1x1 matrix).  About n^3 / 3 products in the
-    forward pass, n^3 / 6 in the replay and n^3 / 2 in the
-    back-substitution, against about 1.5 n^3 for Gauss-Jordan
-    elimination on ``[A | I]``.  Nothing is retained between calls.
+    The result is ``(det, adj)`` with
+    ``adj[j][i] = (-1)^(i+j) * det(minor(m, i, j))`` (``[[1]]`` for a
+    1x1 matrix).  About n^3 / 3 products in the forward pass, n^3 / 6
+    in the replay and n^3 / 2 in the back-substitution, against about
+    1.5 n^3 for Gauss-Jordan elimination on ``[A | I]``.  Nothing is
+    retained between calls.
     """
     fwd = _eliminate(m)
     if fwd is None:
         return 0, None
-    sign, upper, steps, order, transposed = fwd
+    sign, upper, steps = fwd
     n = len(upper)
     pivots = [row[0] for row in upper]
     d = pivots[-1]
     if n == 1:
         return sign * d, [[1]]
     # low[r]: strict lower triangle of row r of F, in the current row
-    # order; perm[r]: the row of B now at row r.  Step 0 leaves -f in
+    # order; perm[r]: the row of m now at row r.  Step 0 leaves -f in
     # column 0, since F's diagonal entry there is 1.
     p, fs = steps[0]
     perm = list(range(n))
@@ -383,14 +318,9 @@ def cofactors(m: IntMatrix) -> tuple[int, Optional[list[list[int]]]]:
     adj_cols = [None] * n
     for c, col in enumerate(cols):
         adj_cols[perm[c]] = col
-    # zip lists the rows of X @ P from the bottom up; row k lands on
-    # row order[k] of adj(A).
-    adj = [None] * n
-    for line, row in zip(order, reversed(list(zip(*adj_cols)))):
-        adj[line] = row
-    if transposed:
-        adj = zip(*adj)
-    return det, list(map(list, adj))
+    adj = list(map(list, zip(*adj_cols)))
+    adj.reverse()
+    return det, adj
 
 
 def minor_cofactors(

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from wmatch import cli, linalg
+from wmatch import classical, cli, edmonds, linalg, mvv
+from wmatch.edmonds import lovasz_decide
+from wmatch.graphs import parse_graph
 from wmatch.verify import CheckResult, SuiteReport
 
 K33 = "3\n1 1 1\n1 1 1\n1 1 1\n"
@@ -123,7 +126,8 @@ class TestDecide:
 
     def test_one_forward_pass_per_trial(self, capsys, tmp_path, monkeypatch):
         # Each trial's cofactors call is also its zero test, so a trial
-        # runs exactly one fraction-free forward pass, YES or not.
+        # runs exactly one fraction-free forward pass, YES or not.  A
+        # graph with no perfect matching runs no trial at all.
         counts = {"forward": 0, "trials": 0}
         eliminate, sample = linalg._eliminate, cli.lovasz_sample
 
@@ -143,14 +147,66 @@ class TestDecide:
         pm_free.write_text(PM_FREE, encoding="utf-8")
         retried = 0
         for seed in range(40):
-            for path, code in ((k22, 0), (pm_free, 1)):
-                counts.update(forward=0, trials=0)
-                assert run(capsys, ["decide", str(path), "--trials", "5",
-                                    "--seed", str(seed)])[0] == code
-                assert counts["forward"] == counts["trials"] >= 1
-                retried += path == k22 and counts["trials"] > 1
+            argv = ["--trials", "5", "--seed", str(seed)]
+            counts.update(forward=0, trials=0)
+            assert run(capsys, ["decide", str(k22)] + argv)[0] == 0
+            assert counts["forward"] == counts["trials"] >= 1
+            retried += counts["trials"] > 1
+            counts.update(forward=0, trials=0)
+            assert run(capsys, ["decide", str(pm_free)] + argv)[0] == 1
+            assert counts == {"forward": 0, "trials": 0}
         # Some K2,2 samples have a zero determinant before the YES.
         assert retried >= 3
+
+
+def hall_violator_graph(n, seed):
+    """Text of an n x n graph at density 1/2 with its diagonal, where
+    rows 0..2 see only columns 0 and 1: no perfect matching."""
+    rng = random.Random(seed)
+    rows = [[int(i == j or rng.random() < 0.5) for j in range(n)] for i in range(n)]
+    for i in range(3):
+        rows[i] = [1, 1] + [0] * (n - 2)
+    return f"{n}\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows)
+
+
+class TestNoPerfectMatchingGate:
+    """decide and find on a graph with no perfect matching answer from
+    the graph's own matching verdict, with no sample, weights or
+    elimination; at n = 200 one ungated elimination takes seconds."""
+
+    @pytest.fixture
+    def violator(self, tmp_path, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a trial ran on a graph with no perfect matching")
+
+        matchings = []
+        maximum_matching = classical.maximum_matching
+
+        def counting_matching(g):
+            matchings.append(g)
+            return maximum_matching(g)
+
+        for module, name in ((cli, "lovasz_sample"), (edmonds, "lovasz_sample"),
+                             (mvv, "random_weights"), (linalg, "_eliminate")):
+            monkeypatch.setattr(module, name, forbidden)
+        monkeypatch.setattr(classical, "maximum_matching", counting_matching)
+        p = tmp_path / "violator.graph"
+        p.write_text(hall_violator_graph(200, 200), encoding="utf-8")
+        return str(p), matchings
+
+    @pytest.mark.parametrize("command,first", [("decide", "NO"), ("find", "FAILED")])
+    def test_answers_without_a_trial(self, capsys, violator, command, first):
+        path, matchings = violator
+        code, out, err = run(capsys, [command, path, "--trials", "20"])
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [first, "trials: 20"]
+        assert len(matchings) == 1 and matchings[0].n == 200
+
+    def test_lovasz_decide_draws_no_sample(self, violator):
+        path, matchings = violator
+        g = parse_graph(Path(path).read_text(encoding="utf-8"))
+        assert not any(lovasz_decide(g, seed) for seed in range(20))
+        assert matchings == [g]
 
 
 class TestFind:

@@ -11,7 +11,7 @@ from wmatch.edmonds import (
     lovasz_sample,
 )
 from wmatch.graphs import BipartiteGraph, is_perfect_matching
-from wmatch.linalg import IntMatrix, cofactors, det_berkowitz
+from wmatch.linalg import IntMatrix, cofactors, det_bareiss, det_berkowitz
 
 
 def per_minor_steps(b):
@@ -111,8 +111,11 @@ class TestExtract:
 
 class TestLovasz:
     def test_pm_free_always_no(self):
+        # The test answers from the graph; every sample it would draw
+        # is singular all the same.
         g = BipartiteGraph.from_rows([[0, 0], [1, 1]])
         assert not any(lovasz_decide(g, seed) for seed in range(50))
+        assert all(det_bareiss(lovasz_sample(g, seed)) == 0 for seed in range(50))
 
     def test_k11_always_yes(self):
         g = BipartiteGraph.complete(1)
