@@ -9,7 +9,6 @@ an oracle that silently samples is not an oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .graphs import BipartiteGraph, Matching, WeightAssignment, matching_weight
@@ -48,41 +47,37 @@ def enumerate_perfect_matchings(g: BipartiteGraph) -> list[Matching]:
 
 def brute_max_weight_matching(n: int, w) -> int:
     """Maximum total weight over *all* matchings (any size) of the
-    complete n x n instance, by recursion over rows; the best weight of
-    each (row, used columns) state is computed once per call."""
+    complete n x n instance, by a sweep over the rows: after row r it
+    holds, for each set of used columns (a bit mask), the best weight
+    of rows 0..r that uses exactly those columns, so each (row, used
+    columns) state is computed once."""
     if n > BRUTE_WEIGHT_MAX_N:
         raise ValueError(f"brute_max_weight_matching limited to n <= {BRUTE_WEIGHT_MAX_N}, got {n}")
-
-    @cache
-    def best(row: int, used: int) -> int:
-        if row == n:
-            return 0
-        score = best(row + 1, used)  # leave this row unmatched
-        for j in range(n):
-            if not (used >> j) & 1:
-                score = max(score, w[row][j] + best(row + 1, used | (1 << j)))
-        return score
-
-    return best(0, 0)
+    best = {0: 0}
+    for r in range(n):
+        row = w[r]
+        after = dict(best)  # row r left unmatched
+        for used, score in best.items():
+            for j in range(n):
+                if not (used >> j) & 1:
+                    key = used | (1 << j)
+                    candidate = score + row[j]
+                    if key not in after or candidate > after[key]:
+                        after[key] = candidate
+        best = after
+    return max(best.values())
 
 
 def brute_max_matching_size(g: BipartiteGraph) -> int:
-    """Maximum matching cardinality by recursion over rows, independent
-    of the augmenting-path machinery; the best size of each (row, used
-    columns) state is computed once per call."""
-    n = g.n
-
-    @cache
-    def best(row: int, used: int) -> int:
-        if row == n:
-            return 0
-        score = best(row + 1, used)
-        for j in range(n):
-            if g.edges[row][j] and not (used >> j) & 1:
-                score = max(score, 1 + best(row + 1, used | (1 << j)))
-        return score
-
-    return best(0, 0)
+    """Maximum matching cardinality by a sweep over the rows,
+    independent of the augmenting-path machinery: after row r it holds
+    every set of columns (a bit mask) that rows 0..r can match exactly,
+    each computed once, and a set's matching size is its bit count."""
+    reachable = {0}
+    for edge_row in g.edges:
+        bits = [1 << j for j, edge in enumerate(edge_row) if edge]
+        reachable |= {used | bit for used in reachable for bit in bits if not used & bit}
+    return max(used.bit_count() for used in reachable)
 
 
 class BruteMinResult(NamedTuple):

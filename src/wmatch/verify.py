@@ -484,48 +484,52 @@ def check_unique_min_theorems(seed: int = DEFAULT_SEED) -> tuple[CheckResult, Ch
     membership_failures = []
     unique_cases = 0
 
-    def run_instance(g: BipartiteGraph, w: WeightAssignment, truth: BruteMinResult, tag):
+    def fail(failures: list, label: str, key, **entry):
+        # An instance's tag is formatted only when it records a failure.
+        failures.append({"instance": f"{label}{key}"} | entry)
+
+    def run_instance(g: BipartiteGraph, w: WeightAssignment, truth: BruteMinResult,
+                     label: str, key):
+        # The power matrix is built only on the branches that read it, so
+        # not at all when the minimum is not unique.
         nonlocal unique_cases
-        b = build_power_matrix(g, w)
         if truth.weight is None:
-            if det_bareiss(b) != 0:
-                weight_failures.append({"instance": tag, "reason": "no PM but det != 0"})
+            if det_bareiss(build_power_matrix(g, w)) != 0:
+                fail(weight_failures, label, key, reason="no PM but det != 0")
             return
         if not truth.unique:
             return
         unique_cases += 1
-        det, adj = cofactors(b)
+        det, adj = cofactors(build_power_matrix(g, w))
         if det == 0:
-            weight_failures.append({"instance": tag, "reason": "unique min but det = 0"})
+            fail(weight_failures, label, key, reason="unique min but det = 0")
             return
         p = trailing_zeros(det)
         if p != truth.weight:
-            weight_failures.append(
-                {"instance": tag, "reason": "trailing zeros != min weight"}
-            )
+            fail(weight_failures, label, key, reason="trailing zeros != min weight")
         pm = truth.matchings[0]
         members = set(unique_min_pm_edges(g, w, adj, p))
         for i, j in g.edge_list():
             if ((i, j) in members) != ((i, j) in pm.pairs):
-                membership_failures.append(
-                    {"instance": tag, "edge": [i, j], "reason": "membership mismatch"}
-                )
+                fail(membership_failures, label, key, edge=[i, j],
+                     reason="membership mismatch")
 
     exhaustive_cases = 0
     for gi, g in enumerate(_fixed_unique_min_graphs()):
         m = g.num_edges
         min_weight_pms = min_weight_pms_map(g)
+        label = f"fixed{gi}:"
         for values in product(range(1, 4), repeat=m):
             w = WeightAssignment.from_edge_values(g, values)
             exhaustive_cases += 1
-            run_instance(g, w, min_weight_pms(w), f"fixed{gi}:{values}")
+            run_instance(g, w, min_weight_pms(w), label, values)
     stream = SplitMix64(derive_seed(seed, 501))
     for t in range(random_samples):
         g = _random_graph(stream, 5)
         w = WeightAssignment.from_grid(
             [[stream.randint(1, 6) for _ in range(5)] for _ in range(5)]
         )
-        run_instance(g, w, brute_min_weight_pms(g, w), f"random{t}")
+        run_instance(g, w, brute_min_weight_pms(g, w), "random", t)
     details = {
         "exhaustive_cases": exhaustive_cases,
         "random_cases": random_samples,

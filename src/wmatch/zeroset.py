@@ -34,11 +34,20 @@ this: it receives the remaining n^2 - 1 entries plus the step index,
 solves the linear equation for the missing entry, and returns the
 completed assignment, or the all-zero assignment (always in the zero
 set) when the reconstruction is inconsistent with the input.
+
+Each point is checked (every value in [0, s), non-edge ones too) and
+laid out as a grid with the unknown at 0 and non-edges zeroed.  Points
+that differ only at non-edges lay out to the same grid, and the
+completion is a function of (i, laid-out grid) alone, so
+:func:`zero_witness_graph_map` computes each distinct one once and
+keeps it in the map's own cache: the 3 x 3 graph with 7 edges at s = 3
+maps 19,683 points through 2,187 distinct grids.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from operator import mul
 from typing import Callable, Iterator, Optional, Sequence
 
 from .edmonds import ZeroDeterminantError, extract_pm_trace_from
@@ -78,44 +87,55 @@ def _chain_det(grid: Sequence[Sequence[int]], sigma: Sequence[int], k: int) -> i
     return det_bareiss(IntMatrix(tuple(tuple(row[c] for c in cols) for row in grid[: k + 1])))
 
 
-def _witness(
-    g: BipartiteGraph, s: int, i: int, rest: Sequence[int], sigma: Sequence[int]
-) -> Grid:
-    n = g.n
+def _lay_out(
+    n: int, edge_flags: tuple[bool, ...], s: int, i: int, rest: Sequence[int],
+    sigma: Sequence[int],
+) -> tuple[int, ...]:
+    """Check one witness point and lay it out as a row-major n x n
+    grid, flattened: the values of ``rest`` in order around the unknown
+    cell (i, sigma(i)), which holds 0, with every position whose flag
+    in ``edge_flags`` is False structurally zero.  Every value is
+    checked against [0, s), in order, non-edge ones too."""
     if not 0 <= i < n:
         raise ValueError(f"step index {i} out of range [0, {n})")
     if len(rest) != n * n - 1:
         raise ValueError(f"expected {n * n - 1} values, got {len(rest)}")
-    # Lay out the known values row-major around the unknown cell, which
-    # holds 0 until it is solved for; non-edge positions are
-    # structurally zero in every evaluation.
-    unknown = (i, sigma[i])
-    values = iter(rest)
-    rows = []
-    for r, edge_row in enumerate(g.edges):
-        row = []
-        for c, edge in enumerate(edge_row):
-            v = 0 if (r, c) == unknown else int(next(values))
-            if not 0 <= v < s:
-                raise ValueError(f"value {v} out of range [0, {s})")
-            row.append(v if edge else 0)
-        rows.append(row)
+    values = []
+    # map is lazy, so a value is converted only once every value before
+    # it has passed its range check.
+    for v in map(int, rest):
+        if not 0 <= v < s:
+            raise ValueError(f"value {v} out of range [0, {s})")
+        values.append(v)
+    values.insert(i * n + sigma[i], 0)
+    # A False flag times a value is 0, a True one the value.
+    return tuple(map(mul, values, edge_flags))
+
+
+def _complete(
+    cells: tuple[int, ...], n: int, s: int, i: int, sigma: Sequence[int]
+) -> Grid:
+    """Solve a laid-out point (from :func:`_lay_out`) for its unknown x
+    at (i, sigma(i)) and return the completed grid, or the all-zero grid
+    (always in the zero set) when the reconstruction is inconsistent."""
     dummy: Grid = tuple((0,) * n for _ in range(n))
     if i:
         # Step i's determinant is d(0) + x * d_prev in the unknown x (the
         # cofactor carries no sign in sigma's column order).  At i = 0 it
-        # is x itself, which must be 0.
+        # is x itself, which must be 0, as laid out.
+        rows = [cells[r * n:(r + 1) * n] for r in range(i + 1)]
         d_prev = _chain_det(rows, sigma, i - 1)
         if d_prev == 0:
             return dummy
         x, remainder = divmod(-_chain_det(rows, sigma, i), d_prev)
         if remainder or not 0 <= x < s:
             return dummy
-        rows[i][sigma[i]] = x
-    out = tuple(map(tuple, rows))
-    if det_bareiss(IntMatrix(out)) != 0:
+        unknown = i * n + sigma[i]
+        cells = cells[:unknown] + (x,) + cells[unknown + 1:]
+    grid = tuple(cells[r * n:(r + 1) * n] for r in range(n))
+    if det_bareiss(IntMatrix(grid)) != 0:
         return dummy
-    return out
+    return grid
 
 
 def zero_witness_complete(n: int, s: int, i: int, rest: Sequence[int]) -> Grid:
@@ -124,7 +144,8 @@ def zero_witness_complete(n: int, s: int, i: int, rest: Sequence[int]) -> Grid:
     diagonal and the unknown sits at (i, i)."""
     if n < 1 or s < 1:
         raise ValueError("need n >= 1 and s >= 1")
-    return _witness(BipartiteGraph.complete(n), s, i, rest, range(n))
+    sigma = range(n)
+    return _complete(_lay_out(n, (True,) * (n * n), s, i, rest, sigma), n, s, i, sigma)
 
 
 def zero_witness_graph(
@@ -148,8 +169,11 @@ def zero_witness_graph_map(
 
     The certificate is evaluated, its determinant checked and sigma
     extracted once, here, so a caller that maps a whole domain pays for
-    that once rather than per point; the returned map still checks each
-    point's arguments.
+    that once rather than per point.  The returned map still checks
+    and lays out each point's arguments, then caches completions: the
+    chain determinants, the solve for the unknown and the full-grid
+    check run once per distinct (i, laid-out grid), and the result is
+    kept in a dict that lives as long as the map does.
     """
     if s < 1:
         raise ValueError(f"value range bound must be >= 1, got {s}")
@@ -161,8 +185,17 @@ def zero_witness_graph_map(
         )
     sigma = extract_pm_trace_from(g, b, det, adj).sigma
 
+    n = g.n
+    edge_flags = tuple(e for row in g.edges for e in row)
+    completions: dict[tuple[int, tuple[int, ...]], Grid] = {}
+
     def witness(i: int, rest: Sequence[int]) -> Grid:
-        return _witness(g, s, i, rest, sigma)
+        cells = _lay_out(n, edge_flags, s, i, rest, sigma)
+        key = (i, cells)
+        out = completions.get(key)
+        if out is None:
+            out = completions[key] = _complete(cells, n, s, i, sigma)
+        return out
 
     return witness
 

@@ -90,6 +90,28 @@ class TestBruteMaxMatchingSize:
         for g in graphs:
             assert brute_max_matching_size(g) == maximum_matching(g).size
 
+    def test_exhaustive_3x3_and_seeded_vs_permutations(self):
+        # Reference independent of both the sweep and augmenting paths:
+        # the most edges any one permutation hits.  Every matching lies
+        # inside some permutation.
+        graphs = [
+            BipartiteGraph.from_rows([[(bits >> (3 * i + j)) & 1 for j in range(3)] for i in range(3)])
+            for bits in range(1 << 9)
+        ]
+        rng = random.Random(79)
+        graphs += [random_graph(rng, 4 + t % 3, rng.random()) for t in range(300)]
+        sizes = set()
+        for g in graphs:
+            n = g.n
+            best = max(
+                sum(g.has_edge(i, p[i]) for i in range(n)) for p in permutations(range(n))
+            )
+            assert brute_max_matching_size(g) == best
+            sizes.add((n, best))
+        # Every size 0..3 at n = 3 and a spread of sizes at each larger n.
+        assert {b for n, b in sizes if n == 3} == {0, 1, 2, 3}
+        assert all(len({b for m, b in sizes if m == n}) >= 3 for n in (4, 5, 6))
+
 
 class TestBruteMinPms:
     def test_unique(self):

@@ -48,3 +48,33 @@ def test_nonisolating_witness_constant(monkeypatch):
     # The predicate sweep still agrees; only the coverage fails.
     assert all(case["oracle_mismatches"] == 0 for case in result.details["cases"])
 
+
+
+def test_unique_min_failure_tags(monkeypatch):
+    # Tags are formatted only when a failure is recorded; they keep the
+    # instance's label and key, byte for byte, and entries keep their
+    # key order.
+    monkeypatch.setattr(verify, "trailing_zeros", lambda det: -1)
+    monkeypatch.setattr(verify, "unique_min_pm_edges", lambda g, w, adj, p: ())
+    weight, membership = verify.check_unique_min_theorems()
+    assert not weight.passed and not membership.passed
+    assert weight.details["failures"][0] == {
+        "instance": "fixed0:(1, 1)", "reason": "trailing zeros != min weight"
+    }
+    assert list(membership.details["failures"][0].items()) == [
+        ("instance", "fixed0:(1, 1)"), ("edge", [0, 0]), ("reason", "membership mismatch")
+    ]
+
+
+def test_unique_min_pm_free_failure_tags(monkeypatch):
+    # Every fixed graph has a perfect matching, so only random instances
+    # reach the PM-free branch.
+    monkeypatch.setattr(verify, "det_bareiss", lambda b: 1)
+    weight, membership = verify.check_unique_min_theorems()
+    assert membership.passed and not weight.passed
+    failures = weight.details["failures"]
+    assert len(failures) == 5
+    for failure in failures:
+        assert failure["reason"] == "no PM but det != 0"
+        assert failure["instance"].startswith("random")
+        assert failure["instance"][len("random"):].isdigit()

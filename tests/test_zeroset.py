@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from wmatch import zeroset
 from wmatch.classical import maximum_matching
 from wmatch.graphs import BipartiteGraph
 from wmatch.edmonds import ZeroDeterminantError
@@ -244,6 +245,72 @@ class TestWitnessGraph:
         outs = [witness(i, rest) for i, rest in reversed(domain)][::-1]
         assert outs == [zero_witness_graph(g, 3, cert, i, rest) for i, rest in domain]
         assert set(zero_set(g, 3)) <= set(outs)
+
+
+class TestWitnessGraphCache:
+    """The map caches each completion by (i, laid-out grid); every point
+    is still checked and laid out on its own."""
+
+    G = BipartiteGraph.from_rows([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
+
+    def witness(self):
+        return zero_witness_graph_map(self.G, 3, maximum_matching(self.G).permutation_matrix(3))
+
+    def test_point_errors_pinned(self):
+        witness = zero_witness_graph_map(
+            BipartiteGraph.from_rows([[1, 0], [1, 1]]), 3, IntMatrix.identity(2)
+        )
+        cases = [
+            ((2, (0, 0, 0)), r"^step index 2 out of range \[0, 2\)$"),
+            ((-1, (0, 0, 0)), r"^step index -1 out of range \[0, 2\)$"),
+            ((0, (0, 0)), r"^expected 3 values, got 2$"),
+            # Values are checked in order, non-edge (0, 1) included, and a
+            # value is converted only after every one before it passed.
+            ((0, (0, 3, 0)), r"^value 3 out of range \[0, 3\)$"),
+            ((1, (0, -1, 5)), r"^value -1 out of range \[0, 3\)$"),
+            ((0, (1, 7, "x")), r"^value 7 out of range \[0, 3\)$"),
+            ((0, (1, "x", 7)), r"invalid literal for int"),
+        ]
+        for point, message in cases:
+            with pytest.raises(ValueError, match=message):
+                witness(*point)
+        assert witness(0, ("0", 1.0, 2)) == witness(0, (0, 1, 2))
+
+    def test_cached_grid_still_checks_non_edges(self):
+        # (0, 2) and (2, 0) are non-edges: their values never reach the
+        # grid, so these points share a laid-out grid with a valid one.
+        witness = self.witness()
+        assert witness(1, (0, 0, 1, 0, 0, 0, 1, 1)) == witness(1, (0, 0, 2, 0, 0, 2, 1, 1))
+        with pytest.raises(ValueError, match=r"^value 3 out of range \[0, 3\)$"):
+            witness(1, (0, 0, 3, 0, 0, 0, 1, 1))
+        with pytest.raises(ValueError, match=r"^value 5 out of range \[0, 3\)$"):
+            witness(1, (0, 0, 0, 0, 0, 5, 1, 1))
+
+    def test_determinants_per_distinct_grid(self, monkeypatch):
+        calls = 0
+        real = zeroset.det_bareiss
+
+        def counting(m):
+            nonlocal calls
+            calls += 1
+            return real(m)
+
+        witness = self.witness()
+        monkeypatch.setattr(zeroset, "det_bareiss", counting)
+        n, s = 3, 3
+        sigma = dict(graphs_with_pm(3))[self.G]
+        distinct = set()
+        domain = complete_domain(n, s)
+        for i, rest in domain:
+            witness(i, rest)
+            cells = list(rest)
+            cells.insert(i * n + sigma[i], 0)
+            distinct.add((i, tuple(v if self.G.edges[k // n][k % n] else 0
+                                   for k, v in enumerate(cells))))
+        # Two of the eight values always sit on non-edges, so 3^2 points
+        # share each grid.
+        assert (len(domain), len(distinct)) == (19683, 2187)
+        assert 0 < calls <= 3 * len(distinct)
 
 
 class TestVanishingStep:
