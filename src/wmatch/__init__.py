@@ -62,7 +62,6 @@ from .mvv import (
     build_power_matrix,
     edge_in_unique_min_pm,
     extract_pm_weight_bounded,
-    min_weight_via_trailing_zeros,
     mvv_find_pm,
     mvv_trial,
 )

@@ -158,6 +158,27 @@ def _matching_text(m: Matching) -> str:
     return " ".join(f"{i}->{j}" for i, j in m.pairs)
 
 
+def _trial_report(args, t, fields: dict, text_lines: list[str]) -> int:
+    """Print the report of ``decide`` or ``find`` and return its exit
+    code.  ``t`` is the index of the first successful trial, or None
+    when no trial succeeded; the JSON payload is ``command``, ``graph``,
+    ``seed``, ``trials`` and ``trial`` with the command's own ``fields``
+    added."""
+    _emit(
+        args,
+        {
+            "command": args.command,
+            "graph": args.graph,
+            "seed": args.seed,
+            "trials": args.trials,
+            "trial": t,
+        }
+        | fields,
+        text_lines,
+    )
+    return EXIT_NO if t is None else EXIT_YES
+
+
 def cmd_decide(args) -> int:
     """Lovasz's test, up to ``--trials`` times, with a matching on YES.
 
@@ -170,7 +191,7 @@ def cmd_decide(args) -> int:
     determinant costs at most one fraction-free determinant; on the
     first nonzero one the matching is read off that same ``(det, adj)``
     (:func:`~wmatch.edmonds.extract_pm_trace_from`), with no second
-    elimination.
+    elimination.  Both answers are printed by :func:`_trial_report`.
     """
     g = _read(args.graph, parse_graph)
     for t in range(args.trials if g.has_perfect_matching() else 0):
@@ -178,57 +199,34 @@ def cmd_decide(args) -> int:
         det, adj = cofactors(b)
         if det != 0:
             m = extract_pm_trace_from(g, b, det, adj).matching
-            _emit(
+            return _trial_report(
                 args,
-                {
-                    "command": "decide",
-                    "graph": args.graph,
-                    "seed": args.seed,
-                    "trials": args.trials,
-                    "result": "yes",
-                    "trial": t,
-                    "matching": _matching_json(m),
-                },
+                t,
+                {"result": "yes", "matching": _matching_json(m)},
                 ["YES", f"trial: {t}", f"matching: {_matching_text(m)}"],
             )
-            return EXIT_YES
-    _emit(
-        args,
-        {
-            "command": "decide",
-            "graph": args.graph,
-            "seed": args.seed,
-            "trials": args.trials,
-            "result": "no",
-            "trial": None,
-            "matching": None,
-        },
-        ["NO", f"trials: {args.trials}"],
+    return _trial_report(
+        args, None, {"result": "no", "matching": None}, ["NO", f"trials: {args.trials}"]
     )
-    return EXIT_NO
 
 
 def cmd_find(args) -> int:
     """The MVV finder, up to ``--trials`` times.  A graph with no
     perfect matching fails every trial, so it gets FAILED at once, as
-    in :func:`cmd_decide`, and no weights are drawn."""
+    in :func:`cmd_decide`, and no weights are drawn.  Both answers are
+    printed by :func:`_trial_report`."""
     g = _read(args.graph, parse_graph)
     for t in range(args.trials if g.has_perfect_matching() else 0):
         trial = mvv_trial(g, derive_seed(args.seed, t))
         if trial.success:
-            weight_rows = [list(row) for row in trial.weights.grid]
-            _emit(
+            return _trial_report(
                 args,
+                t,
                 {
-                    "command": "find",
-                    "graph": args.graph,
-                    "seed": args.seed,
-                    "trials": args.trials,
                     "result": "found",
-                    "trial": t,
                     "matching": _matching_json(trial.matching),
                     "min_weight": trial.min_weight,
-                    "weights": weight_rows,
+                    "weights": [list(row) for row in trial.weights.grid],
                 },
                 [
                     "FOUND",
@@ -239,23 +237,12 @@ def cmd_find(args) -> int:
                 ]
                 + [" ".join(str(x) for x in row) for row in trial.weights.grid],
             )
-            return EXIT_YES
-    _emit(
+    return _trial_report(
         args,
-        {
-            "command": "find",
-            "graph": args.graph,
-            "seed": args.seed,
-            "trials": args.trials,
-            "result": "failed",
-            "trial": None,
-            "matching": None,
-            "min_weight": None,
-            "weights": None,
-        },
+        None,
+        {"result": "failed", "matching": None, "min_weight": None, "weights": None},
         ["FAILED", f"trials: {args.trials}"],
     )
-    return EXIT_NO
 
 
 def cmd_hungarian(args) -> int:

@@ -157,9 +157,6 @@ class Matching:
     def rights(self) -> frozenset[int]:
         return frozenset(j for _, j in self.pairs)
 
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        return pair in self.pairs
-
     def permutation_matrix(self, n: int) -> IntMatrix:
         """0/1 matrix with a 1 at each matched pair; a permutation
         matrix exactly when the matching is perfect."""
@@ -214,10 +211,6 @@ class WeightAssignment:
 
     def value(self, i: int, j: int) -> int:
         return self.grid[i][j]
-
-    def edge_values(self, g: BipartiteGraph) -> tuple[int, ...]:
-        """Weights read off in the graph's row-major edge order."""
-        return tuple(self.grid[i][j] for i, j in g.edge_list())
 
 
 GridLike = Union[IntMatrix, Sequence[Sequence[int]]]
@@ -305,6 +298,17 @@ def _decimal(token: str) -> int:
     return int(token)
 
 
+def _not_integer(token: str, what: str) -> str:
+    """Message for a token that ``int()`` refused.  A well-formed one
+    was refused for its length (CPython reads at most
+    ``sys.get_int_max_str_digits()`` digits, 4,300 by default), so it
+    is reported by its digit count and a short prefix, not echoed."""
+    if _DECIMAL.fullmatch(token):
+        digits = len(token.lstrip("-"))
+        return f"integer {what} too long: {digits} digits, starting {token[:20]!r}"
+    return f"expected integer {what}, got {token!r}"
+
+
 def _lines(text: str) -> list[str]:
     r"""Split at "\n" only, as a line-oriented reader does, so that
     U+2028, "\x0b", "\x1c" and the like stay inside their line; each
@@ -320,7 +324,7 @@ def _parse_header(lines: list[str]) -> int:
     try:
         n = _decimal(header)
     except ValueError:
-        raise FileFormatError(1, f"expected integer dimension, got {header!r}") from None
+        raise FileFormatError(1, _not_integer(header, "dimension")) from None
     if n < 1:
         raise FileFormatError(1, f"dimension must be >= 1, got {n}")
     if len(lines) < n + 1:
@@ -342,7 +346,7 @@ def _parse_row(line: str, lineno: int, n: int) -> list[int]:
         try:
             out.append(parse(f))
         except ValueError:
-            raise FileFormatError(lineno, f"expected integer entry, got {f!r}") from None
+            raise FileFormatError(lineno, _not_integer(f, "entry")) from None
     return out
 
 

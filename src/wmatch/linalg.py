@@ -94,32 +94,9 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    @classmethod
-    def zeros(cls, n: int) -> "IntMatrix":
-        return cls(tuple((0,) * n for _ in range(n)))
-
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    def at(self, i: int, j: int) -> int:
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise IndexError(f"entry ({i}, {j}) out of range for n={self.n}")
-        return self.rows[i][j]
-
-    def minor(self, i: int, j: int) -> "IntMatrix":
-        """Matrix with row i and column j deleted."""
-        return minor(self, i, j)
-
-    def with_entry(self, i: int, j: int, value: int) -> "IntMatrix":
-        """Copy with entry (i, j) replaced."""
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise IndexError(f"entry ({i}, {j}) out of range for n={self.n}")
-        rows = list(self.rows)
-        row = list(rows[i])
-        row[j] = value
-        rows[i] = tuple(row)
-        return IntMatrix(tuple(rows))
 
 
 def minor(m: IntMatrix, i: int, j: int) -> IntMatrix:

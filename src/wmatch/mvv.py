@@ -34,7 +34,6 @@ from .graphs import (
 from .linalg import (  # noqa: F401  (perfbench/tests wraps det_berkowitz here)
     IntMatrix,
     cofactors,
-    det_bareiss,
     det_berkowitz,
     power_det_valuation,
     trailing_zeros,
@@ -99,26 +98,6 @@ def extract_pm_weight_bounded(
     if matching_weight(m, w) > p:
         raise AssertionError("extraction exceeded the weight bound")
     return m
-
-
-def min_weight_via_trailing_zeros(
-    g: BipartiteGraph, w: WeightAssignment, b: IntMatrix
-) -> int:
-    """Weight of the unique minimum-weight perfect matching, read off
-    the determinant's trailing zero count.
-
-    The caller is responsible for uniqueness; without it the returned
-    number is still a lower bound realized by some perfect matching
-    (see extract_pm_weight_bounded) but not necessarily the minimum
-    weight.
-    """
-    det = det_bareiss(b)
-    if det == 0:
-        raise ZeroDeterminantError(
-            "determinant is zero: no perfect matching (or weights canceled, "
-            "contradicting uniqueness)"
-        )
-    return trailing_zeros(det)
 
 
 def _in_min_pm(adj: list[list[int]], p: int, w: WeightAssignment, i: int, j: int) -> bool:

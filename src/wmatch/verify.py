@@ -587,13 +587,13 @@ def check_mvv_success_rate(seed: int = DEFAULT_SEED, trials: int = 1000) -> Chec
     graphs with a perfect matching, exactly zero on graphs without.  The
     guarantee is 1/2; the 0.45 floor absorbs sampling noise."""
     min_rate = 0.45
-    ring5 = BipartiteGraph.from_rows(
-        [[1 if j in (i, (i + 1) % 5) else 0 for j in range(5)] for i in range(5)]
-    )
-    ring6 = BipartiteGraph.from_rows(
-        [[1 if j in (i, (i + 1) % 6) else 0 for j in range(6)] for i in range(6)]
-    )
-    with_pm = [("K44", BipartiteGraph.complete(4)), ("ring5", ring5), ("ring6", ring6)]
+
+    def ring(n):
+        return BipartiteGraph.from_rows(
+            [[1 if j in (i, (i + 1) % n) else 0 for j in range(n)] for i in range(n)]
+        )
+
+    with_pm = [("K44", BipartiteGraph.complete(4)), ("ring5", ring(5)), ("ring6", ring(6))]
     no_pm = [
         ("isolated_left", BipartiteGraph.from_rows([[0, 0, 0], [1, 1, 1], [1, 1, 1]])),
         (
@@ -605,24 +605,16 @@ def check_mvv_success_rate(seed: int = DEFAULT_SEED, trials: int = 1000) -> Chec
     ]
     rates = {}
     ok = True
-    for gi, (label, g) in enumerate(with_pm):
-        successes = 0
-        for t in range(trials):
-            trial = mvv_trial(g, derive_seed(seed, 100_000 * (gi + 1) + t))
-            if trial.success:
-                if not is_perfect_matching(g, trial.matching):
-                    ok = False
-                successes += 1
-        rates[label] = {"successes": successes, "trials": trials}
-        ok = ok and successes >= min_rate * trials
-    for gi, (label, g) in enumerate(no_pm):
-        successes = sum(
-            1
-            for t in range(trials)
-            if mvv_trial(g, derive_seed(seed, 900_000 * (gi + 1) + t)).success
-        )
-        rates[label] = {"successes": successes, "trials": trials}
-        ok = ok and successes == 0
+    for base, has_pm, graphs in ((100_000, True, with_pm), (900_000, False, no_pm)):
+        for gi, (label, g) in enumerate(graphs):
+            successes = 0
+            for t in range(trials):
+                trial = mvv_trial(g, derive_seed(seed, base * (gi + 1) + t))
+                if trial.success:
+                    ok = ok and is_perfect_matching(g, trial.matching)
+                    successes += 1
+            rates[label] = {"successes": successes, "trials": trials}
+            ok = ok and (successes >= min_rate * trials if has_pm else successes == 0)
     return CheckResult(
         "randomized finder success rates",
         ok,

@@ -11,7 +11,7 @@ from wmatch.edmonds import (
     lovasz_sample,
 )
 from wmatch.graphs import BipartiteGraph, is_perfect_matching
-from wmatch.linalg import IntMatrix, cofactors, det_bareiss, det_berkowitz
+from wmatch.linalg import IntMatrix, cofactors, det_bareiss, det_berkowitz, minor
 
 
 def per_minor_steps(b):
@@ -22,10 +22,10 @@ def per_minor_steps(b):
     steps = []
     for i in range(b.n - 1, 0, -1):
         chosen = next(
-            j for j in range(i + 1) if cur.at(i, j) != 0 and det_berkowitz(cur.minor(i, j)) != 0
+            j for j in range(i + 1) if cur.rows[i][j] != 0 and det_berkowitz(minor(cur, i, j)) != 0
         )
         steps.append((i, chosen, cols[chosen]))
-        cur = cur.minor(i, chosen)
+        cur = minor(cur, i, chosen)
         del cols[chosen]
     steps.append((0, 0, cols[0]))
     return tuple(steps)
@@ -61,7 +61,7 @@ class TestExtract:
             g = BipartiteGraph.complete(n)
             m = extract_pm(g, b)
             assert is_perfect_matching(g, m)
-            assert all(b.at(i, j) != 0 for i, j in m.pairs)
+            assert all(b.rows[i][j] != 0 for i, j in m.pairs)
 
     def test_deterministic_least_index(self):
         b = IntMatrix.from_rows([[1, 1], [1, 2]])
@@ -132,9 +132,9 @@ class TestLovasz:
         for i in range(2):
             for j in range(2):
                 if g.has_edge(i, j):
-                    assert 1 <= b.at(i, j) <= 4
+                    assert 1 <= b.rows[i][j] <= 4
                 else:
-                    assert b.at(i, j) == 0
+                    assert b.rows[i][j] == 0
 
     def test_sample_deterministic(self):
         g = BipartiteGraph.complete(3)

@@ -248,5 +248,5 @@ class TestFraction:
             nonisolating_fraction(K22, 100, budget=10)
 
     def test_enumeration_is_lexicographic(self):
-        bad = [w.edge_values(K22) for w in enumerate_nonisolating(K22, 2)]
+        bad = [w.grid for w in enumerate_nonisolating(K22, 2)]
         assert bad == sorted(bad)

@@ -16,13 +16,12 @@ from wmatch.graphs import (
 )
 from wmatch.isolation import is_nonisolating
 from wmatch import linalg
-from wmatch.linalg import cofactors, det_berkowitz, trailing_zeros
+from wmatch.linalg import cofactors, det_bareiss, det_berkowitz, minor, trailing_zeros
 from wmatch.mvv import (
     MvvTrial,
     build_power_matrix,
     edge_in_unique_min_pm,
     extract_pm_weight_bounded,
-    min_weight_via_trailing_zeros,
     mvv_find_pm,
     mvv_trial,
     unique_min_pm_edges,
@@ -113,16 +112,16 @@ def per_minor_weight_bounded(g, w, b):
     for i in range(b.n - 1, 0, -1):
         best_j = best_tz = None
         for j in range(i + 1):
-            entry = cur.at(i, j)
-            d = det_berkowitz(cur.minor(i, j)) if entry else 0
+            entry = cur.rows[i][j]
+            d = det_berkowitz(minor(cur, i, j)) if entry else 0
             if d == 0:
                 continue
             tz = trailing_zeros(prod * entry * d)
             if best_tz is None or tz < best_tz:
                 best_j, best_tz = j, tz
         sigma[i] = cols[best_j]
-        prod *= cur.at(i, best_j)
-        cur = cur.minor(i, best_j)
+        prod *= cur.rows[i][best_j]
+        cur = minor(cur, i, best_j)
         del cols[best_j]
     sigma[0] = cols[0]
     return Matching.from_pairs(enumerate(sigma))
@@ -144,7 +143,7 @@ def per_minor_trial(g, seed):
     pairs = [
         (i, j)
         for i, j in g.edge_list()
-        if n == 1 or trailing_zeros(det_berkowitz(b.minor(i, j))) == p - w.value(i, j)
+        if n == 1 or trailing_zeros(det_berkowitz(minor(b, i, j))) == p - w.value(i, j)
     ]
     if len(pairs) != n:
         return MvvTrial(seed, w, p, None, "wrong-size")
@@ -244,17 +243,14 @@ class TestWeightBoundedExtraction:
 
 
 class TestMinWeight:
+    """A unique minimum-weight perfect matching's weight is the
+    power matrix determinant's trailing zero count."""
+
     def test_hand_2x2(self):
         w = WeightAssignment.from_grid([[0, 1], [1, 1]])
         b = build_power_matrix(K22, w)
         assert det_berkowitz(b) == -2
-        assert min_weight_via_trailing_zeros(K22, w, b) == 1
-
-    def test_zero_det_rejected(self):
-        g = BipartiteGraph.from_rows([[0, 0], [1, 1]])
-        w = WeightAssignment.from_grid([[0, 0], [1, 1]])
-        with pytest.raises(ZeroDeterminantError):
-            min_weight_via_trailing_zeros(g, w, build_power_matrix(g, w))
+        assert trailing_zeros(det_bareiss(b)) == 1
 
     def test_unique_instances_match_oracle(self):
         for values in product(range(1, 4), repeat=4):
@@ -263,7 +259,7 @@ class TestMinWeight:
             if not truth.unique:
                 continue
             b = build_power_matrix(K22, w)
-            assert min_weight_via_trailing_zeros(K22, w, b) == truth.weight
+            assert trailing_zeros(det_bareiss(b)) == truth.weight
 
 
 class TestEdgeMembership:
@@ -381,7 +377,7 @@ class TestFinder:
         # and the collected set is a perfect matching of weight 9.
         g, w = WEIGHT_MISMATCH
         b = build_power_matrix(g, w)
-        p = min_weight_via_trailing_zeros(g, w, b)
+        p = trailing_zeros(det_bareiss(b))
         collected = Matching.from_pairs(
             e for e in g.edge_list() if edge_in_unique_min_pm(g, w, b, *e)
         )
@@ -445,7 +441,6 @@ class TestFinder:
 
         monkeypatch.setattr(linalg, "_eliminate", forbidden)
         monkeypatch.setattr(mvv, "cofactors", forbidden)
-        monkeypatch.setattr(mvv, "det_bareiss", forbidden)
         monkeypatch.setattr(classical, "maximum_matching", counting_matching)
         rng = random.Random(83)
         reasons = set()

@@ -222,7 +222,7 @@ class TestWitnessGraph:
     def test_zero_certificate_rejected(self):
         g = BipartiteGraph.complete(2)
         with pytest.raises(ZeroDeterminantError):
-            zero_witness_graph(g, 2, IntMatrix.zeros(2), 0, (0, 0, 0))
+            zero_witness_graph(g, 2, IntMatrix.from_rows([[0, 0], [0, 0]]), 0, (0, 0, 0))
 
     def test_pm_free_certificate_rejected(self):
         g = BipartiteGraph.from_rows([[0, 0], [1, 1]])
@@ -232,7 +232,7 @@ class TestWitnessGraph:
     def test_map_checks_certificate_once_and_points_always(self):
         g = BipartiteGraph.from_rows([[1, 0], [1, 1]])
         with pytest.raises(ZeroDeterminantError):
-            zero_witness_graph_map(g, 3, IntMatrix.zeros(2))
+            zero_witness_graph_map(g, 3, IntMatrix.from_rows([[0, 0], [0, 0]]))
         with pytest.raises(ValueError):
             zero_witness_graph_map(g, 0, IntMatrix.identity(2))
         cert = IntMatrix.from_rows([[2, 7], [1, 3]])
