@@ -29,7 +29,7 @@ from importlib import resources
 from pathlib import Path
 
 from .classical import cover_cost, hungarian_max_weight, is_cover, mwpm
-from .edmonds import extract_pm_trace_from, lovasz_sample
+from .edmonds import lovasz_sample, lovasz_trial
 from .graphs import (
     FileFormatError,
     Matching,
@@ -37,7 +37,7 @@ from .graphs import (
     parse_graph,
     parse_weights,
 )
-from .linalg import cofactors, det_berkowitz  # noqa: F401  (perfbench/tests wraps det_berkowitz here)
+from .linalg import det_berkowitz  # noqa: F401  (perfbench/tests wraps det_berkowitz here)
 from .mvv import mvv_trial
 from .oracle import BudgetExceededError, DEFAULT_BUDGET
 from .rng import DEFAULT_SEED, derive_seed
@@ -185,20 +185,22 @@ def cmd_decide(args) -> int:
     On a graph with no perfect matching every evaluation of the edge
     matrix is singular, so every trial would answer no: the graph's
     :meth:`~wmatch.graphs.BipartiteGraph.has_perfect_matching` answers
-    NO at once, with no trial run.  Otherwise each trial makes one
-    :func:`~wmatch.linalg.cofactors` call on a fresh random evaluation.
-    Its forward pass is the zero test, so a trial with a zero
-    determinant costs at most one fraction-free determinant; on the
-    first nonzero one the matching is read off that same ``(det, adj)``
-    (:func:`~wmatch.edmonds.extract_pm_trace_from`), with no second
+    NO at once, with no trial run.  Otherwise each trial draws one
+    random evaluation (:func:`~wmatch.edmonds.lovasz_sample`) and runs
+    :func:`~wmatch.edmonds.lovasz_trial` on it: the test and the
+    matching mod the prime P (:func:`~wmatch.edmonds.extract_diagonal_mod`),
+    and the exact :func:`~wmatch.linalg.cofactors` and
+    :func:`~wmatch.edmonds.extract_pm_trace_from` on the same sample
+    only when the determinant is 0 mod P or a zero cofactor residue is
+    not proved zero.  A zero determinant is therefore always decided
+    exactly, and a trial with a nonzero residue runs no exact
     elimination.  Both answers are printed by :func:`_trial_report`.
     """
     g = _read(args.graph, parse_graph)
     for t in range(args.trials if g.has_perfect_matching() else 0):
-        b = lovasz_sample(g, derive_seed(args.seed, t))
-        det, adj = cofactors(b)
-        if det != 0:
-            m = extract_pm_trace_from(g, b, det, adj).matching
+        trace = lovasz_trial(g, lovasz_sample(g, derive_seed(args.seed, t)))
+        if trace is not None:
+            m = trace.matching
             return _trial_report(
                 args,
                 t,

@@ -298,14 +298,23 @@ def _decimal(token: str) -> int:
     return int(token)
 
 
+# Longest refused token that an error message quotes whole.
+_QUOTED = 20
+
+
 def _not_integer(token: str, what: str) -> str:
     """Message for a token that ``int()`` refused.  A well-formed one
     was refused for its length (CPython reads at most
     ``sys.get_int_max_str_digits()`` digits, 4,300 by default), so it
-    is reported by its digit count and a short prefix, not echoed."""
+    is reported by its digit count and a short prefix, not echoed.  A
+    malformed one longer than 20 characters is likewise reported by its
+    length and prefix."""
+    prefix = repr(token[:_QUOTED])
     if _DECIMAL.fullmatch(token):
         digits = len(token.lstrip("-"))
-        return f"integer {what} too long: {digits} digits, starting {token[:20]!r}"
+        return f"integer {what} too long: {digits} digits, starting {prefix}"
+    if len(token) > _QUOTED:
+        return f"expected integer {what}, got a {len(token)}-character token starting {prefix}"
     return f"expected integer {what}, got {token!r}"
 
 

@@ -47,6 +47,20 @@ adjugate instead:
   Desnanot-Jacobi (Sylvester) identity, so deleting one row and column
   after another costs O(n^3) in all.
 
+Lovász's test in ``decide`` needs only which cofactors are zero, and a
+nonzero residue proves an integer nonzero.  :func:`inverse_mod` inverts
+A modulo the prime P = 1,073,741,789 by Gauss-Jordan elimination, about
+n^3 multiply-adds, and :func:`minor_inverse_mod` is
+:func:`minor_cofactors` in inverse form, mod P.  A zero residue proves
+nothing: ``edmonds`` proves it zero another way or falls back to
+:func:`cofactors`, so the results are exact whatever P is.  P is the
+largest prime below 2^30 for speed alone: CPython stores an integer in
+30-bit digits, so every residue is one digit and takes the
+interpreter's small-integer fast paths.  Modulo 2^61 - 1 residues
+span three digits: on one n = 20 Lovász sample (CPU time, 2-core
+x86-64 VM, CPython 3.11.7) the same extraction took 3.3-3.5 ms against
+2.1 ms, no faster than the exact path's 2.7-3.9 ms.
+
 The MVV finder reads only 2-adic valuations off the power matrix 2^w,
 whose determinant has about 30,000 bits at n = 32.
 :func:`power_det_valuation` reads them exactly without building 2^w:
@@ -66,6 +80,8 @@ from typing import Iterable, Optional, Sequence
 
 COFACTOR_MAX_N = 12
 LAGRANGE_MAX_N = 9
+# The largest prime below 2^30: every residue is one CPython digit.
+P = 1_073_741_789
 
 
 @dataclass(frozen=True)
@@ -338,6 +354,72 @@ def minor_cofactors(
             [sign * ((pivot * row[s] - f * row_j[s]) // det) for s in range(n) if s != i]
         )
     return sign * pivot, out
+
+
+def inverse_mod(m: IntMatrix) -> Optional[list[list[int]]]:
+    """Inverse of m modulo the prime :data:`P`, or None when det(m) is
+    0 mod P.
+
+    In-place Gauss-Jordan elimination, about n^3 multiply-adds: at step
+    k the pivot is the first entry of column k, at or below row k, that
+    is nonzero mod P; its row is scaled by the pivot's inverse and
+    subtracted from every other row, and column k takes the inverse's
+    column in its place.  Only the pivot row and the multipliers are
+    reduced during the elimination, so every other entry is reduced
+    once at the end.  The row swaps become column swaps of the result,
+    undone in reverse order.  None means some column has no nonzero
+    residue left: det(m) is 0 mod P, which a nonzero det divisible by P
+    also gives.
+    """
+    n = m.n
+    a = [list(row) for row in m.rows]
+    swaps = []
+    for k in range(n):
+        for p in range(k, n):
+            piv = a[p][k] % P
+            if piv:
+                break
+        else:
+            return None
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+        swaps.append(p)
+        inv = pow(piv, -1, P)
+        pr = a[k]
+        pr[k] = 1  # scaled to inv: column k of the inverse starts here
+        pr = a[k] = [x * inv % P for x in pr]
+        for r, row in enumerate(a):
+            if r != k and (f := row[k] % P):
+                row[k] = 0
+                a[r] = [x - f * y for x, y in zip(row, pr)]
+    for k in range(n - 1, -1, -1):
+        p = swaps[k]
+        if p != k:
+            for row in a:
+                row[k], row[p] = row[p], row[k]
+    return [[x % P for x in row] for row in a]
+
+
+def minor_inverse_mod(inv: Sequence[Sequence[int]], i: int, j: int) -> list[list[int]]:
+    """Inverse mod P of ``minor(A, i, j)`` from ``inv``, the inverse of
+    A mod P, in O(n^2).
+
+    ``inv[j][i]``, det(minor) / det(A) mod P, must be nonzero.  This is
+    :func:`minor_cofactors` in inverse form (Desnanot-Jacobi): the
+    minor's inverse is inv without row j and column i, minus
+    ``inv[r][i] * inv[j][s] / inv[j][i]``, a rank-one update.
+    """
+    row_j = list(inv[j])
+    t = pow(row_j.pop(i), -1, P)
+    g = [y * t % P for y in row_j]
+    out = []
+    for r, row in enumerate(inv):
+        if r == j:
+            continue
+        row = list(row)
+        f = row.pop(i)
+        out.append([(x - f * y) % P for x, y in zip(row, g)] if f else row)
+    return out
 
 
 def _ldu_mod(a: Sequence[Sequence[int]], k_bits: int):

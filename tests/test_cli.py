@@ -125,19 +125,21 @@ class TestDecide:
 
 
     def test_one_forward_pass_per_trial(self, capsys, tmp_path, monkeypatch):
-        # Each trial's cofactors call is also its zero test, so a trial
-        # runs exactly one fraction-free forward pass, YES or not.  A
-        # graph with no perfect matching runs no trial at all.
-        counts = {"forward": 0, "trials": 0}
+        # A trial whose determinant residue mod P is nonzero answers
+        # from the residues alone and runs no exact forward pass; a
+        # trial whose residue vanishes runs exactly one (the exact zero
+        # test).  A graph with no perfect matching runs no trial at all.
+        trials = []  # [sample, exact forward passes in its trial]
         eliminate, sample = linalg._eliminate, cli.lovasz_sample
 
         def counting_eliminate(m):
-            counts["forward"] += 1
+            trials[-1][1] += 1
             return eliminate(m)
 
         def counting_sample(g, seed):
-            counts["trials"] += 1
-            return sample(g, seed)
+            b = sample(g, seed)
+            trials.append([b, 0])
+            return b
 
         monkeypatch.setattr(linalg, "_eliminate", counting_eliminate)
         monkeypatch.setattr(cli, "lovasz_sample", counting_sample)
@@ -148,13 +150,17 @@ class TestDecide:
         retried = 0
         for seed in range(40):
             argv = ["--trials", "5", "--seed", str(seed)]
-            counts.update(forward=0, trials=0)
+            trials.clear()
             assert run(capsys, ["decide", str(k22)] + argv)[0] == 0
-            assert counts["forward"] == counts["trials"] >= 1
-            retried += counts["trials"] > 1
-            counts.update(forward=0, trials=0)
+            assert [passes for _, passes in trials] == [
+                int(linalg.inverse_mod(b) is None) for b, _ in trials
+            ]
+            # Every trial before the YES had a zero determinant.
+            assert [passes for _, passes in trials] == [1] * (len(trials) - 1) + [0]
+            retried += len(trials) > 1
+            trials.clear()
             assert run(capsys, ["decide", str(pm_free)] + argv)[0] == 1
-            assert counts == {"forward": 0, "trials": 0}
+            assert trials == []
         # Some K2,2 samples have a zero determinant before the YES.
         assert retried >= 3
 

@@ -2,16 +2,20 @@ import random
 
 import pytest
 
+from wmatch import edmonds, linalg
 from wmatch.edmonds import (
     ZeroDeterminantError,
+    extract_diagonal_mod,
     extract_pm,
     extract_pm_trace,
     extract_pm_trace_from,
     lovasz_decide,
     lovasz_sample,
+    lovasz_trial,
 )
 from wmatch.graphs import BipartiteGraph, is_perfect_matching
-from wmatch.linalg import IntMatrix, cofactors, det_bareiss, det_berkowitz, minor
+from wmatch.linalg import P, IntMatrix, cofactors, det_bareiss, det_berkowitz, inverse_mod, minor
+from wmatch.rng import derive_seed
 
 
 def per_minor_steps(b):
@@ -150,3 +154,111 @@ class TestLovasz:
             b = lovasz_sample(g, case)
             if det_berkowitz(b) != 0:
                 assert is_perfect_matching(g, extract_pm(g, b))
+
+
+def exact_trial(g, b):
+    """The exact path alone: today's oracle for lovasz_trial."""
+    det, adj = cofactors(b)
+    return extract_pm_trace_from(g, b, det, adj) if det else None
+
+
+def planted_graph(rng, n, density):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return BipartiteGraph.from_rows(
+        [[j == perm[i] or rng.random() < density for j in range(n)] for i in range(n)]
+    )
+
+
+@pytest.fixture
+def no_elimination(monkeypatch):
+    """Make every exact forward pass fail the test."""
+
+    def refuse(m):
+        raise AssertionError("exact elimination ran")
+
+    monkeypatch.setattr(linalg, "_eliminate", refuse)
+
+
+class TestExtractModP:
+    """The mod-P extraction and its fallbacks against the exact path."""
+
+    def test_trial_and_sigma_equal_exact_path(self):
+        # decide's trial loop, mod P against exact, on planted-matching
+        # graphs at three densities for n = 1..32 and once at n = 48.
+        rng = random.Random(59)
+        cases = [(n, d) for n in range(1, 33) for d in (0.15, 0.5, 0.9)] + [(48, 0.5)]
+        for case, (n, density) in enumerate(cases):
+            g = planted_graph(rng, n, density)
+            for t in range(20):
+                b = lovasz_sample(g, derive_seed(case, t))
+                exact = exact_trial(g, b)
+                fast = extract_diagonal_mod(b)
+                assert fast is None or fast == exact
+                assert lovasz_trial(g, b) == exact
+                if exact is not None:
+                    break
+            assert exact is not None
+
+    def test_det_multiple_of_p_falls_back(self):
+        # det = P: the residue is 0, the determinant is not.
+        g = BipartiteGraph.complete(2)
+        b = IntMatrix.from_rows([[P + 1, 1], [1, 1]])
+        assert det_bareiss(b) == P
+        assert inverse_mod(b) is None and extract_diagonal_mod(b) is None
+        assert lovasz_trial(g, b) == exact_trial(g, b)
+        assert lovasz_trial(g, b).sigma == (1, 0)
+
+    def test_singular_sample_is_no(self):
+        g = BipartiteGraph.complete(2)
+        assert lovasz_trial(g, IntMatrix.from_rows([[1, 2], [2, 4]])) is None
+
+    def test_nonstructural_zero_cofactor_falls_back(self, monkeypatch):
+        # Complete 3x3, det = 1: the cofactor of (2, 0) is det [[1, 2],
+        # [2, 4]] = 0 by cancellation, so the guard finds a perfect
+        # matching in its pattern and the exact path decides.
+        g = BipartiteGraph.complete(3)
+        b = IntMatrix.from_rows([[1, 1, 2], [3, 2, 4], [1, 1, 1]])
+        assert det_bareiss(b) == 1 and cofactors(b)[1][0][2] == 0
+        assert extract_diagonal_mod(b) is None
+        passes = []
+        eliminate = linalg._eliminate
+        monkeypatch.setattr(linalg, "_eliminate", lambda m: passes.append(m) or eliminate(m))
+        trace = lovasz_trial(g, b)
+        assert len(passes) == 1
+        assert trace == exact_trial(g, b)
+        assert trace.sigma == (2, 0, 1)
+
+    def test_cofactor_multiple_of_p_falls_back(self):
+        # The cofactor of (1, 0) is -P: zero mod P, nonzero exactly, so
+        # column 0 is the exact pick and no residue may skip it.
+        g = BipartiteGraph.complete(2)
+        b = IntMatrix.from_rows([[1, P], [1, 1]])
+        assert cofactors(b)[1][0][1] == -P
+        assert extract_diagonal_mod(b) is None
+        assert lovasz_trial(g, b).sigma == (1, 0) == exact_trial(g, b).sigma
+
+    def test_structural_zero_proved_without_elimination(self, no_elimination):
+        # The cofactor of (2, 0) is the determinant of rows 0..1 on
+        # columns 1..2, [[0, 0], [0, 1]]: no perfect matching in its
+        # pattern, so it is proved zero and column 1 is picked mod P.
+        g = BipartiteGraph.from_rows([[1, 0, 0], [1, 0, 1], [1, 1, 1]])
+        b = IntMatrix.from_rows([[1, 0, 0], [1, 0, 1], [1, 1, 1]])
+        trace = lovasz_trial(g, b)
+        assert trace.steps == ((2, 1, 1), (1, 1, 2), (0, 0, 0))
+        assert trace.sigma == (0, 2, 1)
+        assert trace.steps == per_minor_steps(b)
+
+    def test_lovasz_decide_zero_test(self, monkeypatch):
+        # A nonzero residue answers with no exact pass; only a zero
+        # residue runs det_bareiss, which sees det = P.
+        g = BipartiteGraph.complete(2)
+        samples = {0: [[2, 1], [1, 1]], 1: [[P + 1, 1], [1, 1]], 2: [[1, 1], [1, 1]]}
+        monkeypatch.setattr(edmonds, "lovasz_sample",
+                            lambda g, seed: IntMatrix.from_rows(samples[seed]))
+        passes = []
+        eliminate = linalg._eliminate
+        monkeypatch.setattr(linalg, "_eliminate", lambda m: passes.append(m) or eliminate(m))
+        assert lovasz_decide(g, 0) and passes == []
+        assert lovasz_decide(g, 1) and len(passes) == 1
+        assert not lovasz_decide(g, 2) and len(passes) == 2

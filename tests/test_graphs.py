@@ -337,6 +337,29 @@ class TestFileFormats:
             parse(text)
         assert (exc.value.line, exc.value.message) == (line, message)
 
+    # A malformed token is quoted whole only up to 20 characters; a
+    # longer one is named by its length and first 20 characters.
+    @pytest.mark.parametrize(
+        "parse, text, line, message",
+        [
+            (parse_weights, "1\n" + "x" * 5000 + "\n", 2,
+             f"expected integer entry, got a 5000-character token starting {'x' * 20!r}"),
+            (parse_graph, "2\n1 0\n0 " + "1" * 30 + "y\n", 3,
+             f"expected integer entry, got a 31-character token starting {'1' * 20!r}"),
+            (parse_graph, "+" + "2" * 4999 + "\n1 0\n0 1\n", 1,
+             f"expected integer dimension, got a 5000-character token starting "
+             f"{'+' + '2' * 19!r}"),
+            (parse_weights, "1\n" + "z" * 20 + "\n", 2,
+             f"expected integer entry, got {'z' * 20!r}"),
+        ],
+        ids=["weight", "graph", "header", "twenty-quoted-whole"],
+    )
+    def test_overlong_malformed_token_reported_by_length(self, parse, text, line, message):
+        with pytest.raises(FileFormatError) as exc:
+            parse(text)
+        assert (exc.value.line, exc.value.message) == (line, message)
+        assert len(str(exc.value)) < 120
+
     def test_crlf_and_tabs_accepted(self):
         assert parse_graph("2\r\n1 0\r\n1 1\r\n") == parse_graph(GRAPH_TEXT)
         assert parse_weights("2\n3\t0\n\t5 \t 7\t\r\n\n") == parse_weights(WEIGHT_TEXT)

@@ -7,14 +7,17 @@ from wmatch import edmonds, linalg
 from wmatch.edmonds import lovasz_decide
 from wmatch.graphs import BipartiteGraph
 from wmatch.linalg import (
+    P,
     IntMatrix,
     cofactors,
     det_bareiss,
     det_berkowitz,
     det_cofactor,
     det_lagrange,
+    inverse_mod,
     minor,
     minor_cofactors,
+    minor_inverse_mod,
     power_det_valuation,
     trailing_zeros,
 )
@@ -739,6 +742,68 @@ class TestMinorCofactors:
             minor_cofactors(1, [[1]], 0, 0)
         with pytest.raises(IndexError):
             minor_cofactors(det, adj, 2, 0)
+
+
+
+def inverse_from_cofactors(m):
+    """What inverse_mod must return, from the exact cofactors."""
+    det, adj = cofactors(m)
+    if det % P == 0:
+        return None
+    t = pow(det, -1, P)
+    return [[x * t % P for x in row] for row in adj]
+
+
+class TestInverseMod:
+    def test_matches_exact_cofactors(self):
+        # Small entries, entries past P, and singular 0/1 matrices.
+        rng = random.Random(37)
+        for _ in range(200):
+            n = rng.randint(1, 9)
+            m = IntMatrix.from_rows(
+                [[rng.choice((0, 0, 1, 2, -3, 7, P - 1, P + 2, 10**40)) for _ in range(n)]
+                 for _ in range(n)]
+            )
+            assert inverse_mod(m) == inverse_from_cofactors(m)
+        for m in all_01_matrices(3):
+            assert inverse_mod(m) == inverse_from_cofactors(m)
+
+    def test_lovasz_samples_up_to_n32(self):
+        rng = random.Random(41)
+        for n in (1, 2, 5, 12, 20, 32):
+            m = lovasz_matrix(rng, n)
+            assert inverse_mod(m) == inverse_from_cofactors(m)
+
+    def test_det_equal_to_p_is_a_zero_residue(self):
+        # No column is zero mod P, yet det = P (or 2P): the kernel
+        # cannot tell it from a singular matrix, and says so.
+        for rows in ([[P + 1, 1], [1, 1]], [[2 * P + 1, 1, 0], [1, 1, 0], [0, 0, 1]]):
+            m = IntMatrix.from_rows(rows)
+            assert det_bareiss(m) in (P, 2 * P)
+            assert inverse_mod(m) is None
+
+    def test_minor_chain_on_lovasz_samples(self):
+        # Extraction's order: always the last row, in the first column
+        # whose residue is nonzero, down to the 1x1 block.
+        rng = random.Random(43)
+        for n in (2, 7, 16):
+            cur = lovasz_matrix(rng, n)
+            inv = inverse_mod(cur)
+            while cur.n > 1:
+                i = cur.n - 1
+                j = next(j for j in range(cur.n) if inv[j][i])
+                inv = minor_inverse_mod(inv, i, j)
+                cur = minor(cur, i, j)
+                assert inv == inverse_from_cofactors(cur)
+
+    def test_minor_any_row_and_column(self):
+        rng = random.Random(47)
+        m = random_matrix(rng, 6, 1, 50)
+        inv = inverse_mod(m)
+        for i in range(6):
+            for j in range(6):
+                if inv[j][i]:
+                    assert minor_inverse_mod(inv, i, j) == inverse_mod(minor(m, i, j))
 
 
 def exact_valuation(w):
