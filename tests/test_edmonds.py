@@ -200,6 +200,19 @@ class TestExtractModP:
                     break
             assert exact is not None
 
+    @pytest.mark.parametrize("n, density", [(64, 0.5), (64, 0.15), (100, 0.5)])
+    def test_trial_and_sigma_at_large_n(self, n, density):
+        # decide's trial at the largest sizes the tests reach, where a
+        # packed field too narrow for n carries into its neighbour: the
+        # first sample of each graph is a YES, and the mod-P path must
+        # find it with the exact trace.
+        g = planted_graph(random.Random(f"large:{n}:{density}"), n, density)
+        b = lovasz_sample(g, derive_seed(n, 0))
+        exact = exact_trial(g, b)
+        assert exact is not None
+        assert extract_diagonal_mod(b) == exact
+        assert lovasz_trial(g, b) == exact
+
     def test_det_multiple_of_p_falls_back(self):
         # det = P: the residue is 0, the determinant is not.
         g = BipartiteGraph.complete(2)

@@ -14,7 +14,9 @@ from wmatch.linalg import (
     det_berkowitz,
     det_cofactor,
     det_lagrange,
+    field_bits,
     inverse_mod,
+    inverse_residue,
     minor,
     minor_cofactors,
     minor_inverse_mod,
@@ -745,6 +747,63 @@ class TestMinorCofactors:
 
 
 
+def inverse_mod_list(m):
+    """The list kernel that the packed inverse_mod replaced, kept as its
+    reference: in-place Gauss-Jordan mod P, one operation per entry,
+    row swaps undone as column swaps at the end."""
+    n = m.n
+    a = [list(row) for row in m.rows]
+    swaps = []
+    for k in range(n):
+        for p in range(k, n):
+            piv = a[p][k] % P
+            if piv:
+                break
+        else:
+            return None
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+        swaps.append(p)
+        inv = pow(piv, -1, P)
+        pr = a[k]
+        pr[k] = 1  # scaled to inv: column k of the inverse starts here
+        pr = a[k] = [x * inv % P for x in pr]
+        for r, row in enumerate(a):
+            if r != k and (f := row[k] % P):
+                row[k] = 0
+                a[r] = [x - f * y for x, y in zip(row, pr)]
+    for k in range(n - 1, -1, -1):
+        p = swaps[k]
+        if p != k:
+            for row in a:
+                row[k], row[p] = row[p], row[k]
+    return [[x % P for x in row] for row in a]
+
+
+def minor_inverse_mod_list(inv, i, j):
+    """The list form of minor_inverse_mod, kept as its reference: the
+    rank-one update to the inverse of minor(A, i, j), any i."""
+    row_j = list(inv[j])
+    t = pow(row_j.pop(i), -1, P)
+    g = [y * t % P for y in row_j]
+    out = []
+    for r, row in enumerate(inv):
+        if r == j:
+            continue
+        row = list(row)
+        f = row.pop(i)
+        out.append([(x - f * y) % P for x, y in zip(row, g)] if f else row)
+    return out
+
+
+def unpack(packed, bits):
+    """The residues of a packed inverse with ``bits``-bit fields, one
+    field per row; nothing may sit above the top field."""
+    n = len(packed)
+    assert all(0 <= row < 1 << n * bits for row in packed)
+    return [[inverse_residue(packed, c, q, bits) for q in range(n)] for c in range(n)]
+
+
 def inverse_from_cofactors(m):
     """What inverse_mod must return, from the exact cofactors."""
     det, adj = cofactors(m)
@@ -754,25 +813,59 @@ def inverse_from_cofactors(m):
     return [[x * t % P for x in row] for row in adj]
 
 
+def packed_inverse(m):
+    inv = inverse_mod(m)
+    return None if inv is None else unpack(inv, field_bits(m.n))
+
+
+def residue_matrix(rng, n):
+    """Entries uniform mod P, with a row order that makes the pivots
+    arrive out of order: the widest rows the elimination can meet."""
+    rows = [[rng.randrange(P) for _ in range(n)] for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[: n - 1 - i] = [0] * (n - 1 - i)
+    return IntMatrix.from_rows(rows)
+
+
 class TestInverseMod:
     def test_matches_exact_cofactors(self):
-        # Small entries, entries past P, and singular 0/1 matrices.
+        # Small entries, negative ones, entries past P and past 2^64,
+        # multiples of P, and singular 0/1 matrices.
         rng = random.Random(37)
+        values = (0, 0, 1, 2, -3, 7, P - 1, P + 2, 10**40, 2**64 + 5, -(2**70), P, 3 * P, -P)
         for _ in range(200):
             n = rng.randint(1, 9)
             m = IntMatrix.from_rows(
-                [[rng.choice((0, 0, 1, 2, -3, 7, P - 1, P + 2, 10**40)) for _ in range(n)]
-                 for _ in range(n)]
+                [[rng.choice(values) for _ in range(n)] for _ in range(n)]
             )
-            assert inverse_mod(m) == inverse_from_cofactors(m)
+            assert packed_inverse(m) == inverse_mod_list(m) == inverse_from_cofactors(m)
         for m in all_01_matrices(3):
-            assert inverse_mod(m) == inverse_from_cofactors(m)
+            assert packed_inverse(m) == inverse_mod_list(m) == inverse_from_cofactors(m)
 
     def test_lovasz_samples_up_to_n32(self):
         rng = random.Random(41)
         for n in (1, 2, 5, 12, 20, 32):
             m = lovasz_matrix(rng, n)
-            assert inverse_mod(m) == inverse_from_cofactors(m)
+            assert packed_inverse(m) == inverse_mod_list(m) == inverse_from_cofactors(m)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64])
+    def test_field_width_boundaries(self, n):
+        # field_bits(n) steps up at each power of two: n on both sides
+        # of each step, with residues uniform mod P and the pivots out
+        # of row order, so every field takes its largest terms and the
+        # rows their greatest width.
+        rng = random.Random(f"width:{n}")
+        for m in (residue_matrix(rng, n), lovasz_matrix(rng, n)):
+            assert det_bareiss(m) % P != 0
+            assert packed_inverse(m) == inverse_mod_list(m) == inverse_from_cofactors(m)
+
+    @pytest.mark.parametrize("n", [48, 100])
+    def test_lovasz_samples_at_large_n(self, n):
+        rng = random.Random(f"large:{n}")
+        m = lovasz_matrix(rng, n)
+        expected = inverse_from_cofactors(m)
+        assert expected is not None
+        assert packed_inverse(m) == inverse_mod_list(m) == expected
 
     def test_det_equal_to_p_is_a_zero_residue(self):
         # No column is zero mod P, yet det = P (or 2P): the kernel
@@ -780,30 +873,44 @@ class TestInverseMod:
         for rows in ([[P + 1, 1], [1, 1]], [[2 * P + 1, 1, 0], [1, 1, 0], [0, 0, 1]]):
             m = IntMatrix.from_rows(rows)
             assert det_bareiss(m) in (P, 2 * P)
-            assert inverse_mod(m) is None
+            assert inverse_mod(m) is None and inverse_mod_list(m) is None
 
     def test_minor_chain_on_lovasz_samples(self):
         # Extraction's order: always the last row, in the first column
-        # whose residue is nonzero, down to the 1x1 block.
+        # whose residue is nonzero, down to the 1x1 block; against the
+        # exact cofactors up to n = 16 and the list update beyond.
         rng = random.Random(43)
-        for n in (2, 7, 16):
+        for n in (2, 7, 16, 48, 100):
             cur = lovasz_matrix(rng, n)
+            bits = field_bits(n)
             inv = inverse_mod(cur)
-            while cur.n > 1:
-                i = cur.n - 1
-                j = next(j for j in range(cur.n) if inv[j][i])
-                inv = minor_inverse_mod(inv, i, j)
-                cur = minor(cur, i, j)
-                assert inv == inverse_from_cofactors(cur)
+            ref = inverse_mod_list(cur)
+            while len(inv) > 1:
+                i = len(inv) - 1
+                j = next(j for j in range(i + 1) if ref[j][i])
+                inv = minor_inverse_mod(inv, j, bits)
+                ref = minor_inverse_mod_list(ref, i, j)
+                assert unpack(inv, bits) == ref
+                if n <= 16:
+                    cur = minor(cur, i, j)
+                    assert ref == inverse_from_cofactors(cur)
 
     def test_minor_any_row_and_column(self):
+        # The packed update deletes the last row; moving row i to the
+        # bottom first leaves minor(m, i, j) unchanged, so every (i, j)
+        # is reached.
         rng = random.Random(47)
         m = random_matrix(rng, 6, 1, 50)
-        inv = inverse_mod(m)
+        bits = field_bits(6)
+        ref = inverse_mod_list(m)
         for i in range(6):
+            rows = m.rows[:i] + m.rows[i + 1:] + m.rows[i:i + 1]
+            inv = inverse_mod(IntMatrix(rows))
             for j in range(6):
-                if inv[j][i]:
-                    assert minor_inverse_mod(inv, i, j) == inverse_mod(minor(m, i, j))
+                if ref[j][i]:
+                    expected = inverse_mod_list(minor(m, i, j))
+                    assert unpack(minor_inverse_mod(inv, j, bits), bits) == expected
+                    assert minor_inverse_mod_list(ref, i, j) == expected
 
 
 def exact_valuation(w):
