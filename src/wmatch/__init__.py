@@ -21,7 +21,6 @@ from .edmonds import (
     ZeroDeterminantError,
     extract_pm,
     extract_pm_trace,
-    extract_pm_trace_from,
     lovasz_decide,
     lovasz_sample,
 )

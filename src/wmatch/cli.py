@@ -29,7 +29,7 @@ from importlib import resources
 from pathlib import Path
 
 from .classical import cover_cost, hungarian_max_weight, is_cover, mwpm
-from .edmonds import lovasz_sample, lovasz_trial
+from .edmonds import ZeroDeterminantError, extract_pm, lovasz_sample
 from .graphs import (
     FileFormatError,
     Matching,
@@ -65,7 +65,12 @@ def _seed_value(text: str) -> int:
 
 
 def _positive(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}"
+        ) from None
     if value < 1:
         raise argparse.ArgumentTypeError("value must be >= 1")
     return value
@@ -186,27 +191,29 @@ def cmd_decide(args) -> int:
     matrix is singular, so every trial would answer no: the graph's
     :meth:`~wmatch.graphs.BipartiteGraph.has_perfect_matching` answers
     NO at once, with no trial run.  Otherwise each trial draws one
-    random evaluation (:func:`~wmatch.edmonds.lovasz_sample`) and runs
-    :func:`~wmatch.edmonds.lovasz_trial` on it: the test and the
-    matching mod the prime P (:func:`~wmatch.edmonds.extract_diagonal_mod`),
-    and the exact :func:`~wmatch.linalg.cofactors` and
-    :func:`~wmatch.edmonds.extract_pm_trace_from` on the same sample
-    only when the determinant is 0 mod P or a zero cofactor residue is
-    not proved zero.  A zero determinant is therefore always decided
-    exactly, and a trial with a nonzero residue runs no exact
-    elimination.  Both answers are printed by :func:`_trial_report`.
+    random evaluation (:func:`~wmatch.edmonds.lovasz_sample`) and
+    extracts a matching from it (:func:`~wmatch.edmonds.extract_pm`):
+    the test and the matching mod the prime P
+    (:func:`~wmatch.edmonds.extract_diagonal_mod`), and the exact
+    :func:`~wmatch.linalg.cofactors` on the same sample only when the
+    determinant is 0 mod P or a zero cofactor residue is not proved
+    zero.  A zero determinant is therefore always decided exactly, and
+    its :class:`~wmatch.edmonds.ZeroDeterminantError` ends the trial; a
+    trial with a nonzero residue runs no exact elimination.  Both
+    answers are printed by :func:`_trial_report`.
     """
     g = _read(args.graph, parse_graph)
     for t in range(args.trials if g.has_perfect_matching() else 0):
-        trace = lovasz_trial(g, lovasz_sample(g, derive_seed(args.seed, t)))
-        if trace is not None:
-            m = trace.matching
-            return _trial_report(
-                args,
-                t,
-                {"result": "yes", "matching": _matching_json(m)},
-                ["YES", f"trial: {t}", f"matching: {_matching_text(m)}"],
-            )
+        try:
+            m = extract_pm(g, lovasz_sample(g, derive_seed(args.seed, t)))
+        except ZeroDeterminantError:
+            continue
+        return _trial_report(
+            args,
+            t,
+            {"result": "yes", "matching": _matching_json(m)},
+            ["YES", f"trial: {t}", f"matching: {_matching_text(m)}"],
+        )
     return _trial_report(
         args, None, {"result": "no", "matching": None}, ["NO", f"trials: {args.trials}"]
     )

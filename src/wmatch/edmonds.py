@@ -8,14 +8,15 @@ evaluation into a nonzero diagonal, i.e. a perfect matching.  On top of
 that sits the one-sided randomized decision test of Lovász:
 evaluate at a uniform random assignment and test the determinant.
 
-A trial runs modulo the prime :data:`~wmatch.linalg.P` first
+:func:`extract_pm_trace` is the one extraction every caller runs.  It
+works modulo the prime :data:`~wmatch.linalg.P` first
 (:func:`extract_diagonal_mod`): a nonzero residue proves its integer
 nonzero, and a zero cofactor residue counts only when the minor's
 pattern has no perfect matching.  Where neither settles a choice, or
-the determinant is 0 mod P, :func:`lovasz_trial` reruns the trial
-exactly (:func:`~wmatch.linalg.cofactors`, then
-:func:`extract_pm_trace_from`).  Both paths return the same answer and
-the same matching.
+the determinant is 0 mod P, it reruns the extraction exactly
+(:func:`~wmatch.linalg.cofactors`, then :func:`extract_diagonal`),
+whose forward pass also decides a zero determinant.  Both paths return
+the same answer and the same matching.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .graphs import BipartiteGraph, Matching, edmonds_eval, is_perfect_matching
+from .graphs import BipartiteGraph, Matching, is_perfect_matching, random_weights
 from .linalg import (  # noqa: F401  (perfbench/tests wraps det_berkowitz here)
     IntMatrix,
     cofactors,
@@ -35,7 +36,6 @@ from .linalg import (  # noqa: F401  (perfbench/tests wraps det_berkowitz here)
     minor_cofactors,
     minor_inverse_mod,
 )
-from .rng import SplitMix64
 
 
 class ZeroDeterminantError(ValueError):
@@ -183,34 +183,25 @@ def extract_diagonal_mod(b: IntMatrix) -> Optional[ExtractionTrace]:
 def extract_pm_trace(g: BipartiteGraph, b: IntMatrix) -> ExtractionTrace:
     """Extract a nonzero diagonal of b, recording every choice.
 
-    b must be an evaluation of g's edge matrix with det(b) != 0.  Work
-    bottom-up: for the last row of the current submatrix, pick the
-    least column j whose entry times the determinant of its minor is
-    nonzero (one exists, by cofactor expansion along that row), then
-    delete that row and column and recurse.  Each chosen entry is
-    nonzero, hence sits on an edge of g.  The minors' determinants are
-    read off one adjugate updated row by row (:func:`extract_diagonal`):
-    O(n^3) exact operations in all.
+    b must be an evaluation of g's edge matrix.  Work bottom-up: for
+    the last row of the current submatrix, pick the least column whose
+    entry times the determinant of its minor is nonzero (one exists, by
+    cofactor expansion along that row), then delete that row and column
+    and recurse.  Each chosen entry is nonzero, hence sits on an edge
+    of g.  :func:`extract_diagonal_mod` runs first; only its None runs
+    the exact :func:`~wmatch.linalg.cofactors` and
+    :func:`extract_diagonal`, so a zero determinant is always decided
+    exactly and raises :class:`ZeroDeterminantError`.  Raises
+    ValueError unless the diagonal found is a perfect matching of g.
     """
     if b.n != g.n:
         raise ValueError(f"matrix is {b.n}x{b.n}, graph is {g.n}x{g.n}")
-    det, adj = cofactors(b)
-    if det == 0:
-        raise ZeroDeterminantError("matrix has zero determinant; no diagonal to extract")
-    return extract_pm_trace_from(g, b, det, adj)
-
-
-def extract_pm_trace_from(
-    g: BipartiteGraph, b: IntMatrix, det: int, adj: list[list[int]]
-) -> ExtractionTrace:
-    """:func:`extract_pm_trace` for a caller that already holds
-    ``(det, adj) = cofactors(b)`` with det != 0, so no second
-    elimination runs.  Raises ValueError unless the diagonal found is a
-    perfect matching of g."""
-    return _of_graph(g, extract_diagonal(b, det, adj, least_column))
-
-
-def _of_graph(g: BipartiteGraph, trace: ExtractionTrace) -> ExtractionTrace:
+    trace = extract_diagonal_mod(b)
+    if trace is None:
+        det, adj = cofactors(b)
+        if det == 0:
+            raise ZeroDeterminantError("matrix has zero determinant; no diagonal to extract")
+        trace = extract_diagonal(b, det, adj, least_column)
     if not is_perfect_matching(g, trace.matching):
         raise ValueError("extracted diagonal is not a matching of the graph; "
                          "was the matrix evaluated from this graph?")
@@ -226,33 +217,11 @@ def lovasz_sample(g: BipartiteGraph, seed: int) -> IntMatrix:
     """Evaluate g's edge matrix at a uniform random assignment.
 
     Each edge position independently takes a value in [1, 2n]; non-edge
-    positions are structurally 0.  Deterministic in (g, seed).
+    positions are structurally 0.  The values are
+    :func:`~wmatch.graphs.random_weights` with k = 2n, so the draws are
+    deterministic in (g, seed).
     """
-    n = g.n
-    stream = SplitMix64(seed)
-    rows = [[0] * n for _ in range(n)]
-    for i, j in g.edge_list():
-        rows[i][j] = stream.randint(1, 2 * n)
-    return edmonds_eval(g, rows)
-
-
-def lovasz_trial(g: BipartiteGraph, b: IntMatrix) -> Optional[ExtractionTrace]:
-    """Lovász's test on one evaluation b of g, with the matching read
-    off a YES: None exactly when det(b) = 0.
-
-    :func:`extract_diagonal_mod` runs first.  Only when it returns None,
-    because det(b) is 0 mod P or a zero cofactor residue was not proved
-    zero, does the exact path run: :func:`~wmatch.linalg.cofactors` on
-    the same b, whose forward pass decides det(b) = 0 exactly (a
-    singular b, or a P that divides det(b)), then
-    :func:`extract_pm_trace_from`.  Both paths pick the same columns,
-    so the trace does not depend on which one ran.
-    """
-    trace = extract_diagonal_mod(b)
-    if trace is not None:
-        return _of_graph(g, trace)
-    det, adj = cofactors(b)
-    return extract_pm_trace_from(g, b, det, adj) if det else None
+    return IntMatrix(random_weights(g, 2 * g.n, seed).grid)
 
 
 def lovasz_decide(g: BipartiteGraph, seed: int) -> bool:
@@ -265,8 +234,8 @@ def lovasz_decide(g: BipartiteGraph, seed: int) -> bool:
     That case depends only on g, so the graph's
     :meth:`~wmatch.graphs.BipartiteGraph.has_perfect_matching`, decided
     once and kept on g, answers it with no sample drawn.  Otherwise the
-    zero test is the one :func:`lovasz_trial` makes, read straight off
-    the packed kernel: :func:`~wmatch.linalg.inverse_mod` returning
+    zero test is the one :func:`extract_pm_trace` makes, read straight
+    off the packed kernel: :func:`~wmatch.linalg.inverse_mod` returning
     packed rows means the determinant is nonzero mod P, so nonzero, and
     answers True; only its None, a zero residue, runs the exact
     :func:`~wmatch.linalg.det_bareiss`.

@@ -47,13 +47,14 @@ adjugate instead:
   Desnanot-Jacobi (Sylvester) identity, so deleting one row and column
   after another costs O(n^3) in all.
 
-Lovász's test in ``decide`` needs only which cofactors are zero, and a
-nonzero residue proves an integer nonzero.  :func:`inverse_mod` inverts
-A modulo the prime P = 1,073,741,789 by Gauss-Jordan elimination, and
-:func:`minor_inverse_mod` is :func:`minor_cofactors` in inverse form,
-mod P.  A zero residue proves nothing: ``edmonds`` proves it zero
-another way or falls back to :func:`cofactors`, so the results are
-exact whatever P is.
+Extracting a matching (``edmonds.extract_pm_trace``, which ``decide``,
+``verify`` and the zero-set certificate all run) needs only which
+cofactors are zero, and a nonzero residue proves an integer nonzero.
+:func:`inverse_mod` inverts A modulo the prime P = 1,073,741,789 by
+Gauss-Jordan elimination, and :func:`minor_inverse_mod` is
+:func:`minor_cofactors` in inverse form, mod P.  A zero residue proves
+nothing: ``edmonds`` proves it zero another way or falls back to
+:func:`cofactors`, so the results are exact whatever P is.
 
 Both keep each row of the working matrix packed in one integer of
 F-bit fields, one field per column (F = :func:`field_bits`), and update

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from itertools import combinations, permutations, product
 
 from .classical import (
@@ -32,7 +31,7 @@ from .classical import (
     mwpm,
     neighborhood,
 )
-from .edmonds import extract_diagonal, extract_pm_trace_from, lovasz_sample
+from .edmonds import ZeroDeterminantError, extract_diagonal, extract_pm_trace, lovasz_sample
 from .graphs import (
     BipartiteGraph,
     WeightAssignment,
@@ -58,7 +57,7 @@ from .oracle import (
     min_weight_pms_map,
 )
 from .rng import DEFAULT_SEED, SplitMix64, derive_seed
-from .zeroset import zero_set, zero_witness_complete, zero_witness_graph_map
+from .zeroset import zero_set, zero_witness_graph_map
 
 SUITE_NAMES = ("det", "classical", "sz", "iso", "mvv")
 
@@ -190,18 +189,18 @@ def check_matching_determinant_equivalence(seed: int = DEFAULT_SEED) -> CheckRes
         if mm.size == n:
             with_pm += 1
             b = edmonds_eval(g, mm.permutation_matrix(n))
-            det, adj = cofactors(b)
-            if det not in (-1, 1):
+            if det_bareiss(b) not in (-1, 1):
                 failures.append({"graph": idx, "reason": "PM evaluation det not ±1"})
                 continue
-            if not is_perfect_matching(g, extract_pm_trace_from(g, b, det, adj).matching):
+            if not is_perfect_matching(g, extract_pm_trace(g, b).matching):
                 failures.append({"graph": idx, "reason": "extraction invalid"})
             sample = lovasz_sample(g, derive_seed(seed, 7000 + idx))
-            det, adj = cofactors(sample)
-            if det != 0:
-                extracted = extract_pm_trace_from(g, sample, det, adj).matching
-                if not is_perfect_matching(g, extracted):
-                    failures.append({"graph": idx, "reason": "random extraction invalid"})
+            try:
+                extracted = extract_pm_trace(g, sample).matching
+            except ZeroDeterminantError:
+                continue
+            if not is_perfect_matching(g, extracted):
+                failures.append({"graph": idx, "reason": "random extraction invalid"})
         else:
             without_pm += 1
             if any(
@@ -358,24 +357,38 @@ def _all_passed(cases: list[dict]) -> bool:
     return bool(cases) and all(case["passed"] for case in cases)
 
 
+def _zero_witness_case(head: dict, g: BipartiteGraph, s: int, cert, budget: int,
+                       anchor=None) -> dict:
+    """One zero-set coverage case: ``head``, then the size of g's zero
+    set over [0, s), the :func:`_coverage` entries of the witness map
+    that ``cert`` fixes, and whether the case holds and the size equals
+    ``anchor`` where one is given."""
+    n = g.n
+    target = list(zero_set(g, s, budget))
+    witness = zero_witness_graph_map(g, s, cert)
+    holds, entries = _coverage(witness, n, range(s), n * n - 1, target, budget)
+    return (
+        head
+        | {"zero_set_size": len(target)}
+        | entries
+        | {"passed": holds and anchor in (None, len(target))}
+    )
+
+
 def check_zero_witness_complete(
     cases=((2, 2), (2, 3), (2, 4), (3, 2)),
     budget: int = DEFAULT_BUDGET,
 ) -> CheckResult:
     """Exhaustive surjectivity of the complete-graph witness onto the
     zero set, plus the frozen cardinality anchors and the counting
-    bound |Z| <= n * s^(n^2 - 1)."""
+    bound |Z| <= n * s^(n^2 - 1).  The witness is the general-graph
+    map on K_{n,n} certified by the identity."""
     anchors = {(2, 2): 10, (2, 4): 64}
-    per_case = []
-    for n, s in cases:
-        target = list(zero_set(BipartiteGraph.complete(n), s, budget))
-        witness = partial(zero_witness_complete, n, s)
-        holds, entries = _coverage(witness, n, range(s), n * n - 1, target, budget)
-        per_case.append(
-            {"n": n, "s": s, "zero_set_size": len(target)}
-            | entries
-            | {"passed": holds and anchors.get((n, s), len(target)) == len(target)}
-        )
+    per_case = [
+        _zero_witness_case({"n": n, "s": s}, BipartiteGraph.complete(n), s,
+                           IntMatrix.identity(n), budget, anchors.get((n, s)))
+        for n, s in cases
+    ]
     return CheckResult(
         "complete-graph zero-set witness surjective",
         _all_passed(per_case),
@@ -397,17 +410,10 @@ def check_zero_witness_graph(s_values=(2, 3), budget: int = DEFAULT_BUDGET) -> C
     matrix."""
     per_case = []
     for g in _fixed_witness_graphs():
-        n = g.n
-        cert = maximum_matching(g).permutation_matrix(n)
+        cert = maximum_matching(g).permutation_matrix(g.n)
         for s in s_values:
-            target = list(zero_set(g, s, budget))
-            witness = zero_witness_graph_map(g, s, cert)
-            holds, entries = _coverage(witness, n, range(s), n * n - 1, target, budget)
-            per_case.append(
-                {"n": n, "edges": g.num_edges, "s": s, "zero_set_size": len(target)}
-                | entries
-                | {"passed": holds}
-            )
+            head = {"n": g.n, "edges": g.num_edges, "s": s}
+            per_case.append(_zero_witness_case(head, g, s, cert, budget))
     return CheckResult(
         "general-graph zero-set witness surjective",
         _all_passed(per_case),

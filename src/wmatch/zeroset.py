@@ -8,9 +8,10 @@ determinant).  This module provides:
 
 * :func:`zero_set`: exhaustive enumeration of the zero set, the
   ground-truth side of every check;
-* :func:`zero_witness_complete` / :func:`zero_witness_graph`: explicit
-  maps from [0, n) x S^(n^2 - 1) onto the zero set
-  (:func:`zero_witness_graph_map` fixes the graph's certificate once).
+* :func:`zero_witness_graph`: an explicit map from
+  [0, n) x S^(n^2 - 1) onto the zero set (:func:`zero_witness_graph_map`
+  fixes the graph's certificate once), and :func:`zero_witness_complete`,
+  the same map on the complete graph certified by the identity.
 
 The maps being surjections is the whole point: the domain has
 n * s^(n^2 - 1) elements, so the zero set can have at most that many,
@@ -50,9 +51,9 @@ from itertools import product
 from operator import mul
 from typing import Callable, Iterator, Optional, Sequence
 
-from .edmonds import ZeroDeterminantError, extract_pm_trace_from
+from .edmonds import extract_pm_trace
 from .graphs import BipartiteGraph, GridLike, edmonds_eval
-from .linalg import IntMatrix, cofactors, det_bareiss
+from .linalg import IntMatrix, det_bareiss
 from .oracle import DEFAULT_BUDGET, BudgetExceededError
 
 Grid = tuple[tuple[int, ...], ...]
@@ -139,13 +140,13 @@ def _complete(
 
 
 def zero_witness_complete(n: int, s: int, i: int, rest: Sequence[int]) -> Grid:
-    """Witness for the complete graph: :func:`zero_witness_graph` with
-    sigma the identity, so the deletion chain runs down the main
-    diagonal and the unknown sits at (i, i)."""
+    """Witness for the complete graph: :func:`zero_witness_graph` on
+    K_{n,n} certified by the identity, whose diagonal sigma is the
+    identity, so the deletion chain runs down the main diagonal and the
+    unknown sits at (i, i)."""
     if n < 1 or s < 1:
         raise ValueError("need n >= 1 and s >= 1")
-    sigma = range(n)
-    return _complete(_lay_out(n, (True,) * (n * n), s, i, rest, sigma), n, s, i, sigma)
+    return zero_witness_graph(BipartiteGraph.complete(n), s, IntMatrix.identity(n), i, rest)
 
 
 def zero_witness_graph(
@@ -167,9 +168,11 @@ def zero_witness_graph_map(
     """:func:`zero_witness_graph` with g, s and ``cert`` fixed, as a
     function of (i, rest).
 
-    The certificate is evaluated, its determinant checked and sigma
-    extracted once, here, so a caller that maps a whole domain pays for
-    that once rather than per point.  The returned map still checks
+    The certificate is evaluated and sigma extracted once, here, by
+    :func:`~wmatch.edmonds.extract_pm_trace`, which raises
+    :class:`~wmatch.edmonds.ZeroDeterminantError` on a singular
+    certificate, so a caller that maps a whole domain pays for that
+    once rather than per point.  The returned map still checks
     and lays out each point's arguments, then caches completions: the
     chain determinants, the solve for the unknown and the full-grid
     check run once per distinct (i, laid-out grid), and the result is
@@ -177,13 +180,7 @@ def zero_witness_graph_map(
     """
     if s < 1:
         raise ValueError(f"value range bound must be >= 1, got {s}")
-    b = edmonds_eval(g, cert)
-    det, adj = cofactors(b)
-    if det == 0:
-        raise ZeroDeterminantError(
-            "certificate evaluates to zero determinant; cannot fix a deletion chain"
-        )
-    sigma = extract_pm_trace_from(g, b, det, adj).sigma
+    sigma = extract_pm_trace(g, edmonds_eval(g, cert)).sigma
 
     n = g.n
     edge_flags = tuple(e for row in g.edges for e in row)

@@ -69,6 +69,19 @@ class TestDecide:
         assert code == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize("value, message", [
+        ("abc", "expected a positive integer, got 'abc'"),
+        ("0", "value must be >= 1"),
+    ])
+    def test_bad_trials_exit_2(self, capsys, files, value, message):
+        # The message says what was expected, not the parser's helper.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["decide", files["k33.graph"], "--trials", value])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.endswith(f"error: argument --trials: {message}\n")
+        assert "_positive" not in err
+
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, ["decide", "/nonexistent.graph"])
         assert code == 2

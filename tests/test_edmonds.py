@@ -5,15 +5,15 @@ import pytest
 from wmatch import edmonds, linalg
 from wmatch.edmonds import (
     ZeroDeterminantError,
+    extract_diagonal,
     extract_diagonal_mod,
     extract_pm,
     extract_pm_trace,
-    extract_pm_trace_from,
+    least_column,
     lovasz_decide,
     lovasz_sample,
-    lovasz_trial,
 )
-from wmatch.graphs import BipartiteGraph, is_perfect_matching
+from wmatch.graphs import BipartiteGraph, is_perfect_matching, random_weights
 from wmatch.linalg import P, IntMatrix, cofactors, det_bareiss, det_berkowitz, inverse_mod, minor
 from wmatch.rng import derive_seed
 
@@ -33,6 +33,25 @@ def per_minor_steps(b):
         del cols[chosen]
     steps.append((0, 0, cols[0]))
     return tuple(steps)
+
+
+def exact_trial(g, b):
+    """The exact path alone, the reference for extract_pm_trace: the
+    trace from cofactors(b), or None when det(b) = 0."""
+    det, adj = cofactors(b)
+    if det == 0:
+        return None
+    trace = extract_diagonal(b, det, adj, least_column)
+    assert is_perfect_matching(g, trace.matching)
+    return trace
+
+
+def trial(g, b):
+    """extract_pm_trace as one decide trial: None on a zero determinant."""
+    try:
+        return extract_pm_trace(g, b)
+    except ZeroDeterminantError:
+        return None
 
 
 class TestExtract:
@@ -102,15 +121,19 @@ class TestExtract:
                 continue
             done += 1
             assert extract_pm_trace(g, b).steps == per_minor_steps(b)
-            assert extract_pm_trace_from(g, b, *cofactors(b)) == extract_pm_trace(g, b)
+            assert exact_trial(g, b) == extract_pm_trace(g, b)
 
     def test_foreign_matrix_rejected(self):
         g = BipartiteGraph.from_rows([[1, 0], [0, 1]])  # diagonal edges only
         b = IntMatrix.from_rows([[0, 1], [1, 0]])  # anti-diagonal support
         with pytest.raises(ValueError):
             extract_pm(g, b)
-        with pytest.raises(ValueError):
-            extract_pm_trace_from(g, b, *cofactors(b))
+        # The exact fallback's diagonal is checked too: det [[P + 1, 1],
+        # [1, 1]] = P, and its sigma (1, 0) is no matching of g.
+        b = IntMatrix.from_rows([[P + 1, 1], [1, 1]])
+        assert extract_diagonal_mod(b) is None
+        with pytest.raises(ValueError, match="not a matching"):
+            extract_pm_trace(g, b)
 
 
 class TestLovasz:
@@ -143,6 +166,8 @@ class TestLovasz:
     def test_sample_deterministic(self):
         g = BipartiteGraph.complete(3)
         assert lovasz_sample(g, 9).rows == lovasz_sample(g, 9).rows
+        g = BipartiteGraph.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+        assert lovasz_sample(g, 9).rows == random_weights(g, 6, 9).grid
 
     def test_yes_answers_certified(self):
         rng = random.Random(77)
@@ -154,12 +179,6 @@ class TestLovasz:
             b = lovasz_sample(g, case)
             if det_berkowitz(b) != 0:
                 assert is_perfect_matching(g, extract_pm(g, b))
-
-
-def exact_trial(g, b):
-    """The exact path alone: today's oracle for lovasz_trial."""
-    det, adj = cofactors(b)
-    return extract_pm_trace_from(g, b, det, adj) if det else None
 
 
 def planted_graph(rng, n, density):
@@ -195,7 +214,7 @@ class TestExtractModP:
                 exact = exact_trial(g, b)
                 fast = extract_diagonal_mod(b)
                 assert fast is None or fast == exact
-                assert lovasz_trial(g, b) == exact
+                assert trial(g, b) == exact
                 if exact is not None:
                     break
             assert exact is not None
@@ -211,7 +230,17 @@ class TestExtractModP:
         exact = exact_trial(g, b)
         assert exact is not None
         assert extract_diagonal_mod(b) == exact
-        assert lovasz_trial(g, b) == exact
+        assert trial(g, b) == exact
+
+    @pytest.mark.parametrize("n", [20, 48])
+    def test_yes_sample_runs_no_exact_pass(self, n, no_elimination):
+        # decide's trial at its usual sizes: a YES sample with a nonzero
+        # determinant residue is extracted mod P alone.
+        g = planted_graph(random.Random(f"yes:{n}"), n, 0.5)
+        b = lovasz_sample(g, derive_seed(n, 0))
+        trace = extract_pm_trace(g, b)
+        assert is_perfect_matching(g, trace.matching)
+        assert trace == extract_diagonal_mod(b)
 
     def test_det_multiple_of_p_falls_back(self):
         # det = P: the residue is 0, the determinant is not.
@@ -219,12 +248,12 @@ class TestExtractModP:
         b = IntMatrix.from_rows([[P + 1, 1], [1, 1]])
         assert det_bareiss(b) == P
         assert inverse_mod(b) is None and extract_diagonal_mod(b) is None
-        assert lovasz_trial(g, b) == exact_trial(g, b)
-        assert lovasz_trial(g, b).sigma == (1, 0)
+        assert trial(g, b) == exact_trial(g, b)
+        assert trial(g, b).sigma == (1, 0)
 
     def test_singular_sample_is_no(self):
         g = BipartiteGraph.complete(2)
-        assert lovasz_trial(g, IntMatrix.from_rows([[1, 2], [2, 4]])) is None
+        assert trial(g, IntMatrix.from_rows([[1, 2], [2, 4]])) is None
 
     def test_nonstructural_zero_cofactor_falls_back(self, monkeypatch):
         # Complete 3x3, det = 1: the cofactor of (2, 0) is det [[1, 2],
@@ -237,7 +266,7 @@ class TestExtractModP:
         passes = []
         eliminate = linalg._eliminate
         monkeypatch.setattr(linalg, "_eliminate", lambda m: passes.append(m) or eliminate(m))
-        trace = lovasz_trial(g, b)
+        trace = trial(g, b)
         assert len(passes) == 1
         assert trace == exact_trial(g, b)
         assert trace.sigma == (2, 0, 1)
@@ -249,7 +278,7 @@ class TestExtractModP:
         b = IntMatrix.from_rows([[1, P], [1, 1]])
         assert cofactors(b)[1][0][1] == -P
         assert extract_diagonal_mod(b) is None
-        assert lovasz_trial(g, b).sigma == (1, 0) == exact_trial(g, b).sigma
+        assert trial(g, b).sigma == (1, 0) == exact_trial(g, b).sigma
 
     def test_structural_zero_proved_without_elimination(self, no_elimination):
         # The cofactor of (2, 0) is the determinant of rows 0..1 on
@@ -257,7 +286,7 @@ class TestExtractModP:
         # pattern, so it is proved zero and column 1 is picked mod P.
         g = BipartiteGraph.from_rows([[1, 0, 0], [1, 0, 1], [1, 1, 1]])
         b = IntMatrix.from_rows([[1, 0, 0], [1, 0, 1], [1, 1, 1]])
-        trace = lovasz_trial(g, b)
+        trace = trial(g, b)
         assert trace.steps == ((2, 1, 1), (1, 1, 2), (0, 0, 0))
         assert trace.sigma == (0, 2, 1)
         assert trace.steps == per_minor_steps(b)

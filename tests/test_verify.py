@@ -25,16 +25,17 @@ def assert_fails_uncovered(result):
         assert report["target_size"] == report["covered_count"] + len(report["uncovered"])
 
 
+def constant_zero_map(g, s, cert):
+    return lambda i, rest: zero_grid(g.n)
+
+
 def test_complete_witness_constant(monkeypatch):
-    monkeypatch.setattr(verify, "zero_witness_complete", lambda n, s, i, rest: zero_grid(n))
+    monkeypatch.setattr(verify, "zero_witness_graph_map", constant_zero_map)
     assert_fails_uncovered(verify.check_zero_witness_complete())
 
 
 def test_graph_witness_constant(monkeypatch):
-    def constant_map(g, s, cert):
-        return lambda i, rest: zero_grid(g.n)
-
-    monkeypatch.setattr(verify, "zero_witness_graph_map", constant_map)
+    monkeypatch.setattr(verify, "zero_witness_graph_map", constant_zero_map)
     assert_fails_uncovered(verify.check_zero_witness_graph())
 
 

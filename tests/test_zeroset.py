@@ -5,8 +5,8 @@ import pytest
 from wmatch import zeroset
 from wmatch.classical import maximum_matching
 from wmatch.graphs import BipartiteGraph
-from wmatch.edmonds import ZeroDeterminantError
-from wmatch.linalg import IntMatrix, det_bareiss, det_berkowitz, det_lagrange
+from wmatch.edmonds import ZeroDeterminantError, extract_diagonal_mod
+from wmatch.linalg import P, IntMatrix, det_bareiss, det_berkowitz, det_lagrange
 from wmatch.oracle import BudgetExceededError
 from wmatch.verify import _fixed_witness_graphs
 from wmatch.zeroset import (
@@ -218,6 +218,20 @@ class TestWitnessGraph:
             for i, rest in complete_domain(2, 3)
         }
         assert target <= hits
+
+    def test_certificate_with_det_p_fixes_the_exact_sigma(self):
+        # det [[P + 1, 1], [1, 1]] = P is 0 mod P, so sigma comes from
+        # the exact fallback: (1, 0), as for the anti-diagonal
+        # permutation matrix, where the identity's sigma is (0, 1).
+        g = BipartiteGraph.complete(2)
+        cert = IntMatrix.from_rows([[P + 1, 1], [1, 1]])
+        assert det_bareiss(cert) == P and extract_diagonal_mod(cert) is None
+        witness = zero_witness_graph_map(g, 2, cert)
+        anti = zero_witness_graph_map(g, 2, IntMatrix.from_rows([[0, 1], [1, 0]]))
+        domain = complete_domain(2, 2)
+        outs = [witness(i, rest) for i, rest in domain]
+        assert outs == [anti(i, rest) for i, rest in domain]
+        assert outs != [zero_witness_complete(2, 2, i, rest) for i, rest in domain]
 
     def test_zero_certificate_rejected(self):
         g = BipartiteGraph.complete(2)
