@@ -12,6 +12,8 @@ so a path is a plain sequence of ints that alternates sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import mul, neg, sub
 from typing import NamedTuple, Optional, Sequence
 
 from .graphs import BipartiteGraph, Matching, WeightAssignment, is_perfect_matching
@@ -208,9 +210,10 @@ def cover_cost(cover: WeightCover) -> int:
 def is_cover(w: Sequence[Sequence[int]], cover: WeightCover) -> bool:
     """Does the cover inequality hold at every position of w?"""
     n = len(w)
-    return all(
-        w[i][j] <= cover.u[i] + cover.v[j] for i in range(n) for j in range(n)
-    )
+    if len(cover.u) != n or len(cover.v) != n:
+        raise ValueError(f"cover must have {n} row and {n} column potentials")
+    # Row i holds iff max over j of w[i][j] - v[j] is at most u[i].
+    return all(max(map(sub, row, cover.v)) <= ui for row, ui in zip(w, cover.u))
 
 
 def _dual_steps(n: int, w: Sequence[Sequence[int]]):
@@ -218,7 +221,9 @@ def _dual_steps(n: int, w: Sequence[Sequence[int]]):
 
     Yields the starting cover and the cover after every dual step; its
     return value (carried by StopIteration) is the perfect matching
-    that the last cover certifies.
+    that the last cover certifies.  Every yield is the same live cover
+    over the working lists u and v, which the next step changes in
+    place: read it (or copy it) before advancing the generator.
 
     Invariants: the cover is feasible (w[i][j] <= u[i] + v[j]) and every
     matched pair is tight (w[i][j] = u[i] + v[j]).  Each root grows one
@@ -232,17 +237,18 @@ def _dual_steps(n: int, w: Sequence[Sequence[int]]):
     free) or grows by its mate.  A tree gains one right per O(n) scan,
     so each root costs O(n^2) and the whole run O(n^3).
     """
-    u = [max(row) for row in w]
+    u = list(map(max, w))
     v = [0] * n
     mate_of_left = [-1] * n
     mate_of_right = [-1] * n
-    yield WeightCover(tuple(u), tuple(v))
+    cover = WeightCover(u, v)
+    yield cover
     for root in range(n):
         in_tree = [False] * n
         lefts = [root]
         rights = []
         row, ui = w[root], u[root]
-        slack = [ui + v[j] - row[j] for j in range(n)]
+        slack = list(map(sub, map(ui.__add__, v), row))
         parent = [root] * n  # left end of the edge attaining slack[j]
         while True:
             delta = j = -1
@@ -257,7 +263,7 @@ def _dual_steps(n: int, w: Sequence[Sequence[int]]):
                 for k in range(n):
                     if not in_tree[k]:
                         slack[k] -= delta
-                yield WeightCover(tuple(u), tuple(v))
+                yield cover
             in_tree[j] = True
             rights.append(j)
             i = mate_of_right[j]
@@ -296,15 +302,15 @@ def hungarian_max_weight(
         raise ValueError("instance dimension must be >= 1")
     if len(w) != n or any(len(row) != n for row in w):
         raise ValueError(f"weight grid must be {n}x{n}")
-    if any(w[i][j] < 0 for i in range(n) for j in range(n)):
+    if min(map(min, w)) < 0:
         raise ValueError("negative weights are not accepted")
     steps = _dual_steps(n, w)
-    cover = None
+    u, v = next(steps)  # the live cover, final once the steps stop
     while True:
         try:
-            cover = next(steps)
+            next(steps)
         except StopIteration as done:
-            return done.value, cover
+            return done.value, WeightCover(tuple(u), tuple(v))
 
 
 def _mwpm_with_dual(
@@ -329,15 +335,13 @@ def _mwpm_with_dual(
     n = g.n
     if w.n != n:
         raise ValueError(f"weights are {w.n}x{w.n}, graph is {n}x{n}")
-    edges = g.edge_list()
-    max_w = max((w.value(i, j) for i, j in edges), default=0)
+    rows = tuple(zip(w.grid, g.edges))
+    max_w = max(max(compress(row, edges), default=0) for row, edges in rows)
     c = n * max_w + 1
-    transformed = [
-        [c - w.value(i, j) if g.edges[i][j] else 0 for j in range(n)]
-        for i in range(n)
-    ]
+    # (c - x) * True is c - x and (c - x) * False is 0.
+    transformed = [list(map(mul, map(c.__sub__, row), edges)) for row, edges in rows]
     m, cover = hungarian_max_weight(n, transformed)
-    dual = (tuple(c - x for x in cover.u), tuple(-x for x in cover.v))
+    dual = (tuple(map(c.__sub__, cover.u)), tuple(map(neg, cover.v)))
     if not is_perfect_matching(g, m):
         return Matching.empty(), dual
     return m, dual

@@ -33,6 +33,7 @@ from .edmonds import ZeroDeterminantError, extract_pm, lovasz_sample
 from .graphs import (
     FileFormatError,
     Matching,
+    _decimal,
     matching_weight,
     parse_graph,
     parse_weights,
@@ -51,10 +52,12 @@ EXIT_BROKEN_PIPE = 141
 
 
 def _seed_value(text: str) -> int:
+    """``random``, or an ASCII decimal token below 2**64, read by
+    :func:`~wmatch.graphs._decimal` as the file formats are."""
     if text == "random":
         return secrets.randbits(64)
     try:
-        value = int(text)
+        value = _decimal(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"seed must be an unsigned 64-bit integer or 'random', got {text!r}"
@@ -65,8 +68,9 @@ def _seed_value(text: str) -> int:
 
 
 def _positive(text: str) -> int:
+    """An ASCII decimal token of at least 1, read as in :func:`_seed_value`."""
     try:
-        value = int(text)
+        value = _decimal(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a positive integer, got {text!r}"

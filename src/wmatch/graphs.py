@@ -38,7 +38,7 @@ class BipartiteGraph:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Union[bool, int]]]) -> "BipartiteGraph":
-        return cls(tuple(tuple(bool(x) for x in row) for row in rows))
+        return cls(tuple(tuple(map(bool, row)) for row in rows))
 
     @classmethod
     def complete(cls, n: int) -> "BipartiteGraph":
@@ -193,6 +193,15 @@ class WeightAssignment:
         return cls(tuple(tuple(map(int, row)) for row in rows))
 
     @classmethod
+    def _from_checked(cls, grid: tuple[tuple[int, ...], ...]) -> "WeightAssignment":
+        """The assignment of a grid that its caller has already checked
+        as ``__post_init__`` would (n x n with n >= 1, int entries, none
+        negative), built without checking it again."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "grid", grid)
+        return w
+
+    @classmethod
     def from_edge_values(
         cls, g: BipartiteGraph, values: Sequence[int]
     ) -> "WeightAssignment":
@@ -344,52 +353,82 @@ def _parse_header(lines: list[str]) -> int:
     return n
 
 
-def _parse_row(line: str, lineno: int, n: int) -> list[int]:
-    fields = [f for f in line.replace("\t", " ").split(" ") if f]
+def _split_row(line: str) -> tuple[list[str], bool]:
+    """The row's tokens, and whether the row is plain (``_PLAIN_ROW``).
+    A plain row holds no blank but spaces and tabs, so ``str.split()``
+    splits it at the blanks of the format and nowhere else."""
+    if _PLAIN_ROW.fullmatch(line):
+        return line.split(), True
+    return [f for f in line.replace("\t", " ").split(" ") if f], False
+
+
+def _parse_row(line: str, lineno: int, n: int) -> tuple[int, ...]:
+    fields, plain = _split_row(line)
     if len(fields) != n:
         raise FileFormatError(lineno, f"expected {n} entries, got {len(fields)}")
-    # Only a row with some other character pays for the per-token match.
-    parse = int if _PLAIN_ROW.fullmatch(line) else _decimal
+    if plain:
+        try:
+            return tuple(map(int, fields))
+        except ValueError:
+            pass  # the per-token pass below names the refused token
     out = []
     for f in fields:
         try:
-            out.append(parse(f))
+            out.append(_decimal(f))
         except ValueError:
             raise FileFormatError(lineno, _not_integer(f, "entry")) from None
-    return out
+    return tuple(out)
 
 
 def parse_graph(text: str) -> BipartiteGraph:
     """Parse the graph text format: line 1 is n, then n rows of n 0/1
     entries (row i lists the right neighbors of left vertex i).  Lines
     end at LF or CRLF only, and entries are separated by spaces and tabs
-    only."""
+    only.
+
+    A plain row (ASCII digits, minus signs, spaces and tabs) of n
+    tokens that are each exactly ``0`` or ``1`` is read by comparing
+    strings.  Every other row, ``00`` or ``-0`` included, goes through
+    :func:`_parse_row`'s per-token pass and the 0/1 check, the only
+    path that raises a :class:`FileFormatError` for a row, so each
+    error names the same line and message as a per-token parser."""
     lines = _lines(text)
     n = _parse_header(lines)
     rows = []
     for i in range(n):
-        row = _parse_row(lines[1 + i], 2 + i, n)
+        line = lines[1 + i]
+        fields, plain = _split_row(line)
+        if plain and len(fields) == n and fields.count("0") + fields.count("1") == n:
+            rows.append(tuple(map("1".__eq__, fields)))
+            continue
+        row = _parse_row(line, 2 + i, n)
         for x in row:
             if x not in (0, 1):
                 raise FileFormatError(2 + i, f"edge entries must be 0 or 1, got {x}")
-        rows.append([bool(x) for x in row])
-    return BipartiteGraph.from_rows(rows)
+        rows.append(tuple(map(bool, row)))
+    return BipartiteGraph(tuple(rows))
 
 
 def parse_weights(text: str) -> WeightAssignment:
     """Parse the weight text format: line 1 is n, then n rows of n
     nonnegative decimal integers (non-edge entries present, ignored),
-    with lines and entries separated as in :func:`parse_graph`."""
+    with lines and entries separated as in :func:`parse_graph`.
+
+    A plain row is split with ``str.split()`` and converted with one
+    ``int`` map; only a row that this refuses goes through the
+    per-token pass, the only path that builds a :class:`FileFormatError`
+    for a token.  The checked rows become the assignment's grid as they
+    are, with no second conversion or sign check."""
     lines = _lines(text)
     n = _parse_header(lines)
     rows = []
     for i in range(n):
         row = _parse_row(lines[1 + i], 2 + i, n)
-        for x in row:
-            if x < 0:
-                raise FileFormatError(2 + i, f"weights must be nonnegative, got {x}")
+        if min(row) < 0:
+            x = next(x for x in row if x < 0)
+            raise FileFormatError(2 + i, f"weights must be nonnegative, got {x}")
         rows.append(row)
-    return WeightAssignment.from_grid(rows)
+    return WeightAssignment._from_checked(tuple(rows))
 
 
 def format_graph(g: BipartiteGraph) -> str:

@@ -7,6 +7,7 @@ from wmatch.classical import (
     PerfectMatchingExistsError,
     WeightCover,
     _dual_steps,
+    _mwpm_with_dual,
     cover_cost,
     find_augmenting_path,
     hall_violator,
@@ -314,8 +315,12 @@ class TestHungarian:
         assert is_cover([[0, 0], [0, 0]], cover)
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            hungarian_max_weight(2, [[1, -1], [0, 0]])
+        # Anywhere in the grid, the last row and last column included.
+        for n, i, j in ((2, 0, 1), (4, 3, 0), (4, 0, 3), (4, 3, 3)):
+            w = [[2] * n for _ in range(n)]
+            w[i][j] = -1
+            with pytest.raises(ValueError, match="negative weights are not accepted"):
+                hungarian_max_weight(n, w)
 
     def test_random_vs_brute(self):
         rng = random.Random(17)
@@ -391,6 +396,25 @@ class TestCover:
     def test_violation_detected(self):
         assert not is_cover([[5, 0], [0, 0]], WeightCover((1, 0), (1, 0)))
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_violation_in_last_column(self, n):
+        # w[i][j] = u[i] + v[j] everywhere: tight, so a cover, until one
+        # entry of the last column, in the first or last row, grows by 1.
+        cover = WeightCover(tuple(range(n)), tuple(range(0, 2 * n, 2)))
+        w = [[i + 2 * j for j in range(n)] for i in range(n)]
+        assert is_cover(w, cover)
+        for i in (0, n - 1):
+            bad = [row[:] for row in w]
+            bad[i][n - 1] += 1
+            assert not is_cover(bad, cover)
+
+    def test_potentials_must_match_the_grid(self):
+        # A short cover would leave rows or columns unchecked.
+        w = [[0, 0], [0, 9]]
+        for cover in (WeightCover((0,), (0, 9)), WeightCover((0, 9), (0,))):
+            with pytest.raises(ValueError, match="cover must have 2 row and 2 column"):
+                is_cover(w, cover)
+
 
 class TestMwpm:
     def test_unique_pm_any_weights(self):
@@ -458,6 +482,22 @@ class TestMwpm:
             else:
                 assert is_perfect_matching(g, got)
                 assert matching_weight(got, w) == min(matching_weight(m, w) for m in pms)
+
+    def test_heavy_non_edges_change_nothing(self):
+        # Non-edge weights are read nowhere, however large: the
+        # matching and the dual stay the same with or without a
+        # perfect matching.
+        rng = random.Random(53)
+        for t in range(16):
+            n = rng.randint(4, 8)
+            g = planted_graph(rng, n, violator=t % 2 == 1)
+            rows = random_rows(rng, n, 10 ** rng.randint(1, 15))
+            heavy = [[x if e else 10**30 + x for x, e in zip(row, edges)]
+                     for row, edges in zip(rows, g.edges)]
+            assert any(not e for edges in g.edges for e in edges)
+            assert _mwpm_with_dual(g, WeightAssignment.from_grid(heavy)) == _mwpm_with_dual(
+                g, WeightAssignment.from_grid(rows)
+            )
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

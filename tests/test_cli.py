@@ -400,3 +400,34 @@ class TestSeedHandling:
         _, p2, _ = run_json(capsys, ["find", files["k33.graph"], "--seed", "2"])
         assert p1["weights"] != p2["weights"]
 
+
+class TestNumericOptions:
+    # int() alone reads these as 10, 7, 7 and 1; the options take the
+    # ASCII decimal tokens of the file formats and nothing else.
+    @pytest.mark.parametrize("token", [" 1_0 ", "+7", "\uff17", "\u0661"])
+    @pytest.mark.parametrize("option", ["--trials", "--seed", "--max-n", "--budget"])
+    def test_ascii_decimal_only(self, capsys, files, option, token):
+        command = ["verify", "iso"] if option in ("--max-n", "--budget") else [
+            "decide", files["k33.graph"]]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(command + [option, token])
+        assert exc.value.code == 2
+        expected = (
+            f"seed must be an unsigned 64-bit integer or 'random', got {token!r}"
+            if option == "--seed"
+            else f"expected a positive integer, got {token!r}"
+        )
+        assert capsys.readouterr().err.endswith(f"error: argument {option}: {expected}\n")
+
+    @pytest.mark.parametrize("value", ["-1", str(1 << 64)])
+    def test_seed_range(self, capsys, files, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["decide", files["k33.graph"], "--seed", value])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("error: argument --seed: seed must fit in 64 bits\n")
+
+    def test_padded_decimal_accepted(self, capsys, files):
+        decide = ["decide", files["k33.graph"]]
+        _, p1, _ = run_json(capsys, decide + ["--seed", "007", "--trials", "05"])
+        _, p2, _ = run_json(capsys, decide + ["--seed", "7", "--trials", "5"])
+        assert p1 == p2 and (p1["seed"], p1["trials"]) == (7, 5)

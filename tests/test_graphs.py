@@ -1,3 +1,4 @@
+import random
 import sys
 from itertools import permutations
 
@@ -8,6 +9,10 @@ from wmatch.graphs import (
     FileFormatError,
     Matching,
     WeightAssignment,
+    _decimal,
+    _lines,
+    _not_integer,
+    _parse_header,
     edmonds_eval,
     format_graph,
     format_weights,
@@ -371,3 +376,109 @@ class TestFileFormats:
         assert exc.value.message == "weights must be nonnegative, got -1"
         assert parse_weights("2\n007 0\n-0 1\n").grid == ((7, 0), (0, 1))
         assert parse_graph(" 2 \n1 0\n0 1\n").n == 2
+
+
+# The per-token parser that the row-wise one replaced, kept as its
+# reference: each token goes through _decimal on its own, and each
+# check reads the parsed ints one at a time.
+def reference_parse_row(line, lineno, n):
+    fields = [f for f in line.replace("\t", " ").split(" ") if f]
+    if len(fields) != n:
+        raise FileFormatError(lineno, f"expected {n} entries, got {len(fields)}")
+    out = []
+    for f in fields:
+        try:
+            out.append(_decimal(f))
+        except ValueError:
+            raise FileFormatError(lineno, _not_integer(f, "entry")) from None
+    return out
+
+
+def reference_parse_graph(text):
+    lines = _lines(text)
+    n = _parse_header(lines)
+    rows = []
+    for i in range(n):
+        row = reference_parse_row(lines[1 + i], 2 + i, n)
+        for x in row:
+            if x not in (0, 1):
+                raise FileFormatError(2 + i, f"edge entries must be 0 or 1, got {x}")
+        rows.append([bool(x) for x in row])
+    return BipartiteGraph.from_rows(rows)
+
+
+def reference_parse_weights(text):
+    lines = _lines(text)
+    n = _parse_header(lines)
+    rows = []
+    for i in range(n):
+        row = reference_parse_row(lines[1 + i], 2 + i, n)
+        for x in row:
+            if x < 0:
+                raise FileFormatError(2 + i, f"weights must be nonnegative, got {x}")
+        rows.append(row)
+    return WeightAssignment.from_grid(rows)
+
+
+# Tokens and blanks that take a row off the plain path, or keep it on
+# the plain path but off the 0/1 string comparison.
+ODD_TOKENS = ("00", "-0", "01", "+1", "1_0", "\uff11", "2", "-3", "1" * 5000)
+ODD_BLANKS = ("\t", "   ", " \t ", "\xa0", "\u2028", "\x0b")
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except FileFormatError as exc:
+        return exc.line, exc.message
+
+
+def random_file(rng, plain_tokens):
+    """A 1..4-row file whose tokens and blanks are mostly plain, with
+    now and then an odd token or blank, a row one entry long or short,
+    or CRLF line ends."""
+    n = rng.randint(1, 4)
+    lines = [str(n)]
+    for _ in range(n):
+        count = n if rng.random() < 0.95 else rng.choice((n - 1, n + 1))
+        line = ""
+        for k in range(count):
+            odd_blank = rng.random() < 0.03
+            if k or odd_blank:
+                line += rng.choice(ODD_BLANKS) if odd_blank else " "
+            line += rng.choice(ODD_TOKENS) if rng.random() < 0.03 else rng.choice(plain_tokens)
+        lines.append(line)
+    eol = "\r\n" if rng.random() < 0.2 else "\n"
+    return eol.join(lines) + eol
+
+
+class TestRowWiseParserAgainstReference:
+    CASES = [
+        (parse_graph, reference_parse_graph, ("0", "1")),
+        (parse_weights, reference_parse_weights, ("0", "1", "7", "40", "123456789")),
+    ]
+
+    @pytest.mark.parametrize("parse, reference, plain_tokens", CASES, ids=["graph", "weights"])
+    def test_each_odd_token_and_blank(self, parse, reference, plain_tokens):
+        for token in ODD_TOKENS + plain_tokens:
+            for blank in ODD_BLANKS + (" ",):
+                for eol in ("\n", "\r\n"):
+                    text = eol.join(["2", f"1{blank}0", f"0{blank}{token}"]) + eol
+                    assert outcome(parse, text) == outcome(reference, text), repr(text)
+
+    @pytest.mark.parametrize("parse, reference, plain_tokens", CASES, ids=["graph", "weights"])
+    def test_random_files(self, parse, reference, plain_tokens):
+        rng = random.Random(2020)
+        parsed = refused = 0
+        for _ in range(1500):
+            text = random_file(rng, plain_tokens)
+            got = outcome(parse, text)
+            assert got == outcome(reference, text), repr(text)
+            if isinstance(got, tuple):
+                refused += 1
+            else:
+                parsed += 1
+                entries = got.edges if parse is parse_graph else got.grid
+                kind = bool if parse is parse_graph else int
+                assert all(type(x) is kind for row in entries for x in row)
+        assert parsed > 300 and refused > 300
