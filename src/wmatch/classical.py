@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from math import inf
 from operator import mul, neg, sub
 from typing import NamedTuple, Optional, Sequence
 
@@ -226,16 +227,20 @@ def _dual_steps(n: int, w: Sequence[Sequence[int]]):
     place: read it (or copy it) before advancing the generator.
 
     Invariants: the cover is feasible (w[i][j] <= u[i] + v[j]) and every
-    matched pair is tight (w[i][j] = u[i] + v[j]).  Each root grows one
-    alternating tree of tight edges, S holding its lefts and T its
-    rights, so |S| = |T| + 1; slack[j] is the least slack between S and
-    a right j outside T.  A dual step by delta = min slack >= 1 lowers u
-    on S and raises v on T: tree edges stay tight, edges from S to
-    rights outside T lose delta of slack and none goes negative, and
-    the cover cost drops by exactly delta.  The right attaining the
-    minimum then joins T, and the tree either augments (that right is
-    free) or grows by its mate.  A tree gains one right per O(n) scan,
-    so each root costs O(n^2) and the whole run O(n^3).
+    matched pair is tight.  Each root grows one alternating tree of tight
+    edges, lefts S and rights T, |S| = |T| + 1.  ``free`` holds the rights
+    outside T in increasing order; for k in it, key[k] - shift is the
+    least slack between S and k, attained first at parent[k].  A dual
+    step by delta = least slack >= 1 lowers u on S, raises v on T and
+    shift: tree edges stay tight, each slack from S to a free right
+    falls by delta while its key stays put, and the cover cost falls by
+    delta.  The first free right of least key joins T; the tree then
+    augments (that right is free) or grows by its mate i.  Each left
+    joining S (the root first) makes one pass over free, lowering key[k]
+    to a strictly smaller u[i] + v[k] - w[i][k] + shift and finding the
+    first least key: the steps, ties and flips of an argmin, slack sweep
+    and slack update over all n columns, so the yields and matching are
+    theirs, at O(n) per step, O(n^2) per root and O(n^3) in all.
     """
     u = list(map(max, w))
     v = [0] * n
@@ -244,39 +249,35 @@ def _dual_steps(n: int, w: Sequence[Sequence[int]]):
     cover = WeightCover(u, v)
     yield cover
     for root in range(n):
-        in_tree = [False] * n
-        lefts = [root]
-        rights = []
-        row, ui = w[root], u[root]
-        slack = list(map(sub, map(ui.__add__, v), row))
-        parent = [root] * n  # left end of the edge attaining slack[j]
+        free = list(range(n))
+        lefts, rights = [root], []
+        key, parent = [inf] * n, [root] * n
+        shift, i = 0, root
         while True:
-            delta = j = -1
-            for k in range(n):
-                if not in_tree[k] and (j < 0 or slack[k] < delta):
-                    delta, j = slack[k], k
+            row, base = w[i], u[i] + shift
+            low = inf
+            for k in free:
+                s = base + v[k] - row[k]
+                kk = key[k]
+                if s < kk:
+                    key[k] = kk = s
+                    parent[k] = i
+                if kk < low:
+                    low, j = kk, k
+            delta = low - shift
             if delta:
                 for i in lefts:
                     u[i] -= delta
                 for k in rights:
                     v[k] += delta
-                for k in range(n):
-                    if not in_tree[k]:
-                        slack[k] -= delta
+                shift += delta
                 yield cover
-            in_tree[j] = True
+            free.remove(j)
             rights.append(j)
             i = mate_of_right[j]
             if i < 0:
                 break
             lefts.append(i)
-            row, ui = w[i], u[i]
-            for k in range(n):
-                if not in_tree[k]:
-                    s = ui + v[k] - row[k]
-                    if s < slack[k]:
-                        slack[k] = s
-                        parent[k] = i
         # Flip the tree path from the free right j back to the root.
         while j >= 0:
             i = parent[j]

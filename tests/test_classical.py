@@ -1,4 +1,5 @@
 import random
+from operator import sub
 
 import pytest
 
@@ -385,6 +386,126 @@ class TestHungarianAtScale:
                 else:
                     best = max(sum(w[i][j] for i, j in pm.pairs) for pm in pms)
                 assert sum(w[i][j] for i, j in m.pairs) == best == cover_cost(cover)
+
+
+def reference_dual_steps(n, w):
+    """The three-scan kernel that _dual_steps replaced, kept as its
+    reference: per tree step an argmin over all n columns, a slack
+    sweep by delta over the columns outside the tree, and a slack update
+    for the new left that tests in_tree on every column."""
+    u = list(map(max, w))
+    v = [0] * n
+    mate_of_left = [-1] * n
+    mate_of_right = [-1] * n
+    cover = WeightCover(u, v)
+    yield cover
+    for root in range(n):
+        in_tree = [False] * n
+        lefts = [root]
+        rights = []
+        row, ui = w[root], u[root]
+        slack = list(map(sub, map(ui.__add__, v), row))
+        parent = [root] * n
+        while True:
+            delta = j = -1
+            for k in range(n):
+                if not in_tree[k] and (j < 0 or slack[k] < delta):
+                    delta, j = slack[k], k
+            if delta:
+                for i in lefts:
+                    u[i] -= delta
+                for k in rights:
+                    v[k] += delta
+                for k in range(n):
+                    if not in_tree[k]:
+                        slack[k] -= delta
+                yield cover
+            in_tree[j] = True
+            rights.append(j)
+            i = mate_of_right[j]
+            if i < 0:
+                break
+            lefts.append(i)
+            row, ui = w[i], u[i]
+            for k in range(n):
+                if not in_tree[k]:
+                    s = ui + v[k] - row[k]
+                    if s < slack[k]:
+                        slack[k] = s
+                        parent[k] = i
+        while j >= 0:
+            i = parent[j]
+            mate_of_right[j] = i
+            mate_of_left[i], j = j, mate_of_left[i]
+    return Matching.from_pairs(enumerate(mate_of_left))
+
+
+def dual_step_trace(steps):
+    """Every cover a dual-step generator yields, as (u, v) tuples, and
+    the matching it returns."""
+    covers = []
+    while True:
+        try:
+            u, v = next(steps)
+        except StopIteration as done:
+            return covers, done.value
+        covers.append((tuple(u), tuple(v)))
+
+
+def mwpm_grid(g, w):
+    """_mwpm_with_dual's transformed grid: c - w on edges, 0 elsewhere."""
+    c = g.n * max((w[i][j] for i, j in g.edge_list()), default=0) + 1
+    return [[c - x if e else 0 for x, e in zip(row, edges)]
+            for row, edges in zip(w, g.edges)]
+
+
+class TestDualStepsAgainstReference:
+    """_dual_steps yields exactly the reference's cover after every dual
+    step and returns the same matching: the running shift, the one pass
+    over the free rights and its tie-breaks (strictly smaller keys,
+    first least key by index) change none of them."""
+
+    @staticmethod
+    def assert_same(w):
+        n = len(w)
+        assert dual_step_trace(_dual_steps(n, w)) == dual_step_trace(
+            reference_dual_steps(n, w)
+        )
+
+    @pytest.mark.parametrize("hi", [1, 10, 10**6, 10**15])
+    def test_random_up_to_n12(self, hi):
+        rng = random.Random(hi)
+        for n in range(1, 13):
+            for _ in range(30):
+                self.assert_same(random_rows(rng, n, hi))
+
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("hi", [10, 10**6, 10**15])
+    def test_random_production_sizes(self, n, hi):
+        rng = random.Random(n * hi)
+        for _ in range(3):
+            self.assert_same(random_rows(rng, n, hi))
+
+    def test_sparse_rows(self):
+        # Most entries 0, so many columns tie at every step.
+        rng = random.Random(59)
+        for n in (*range(1, 13), 32, 64):
+            for density in (0.2, 0.5):
+                self.assert_same([[rng.randint(0, 10) if rng.random() < density else 0
+                                   for _ in range(n)] for _ in range(n)])
+
+    @pytest.mark.parametrize("c", [0, 1, 10**15])
+    def test_all_equal(self, c):
+        for n in (*range(1, 13), 32, 64):
+            self.assert_same([[c] * n for _ in range(n)])
+
+    @pytest.mark.parametrize("hi", [10, 10**6, 10**15])
+    def test_mwpm_grids(self, hi):
+        rng = random.Random(61 + hi)
+        for n in (*range(1, 13), 32, 64):
+            for violator in (False, True) if n >= 3 else (False,):
+                g = planted_graph(rng, n, violator)
+                self.assert_same(mwpm_grid(g, random_rows(rng, n, hi)))
 
 
 class TestCover:

@@ -659,7 +659,7 @@ class TestSparsestLineFirst:
             assert det_bareiss(m) == det_berkowitz(m) == expected[0]
 
     @pytest.mark.parametrize("shape,n", SHAPES)
-    def test_ties_go_to_columns(self, shape, n):
+    def test_tied_degree_one_row_and_column(self, shape, n):
         rng = random.Random(f"tie:{shape}:{n}")
         m = tied(base_rows(shape, n, rng), rng)
         expected = gauss_jordan_cofactors(m)
