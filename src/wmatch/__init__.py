@@ -61,7 +61,6 @@ from .mvv import (
     build_power_matrix,
     edge_in_unique_min_pm,
     extract_pm_weight_bounded,
-    mvv_find_pm,
     mvv_trial,
 )
 from .oracle import (

@@ -77,10 +77,14 @@ The MVV finder reads only 2-adic valuations off the power matrix 2^w,
 whose determinant has about 30,000 bits at n = 32.
 :func:`power_det_valuation` reads them exactly without building 2^w:
 it scales the exponents, factors over Z/2^K with pivots of least
-valuation, and needs K just above the scaled valuation, so a trial
-at n = 32 costs tens of milliseconds where :func:`cofactors` takes
-seconds.  :func:`cofactors` and :func:`det_bareiss` stay its exact
-oracles.
+valuation, and reads 2^V times the inverse mod 2^(V + 1), V the
+largest pivot valuation, one modular inverse per pivot.  K need only
+exceed the sum of the two largest pivot valuations (Dixon's p-adic
+precision argument, proved in its docstring).  CPU time per call on
+the exponents ``find`` draws for a density-1/2 graph (2-core x86-64
+VM, CPython 3.11.7): n = 12 0.6 ms, n = 32 8 ms, n = 64 0.1 s, where
+:func:`cofactors` takes seconds at n = 32.  :func:`cofactors` and
+:func:`det_bareiss` stay its exact oracles.
 """
 
 from __future__ import annotations
@@ -599,23 +603,51 @@ def power_det_valuation(
     and Schur complement entry is a 2-adic integer, and elimination mod
     2^K is the exact elimination read mod 2^K (the p-adic precision
     argument of Dixon, "Exact solution of linear equations using p-adic
-    expansions", 1982).  Once every pivot d_k is nonzero mod 2^K its
-    valuation v_k is exact, ``det(A') = ±prod(d_k)`` and
-    ``p' = sum(v_k)``.  Then ``adj(A') = ±Q X P`` with
-    ``X = U^-1 diag(prod_(t != k) d_t) L^-1``, P and Q the row and
-    column swaps.  L's column t and U's row t are known mod
-    2^(K - v_t), so X is at least known mod 2^(K - max v_k), and
-    K = 2p' + 2 would do.  Term by term X is exact mod 2^K: term k of
-    X[l][m] is ``U^-1[l][k] * prod_(t != k) d_t * L^-1[k][m]``, whose
-    middle factor has valuation p' - v_k, and whose outer factors are
-    sums of products of U's rows l..k-1 and L's columns m..k-1 only,
-    known mod 2^(K - max_(t != k) v_t) with
-    ``max_(t != k) v_t <= p' - v_k``.  The rule reads valuations up to
-    p', so K = p' + 1 suffices, and X is formed mod 2^(p' + 1).
+    expansions", 1982).  Each entry of the next Schur complement, x - f
+    y, has valuation at least v, so the pivot valuations are
+    nondecreasing: ``v_0 <= ... <= v_(n-2) <= v_(n-1) = V``.  Once every
+    pivot ``d_k = 2^v_k u_k`` (u_k odd) is nonzero mod 2^K its
+    valuation is exact, ``det(A') = ±prod(d_k)`` and ``p' = sum(v_k)``.
+
+    *Read Y = 2^V A'^-1.*  As ``adj(A') = det(A') A'^-1``, the rule on
+    A' reads ``v(Y[j][i]) == V - w'[i][j]``, that is
+    ``Y[j][i] * 2^w'[i][j] == 2^V`` mod 2^(V + 1).  Undoing the row and
+    column swaps, ``Y[cols[l]][rows[m]] = Y'[l][m]`` with
+    ``Y' = U^-1 D L^-1``, D the diagonal of the scales
+    ``2^V / d_k = 2^(V - v_k) u_k^-1``.  Every factor is a 2-adic
+    integer, so Y is one too, and it is formed mod 2^(V + 1) only; a
+    scale mod 2^(V + 1) needs u_k^-1 only mod 2^(v_k + 1).
+
+    *Precision: K = V + v_(n-2) + 1 suffices* (v_(n-2) = 0 when n = 1).
+    Term k of Y'[l][m] is ``x_k * 2^(V - v_k) u_k^-1 * y_k`` with
+    ``x_k = U^-1[l][k]`` and ``y_k = L^-1[k][m]``.  These outer factors
+    are sums of products of U's rows l..k-1 and L's columns m..k-1
+    only, and U's row t and L's column t are known mod 2^(K - v_t), so
+    ``x_k y_k`` is known mod 2^(K - v_(k-1)), at least mod
+    ``2^(K - v_(n-2)) = 2^(V + 1)``; d_k is known mod 2^K, so u_k is
+    known mod 2^(K - v_k).  For k < n - 1, ``K - v_k >= v_k + 1`` as
+    ``2 v_k <= v_(n-2) + V``, so term k is exact mod 2^(V + 1).  The
+    last term has scale u^-1, u = u_(n-1), and u is known only mod
+    ``2^(K - V) = 2^(v_(n-2) + 1)``: the term is read as
+    ``x y u^-1 (1 + δ)``, ``v(δ) >= v_(n-2) + 1``, and x and y (column
+    n - 1 of U^-1, row n - 1 of L^-1) are exact mod 2^(V + 1).  Let
+    ``a = v(x y)``.
+
+    * If ``a >= V - v_(n-2)``, the error ``x y u^-1 δ`` has valuation at
+      least ``a + v_(n-2) + 1 >= V + 1``: it lies above bit V, and the
+      entry is exact mod 2^(V + 1).
+    * If ``a < V - v_(n-2)``, every other term has valuation at least
+      ``V - v_k >= V - v_(n-2) > a``, so the entry's valuation is a, read
+      or exact: the unit factor does not change it.  Both fail the test
+      or pass it alike, since ``z * 2^w' == 2^V`` mod 2^(V + 1) says only
+      that ``v(z) + w' == V``.
 
     *Precision schedule.*  K starts at 64 and doubles while a pivot
-    vanishes mod 2^K; if then ``K <= p'``, the factorization is rerun
-    at K = p' + 1, where no pivot vanishes as every ``v_k <= p'``.
+    vanishes mod 2^K; if then ``K <= V + v_(n-2)``, the factorization
+    is rerun at K = V + v_(n-2) + 1, where no pivot vanishes as every
+    ``v_k <= V``.  The rerun picks the same pivots: each choice is the
+    first entry of least valuation, and that valuation is below both
+    precisions.
 
     *Proof of zero* (Hadamard's bound).  If det(A') != 0, then
     ``2^p' <= |det(A')| <= prod_i ||row_i|| < 2^h`` with
@@ -625,7 +657,7 @@ def power_det_valuation(
     that first rules out a structurally singular A (no perfect matching
     in its pattern) meets this only through exact cancellation.
 
-    O(n^3) operations on numbers of O(p') bits.
+    O(n^3) operations on numbers of at most max(64, 2V + 1) bits.
     """
     r = []
     for row in w:
@@ -649,54 +681,47 @@ def power_det_valuation(
         if k_bits >= hadamard:
             return None
         k_bits *= 2
-    p = sum(map(trailing_zeros, fac[3]))  # p', the valuation of det(A')
-    if k_bits <= p:
-        fac = _ldu_mod(a, p + 1)
+    vals = [trailing_zeros(d) for d in fac[3]]  # nondecreasing
+    vmax = vals[-1]
+    if k_bits <= sum(vals[-2:]):
+        fac = _ldu_mod(a, sum(vals[-2:]) + 1)
     rows, cols, lu, pivots = fac
     n = len(a)
-    mask = (2 << p) - 1
-    # after[k] = d_k ... d_(n-1), so prod_(l != k) d_l = before * after[k + 1].
-    after = [1]
-    for d in reversed(pivots):
-        after.append((after[-1] * d) & mask)
-    after.reverse()
+    mask = (2 << vmax) - 1
     # Row k of L^-1, up to and including its diagonal, is e_k minus the
-    # sum of L[k][t] times row t over t < k; scales[k] is the product of
-    # the pivots but d_k.
+    # sum of L[k][t] times row t over t < k.
     inv_l = []
-    scales = []
-    before = 1
-    for k, (lk, d) in enumerate(zip(lu, pivots)):
+    for k, lk in enumerate(lu):
         row = [0] * k + [1]
         for t in range(k):
             f = lk[t]
             if f:
                 row[: t + 1] = [(x - f * z) & mask for x, z in zip(row, inv_l[t])]
         inv_l.append(row)
-        scales.append(before * after[k + 1])
-        before = (before * d) & mask
-    # X = U^-1 diag(scales) L^-1 by back-substitution; xcols[c] holds
-    # column c of X from the bottom up, so X[l][c] = xcols[c][n - 1 - l].
-    xcols = [[] for _ in range(n)]
+    # Y' = U^-1 diag(2^(V - v_k) u_k^-1) L^-1 by back-substitution;
+    # ycols[c] holds column c of Y' from the bottom up, so Y'[l][c] =
+    # ycols[c][n - 1 - l].
+    ycols = [[] for _ in range(n)]
     for k in range(n - 1, -1, -1):
         ur = lu[k][:k:-1]  # U[k][n-1], ..., U[k][k+1]
-        s = scales[k]
-        for z, col in zip(inv_l[k], xcols):
+        v = vals[k]
+        s = pow(pivots[k] >> v, -1, 2 << v) << (vmax - v)
+        for z, col in zip(inv_l[k], ycols):
             col.append((s * z - sum(map(mul, ur, col))) & mask)
-        for col in xcols[k + 1:]:
+        for col in ycols[k + 1:]:
             col.append(-sum(map(mul, ur, col)) & mask)
-    # X[l][k] = ±adj(A')[cols[l]][rows[k]], and its valuation is
-    # p' - w'[i][j] iff X[l][k] * 2^w'[i][j] has valuation exactly p'.
-    # xcols[k] runs over the l from the bottom up, so it pairs with
+    # Y'[l][k] = 2^V A'^-1[cols[l]][rows[k]], and its valuation is
+    # V - w'[i][j] iff Y'[l][k] * 2^w'[i][j] has valuation exactly V.
+    # ycols[k] runs over the l from the bottom up, so it pairs with
     # cols reversed.
-    top = 1 << p
+    top = 1 << vmax
     rcols = cols[::-1]
     tight = []
-    for i, col in zip(rows, xcols):
+    for i, col in zip(rows, ycols):
         ai = a[i]
         tight += [(i, j) for j, x in zip(rcols, col) if (x * ai[j]) & mask == top]
     tight.sort()
-    return p + sum(r) + sum(c), tight
+    return sum(vals) + sum(r) + sum(c), tight
 
 
 def det_cofactor(m: IntMatrix) -> int:

@@ -182,12 +182,18 @@ def mvv_trial(g: BipartiteGraph, seed: int) -> MvvTrial:
     determinant's trailing zero count p and every edge (i, j) whose
     minor has exactly p - w(i, j) of them: the same facts, exactly,
     that the adjugate from :func:`~wmatch.linalg.cofactors` gives
-    (:func:`unique_min_pm_edges`), on numbers of O(p) bits after the
-    exponents are scaled.  A zero determinant there is weight
-    cancellation, proved by the kernel's Hadamard bound.  The
-    collected set is only trusted after verification: it must be a
-    perfect matching of g whose weight equals p.  Anything else is
-    reported as failure, with its ``reason``.
+    (:func:`unique_min_pm_edges`).  The kernel reads them off 2^V
+    times the inverse of the scaled power matrix, mod 2^(V + 1), V its
+    largest pivot valuation, on numbers of at most max(64, 2V + 1)
+    bits.  A zero determinant there is weight cancellation, proved by
+    the kernel's Hadamard bound.  The collected set is only trusted
+    after verification: it must be a perfect matching of g whose
+    weight equals p.  Anything else is reported as failure, with its
+    ``reason``.
+
+    When g has a perfect matching, a trial succeeds with probability
+    at least 1/2: weights drawn from [1, 2m] isolate with at least that
+    probability.
     """
     n = g.n
     m = g.num_edges
@@ -212,14 +218,3 @@ def mvv_trial(g: BipartiteGraph, seed: int) -> MvvTrial:
         return MvvTrial(seed, w, p, None, WEIGHT_MISMATCH)
     return MvvTrial(seed, w, p, candidate)
 
-
-def mvv_find_pm(g: BipartiteGraph, seed: int) -> Optional[Matching]:
-    """Randomized perfect matching finder.
-
-    Returns a verified perfect matching, or None for an explicit
-    failure.  When g has a perfect matching, one trial succeeds with
-    probability at least 1/2 (random weights in [1, 2m] isolate with at
-    least that probability); when it has none, every trial fails
-    because the determinant is identically zero.
-    """
-    return mvv_trial(g, seed).matching

@@ -1,5 +1,6 @@
 import random
 from itertools import permutations
+from operator import mul
 
 import pytest
 
@@ -935,10 +936,10 @@ def random_exponents(rng, n, density, lo, hi):
             for _ in range(n)]
 
 
-def find_exponents(rng, n):
-    """The exponents `find` gives the kernel: a density-1/2 graph with a
-    planted diagonal, w uniform in [1, 2m]."""
-    edges = [[i == j or rng.random() < 0.5 for j in range(n)] for i in range(n)]
+def find_exponents(rng, n, density=0.5):
+    """The exponents `find` gives the kernel: a graph of the given
+    density with a planted diagonal, w uniform in [1, 2m]."""
+    edges = [[i == j or rng.random() < density for j in range(n)] for i in range(n)]
     m = sum(map(sum, edges))
     return [[rng.randint(1, 2 * m) if e else None for e in row] for row in edges]
 
@@ -979,6 +980,85 @@ def ldu_calls(monkeypatch):
 
     monkeypatch.setattr(linalg, "_ldu_mod", counting)
     return calls
+
+
+def reference_power_det_valuation(w):
+    """The adjugate kernel that power_det_valuation replaced, kept as its
+    reference: the same scaling and factorization, then X = adj(A') =
+    U^-1 diag(prod_(t != k) d_t) L^-1 from prefix and suffix products of
+    the pivots, formed mod 2^(p' + 1) after a rerun at K = p' + 1 when
+    the doubling stopped at K <= p'.  It factors through linalg._ldu_mod,
+    so ldu_calls sees its precisions too."""
+    r = []
+    for row in w:
+        present = [e for e in row if e is not None]
+        if not present:
+            return None
+        r.append(min(present))
+    c = []
+    for col in zip(*w):
+        present = [e - ri for e, ri in zip(col, r) if e is not None]
+        if not present:
+            return None
+        c.append(min(present))
+    a = [
+        [0 if e is None else 1 << (e - ri - cj) for e, cj in zip(row, c)]
+        for row, ri in zip(w, r)
+    ]
+    hadamard = sum((sum(map(mul, row, row)).bit_length() + 1) // 2 for row in a)
+    k_bits = 64
+    while (fac := linalg._ldu_mod(a, k_bits)) is None:
+        if k_bits >= hadamard:
+            return None
+        k_bits *= 2
+    p = sum(map(trailing_zeros, fac[3]))  # p', the valuation of det(A')
+    if k_bits <= p:
+        fac = linalg._ldu_mod(a, p + 1)
+    rows, cols, lu, pivots = fac
+    n = len(a)
+    mask = (2 << p) - 1
+    # after[k] = d_k ... d_(n-1), so prod_(l != k) d_l = before * after[k + 1].
+    after = [1]
+    for d in reversed(pivots):
+        after.append((after[-1] * d) & mask)
+    after.reverse()
+    # Row k of L^-1, up to and including its diagonal, is e_k minus the
+    # sum of L[k][t] times row t over t < k; scales[k] is the product of
+    # the pivots but d_k.
+    inv_l = []
+    scales = []
+    before = 1
+    for k, (lk, d) in enumerate(zip(lu, pivots)):
+        row = [0] * k + [1]
+        for t in range(k):
+            f = lk[t]
+            if f:
+                row[: t + 1] = [(x - f * z) & mask for x, z in zip(row, inv_l[t])]
+        inv_l.append(row)
+        scales.append(before * after[k + 1])
+        before = (before * d) & mask
+    # X = U^-1 diag(scales) L^-1 by back-substitution; xcols[c] holds
+    # column c of X from the bottom up, so X[l][c] = xcols[c][n - 1 - l].
+    xcols = [[] for _ in range(n)]
+    for k in range(n - 1, -1, -1):
+        ur = lu[k][:k:-1]  # U[k][n-1], ..., U[k][k+1]
+        s = scales[k]
+        for z, col in zip(inv_l[k], xcols):
+            col.append((s * z - sum(map(mul, ur, col))) & mask)
+        for col in xcols[k + 1:]:
+            col.append(-sum(map(mul, ur, col)) & mask)
+    # X[l][k] = ±adj(A')[cols[l]][rows[k]], and its valuation is
+    # p' - w'[i][j] iff X[l][k] * 2^w'[i][j] has valuation exactly p'.
+    # xcols[k] runs over the l from the bottom up, so it pairs with
+    # cols reversed.
+    top = 1 << p
+    rcols = cols[::-1]
+    tight = []
+    for i, col in zip(rows, xcols):
+        ai = a[i]
+        tight += [(i, j) for j, x in zip(rcols, col) if (x * ai[j]) & mask == top]
+    tight.sort()
+    return p + sum(r) + sum(c), tight
 
 
 class TestPowerDetValuation:
@@ -1023,31 +1103,56 @@ class TestPowerDetValuation:
 
     def test_precision_schedule(self, ldu_calls):
         # det(A') = 2^100 with one pivot of valuation 100: it vanishes mod
-        # 2^64, and K = 128 > p' reads everything.
+        # 2^64, and K = 128 > V + v_(n-2) = 100 reads everything.
         w = cancellation_gadget(50, 50)
         assert power_det_valuation(w) == exact_valuation(w)
         assert power_det_valuation(w)[0] == 100
         assert ldu_calls[:2] == [64, 128]
         # Two pivots of valuation 50: none vanishes mod 2^64, but
-        # 64 <= p' = 100, so the factorization is rerun at K = 101.
+        # 64 <= V + v_(n-2) = 100, so the factorization is rerun at
+        # K = 101.
         ldu_calls.clear()
         w = block_diagonal([cancellation_gadget(25, 25), cancellation_gadget(20, 30)],
                            random.Random(0), 0.0)
         assert power_det_valuation(w) == exact_valuation(w)
         assert power_det_valuation(w)[0] == 100
         assert ldu_calls[:2] == [64, 101]
-        # p' = 64 = K, still one bit short: rerun at K = 65.
+        # V + v_(n-2) = 64 = K, still one bit short: rerun at K = 65.
         ldu_calls.clear()
         w = block_diagonal([cancellation_gadget(16, 16), cancellation_gadget(30, 2)],
                            random.Random(0), 0.0)
         assert power_det_valuation(w) == exact_valuation(w)
         assert ldu_calls == [64, 65]
-        # p' = 63 < 64: one pass.
+        # V + v_(n-2) = 63 < 64: one pass.
         ldu_calls.clear()
         w = block_diagonal([cancellation_gadget(30, 1), cancellation_gadget(2, 30)],
                            random.Random(0), 0.0)
         assert power_det_valuation(w) == exact_valuation(w)
         assert ldu_calls == [64]
+
+    def test_precision_from_two_largest_valuations(self, ldu_calls):
+        # Three pivots of valuation 30: p' = 90, but V + v_(n-2) = 60 <
+        # 64, so one pass reads everything, where the adjugate kernel
+        # reruns at K = p' + 1 = 91.
+        w = block_diagonal([cancellation_gadget(15, 15)] * 3, random.Random(0), 0.0)
+        expected = exact_valuation(w)
+        assert expected[0] == 90
+        assert power_det_valuation(w) == expected
+        assert ldu_calls == [64]
+        ldu_calls.clear()
+        assert reference_power_det_valuation(w) == expected
+        assert ldu_calls == [64, 91]
+        # Three pivots of valuation 40: the rerun is at K = V + v_(n-2)
+        # + 1 = 81, not at p' + 1 = 121.
+        ldu_calls.clear()
+        w = block_diagonal([cancellation_gadget(20, 20)] * 3, random.Random(0), 0.0)
+        expected = exact_valuation(w)
+        assert expected[0] == 120
+        assert power_det_valuation(w) == expected
+        assert ldu_calls == [64, 81]
+        ldu_calls.clear()
+        assert reference_power_det_valuation(w) == expected
+        assert ldu_calls == [64, 121]
 
     def test_high_valuation_blocks(self):
         rng = random.Random(107)
@@ -1120,6 +1225,86 @@ class TestPowerDetValuation:
         copy = [row[:] for row in w]
         power_det_valuation(w)
         assert w == copy
+
+
+@pytest.fixture
+def ldu_pivots(monkeypatch):
+    """(K, pivot valuations) of each factorization that succeeds, in
+    order."""
+    found = []
+    ldu = linalg._ldu_mod
+
+    def recording(a, k_bits):
+        fac = ldu(a, k_bits)
+        if fac is not None:
+            found.append((k_bits, [trailing_zeros(d) for d in fac[3]]))
+        return fac
+
+    monkeypatch.setattr(linalg, "_ldu_mod", recording)
+    return found
+
+
+class TestAgainstAdjugateKernel:
+    """power_det_valuation against the adjugate kernel it replaced and
+    the exact cofactors of 2^w."""
+
+    def test_random_exponents(self):
+        rng = random.Random(211)
+        nonzero = 0
+        for _ in range(400):
+            n = rng.randint(1, 10)
+            w = random_exponents(rng, n, rng.uniform(0.3, 1.0), 0, rng.randint(0, 200))
+            expected = exact_valuation(w)
+            assert reference_power_det_valuation(w) == expected
+            assert power_det_valuation(w) == expected
+            nonzero += expected is not None
+        assert nonzero > 200
+
+    @pytest.mark.parametrize("n, density", [(16, 0.5), (24, 0.5), (32, 0.15)])
+    def test_find_grids(self, n, density):
+        # Exact cofactors take about a second at n = 24, and at n = 32
+        # with density 0.15; at density 1/2 they take 12 s there.
+        rng = random.Random(f"adjugate-kernel:{n}")
+        w = find_exponents(rng, n, density)
+        expected = exact_valuation(w)
+        assert expected is not None
+        assert reference_power_det_valuation(w) == expected
+        assert power_det_valuation(w) == expected
+
+    def test_find_grid_n48(self):
+        # Beyond exact cofactors; the adjugate kernel takes about 0.1 s.
+        w = find_exponents(random.Random("adjugate-kernel:48"), 48)
+        expected = reference_power_det_valuation(w)
+        assert expected is not None
+        assert power_det_valuation(w) == expected
+
+    def test_last_unit_known_short(self, ldu_pivots):
+        # Gadget blocks under random entries everywhere else, so L and U
+        # are dense: in most grids the two largest pivot valuations V and
+        # v_(n-2) differ by 2 or more and K <= 2V, so the last pivot's
+        # unit is known only mod 2^(K - V), short of the 2^(V + 1) its
+        # scale would need, and the docstring's case split is what makes
+        # the answer exact.  About 1 in 20 of the reruns here gives a
+        # wrong answer with K one bit short.
+        rng = random.Random(223)
+        short = reruns = 0
+        for _ in range(300):
+            blocks = [cancellation_gadget(rng.randint(0, 60), rng.randint(0, 60))
+                      for _ in range(rng.randint(2, 3))]
+            w = block_diagonal(blocks, rng, 1.0)
+            for row in w:
+                row[:] = [rng.randint(0, 200) if e is None and rng.random() < 0.5 else e
+                          for e in row]
+            ldu_pivots.clear()
+            got = power_det_valuation(w)
+            k_bits, vals = ldu_pivots[-1]
+            expected = exact_valuation(w)
+            assert reference_power_det_valuation(w) == expected
+            assert got == expected
+            if vals[-1] >= vals[-2] + 2 and k_bits <= 2 * vals[-1]:
+                short += 1
+                reruns += k_bits == vals[-1] + vals[-2] + 1
+        assert short >= 200 and reruns >= 100
 
 
 class TestTrailingZeros:

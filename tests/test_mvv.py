@@ -22,7 +22,6 @@ from wmatch.mvv import (
     build_power_matrix,
     edge_in_unique_min_pm,
     extract_pm_weight_bounded,
-    mvv_find_pm,
     mvv_trial,
     unique_min_pm_edges,
 )
@@ -302,16 +301,16 @@ class TestEdgeMembership:
 class TestFinder:
     def test_pm_free_always_fails(self):
         g = BipartiteGraph.from_rows([[0, 0], [1, 1]])
-        assert all(mvv_find_pm(g, seed) is None for seed in range(100))
+        assert all(mvv_trial(g, seed).matching is None for seed in range(100))
 
     def test_k11_always_succeeds(self):
         g = BipartiteGraph.complete(1)
         for seed in range(20):
-            m = mvv_find_pm(g, seed)
+            m = mvv_trial(g, seed).matching
             assert m is not None and m.pairs == ((0, 0),)
 
     def test_no_edges_fails(self):
-        assert mvv_find_pm(BipartiteGraph.empty(2), 1) is None
+        assert mvv_trial(BipartiteGraph.empty(2), 1).matching is None
 
     def test_las_vegas_soundness(self):
         rng = random.Random(47)
