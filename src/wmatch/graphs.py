@@ -249,10 +249,20 @@ def edmonds_eval(g: BipartiteGraph, values: GridLike) -> IntMatrix:
 
 
 def is_perfect_matching(g: BipartiteGraph, m: Matching) -> bool:
-    """True iff m is total on [0, n), injective, and uses only edges of g."""
-    if m.size != g.n:
+    """True iff m matches left vertex i to some right vertex in [0, n)
+    for every i in [0, n), injectively, using only edges of g.
+
+    An index outside [0, n) gives False: the indices are compared with
+    the range before they are used, so a negative one cannot wrap."""
+    n = g.n
+    if m.size != n:
         return False
-    return all(g.has_edge(i, j) for i, j in m.pairs)
+    edges = g.edges
+    # Pairs are sorted by distinct lefts, so the lefts are 0..n-1
+    # exactly when pair k has left k; the rights are distinct already.
+    return all(
+        i == k and 0 <= j < n and edges[i][j] for k, (i, j) in enumerate(m.pairs)
+    )
 
 
 def matching_weight(m: Matching, w: WeightAssignment) -> int:
@@ -265,15 +275,18 @@ def random_weights(g: BipartiteGraph, k: int, seed: int) -> WeightAssignment:
 
     Draws come from SplitMix64 seeded with ``seed``, one draw per edge
     in row-major edge order, so the same (g, k, seed) always yields the
-    same assignment on every platform.
+    same assignment on every platform.  All of them are drawn in one
+    :meth:`~wmatch.rng.SplitMix64.randints` call, the same values that
+    one ``randint`` per edge would give, and placed straight into the
+    grid.  A k above 2^64 raises ValueError, like k < 1.
     """
     if k < 1:
         raise ValueError(f"weight range bound must be >= 1, got {k}")
-    stream = SplitMix64(seed)
+    edges = g.edge_list()
     rows = [[0] * g.n for _ in range(g.n)]
-    for i, j in g.edge_list():
-        rows[i][j] = stream.randint(1, k)
-    return WeightAssignment.from_grid(rows)
+    for (i, j), x in zip(edges, SplitMix64(seed).randints(1, k, len(edges))):
+        rows[i][j] = x
+    return WeightAssignment._from_checked(tuple(map(tuple, rows)))
 
 
 class FileFormatError(ValueError):

@@ -93,16 +93,19 @@ class SuiteReport:
 # shared generators
 
 
+def _random_rows(stream: SplitMix64, n: int, lo: int, hi: int) -> list[list[int]]:
+    """n rows of n draws from [lo, hi], drawn row by row in one call:
+    the values of n * n randint calls."""
+    draws = stream.randints(lo, hi, n * n)
+    return [draws[r : r + n] for r in range(0, n * n, n)]
+
+
 def _random_matrix(stream: SplitMix64, n: int, lo: int, hi: int) -> IntMatrix:
-    return IntMatrix.from_rows(
-        [[stream.randint(lo, hi) for _ in range(n)] for _ in range(n)]
-    )
+    return IntMatrix.from_rows(_random_rows(stream, n, lo, hi))
 
 
 def _random_graph(stream: SplitMix64, n: int) -> BipartiteGraph:
-    return BipartiteGraph.from_rows(
-        [[stream.randint(0, 1) == 1 for _ in range(n)] for _ in range(n)]
-    )
+    return BipartiteGraph.from_rows(_random_rows(stream, n, 0, 1))
 
 
 def _all_graphs(n: int):
@@ -236,7 +239,7 @@ def check_hungarian_against_brute(seed: int = DEFAULT_SEED, max_n: int = 5) -> C
     failures = []
     for t in range(samples):
         n = stream.randint(1, max_n)
-        w = [[stream.randint(0, 10) for _ in range(n)] for _ in range(n)]
+        w = _random_rows(stream, n, 0, 10)
         m, cover = hungarian_max_weight(n, w)
         weight = sum(w[i][j] for i, j in m.pairs)
         if not is_cover(w, cover):
@@ -261,9 +264,7 @@ def check_mwpm_against_brute(seed: int = DEFAULT_SEED, max_n: int = 5) -> CheckR
     for t in range(samples):
         n = stream.randint(1, max_n)
         g = _random_graph(stream, n)
-        w = WeightAssignment.from_grid(
-            [[stream.randint(0, 10) for _ in range(n)] for _ in range(n)]
-        )
+        w = WeightAssignment.from_grid(_random_rows(stream, n, 0, 10))
         got = mwpm(g, w)
         truth = brute_min_weight_pms(g, w)
         if truth.weight is None:
@@ -532,9 +533,7 @@ def check_unique_min_theorems(seed: int = DEFAULT_SEED) -> tuple[CheckResult, Ch
     stream = SplitMix64(derive_seed(seed, 501))
     for t in range(random_samples):
         g = _random_graph(stream, 5)
-        w = WeightAssignment.from_grid(
-            [[stream.randint(1, 6) for _ in range(5)] for _ in range(5)]
-        )
+        w = WeightAssignment.from_grid(_random_rows(stream, 5, 1, 6))
         run_instance(g, w, brute_min_weight_pms(g, w), "random", t)
     details = {
         "exhaustive_cases": exhaustive_cases,
@@ -567,9 +566,7 @@ def check_weight_bounded_extraction(seed: int = DEFAULT_SEED) -> CheckResult:
         attempts += 1
         n = stream.randint(2, 5)
         g = _random_graph(stream, n)
-        w = WeightAssignment.from_grid(
-            [[stream.randint(1, 6) for _ in range(n)] for _ in range(n)]
-        )
+        w = WeightAssignment.from_grid(_random_rows(stream, n, 1, 6))
         b = build_power_matrix(g, w)
         det, adj = cofactors(b)
         if det == 0:

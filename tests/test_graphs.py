@@ -22,7 +22,9 @@ from wmatch.graphs import (
     parse_weights,
     random_weights,
 )
+from wmatch.edmonds import lovasz_sample
 from wmatch.linalg import det_berkowitz
+from wmatch.rng import SplitMix64
 
 
 class TestBipartiteGraph:
@@ -125,6 +127,25 @@ class TestIsPerfectMatching:
         g = BipartiteGraph.from_rows([[1, 0], [0, 0]])
         assert not is_perfect_matching(g, Matching.from_dict({0: 0, 1: 1}))
 
+    # Python's negative indexing would wrap these (edges[-1] is the last
+    # row) and read them as perfect matchings of the identity graph.
+    @pytest.mark.parametrize("pairs", [
+        [(-1, 1), (0, 0)],
+        [(0, 0), (1, -1)],
+    ])
+    def test_negative_index(self, pairs):
+        g = BipartiteGraph.from_rows([[1, 0], [0, 1]])
+        assert not is_perfect_matching(g, Matching.from_pairs(pairs))
+
+    @pytest.mark.parametrize("pairs", [
+        [(0, 0), (2, 1)],
+        [(0, 2), (1, 0)],
+        [(0, 0), (1, 1), (2, 2)],
+    ])
+    def test_index_at_least_n(self, pairs):
+        g = BipartiteGraph.complete(2)
+        assert not is_perfect_matching(g, Matching.from_pairs(pairs))
+
 
 class TestMatchingWeight:
     def test_empty(self):
@@ -220,6 +241,47 @@ class TestRandomWeights:
         for v in range(1, k + 1):
             assert abs(counts[v] - expected) <= 5 * sigma
         assert counts[0] == 0
+
+    def test_k_above_two_to_the_64_rejected(self):
+        with pytest.raises(ValueError, match="more than 2\\^64"):
+            random_weights(BipartiteGraph.complete(1), 2**64 + 1, 3)
+
+
+# The one-draw-per-edge loop that the packed draw replaced, kept as its
+# reference: randint on each edge in row-major edge order.
+def reference_random_weights(g, k, seed):
+    stream = SplitMix64(seed)
+    rows = [[0] * g.n for _ in range(g.n)]
+    for i, j in g.edge_list():
+        rows[i][j] = stream.randint(1, k)
+    return WeightAssignment.from_grid(rows)
+
+
+class TestRandomWeightsAgainstReference:
+    # K_n,n at n = 20, 48 and 200 and the density-1/2 graphs at n = 48 and
+    # 200 have more edges than one 256-draw block, so the draws cross blocks.
+    SIZES = [*range(1, 13), 20, 48, 200]
+
+    @staticmethod
+    def graphs(n):
+        rng = random.Random(n)
+        yield BipartiteGraph.complete(n)
+        yield BipartiteGraph.from_rows(
+            [[rng.random() < 0.5 for _ in range(n)] for _ in range(n)]
+        )
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_same_grid(self, n):
+        for g in self.graphs(n):
+            for k, seed in ((2 * n, n), (2 * g.num_edges, 2**64 - n), (1, 0)):
+                assert random_weights(g, k, seed) == reference_random_weights(g, k, seed)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_lovasz_sample(self, n):
+        for g in self.graphs(n):
+            for seed in (1, 2**40 + n):
+                grid = reference_random_weights(g, 2 * n, seed).grid
+                assert lovasz_sample(g, seed).rows == grid
 
 
 GRAPH_TEXT = "2\n1 0\n1 1\n"
