@@ -78,35 +78,69 @@ class AlternatingPath:
         )
 
 
+class _Rows(NamedTuple):
+    """A pattern searched like a graph but given only by its row masks
+    (bit j of ``row_masks[i]`` set iff left i sees right j), so no
+    :class:`~wmatch.graphs.BipartiteGraph` is built for it.  Its rights
+    may sit at any bit position, and ``n`` counts the lefts."""
+
+    n: int
+    row_masks: Sequence[int]
+
+
 def _alternating_reach(
-    g: BipartiteGraph, mate_of_left: dict[int, int], mate_of_right: dict[int, int], start: int
+    g: BipartiteGraph, mate_of_right: dict[int, int], free: int, start: int
 ) -> tuple[list[int], dict[int, int]]:
     """Breadth-first search over the directed alternation graph from the
     free left vertex ``start``: unmatched edges go left to right,
-    matched edges right to left.  Returns the reached vertices in order
+    matched edges right to left.  ``free`` has bit j set for each right
+    j outside ``mate_of_right``.  Returns the reached vertices in order
     of discovery, ``start`` first, and each later one's predecessor.
 
-    The search stops at the first free right vertex it discovers.  Every
-    other right vertex it reaches is matched and followed later by its
-    mate, so the order ends at a right vertex iff ``start`` has an
-    augmenting path; following ``parent`` back from there to ``start``
-    recovers one.
+    The search runs on ``g.row_masks``: a left vertex's unreached
+    neighbours are its mask less the reached rights, all at once, and
+    its own mate is among the reached.  If any of them is free, the
+    least one ends the search, the first free right that a search
+    taking neighbours in increasing index discovers.  Otherwise each
+    joins the order in increasing index, and once the layer is done
+    their mates join it in the same order, so the order of a search
+    that finds no free right is the breadth-first one: start, its
+    rights, their mates, their new rights, and so on.  The order ends
+    at a right vertex iff ``start`` has an augmenting path; following
+    ``parent`` back from there to ``start`` recovers one.
     """
     n = g.n
+    masks = g.row_masks
     order = [start]
     parent: dict[int, int] = {}
-    for v in order:  # the loop also visits what it appends
-        if v < n:
-            mate = mate_of_left.get(v)
-            targets = [n + j for j in g.neighbors(v) if j != mate]
-        else:
-            targets = [mate_of_right[v - n]]
-        for t in targets:
-            if t not in parent:
+    reached = 0
+    lefts = [start]
+    while lefts:
+        rights = []
+        for v in lefts:
+            cand = masks[v] & ~reached
+            if not cand:
+                continue
+            hit = cand & free
+            if hit:
+                t = n + (hit & -hit).bit_length() - 1
                 parent[t] = v
                 order.append(t)
-                if t >= n and t - n not in mate_of_right:
-                    return order, parent
+                return order, parent
+            reached |= cand
+            while cand:
+                low = cand & -cand
+                t = n + low.bit_length() - 1
+                parent[t] = v
+                rights.append(t)
+                cand ^= low
+        lefts = []
+        for t in rights:
+            i = mate_of_right[t - n]
+            parent[i] = t
+            lefts.append(i)
+        order += rights
+        order += lefts
     return order, parent
 
 
@@ -122,12 +156,12 @@ def find_augmenting_path(
     re-verified to be augmenting before it is handed out.
     """
     n = g.n
-    mate_of_left = m.as_dict()
     mate_of_right = {j: i for i, j in m.pairs}
+    free = ~sum(1 << j for j in mate_of_right)
     for s in range(n):
-        if s in mate_of_left:
+        if m.get(s) is not None:
             continue
-        order, parent = _alternating_reach(g, mate_of_left, mate_of_right, s)
+        order, parent = _alternating_reach(g, mate_of_right, free, s)
         v = order[-1]
         if v >= n:
             vertices = [v]
@@ -144,10 +178,34 @@ def find_augmenting_path(
     return None
 
 
+def _kuhn(g: BipartiteGraph) -> list[int]:
+    """Kuhn's single pass over ``g.row_masks``, where g is a graph or a
+    :class:`_Rows`: the right matched to each left vertex, or -1, after
+    one :func:`_alternating_reach` from each left vertex in index order,
+    flipping the path to the free right it ends at."""
+    n = g.n
+    mate_of_left = [-1] * n
+    mate_of_right: dict[int, int] = {}
+    free = -1  # every right, at whatever bit position
+    for s in range(n):
+        order, parent = _alternating_reach(g, mate_of_right, free, s)
+        j = order[-1] - n  # the free right, if the search ended at one
+        if j >= 0:
+            free ^= 1 << j
+        # Flip the path: each left on it takes the right after it.
+        while j >= 0:
+            i = parent[n + j]
+            mate_of_right[j] = i
+            mate_of_left[i], j = j, mate_of_left[i]
+    return mate_of_left
+
+
 def maximum_matching(g: BipartiteGraph) -> Matching:
     """Maximum-cardinality matching by Kuhn's single pass: one
     alternating search from each left vertex in index order, flipping
-    the path to the first free right vertex it discovers.
+    the path to the first free right vertex it discovers.  The search
+    works on row bit masks (see :func:`_alternating_reach`) and finds
+    the path a search over neighbour lists finds.
 
     A left vertex with no augmenting path never gains one as the
     matching grows elsewhere (Berge 1957; Kuhn 1955), so one search per
@@ -155,18 +213,15 @@ def maximum_matching(g: BipartiteGraph) -> Matching:
     that restarting :func:`find_augmenting_path` from scratch after
     every augmentation finds, and returns the same matching.
     """
-    n = g.n
-    mate_of_left: dict[int, int] = {}
-    mate_of_right: dict[int, int] = {}
-    for s in range(n):
-        order, parent = _alternating_reach(g, mate_of_left, mate_of_right, s)
-        # Flip the path: each left on it takes the right after it.
-        j = order[-1] - n  # the free right, if the search ended at one
-        while j >= 0:
-            i = parent[n + j]
-            mate_of_right[j] = i
-            mate_of_left[i], j = j, mate_of_left.get(i, -1)
-    return Matching.from_dict(mate_of_left)
+    return Matching(tuple((i, j) for i, j in enumerate(_kuhn(g)) if j >= 0))
+
+
+def matches_every_row(masks: Sequence[int]) -> bool:
+    """Whether a matching covers every row of the pattern ``masks``
+    (bit j of masks[i] set iff row i may take column j), by the Kuhn
+    pass of :func:`maximum_matching` on the masks alone.  For a square
+    pattern this is whether it has a perfect matching."""
+    return -1 not in _kuhn(_Rows(len(masks), masks))
 
 
 def neighborhood(g: BipartiteGraph, lefts: Sequence[int]) -> frozenset[int]:
@@ -189,8 +244,9 @@ def hall_violator(g: BipartiteGraph) -> tuple[int, ...]:
             "graph has a perfect matching; no Hall violator exists"
         )
     start = next(i for i in range(g.n) if m.get(i) is None)
+    mate_of_right = {j: i for i, j in m.pairs}
     # m is maximum, so the search finds no free right and runs to the end.
-    order, _ = _alternating_reach(g, m.as_dict(), {j: i for i, j in m.pairs}, start)
+    order, _ = _alternating_reach(g, mate_of_right, ~sum(1 << j for j in mate_of_right), start)
     s = tuple(sorted(v for v in order if v < g.n))
     if len(neighborhood(g, s)) >= len(s):
         raise AssertionError("constructed violator fails |S| > |N(S)|")

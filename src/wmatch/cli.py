@@ -149,9 +149,58 @@ def _read(path: str, parse):
         raise FileFormatError(exc.line, exc.message, source=path) from exc
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, newline: str = "\n") -> str:
+    """Exactly ``json.dumps(value, indent=2, sort_keys=True)``, without
+    the pure-Python encoder that ``json`` falls back to whenever an
+    indent is set.
+
+    ``newline`` is a line break followed by the current depth's indent.
+    Strings, ``None``, ``True``, ``False``, ints (through
+    ``int.__repr__``), lists, tuples and dicts with only ``str`` keys
+    are laid out here as ``json`` lays them out: sorted keys, ``": "``
+    after a key, ``","`` at a line end, and empty containers as ``[]``
+    and ``{}``; a list of plain ints is joined in one call.  Any other
+    value, a float or a dict with a non-``str`` key say, is handed to
+    ``json.dumps`` whole and re-indented to the current depth, which
+    is exact because JSON text holds no raw newline inside a string;
+    an unsupported type raises its ``TypeError`` there."""
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        if all(type(x) is int for x in value):
+            body = map(int.__repr__, value)
+        else:
+            body = [_json_text(x, inner) for x in value]
+        return "[" + inner + ("," + inner).join(body) + newline + "]"
+    if isinstance(value, dict) and all(type(k) is str for k in value):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        body = [_quote(k) + ": " + _json_text(x, inner) for k, x in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(body) + newline + "}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
+    """Print the report: ``payload`` as :func:`_json_text` writes it
+    under ``--format json``, byte for byte what ``json.dumps(payload,
+    indent=2, sort_keys=True)`` prints, else ``text_lines``."""
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json_text(payload))
     else:
         for line in text_lines:
             print(line)

@@ -24,7 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .graphs import BipartiteGraph, Matching, is_perfect_matching, random_weights
+from .classical import matches_every_row
+from .graphs import (
+    BipartiteGraph,
+    Matching,
+    is_perfect_matching,
+    nonzero_masks,
+    random_weights,
+)
 from .linalg import (  # noqa: F401  (perfbench/tests wraps det_berkowitz here)
     IntMatrix,
     cofactors,
@@ -147,10 +154,15 @@ def extract_diagonal_mod(b: IntMatrix) -> Optional[ExtractionTrace]:
       so that column is the exact rule's pick;
     * a zero residue is taken as a zero only when it is proved one:
       the minor's pattern, rows 0..i - 1 of b without that column, has
-      no perfect matching, so every evaluation of it is singular (one
-      :meth:`~wmatch.graphs.BipartiteGraph.has_perfect_matching`
-      pass).  Otherwise the cofactor may be a nonzero multiple of P,
-      and None is returned.
+      no perfect matching, so every evaluation of it is singular.  The
+      pattern is never built as a graph: each row is b's nonzero mask
+      for that row (:func:`~wmatch.graphs.nonzero_masks`, made once per
+      call, at the first proof), ANDed with the columns still left less
+      the tried one, and
+      :func:`~wmatch.classical.matches_every_row` runs Kuhn's pass of
+      :func:`~wmatch.classical.maximum_matching` on those masks.
+      Otherwise the cofactor may be a nonzero multiple of P, and None
+      is returned.
 
     None is also returned when det(b) is 0 mod P.  Every returned trace
     therefore equals the exact extraction's, at a few big-integer
@@ -162,9 +174,10 @@ def extract_diagonal_mod(b: IntMatrix) -> Optional[ExtractionTrace]:
         return None
     bits = field_bits(b.n)
     rows = b.rows
+    nonzero = None  # each row's nonzero mask, made at the first proof
 
     def choose(i, cols):
-        nonlocal inv
+        nonlocal inv, nonzero
         row = rows[i]
         for c, j in enumerate(cols):
             if not row[j]:
@@ -172,8 +185,10 @@ def extract_diagonal_mod(b: IntMatrix) -> Optional[ExtractionTrace]:
             if inverse_residue(inv, c, i, bits):
                 inv = minor_inverse_mod(inv, c, bits)
                 return c
-            pattern = [[r[k] != 0 for k in cols if k != j] for r in rows[:i]]
-            if BipartiteGraph.from_rows(pattern).has_perfect_matching():
+            if nonzero is None:
+                nonzero = nonzero_masks(rows)
+            allowed = sum(1 << k for k in cols) ^ (1 << j)
+            if matches_every_row([mask & allowed for mask in nonzero[:i]]):
                 return None
         raise AssertionError("nonzero determinant residue but no nonzero cofactor term")
 

@@ -15,11 +15,19 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import compress
 from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .linalg import IntMatrix
 from .rng import SplitMix64
+
+
+def nonzero_masks(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """One int per row of a square grid, with bit j set iff entry j of
+    that row is nonzero (or True)."""
+    bits = [1 << j for j in range(len(rows))]
+    return tuple(sum(compress(bits, row)) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -70,7 +78,7 @@ class BipartiteGraph:
 
     @property
     def num_edges(self) -> int:
-        return sum(row.count(True) for row in self.edges)
+        return len(self.edge_list())
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         """Right neighbors of left vertex i."""
@@ -83,6 +91,16 @@ class BipartiteGraph:
             )
             object.__setattr__(self, "_neighbors", adjacency)
         return adjacency[i]
+
+    @property
+    def row_masks(self) -> tuple[int, ...]:
+        """One int per left vertex i, with bit j set iff (i, j) is an
+        edge; kept like :meth:`neighbors`."""
+        masks = self.__dict__.get("_row_masks")
+        if masks is None:
+            masks = nonzero_masks(self.edges)
+            object.__setattr__(self, "_row_masks", masks)
+        return masks
 
     def has_perfect_matching(self) -> bool:
         """Whether the graph has a perfect matching, decided exactly by

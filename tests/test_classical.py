@@ -261,6 +261,159 @@ class TestSinglePassAgainstRestarts:
                 assert len(calls) == n
 
 
+def reference_alternating_reach(g, mate_of_left, mate_of_right, start):
+    """The search over dicts and neighbour lists that the row-mask
+    search replaced, kept as its reference: breadth-first from the free
+    left ``start``, each left taking its neighbours but its mate in
+    increasing index, each right its mate, until the first free right."""
+    n = g.n
+    order = [start]
+    parent = {}
+    for v in order:  # the loop also visits what it appends
+        if v < n:
+            mate = mate_of_left.get(v)
+            targets = [n + j for j in g.neighbors(v) if j != mate]
+        else:
+            targets = [mate_of_right[v - n]]
+        for t in targets:
+            if t not in parent:
+                parent[t] = v
+                order.append(t)
+                if t >= n and t - n not in mate_of_right:
+                    return order, parent
+    return order, parent
+
+
+def reference_kuhn(g):
+    """Kuhn's single pass on the reference search."""
+    n = g.n
+    mate_of_left, mate_of_right = {}, {}
+    for s in range(n):
+        order, parent = reference_alternating_reach(g, mate_of_left, mate_of_right, s)
+        j = order[-1] - n
+        while j >= 0:
+            i = parent[n + j]
+            mate_of_right[j] = i
+            mate_of_left[i], j = j, mate_of_left.get(i, -1)
+    return Matching.from_dict(mate_of_left)
+
+
+def reference_search_violator(g):
+    """hall_violator on the reference search: the lefts that the least
+    free left of the reference matching reaches."""
+    m = reference_kuhn(g)
+    start = next(i for i in range(g.n) if m.get(i) is None)
+    order, _ = reference_alternating_reach(g, m.as_dict(), {j: i for i, j in m.pairs}, start)
+    return tuple(sorted(v for v in order if v < g.n))
+
+
+def reference_path_vertices(g, m):
+    """The vertices of find_augmenting_path on the reference search, or
+    None."""
+    n = g.n
+    mate_of_left = m.as_dict()
+    mate_of_right = {j: i for i, j in m.pairs}
+    for s in range(n):
+        if s in mate_of_left:
+            continue
+        order, parent = reference_alternating_reach(g, mate_of_left, mate_of_right, s)
+        v = order[-1]
+        if v >= n:
+            vertices = [v]
+            while v != s:
+                v = parent[v]
+                vertices.append(v)
+            return tuple(reversed(vertices))
+    return None
+
+
+def sub_matchings(rng, g, count):
+    """Up to ``count`` seeded matchings of g that are not maximum: random
+    greedy maximal matchings, whose free lefts see only matched rights,
+    so that every augmenting path runs through matched edges, and
+    random subsets of them."""
+    n, best = g.n, maximum_matching(g).size
+    for k in range(count):
+        used, pairs = set(), []
+        for i in rng.sample(range(n), n):
+            choices = [j for j in g.neighbors(i) if j not in used]
+            if choices:
+                used.add(j := rng.choice(choices))
+                pairs.append((i, j))
+        if k % 2:
+            pairs = rng.sample(pairs, rng.randint(0, len(pairs)))
+        if len(pairs) < best:
+            yield Matching.from_pairs(pairs)
+
+
+class TestMaskSearchAgainstReference:
+    """The row-mask search against the dict-and-list search it replaced:
+    the same matching, Hall violator and augmenting paths, and per
+    search the same first free right, the same parents along the path
+    to it and, where no free right is found, the same whole order."""
+
+    @staticmethod
+    def assert_same(g, matchings=()):
+        m = maximum_matching(g)
+        assert m == reference_kuhn(g)
+        if m.size < g.n:
+            assert hall_violator(g) == reference_search_violator(g)
+        for sub in (m, *matchings):
+            path = find_augmenting_path(g, sub)
+            expected = reference_path_vertices(g, sub)
+            assert (path and path.vertices) == expected
+            assert (path is None) == (sub.size == m.size)
+            TestMaskSearchAgainstReference.assert_same_searches(g, sub)
+
+    @staticmethod
+    def assert_same_searches(g, m):
+        n = g.n
+        mate_of_left = m.as_dict()
+        mate_of_right = {j: i for i, j in m.pairs}
+        free = ~sum(1 << j for j in mate_of_right)
+        for s in range(n):
+            if s in mate_of_left:
+                continue
+            order, parent = classical._alternating_reach(g, mate_of_right, free, s)
+            ref_order, ref_parent = reference_alternating_reach(
+                g, mate_of_left, mate_of_right, s
+            )
+            assert order[-1] == ref_order[-1]
+            if order[-1] < n:
+                assert order == ref_order
+            else:
+                v = order[-1]
+                while v != s:
+                    assert parent[v] == ref_parent[v]
+                    v = parent[v]
+
+    def test_every_3x3_graph_and_matching(self):
+        for g in all_graphs(3):
+            self.assert_same(g, all_matchings(g))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_seeded_graphs(self, n):
+        rng = random.Random(7000 + n)
+        deficient = 0
+        for k in range(300):
+            p = (0.1, 0.3, 0.5, 0.7, 0.9)[k % 5]
+            g = BipartiteGraph.from_rows(
+                [[rng.random() < p for _ in range(n)] for _ in range(n)]
+            )
+            deficient += maximum_matching(g).size < n
+            self.assert_same(g, sub_matchings(rng, g, 2))
+        assert deficient >= 60
+
+    @pytest.mark.parametrize("n", [20, 48, 200])
+    @pytest.mark.parametrize("violator", [False, True])
+    def test_production_sizes(self, n, violator):
+        rng = random.Random(n + violator)
+        for _ in range(6 if n < 200 else 2):
+            g = planted_graph(rng, n, violator)
+            assert (maximum_matching(g).size == n) != violator
+            self.assert_same(g, sub_matchings(rng, g, 4))
+
+
 class TestHallViolator:
     def test_isolated_vertex(self):
         g = BipartiteGraph.from_rows([[0, 0], [1, 1]])

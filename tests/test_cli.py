@@ -431,3 +431,133 @@ class TestNumericOptions:
         _, p1, _ = run_json(capsys, decide + ["--seed", "007", "--trials", "05"])
         _, p2, _ = run_json(capsys, decide + ["--seed", "7", "--trials", "5"])
         assert p1 == p2 and (p1["seed"], p1["trials"]) == (7, 5)
+
+
+def reference_json(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+# A file name with a quote, a backslash, control characters, U+2028, a
+# non-ASCII letter and an astral character, each escaped in JSON.
+ODD_NAME = 'odd "quote" \\ \x01\x1f\x7f \u2028 \u00e9 \U0001f600.graph'
+
+
+class TestJsonText:
+    """The report writer is json.dumps(..., indent=2, sort_keys=True),
+    byte for byte, on every payload the commands build and on the values
+    that reach them from outside."""
+
+    @pytest.fixture
+    def reports(self, monkeypatch):
+        """Every payload a command hands the writer, with the text
+        written for it."""
+        seen = []
+        write = cli._json_text
+
+        def recorded(value, *rest):
+            text = write(value, *rest)
+            if not rest:
+                seen.append((value, text))
+            return text
+
+        monkeypatch.setattr(cli, "_json_text", recorded)
+        return seen
+
+    def assert_reports(self, capsys, reports, argv, code):
+        got, out, err = run(capsys, argv + ["--format", "json"])
+        assert (got, err) == (code, "")
+        [(payload, text)] = reports
+        assert text == reference_json(payload)
+        assert out == text + "\n"
+        reports.clear()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["decide", "k33.graph"], 0),
+            (["decide", "pmfree.graph"], 1),
+            (["find", "k33.graph"], 0),
+            (["find", "pmfree.graph"], 1),
+            (["hungarian", "w3.weights"], 0),
+            (["mwpm", "k33.graph", "w3.weights"], 0),
+            (["mwpm", "pmfree.graph", "w2.weights"], 1),
+        ],
+    )
+    def test_command_payloads(self, capsys, files, reports, argv, code):
+        argv = [files.get(a, a) for a in argv]
+        self.assert_reports(capsys, reports, argv, code)
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            ["det", "--max-n", "3"],
+            ["classical", "--max-n", "3"],
+            ["sz", "--max-s", "2"],
+            ["iso", "--max-k", "2"],
+            ["mvv", "--max-n", "3", "--trials", "20"],
+        ],
+    )
+    def test_verify_payloads(self, capsys, reports, bounds):
+        self.assert_reports(capsys, reports, ["verify", *bounds], 0)
+
+    def test_outside_values(self, capsys, tmp_path, reports):
+        graph = tmp_path / ODD_NAME
+        graph.write_text(K33, encoding="utf-8")
+        for command in ("decide", "find"):
+            argv = [command, str(graph), "--seed", str(2**64 - 1)]
+            self.assert_reports(capsys, reports, argv, 0)
+        weights = tmp_path / "big.weights"
+        n = 8
+        rng = random.Random(8)
+        rows = [[rng.randint(10**15 - 9, 10**15) for _ in range(n)] for _ in range(n)]
+        weights.write_text(f"{n}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows),
+                           encoding="utf-8")
+        self.assert_reports(capsys, reports, ["hungarian", str(weights)], 0)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {},
+            [],
+            (),
+            None,
+            True,
+            False,
+            0,
+            -(2**64),
+            1.5,
+            -0.0,
+            float("nan"),
+            "",
+            ODD_NAME,
+            [[]],
+            {"a": {}},
+            [True, False, 1, None],
+            [1, True],
+            [1.0, 2],
+            (1, (2, 3), [4]),
+            {"cover_u": [10**15 * 32, 2**64 - 1], "min_rate": 0.45, "ok": [False]},
+            {ODD_NAME: ODD_NAME, "é": [], "A": None, "a": {"b": [{"c": 1.25}]}},
+            {"rates": {"3": [0.5, 1.0]}, "rows": [[0, 1], [2, 3]]},
+        ],
+    )
+    def test_values(self, value):
+        assert cli._json_text(value) == reference_json(value)
+
+    def test_non_str_keys_take_json_dumps(self, monkeypatch):
+        # Nested two levels deep, so the fallback is re-indented.
+        value = {"a": [{"b": {10: "x", 9: [1, {"c": 2}], True: None}}]}
+        expected = reference_json(value)
+        calls = []
+        dumps = json.dumps
+        monkeypatch.setattr(json, "dumps", lambda *a, **k: calls.append(a) or dumps(*a, **k))
+        assert cli._json_text(value) == expected
+        assert calls == [({10: "x", 9: [1, {"c": 2}], True: None},)]
+
+    @pytest.mark.parametrize("value", [{"a": object()}, [1, {2, 3}], {"a": [b"x"]}])
+    def test_unsupported_types_raise_as_json_dumps(self, value):
+        with pytest.raises(TypeError) as expected:
+            reference_json(value)
+        with pytest.raises(TypeError) as got:
+            cli._json_text(value)
+        assert str(got.value) == str(expected.value)

@@ -304,3 +304,76 @@ class TestExtractModP:
         assert lovasz_decide(g, 0) and passes == []
         assert lovasz_decide(g, 1) and len(passes) == 1
         assert not lovasz_decide(g, 2) and len(passes) == 2
+
+
+def reference_proofs(b):
+    """extract_diagonal_mod with each zero residue's minor pattern built
+    as a graph, rows 0..i - 1 of b without the tried column, and decided
+    by its own has_perfect_matching: the trace, or None, and every
+    proof's verdict in order."""
+    inv = inverse_mod(b)
+    if inv is None:
+        return None, []
+    bits = linalg.field_bits(b.n)
+    rows = b.rows
+    verdicts = []
+
+    def choose(i, cols):
+        nonlocal inv
+        for c, j in enumerate(cols):
+            if not rows[i][j]:
+                continue
+            if linalg.inverse_residue(inv, c, i, bits):
+                inv = linalg.minor_inverse_mod(inv, c, bits)
+                return c
+            pattern = [[r[k] != 0 for k in cols if k != j] for r in rows[:i]]
+            verdicts.append(BipartiteGraph.from_rows(pattern).has_perfect_matching())
+            if verdicts[-1]:
+                return None
+        raise AssertionError("nonzero determinant residue but no nonzero cofactor term")
+
+    return edmonds._walk(b.n, choose), verdicts
+
+
+class TestProofsOnRowMasks:
+    """The zero-residue proofs of extract_diagonal_mod, made by Kuhn's
+    pass on row masks, against the same proofs made on a graph built
+    for each minor's pattern: the same verdict for every proof, and the
+    same trace."""
+
+    @staticmethod
+    def verdicts_of(monkeypatch, b):
+        verdicts = []
+        matches = edmonds.matches_every_row
+
+        def recorded(masks):
+            verdicts.append(matches(masks))
+            return verdicts[-1]
+
+        monkeypatch.setattr(edmonds, "matches_every_row", recorded)
+        trace = extract_diagonal_mod(b)
+        monkeypatch.setattr(edmonds, "matches_every_row", matches)
+        return trace, verdicts
+
+    def test_search_samples(self, monkeypatch):
+        # decide's samples as the search workload draws them: n = 20,
+        # density 1/2 with a planted perfect matching, twenty samples
+        # per graph; and as many on sparser graphs, where more cofactors
+        # are structural zeros.
+        rng = random.Random(20)
+        proofs = 0
+        for density in (0.5, 0.5, 0.3, 0.15):
+            for case in range(10):
+                g = planted_graph(rng, 20, density)
+                for t in range(20):
+                    b = lovasz_sample(g, derive_seed(case, t))
+                    trace, verdicts = self.verdicts_of(monkeypatch, b)
+                    assert (trace, verdicts) == reference_proofs(b)
+                    proofs += len(verdicts)
+        assert proofs >= 500
+
+    def test_nonstructural_zero(self, monkeypatch):
+        # A cofactor that is 0 by cancellation on a pattern with a
+        # perfect matching: the one proof says so, and the chain stops.
+        b = IntMatrix.from_rows([[1, 1, 2], [3, 2, 4], [1, 1, 1]])
+        assert self.verdicts_of(monkeypatch, b) == reference_proofs(b) == (None, [True])

@@ -55,6 +55,24 @@ class TestBipartiteGraph:
         h = BipartiteGraph.from_rows([[0, 1, 1], [0, 0, 0], [1, 0, 1]])
         assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
 
+    def test_row_masks_cached(self):
+        g = BipartiteGraph.from_rows([[0, 1, 1], [0, 0, 0], [1, 0, 1]])
+        assert g.row_masks == (0b110, 0, 0b101)
+        # Built once per graph, and not part of ==, hash or repr.
+        assert g.row_masks is g.row_masks
+        h = BipartiteGraph.from_rows([[0, 1, 1], [0, 0, 0], [1, 0, 1]])
+        assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
+
+    def test_row_masks_and_num_edges_match_the_edges(self):
+        rng = random.Random(19)
+        for n in (1, 2, 7, 20, 64, 65):
+            rows = [[rng.random() < 0.5 for _ in range(n)] for _ in range(n)]
+            g = BipartiteGraph.from_rows(rows)
+            assert g.row_masks == tuple(
+                sum(1 << j for j in range(n) if rows[i][j]) for i in range(n)
+            )
+            assert g.num_edges == sum(map(sum, rows)) == len(g.edge_list())
+
     def test_without_edge(self):
         g = BipartiteGraph.complete(2).without_edge(0, 1)
         assert not g.has_edge(0, 1)
