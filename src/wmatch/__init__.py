@@ -21,7 +21,6 @@ from .edmonds import (
     ZeroDeterminantError,
     extract_pm,
     extract_pm_trace,
-    lovasz_decide,
     lovasz_sample,
 )
 from .graphs import (
@@ -41,7 +40,6 @@ from .graphs import (
 from .isolation import (
     enumerate_nonisolating,
     is_nonisolating,
-    nonisolating_fraction,
     nonisolating_witness,
     nonisolating_witness_map,
 )

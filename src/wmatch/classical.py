@@ -78,18 +78,8 @@ class AlternatingPath:
         )
 
 
-class _Rows(NamedTuple):
-    """A pattern searched like a graph but given only by its row masks
-    (bit j of ``row_masks[i]`` set iff left i sees right j), so no
-    :class:`~wmatch.graphs.BipartiteGraph` is built for it.  Its rights
-    may sit at any bit position, and ``n`` counts the lefts."""
-
-    n: int
-    row_masks: Sequence[int]
-
-
 def _alternating_reach(
-    g: BipartiteGraph, mate_of_right: dict[int, int], free: int, start: int
+    masks: Sequence[int], mate_of_right: dict[int, int], free: int, start: int
 ) -> tuple[list[int], dict[int, int]]:
     """Breadth-first search over the directed alternation graph from the
     free left vertex ``start``: unmatched edges go left to right,
@@ -97,7 +87,10 @@ def _alternating_reach(
     j outside ``mate_of_right``.  Returns the reached vertices in order
     of discovery, ``start`` first, and each later one's predecessor.
 
-    The search runs on ``g.row_masks``: a left vertex's unreached
+    The pattern is given by its row masks, bit j of ``masks[i]`` set
+    iff left i sees right j (a graph's
+    :attr:`~wmatch.graphs.BipartiteGraph.row_masks`), and the rights
+    may sit at any bit position.  A left vertex's unreached
     neighbours are its mask less the reached rights, all at once, and
     its own mate is among the reached.  If any of them is free, the
     least one ends the search, the first free right that a search
@@ -109,8 +102,7 @@ def _alternating_reach(
     at a right vertex iff ``start`` has an augmenting path; following
     ``parent`` back from there to ``start`` recovers one.
     """
-    n = g.n
-    masks = g.row_masks
+    n = len(masks)
     order = [start]
     parent: dict[int, int] = {}
     reached = 0
@@ -161,7 +153,7 @@ def find_augmenting_path(
     for s in range(n):
         if m.get(s) is not None:
             continue
-        order, parent = _alternating_reach(g, mate_of_right, free, s)
+        order, parent = _alternating_reach(g.row_masks, mate_of_right, free, s)
         v = order[-1]
         if v >= n:
             vertices = [v]
@@ -178,17 +170,18 @@ def find_augmenting_path(
     return None
 
 
-def _kuhn(g: BipartiteGraph) -> list[int]:
-    """Kuhn's single pass over ``g.row_masks``, where g is a graph or a
-    :class:`_Rows`: the right matched to each left vertex, or -1, after
-    one :func:`_alternating_reach` from each left vertex in index order,
-    flipping the path to the free right it ends at."""
-    n = g.n
+def _kuhn(masks: Sequence[int]) -> list[int]:
+    """Kuhn's single pass over the row masks of a pattern (as
+    :func:`_alternating_reach` takes them): the right matched to each
+    left vertex, or -1, after one :func:`_alternating_reach` from each
+    left vertex in index order, flipping the path to the free right it
+    ends at."""
+    n = len(masks)
     mate_of_left = [-1] * n
     mate_of_right: dict[int, int] = {}
     free = -1  # every right, at whatever bit position
     for s in range(n):
-        order, parent = _alternating_reach(g, mate_of_right, free, s)
+        order, parent = _alternating_reach(masks, mate_of_right, free, s)
         j = order[-1] - n  # the free right, if the search ended at one
         if j >= 0:
             free ^= 1 << j
@@ -213,7 +206,7 @@ def maximum_matching(g: BipartiteGraph) -> Matching:
     that restarting :func:`find_augmenting_path` from scratch after
     every augmentation finds, and returns the same matching.
     """
-    return Matching(tuple((i, j) for i, j in enumerate(_kuhn(g)) if j >= 0))
+    return Matching(tuple((i, j) for i, j in enumerate(_kuhn(g.row_masks)) if j >= 0))
 
 
 def matches_every_row(masks: Sequence[int]) -> bool:
@@ -221,7 +214,7 @@ def matches_every_row(masks: Sequence[int]) -> bool:
     (bit j of masks[i] set iff row i may take column j), by the Kuhn
     pass of :func:`maximum_matching` on the masks alone.  For a square
     pattern this is whether it has a perfect matching."""
-    return -1 not in _kuhn(_Rows(len(masks), masks))
+    return -1 not in _kuhn(masks)
 
 
 def neighborhood(g: BipartiteGraph, lefts: Sequence[int]) -> frozenset[int]:
@@ -245,8 +238,9 @@ def hall_violator(g: BipartiteGraph) -> tuple[int, ...]:
         )
     start = next(i for i in range(g.n) if m.get(i) is None)
     mate_of_right = {j: i for i, j in m.pairs}
+    free = ~sum(1 << j for j in mate_of_right)
     # m is maximum, so the search finds no free right and runs to the end.
-    order, _ = _alternating_reach(g, mate_of_right, ~sum(1 << j for j in mate_of_right), start)
+    order, _ = _alternating_reach(g.row_masks, mate_of_right, free, start)
     s = tuple(sorted(v for v in order if v < g.n))
     if len(neighborhood(g, s)) >= len(s):
         raise AssertionError("constructed violator fails |S| > |N(S)|")

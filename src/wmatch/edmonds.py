@@ -4,9 +4,12 @@ A bipartite graph has a perfect matching iff its edge matrix admits an
 integer assignment with nonzero determinant (any perfect matching's
 permutation matrix works, with determinant ±1).  This module makes the
 reverse direction constructive: :func:`extract_pm` turns any nonzero
-evaluation into a nonzero diagonal, i.e. a perfect matching.  On top of
-that sits the one-sided randomized decision test of Lovász:
-evaluate at a uniform random assignment and test the determinant.
+evaluation into a nonzero diagonal, i.e. a perfect matching.  The
+one-sided randomized decision test of Lovász is the zero test of one
+such evaluation, and the ``decide`` command runs it as the extraction
+itself: :func:`extract_pm_trace` on a :func:`lovasz_sample` either
+raises :class:`ZeroDeterminantError` (the answer no) or returns a
+perfect matching (the answer yes, with its certificate).
 
 :func:`extract_pm_trace` is the one extraction every caller runs.  It
 works modulo the prime :data:`~wmatch.linalg.P` first
@@ -35,7 +38,6 @@ from .graphs import (
 from .linalg import (  # noqa: F401  (perfbench/tests wraps det_berkowitz here)
     IntMatrix,
     cofactors,
-    det_bareiss,
     det_berkowitz,
     field_bits,
     inverse_mod,
@@ -237,25 +239,3 @@ def lovasz_sample(g: BipartiteGraph, seed: int) -> IntMatrix:
     deterministic in (g, seed).
     """
     return IntMatrix(random_weights(g, 2 * g.n, seed).grid)
-
-
-def lovasz_decide(g: BipartiteGraph, seed: int) -> bool:
-    """One-sided randomized perfect-matching test.
-
-    True means a perfect matching certainly exists (extraction from the
-    same evaluation produces one).  False may be wrong with probability
-    at most 1/2 when a perfect matching exists, and is always right
-    when none does, since then every evaluation has determinant zero.
-    That case depends only on g, so the graph's
-    :meth:`~wmatch.graphs.BipartiteGraph.has_perfect_matching`, decided
-    once and kept on g, answers it with no sample drawn.  Otherwise the
-    zero test is the one :func:`extract_pm_trace` makes, read straight
-    off the packed kernel: :func:`~wmatch.linalg.inverse_mod` returning
-    packed rows means the determinant is nonzero mod P, so nonzero, and
-    answers True; only its None, a zero residue, runs the exact
-    :func:`~wmatch.linalg.det_bareiss`.
-    """
-    if not g.has_perfect_matching():
-        return False
-    b = lovasz_sample(g, seed)
-    return inverse_mod(b) is not None or det_bareiss(b) != 0

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress
 from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -63,61 +64,69 @@ class BipartiteGraph:
     def has_edge(self, i: int, j: int) -> bool:
         return self.edges[i][j]
 
+    @cached_property
+    def _edge_list(self) -> tuple[tuple[int, int], ...]:
+        return tuple(
+            (i, j) for i, row in enumerate(self.edges) for j, e in enumerate(row) if e
+        )
+
     def edge_list(self) -> tuple[tuple[int, int], ...]:
         """All edges (i, j) in row-major order; fixes the enumeration
-        e_0 ... e_{m-1} used wherever edges are indexed."""
-        # Built on first use and kept, as the graph is immutable.  It is
-        # not a dataclass field, so it takes no part in ==, hash or repr.
-        edges = self.__dict__.get("_edge_list")
-        if edges is None:
-            edges = tuple(
-                (i, j) for i, row in enumerate(self.edges) for j, e in enumerate(row) if e
-            )
-            object.__setattr__(self, "_edge_list", edges)
-        return edges
+        e_0 ... e_{m-1} used wherever edges are indexed.  Built on first
+        use and kept, like :meth:`neighbors`, :attr:`row_masks` and
+        :meth:`has_perfect_matching`: the graph is immutable, and a
+        ``cached_property`` is no dataclass field, so it takes no part
+        in ==, hash or repr."""
+        return self._edge_list
 
     @property
     def num_edges(self) -> int:
-        return len(self.edge_list())
+        return len(self._edge_list)
+
+    @cached_property
+    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(
+            tuple(j for j, e in enumerate(row) if e) for row in self.edges
+        )
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         """Right neighbors of left vertex i."""
-        # Built for every vertex on first use and kept, like edge_list,
-        # and like it outside ==, hash and repr.
-        adjacency = self.__dict__.get("_neighbors")
-        if adjacency is None:
-            adjacency = tuple(
-                tuple(j for j, e in enumerate(row) if e) for row in self.edges
-            )
-            object.__setattr__(self, "_neighbors", adjacency)
-        return adjacency[i]
+        return self._adjacency[i]
 
-    @property
+    @cached_property
     def row_masks(self) -> tuple[int, ...]:
         """One int per left vertex i, with bit j set iff (i, j) is an
-        edge; kept like :meth:`neighbors`."""
-        masks = self.__dict__.get("_row_masks")
-        if masks is None:
-            masks = nonzero_masks(self.edges)
-            object.__setattr__(self, "_row_masks", masks)
-        return masks
+        edge."""
+        return nonzero_masks(self.edges)
+
+    @cached_property
+    def _has_perfect_matching(self) -> bool:
+        from .classical import matches_every_row  # classical imports this module
+
+        return matches_every_row(self.row_masks)
 
     def has_perfect_matching(self) -> bool:
         """Whether the graph has a perfect matching, decided exactly by
-        :func:`~wmatch.classical.maximum_matching` on first use and kept,
-        like :meth:`neighbors`."""
-        known = self.__dict__.get("_has_perfect_matching")
-        if known is None:
-            from .classical import maximum_matching  # classical imports this module
-
-            known = maximum_matching(self).size == self.n
-            object.__setattr__(self, "_has_perfect_matching", known)
-        return known
+        :func:`~wmatch.classical.matches_every_row` on :attr:`row_masks`,
+        the Kuhn pass that the zero-residue proofs of
+        :func:`~wmatch.edmonds.extract_diagonal_mod` run, with no
+        :class:`Matching` built."""
+        return self._has_perfect_matching
 
     def without_edge(self, i: int, j: int) -> "BipartiteGraph":
         rows = [list(row) for row in self.edges]
         rows[i][j] = False
         return BipartiteGraph.from_rows(rows)
+
+
+def edge_grid(g: BipartiteGraph, values: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    """The n x n grid with the k-th value at the k-th edge of
+    :meth:`BipartiteGraph.edge_list` (row-major edge order) and 0 at
+    every non-edge; values past the last edge are not read."""
+    rows = [[0] * g.n for _ in range(g.n)]
+    for (i, j), v in zip(g.edge_list(), values):
+        rows[i][j] = v
+    return tuple(map(tuple, rows))
 
 
 @dataclass(frozen=True)
@@ -224,13 +233,9 @@ class WeightAssignment:
         cls, g: BipartiteGraph, values: Sequence[int]
     ) -> "WeightAssignment":
         """Place one value per edge (row-major edge order); non-edges get 0."""
-        edges = g.edge_list()
-        if len(values) != len(edges):
-            raise ValueError(f"expected {len(edges)} edge values, got {len(values)}")
-        rows = [[0] * g.n for _ in range(g.n)]
-        for (i, j), v in zip(edges, values):
-            rows[i][j] = v
-        return cls.from_grid(rows)
+        if len(values) != g.num_edges:
+            raise ValueError(f"expected {g.num_edges} edge values, got {len(values)}")
+        return cls.from_grid(edge_grid(g, values))
 
     @property
     def n(self) -> int:
@@ -295,16 +300,13 @@ def random_weights(g: BipartiteGraph, k: int, seed: int) -> WeightAssignment:
     in row-major edge order, so the same (g, k, seed) always yields the
     same assignment on every platform.  All of them are drawn in one
     :meth:`~wmatch.rng.SplitMix64.randints` call, the same values that
-    one ``randint`` per edge would give, and placed straight into the
-    grid.  A k above 2^64 raises ValueError, like k < 1.
+    one ``randint`` per edge would give, and laid out by
+    :func:`edge_grid`.  A k above 2^64 raises ValueError, like k < 1.
     """
     if k < 1:
         raise ValueError(f"weight range bound must be >= 1, got {k}")
-    edges = g.edge_list()
-    rows = [[0] * g.n for _ in range(g.n)]
-    for (i, j), x in zip(edges, SplitMix64(seed).randints(1, k, len(edges))):
-        rows[i][j] = x
-    return WeightAssignment._from_checked(tuple(map(tuple, rows)))
+    draws = SplitMix64(seed).randints(1, k, g.num_edges)
+    return WeightAssignment._from_checked(edge_grid(g, draws))
 
 
 class FileFormatError(ValueError):

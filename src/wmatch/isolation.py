@@ -20,7 +20,6 @@ with an arc i -> M^-1(j) for every tight non-matching edge (i, j).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterator, Sequence
 
@@ -131,12 +130,8 @@ def nonisolating_witness_map(
         for v in w_rest:
             if not 1 <= v <= k:
                 raise ValueError(f"weight {v} out of range [1, {k}]")
-        a, b = edges[i]
-        rest_values = list(w_rest[:i]) + [0] + list(w_rest[i:])  # 0 fills e_i's slot
-        grid = [[0] * g.n for _ in range(g.n)]
-        for (r, c), v in zip(edges, rest_values):
-            grid[r][c] = v
-        w_partial = WeightAssignment.from_grid(grid)
+        values = list(w_rest[:i]) + [0] + list(w_rest[i:])  # 0 fills e_i's slot
+        w_partial = WeightAssignment.from_edge_values(g, values)
 
         m_prime = mwpm(without[i], w_partial)
         if m_prime.is_empty:
@@ -146,8 +141,8 @@ def nonisolating_witness_map(
         spliced = matching_weight(m_prime, w_partial) - matching_weight(m_g, w_partial)
         if not 1 <= spliced <= k:
             return dummy
-        grid[a][b] = spliced
-        return WeightAssignment.from_grid(grid)
+        values[i] = spliced
+        return WeightAssignment.from_edge_values(g, values)
 
     return witness
 
@@ -156,7 +151,8 @@ def enumerate_nonisolating(
     g: BipartiteGraph, k: int, budget: int = DEFAULT_BUDGET
 ) -> Iterator[WeightAssignment]:
     """Stream the non-isolating assignments in [1, k]^m, lexicographic
-    over the row-major edge list."""
+    over the row-major edge list.  Their count over k^m is the exact
+    fraction that fails to isolate, at most m/k."""
     if k < 1:
         raise ValueError(f"weight range bound must be >= 1, got {k}")
     m = g.num_edges
@@ -169,12 +165,3 @@ def enumerate_nonisolating(
         w = WeightAssignment.from_edge_values(g, values)
         if is_nonisolating(g, w, k):
             yield w
-
-
-def nonisolating_fraction(
-    g: BipartiteGraph, k: int, budget: int = DEFAULT_BUDGET
-) -> Fraction:
-    """Exact fraction of assignments in [1, k]^m that fail to isolate,
-    by exhaustive count.  Always at most m/k."""
-    count = sum(1 for _ in enumerate_nonisolating(g, k, budget))
-    return Fraction(count, k ** g.num_edges)

@@ -9,6 +9,7 @@ an oracle that silently samples is not an oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .graphs import BipartiteGraph, Matching, WeightAssignment, matching_weight
@@ -159,13 +160,12 @@ def check_surjection(
     Images and target elements must be hashable; two are the same
     element when they compare equal.  The domain is consumed in order,
     and enumeration stops with :class:`BudgetExceededError` at its
-    (budget + 1)-th element.
+    (budget + 1)-th element.  The target is read first, and likewise
+    no further than its (budget + 1)-th element.
     """
-    target_list = list(target)
+    target_list = list(islice(target, budget + 1))
     if len(target_list) > budget:
-        raise BudgetExceededError(
-            f"target enumeration has {len(target_list)} elements, budget is {budget}"
-        )
+        raise BudgetExceededError(f"target enumeration exceeded budget {budget}")
 
     hit: set = set()
     domain_size = 0

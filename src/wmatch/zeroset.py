@@ -52,7 +52,7 @@ from operator import mul
 from typing import Callable, Iterator, Optional, Sequence
 
 from .edmonds import extract_pm_trace
-from .graphs import BipartiteGraph, GridLike, edmonds_eval
+from .graphs import BipartiteGraph, GridLike, edge_grid, edmonds_eval
 from .linalg import IntMatrix, det_bareiss
 from .oracle import DEFAULT_BUDGET, BudgetExceededError
 
@@ -65,18 +65,13 @@ def zero_set(g: BipartiteGraph, s: int, budget: int = DEFAULT_BUDGET) -> Iterato
     lexicographic order over the row-major edge list."""
     if s < 1:
         raise ValueError(f"value range bound must be >= 1, got {s}")
-    edges = g.edge_list()
-    total = s ** len(edges)
+    total = s ** g.num_edges
     if total > budget:
         raise BudgetExceededError(
             f"zero set enumeration needs {total} evaluations, budget is {budget}"
         )
-    n = g.n
-    for values in product(range(s), repeat=len(edges)):
-        rows = [[0] * n for _ in range(n)]
-        for (i, j), v in zip(edges, values):
-            rows[i][j] = v
-        grid = tuple(tuple(row) for row in rows)
+    for values in product(range(s), repeat=g.num_edges):
+        grid = edge_grid(g, values)
         if det_bareiss(IntMatrix(grid)) == 0:
             yield grid
 

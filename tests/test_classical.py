@@ -245,9 +245,9 @@ class TestSinglePassAgainstRestarts:
         calls = []
         reach = classical._alternating_reach
 
-        def counted(g, *args):
-            calls.append(g.n)
-            return reach(g, *args)
+        def counted(masks, *args):
+            calls.append(len(masks))
+            return reach(masks, *args)
 
         monkeypatch.setattr(classical, "_alternating_reach", counted)
         rng = random.Random(73)
@@ -374,7 +374,7 @@ class TestMaskSearchAgainstReference:
         for s in range(n):
             if s in mate_of_left:
                 continue
-            order, parent = classical._alternating_reach(g, mate_of_right, free, s)
+            order, parent = classical._alternating_reach(g.row_masks, mate_of_right, free, s)
             ref_order, ref_parent = reference_alternating_reach(
                 g, mate_of_left, mate_of_right, s
             )

@@ -9,7 +9,6 @@ import jsonschema
 import pytest
 
 from wmatch import classical, cli, edmonds, linalg, mvv
-from wmatch.edmonds import lovasz_decide
 from wmatch.graphs import parse_graph
 from wmatch.verify import CheckResult, SuiteReport
 
@@ -199,16 +198,16 @@ class TestNoPerfectMatchingGate:
             raise AssertionError("a trial ran on a graph with no perfect matching")
 
         matchings = []
-        maximum_matching = classical.maximum_matching
+        matches_every_row = classical.matches_every_row
 
-        def counting_matching(g):
-            matchings.append(g)
-            return maximum_matching(g)
+        def counting_matching(masks):
+            matchings.append(masks)
+            return matches_every_row(masks)
 
         for module, name in ((cli, "lovasz_sample"), (edmonds, "lovasz_sample"),
                              (mvv, "random_weights"), (linalg, "_eliminate")):
             monkeypatch.setattr(module, name, forbidden)
-        monkeypatch.setattr(classical, "maximum_matching", counting_matching)
+        monkeypatch.setattr(classical, "matches_every_row", counting_matching)
         p = tmp_path / "violator.graph"
         p.write_text(hall_violator_graph(200, 200), encoding="utf-8")
         return str(p), matchings
@@ -219,13 +218,15 @@ class TestNoPerfectMatchingGate:
         code, out, err = run(capsys, [command, path, "--trials", "20"])
         assert (code, err) == (1, "")
         assert out.splitlines() == [first, "trials: 20"]
-        assert len(matchings) == 1 and matchings[0].n == 200
+        assert len(matchings) == 1 and len(matchings[0]) == 200
 
-    def test_lovasz_decide_draws_no_sample(self, violator):
+    def test_decide_draws_no_sample(self, capsys, violator):
         path, matchings = violator
         g = parse_graph(Path(path).read_text(encoding="utf-8"))
-        assert not any(lovasz_decide(g, seed) for seed in range(20))
-        assert matchings == [g]
+        for seed in range(20):
+            code, out, err = run(capsys, ["decide", path, "--seed", str(seed)])
+            assert (code, out.splitlines()[0], err) == (1, "NO", "")
+        assert matchings == [g.row_masks] * 20
 
 
 class TestFind:

@@ -10,7 +10,6 @@ from wmatch.edmonds import (
     extract_pm,
     extract_pm_trace,
     least_column,
-    lovasz_decide,
     lovasz_sample,
 )
 from wmatch.graphs import BipartiteGraph, is_perfect_matching, random_weights
@@ -136,21 +135,29 @@ class TestExtract:
             extract_pm_trace(g, b)
 
 
+def lovasz_yes(g, seed):
+    """One trial of Lovász's test as decide runs it: the extraction from
+    one sample, whose zero determinant is the answer no."""
+    try:
+        extract_pm_trace(g, edmonds.lovasz_sample(g, seed))
+    except ZeroDeterminantError:
+        return False
+    return True
+
+
 class TestLovasz:
     def test_pm_free_always_no(self):
-        # The test answers from the graph; every sample it would draw
-        # is singular all the same.
         g = BipartiteGraph.from_rows([[0, 0], [1, 1]])
-        assert not any(lovasz_decide(g, seed) for seed in range(50))
+        assert not any(lovasz_yes(g, seed) for seed in range(50))
         assert all(det_bareiss(lovasz_sample(g, seed)) == 0 for seed in range(50))
 
     def test_k11_always_yes(self):
         g = BipartiteGraph.complete(1)
-        assert all(lovasz_decide(g, seed) for seed in range(20))
+        assert all(lovasz_yes(g, seed) for seed in range(20))
 
     def test_k33_rate_at_least_half(self):
         g = BipartiteGraph.complete(3)
-        hits = sum(1 for seed in range(1000) if lovasz_decide(g, seed))
+        hits = sum(1 for seed in range(1000) if lovasz_yes(g, seed))
         assert hits >= 500
 
     def test_sample_values_in_range(self):
@@ -291,9 +298,9 @@ class TestExtractModP:
         assert trace.sigma == (0, 2, 1)
         assert trace.steps == per_minor_steps(b)
 
-    def test_lovasz_decide_zero_test(self, monkeypatch):
+    def test_lovasz_zero_test(self, monkeypatch):
         # A nonzero residue answers with no exact pass; only a zero
-        # residue runs det_bareiss, which sees det = P.
+        # residue runs the exact elimination, which sees det = P.
         g = BipartiteGraph.complete(2)
         samples = {0: [[2, 1], [1, 1]], 1: [[P + 1, 1], [1, 1]], 2: [[1, 1], [1, 1]]}
         monkeypatch.setattr(edmonds, "lovasz_sample",
@@ -301,9 +308,9 @@ class TestExtractModP:
         passes = []
         eliminate = linalg._eliminate
         monkeypatch.setattr(linalg, "_eliminate", lambda m: passes.append(m) or eliminate(m))
-        assert lovasz_decide(g, 0) and passes == []
-        assert lovasz_decide(g, 1) and len(passes) == 1
-        assert not lovasz_decide(g, 2) and len(passes) == 2
+        assert lovasz_yes(g, 0) and passes == []
+        assert lovasz_yes(g, 1) and len(passes) == 1
+        assert not lovasz_yes(g, 2) and len(passes) == 2
 
 
 def reference_proofs(b):

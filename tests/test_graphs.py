@@ -1,6 +1,6 @@
 import random
 import sys
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -13,6 +13,7 @@ from wmatch.graphs import (
     _lines,
     _not_integer,
     _parse_header,
+    edge_grid,
     edmonds_eval,
     format_graph,
     format_weights,
@@ -22,9 +23,13 @@ from wmatch.graphs import (
     parse_weights,
     random_weights,
 )
+from wmatch.classical import maximum_matching
 from wmatch.edmonds import lovasz_sample
-from wmatch.linalg import det_berkowitz
+from wmatch.isolation import enumerate_nonisolating, nonisolating_witness_map
+from wmatch.linalg import IntMatrix, det_berkowitz
+from wmatch.oracle import brute_max_matching_size
 from wmatch.rng import SplitMix64
+from wmatch.zeroset import zero_set
 
 
 class TestBipartiteGraph:
@@ -77,6 +82,140 @@ class TestBipartiteGraph:
         g = BipartiteGraph.complete(2).without_edge(0, 1)
         assert not g.has_edge(0, 1)
         assert g.has_edge(0, 0)
+
+
+def planted_graph(rng, n, violator):
+    """Density-1/2 graph with a planted perfect matching, or, with
+    ``violator``, with three rows confined to two columns (so |S| = 3 >
+    |N(S)| = 2 and no perfect matching exists)."""
+    rows = [[rng.random() < 0.5 for _ in range(n)] for _ in range(n)]
+    if violator:
+        for i in rng.sample(range(n), 3):
+            rows[i] = [j < 2 and rows[i][j] for j in range(n)]
+    else:
+        for i, j in enumerate(rng.sample(range(n), n)):
+            rows[i][j] = True
+    return BipartiteGraph.from_rows(rows)
+
+
+class TestHasPerfectMatching:
+    """The graph's own verdict, Kuhn's pass on its row masks, against
+    the row sweep of brute_max_matching_size at small n and against
+    maximum_matching at the sizes decide and find run."""
+
+    def test_every_3x3_graph(self):
+        verdicts = []
+        for bits in range(1 << 9):
+            g = BipartiteGraph.from_rows(
+                [[(bits >> (3 * i + j)) & 1 for j in range(3)] for i in range(3)]
+            )
+            verdicts.append(g.has_perfect_matching())
+            assert verdicts[-1] == (brute_max_matching_size(g) == 3)
+        # The 3 x 3 0/1 matrices with a nonzero permanent: 247 of 512.
+        assert sum(verdicts) == 247
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_seeded_graphs(self, n):
+        rng = random.Random(9100 + n)
+        verdicts = []
+        for k in range(300):
+            p = (0.1, 0.3, 0.5, 0.7, 0.9)[k % 5]
+            g = BipartiteGraph.from_rows(
+                [[rng.random() < p for _ in range(n)] for _ in range(n)]
+            )
+            verdicts.append(g.has_perfect_matching())
+            assert verdicts[-1] == (brute_max_matching_size(g) == n)
+        assert 30 <= sum(verdicts) <= 270
+
+    @pytest.mark.parametrize("n", [20, 48, 200])
+    @pytest.mark.parametrize("violator", [False, True])
+    def test_production_sizes(self, n, violator):
+        rng = random.Random(9200 + n + violator)
+        for _ in range(4):
+            g = planted_graph(rng, n, violator)
+            assert g.has_perfect_matching() == (maximum_matching(g).size == n) != violator
+
+
+def pattern_id(g):
+    return "-".join("".join("1" if e else "0" for e in row) for row in g.edges)
+
+
+def reference_grid(g, values):
+    """The per-edge loop: walk the n x n positions in row-major order
+    and give each edge the next value, each non-edge 0."""
+    it = iter(values)
+    return tuple(
+        tuple(next(it) if g.has_edge(i, j) else 0 for j in range(g.n)) for i in range(g.n)
+    )
+
+
+class TestEdgeGrid:
+    """edge_grid, and each of its four callers, against the per-edge
+    loop, on graphs with and without empty rows."""
+
+    GRAPHS = [
+        BipartiteGraph.from_rows(rows)
+        for rows in (
+            [[1]],
+            [[0]],
+            [[1, 1], [0, 0]],
+            [[0, 0, 0], [1, 0, 1], [0, 1, 1]],
+            [[1, 0, 1], [0, 0, 0], [1, 1, 0]],
+            [[1, 1, 0], [0, 1, 1], [1, 0, 1]],
+            [[1, 0, 0, 1], [0, 1, 0, 0], [1, 1, 1, 0], [0, 0, 1, 1]],
+        )
+    ]
+
+    @pytest.mark.parametrize("g", GRAPHS, ids=pattern_id)
+    def test_edge_grid_and_from_edge_values(self, g):
+        values = list(range(7, 7 + g.num_edges))
+        assert edge_grid(g, values) == reference_grid(g, values)
+        assert WeightAssignment.from_edge_values(g, values).grid == reference_grid(g, values)
+
+    def test_random_weights(self):
+        rng = random.Random(23)
+        graphs = self.GRAPHS + [
+            BipartiteGraph.from_rows([[rng.random() < 0.3 for _ in range(n)] for _ in range(n)])
+            for n in (5, 9, 20)
+        ]
+        for g in graphs:
+            for k, seed in ((1, 0), (2 * g.n, 5), (10**15, 2**64 - 1)):
+                stream = SplitMix64(seed)
+                draws = [stream.randint(1, k) for _ in range(g.num_edges)]
+                assert random_weights(g, k, seed).grid == reference_grid(g, draws)
+
+    @pytest.mark.parametrize("g", GRAPHS, ids=pattern_id)
+    def test_zero_set(self, g):
+        for s in (1, 2, 3):
+            expected = []
+            for values in product(range(s), repeat=g.num_edges):
+                grid = reference_grid(g, values)
+                if det_berkowitz(IntMatrix(grid)) == 0:
+                    expected.append(grid)
+            assert list(zero_set(g, s)) == expected
+
+    @pytest.mark.parametrize("g", [
+        BipartiteGraph.complete(2),
+        BipartiteGraph.from_rows([[1, 1, 1], [1, 1, 0], [0, 0, 1]]),
+        BipartiteGraph.from_rows([[1, 1, 0], [1, 1, 1], [0, 1, 1]]),
+    ], ids=pattern_id)
+    def test_isolation_witness(self, g):
+        # A graph with an empty row has no perfect matching, so no
+        # non-isolating dummy, and the witness map refuses it.
+        k, m = 3, g.num_edges
+        dummy = next(enumerate_nonisolating(g, k))
+        witness = nonisolating_witness_map(g, k, dummy)
+        spliced = 0
+        for i, (a, b) in enumerate(g.edge_list()):
+            for rest in product(range(1, k + 1), repeat=m - 1):
+                out = witness(i, rest)
+                if out != dummy:
+                    spliced += 1
+                    values = [*rest[:i], out.value(a, b), *rest[i:]]
+                    assert out.grid == reference_grid(g, values)
+        assert spliced > 0
+        with pytest.raises(ValueError):
+            nonisolating_witness_map(BipartiteGraph.from_rows([[1, 1], [0, 0]]), k, dummy)
 
 
 class TestMatching:

@@ -9,11 +9,10 @@ from wmatch.graphs import BipartiteGraph, WeightAssignment, matching_weight
 from wmatch.isolation import (
     enumerate_nonisolating,
     is_nonisolating,
-    nonisolating_fraction,
     nonisolating_witness,
     nonisolating_witness_map,
 )
-from wmatch.oracle import BudgetExceededError, brute_min_weight_pms
+from wmatch.oracle import DEFAULT_BUDGET, BudgetExceededError, brute_min_weight_pms
 
 K22 = BipartiteGraph.complete(2)
 DIAG2 = BipartiteGraph.from_rows([[1, 0], [0, 1]])
@@ -228,8 +227,15 @@ class TestWitnessAgainstSubgraph:
 
 
 class TestFraction:
+    """The exact fraction of non-isolating assignments, counted off
+    enumerate_nonisolating, against the m/k bound."""
+
+    @staticmethod
+    def fraction(g, k, budget=DEFAULT_BUDGET):
+        return Fraction(sum(1 for _ in enumerate_nonisolating(g, k, budget)), k ** g.num_edges)
+
     def test_unique_pm_graph_zero(self):
-        assert nonisolating_fraction(DIAG2, 3) == 0
+        assert self.fraction(DIAG2, 3) == 0
 
     def test_k22_counts(self):
         # On K22 the minimum ties exactly when the two diagonals weigh
@@ -238,14 +244,14 @@ class TestFraction:
         for k in (2, 3, 4):
             bad_count = sum(1 for w in assignments(K22, k) if oracle_bad(K22, w))
             assert bad_count == expected[k]
-            frac = nonisolating_fraction(K22, k)
+            frac = self.fraction(K22, k)
             assert frac == Fraction(bad_count, k**4)
             assert frac <= Fraction(4, k)
             assert bad_count <= 4 * k**3
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
-            nonisolating_fraction(K22, 100, budget=10)
+            self.fraction(K22, 100, budget=10)
 
     def test_enumeration_is_lexicographic(self):
         bad = [w.grid for w in enumerate_nonisolating(K22, 2)]

@@ -4,9 +4,8 @@ from operator import mul
 
 import pytest
 
-from wmatch import edmonds, linalg
-from wmatch.edmonds import lovasz_decide
-from wmatch.graphs import BipartiteGraph
+from wmatch import cli, edmonds, linalg
+from wmatch.graphs import BipartiteGraph, format_graph
 from wmatch.linalg import (
     P,
     IntMatrix,
@@ -683,19 +682,22 @@ class TestSparsestLineFirst:
     @pytest.mark.parametrize("n", [20, 32])
     @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("shape", ["power", "lovasz"])
-    def test_violator_stops_after_few_pivots(self, shape, n, side, monkeypatch):
+    def test_violator_stops_after_few_pivots(self, shape, n, side, monkeypatch, tmp_path, capsys):
         # The forward pass on the planted matrix may run to the
-        # violator's last line; the decision on its graph makes no
-        # pivot at all, since the graph's own matching verdict answers
-        # it before any sample is drawn.
+        # violator's last line; decide on its graph makes no pivot at
+        # all, since the graph's own matching verdict answers it before
+        # any sample is drawn.
         rng = random.Random(f"work:{shape}:{n}:{side}")
         passes = []
         monkeypatch.setattr(linalg, "_eliminate", passes.append)
-        monkeypatch.setattr(edmonds, "lovasz_sample", lambda g, seed: passes.append(seed))
+        for module in (cli, edmonds):
+            monkeypatch.setattr(module, "lovasz_sample", lambda g, seed: passes.append(seed))
+        path = tmp_path / "pattern.graph"
         for kind in ("violator", "isolated"):
             m = planted(base_rows(shape, n, rng), side, kind, rng)
-            g = BipartiteGraph.from_rows([[x != 0 for x in row] for row in m.rows])
-            assert not any(lovasz_decide(g, seed) for seed in range(3))
+            path.write_text(format_graph(BipartiteGraph.from_rows(m.rows)), encoding="utf-8")
+            assert cli.main(["decide", str(path), "--trials", "3"]) == 1
+            assert capsys.readouterr().out.splitlines()[0] == "NO"
             assert passes == []
 
     def test_counted_products_of_a_full_pass(self):

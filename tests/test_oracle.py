@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import count, permutations
 from math import factorial
 
 import pytest
@@ -181,6 +181,26 @@ class TestCheckSurjection:
     def test_target_budget(self):
         with pytest.raises(BudgetExceededError):
             check_surjection(range(2), lambda x: x, range(2000), budget=1000)
+
+    def test_endless_target_stops_at_budget(self):
+        with pytest.raises(BudgetExceededError, match="^target enumeration exceeded budget 10$"):
+            check_surjection(range(2), lambda x: x, count(), budget=10)
+
+    def test_target_read_no_further_than_budget_plus_one(self):
+        drawn = []
+
+        def target(size):
+            for x in range(size):
+                drawn.append(x)
+                yield x
+
+        with pytest.raises(BudgetExceededError):
+            check_surjection(range(2), lambda x: x, target(3_000_000), budget=10)
+        assert len(drawn) <= 11
+        # A target of exactly budget elements is read whole and passes.
+        drawn.clear()
+        report = check_surjection(range(10), lambda x: x, target(10), budget=10)
+        assert report.target_size == 10 and report.surjective and len(drawn) == 10
 
     def test_report_json_conversion(self):
         report = check_surjection(range(3), lambda x: x, range(4))
