@@ -15,18 +15,27 @@ without a traceback.  Identical inputs, seed and flags produce
 byte-identical output; the default seed is the documented constant
 ``wmatch.rng.DEFAULT_SEED`` (pass ``--seed random`` to opt into
 entropy; the drawn seed is echoed in the report).
+
+Most of a short command's wall time is interpreter start-up and
+imports, so a command runs only the modules it uses.  The
+verification suites (:mod:`wmatch.verify`) are imported lazily: the
+module is in ``sys.modules`` as soon as this one is, so whatever
+looks it up there (the benchmark's tracer does) finds it, but its
+code runs on first use, which :func:`run_suite` makes on the first
+``verify``.  ``secrets`` is imported only for ``--seed random`` and
+``importlib.resources`` only by :func:`report_schema`; input files
+are read with ``open`` rather than ``pathlib``.  The parser lists the
+suites from :data:`wmatch.oracle.SUITE_NAMES` without running them.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib.util
 import json
 import os
-import secrets
 import sys
-from importlib import resources
-from pathlib import Path
 
 from .classical import cover_cost, hungarian_max_weight, is_cover, mwpm
 from .edmonds import ZeroDeterminantError, extract_pm, lovasz_sample
@@ -40,9 +49,25 @@ from .graphs import (
 )
 from .linalg import det_berkowitz  # noqa: F401  (perfbench/tests wraps det_berkowitz here)
 from .mvv import mvv_trial
-from .oracle import BudgetExceededError, DEFAULT_BUDGET
+from .oracle import BudgetExceededError, DEFAULT_BUDGET, SUITE_NAMES
 from .rng import DEFAULT_SEED, derive_seed
-from .verify import SUITE_NAMES, run_suite
+
+
+def _import_lazily(name: str):
+    """``import name``, except that the module's code runs on its first
+    attribute access (the recipe in the :mod:`importlib` docs)."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    package, _, child = name.rpartition(".")
+    setattr(sys.modules[package], child, module)
+    return module
+
+
+verify = _import_lazily(f"{__package__}.verify")
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -55,6 +80,8 @@ def _seed_value(text: str) -> int:
     """``random``, or an ASCII decimal token below 2**64, read by
     :func:`~wmatch.graphs._decimal` as the file formats are."""
     if text == "random":
+        import secrets
+
         return secrets.randbits(64)
     try:
         value = _decimal(text)
@@ -138,7 +165,8 @@ def _read(path: str, parse):
     # Decoded without newline translation: the parser alone decides
     # where a line ends, so a lone "\r" is not a line break here either.
     try:
-        text = Path(path).read_bytes().decode("utf-8")
+        with open(path, "rb") as f:
+            text = f.read().decode("utf-8")
     except OSError as exc:
         raise FileFormatError(0, f"cannot read: {exc.strerror or exc}", source=path) from exc
     except UnicodeDecodeError as exc:
@@ -377,6 +405,12 @@ def cmd_mwpm(args) -> int:
     return EXIT_YES
 
 
+def run_suite(name: str, **options):
+    """:func:`wmatch.verify.run_suite`; the first call runs the suites'
+    module, so that no other command does."""
+    return verify.run_suite(name, **options)
+
+
 def cmd_verify(args) -> int:
     report = run_suite(
         args.suite,
@@ -401,6 +435,8 @@ def cmd_verify(args) -> int:
 
 def report_schema() -> dict:
     """The JSON schema that every ``--format json`` output satisfies."""
+    from importlib import resources
+
     schema = resources.files("wmatch").joinpath("schemas/report.schema.json")
     return json.loads(schema.read_text(encoding="utf-8"))
 

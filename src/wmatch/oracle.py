@@ -4,6 +4,13 @@ Everything here is deliberately naive: enumerations are complete,
 deterministic, and order-stable, so they can serve as independent
 oracles for the clever algorithms.  Budgets are explicit and enforced;
 an oracle that silently samples is not an oracle.
+
+``SUITE_NAMES`` lists the verification suites of :mod:`wmatch.verify`
+in the order that ``verify all`` runs them.  It lives here, among the
+harness's other constants, so that the CLI's parser can list the
+suites without running that module; each name must be a branch of
+:func:`wmatch.verify.run_suite` (``tests/test_verify.py`` runs every
+one).
 """
 
 from __future__ import annotations
@@ -15,6 +22,8 @@ from typing import Callable, Iterable, NamedTuple, Optional
 from .graphs import BipartiteGraph, Matching, WeightAssignment, matching_weight
 
 DEFAULT_BUDGET = 10_000_000
+
+SUITE_NAMES = ("det", "classical", "sz", "iso", "mvv")
 
 ENUM_PM_MAX_N = 8
 BRUTE_WEIGHT_MAX_N = 5

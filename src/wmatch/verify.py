@@ -49,6 +49,7 @@ from .mvv import (
 )
 from .oracle import (
     DEFAULT_BUDGET,
+    SUITE_NAMES,
     BruteMinResult,
     brute_max_matching_size,
     brute_max_weight_matching,
@@ -58,8 +59,6 @@ from .oracle import (
 )
 from .rng import DEFAULT_SEED, SplitMix64, derive_seed
 from .zeroset import zero_set, zero_witness_graph_map
-
-SUITE_NAMES = ("det", "classical", "sz", "iso", "mvv")
 
 
 @dataclass

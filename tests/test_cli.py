@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -8,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from wmatch import classical, cli, edmonds, linalg, mvv
+from wmatch import classical, cli, edmonds, linalg, mvv, verify
 from wmatch.graphs import parse_graph
 from wmatch.verify import CheckResult, SuiteReport
 
@@ -315,6 +316,53 @@ class TestClosedStdout:
         assert proc.returncode == cli.EXIT_BROKEN_PIPE
 
 
+# What ``import wmatch.cli`` must not run: the suites, which only
+# ``verify`` runs, and standard modules that only ``--seed random``
+# (secrets, hmac) or ``report_schema`` (importlib.resources, pathlib,
+# tempfile) use, or that only the suites use (fractions, decimal).
+DEFERRED = ("wmatch.verify", "fractions", "decimal", "secrets", "hmac",
+            "pathlib", "importlib.resources", "tempfile")
+
+# Run in a fresh interpreter; prints one JSON line of what it saw.  A
+# lazily imported module sits in sys.modules before its code runs, as
+# an instance of a subclass of ModuleType; once run, it is a ModuleType.
+STARTUP_CHILD = """
+import sys, types
+def ran(name):
+    return type(sys.modules.get(name)) is types.ModuleType
+import wmatch.cli
+seen = {
+    "ran": sorted(name for name in sys.argv[2:] if ran(name)),
+    "registered": wmatch.verify is sys.modules["wmatch.verify"],
+    "verify": wmatch.cli.main(["verify", "classical", "--max-n", "2", "--format", "json"]),
+    "verify_ran": ran("wmatch.verify"),
+    "decide": wmatch.cli.main(["decide", sys.argv[1], "--seed", "random", "--format", "json"]),
+}
+import json
+print(json.dumps(seen))
+"""
+
+
+class TestStartup:
+    def test_commands_run_only_what_they_use(self, files):
+        # -S keeps site hooks (a .pth file, say) from importing any of
+        # these on their own.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", STARTUP_CHILD, files["k33.graph"], *DEFERRED],
+            capture_output=True,
+            encoding="utf-8",
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        assert seen == {
+            "ran": [], "registered": True, "verify": 0, "verify_ran": True, "decide": 0,
+        }
+
+
 class TestMwpm:
     def test_k33(self, capsys, files):
         code, payload, _ = run_json(
@@ -381,6 +429,43 @@ class TestVerify:
         assert out.splitlines()[0] == "suite: iso"
         assert any(line.startswith("PASS ") for line in out.splitlines())
         assert out.splitlines()[-1] == "result: PASS"
+
+
+SUITE_CHOICES = ("det", "classical", "sz", "iso", "mvv", "all")
+
+
+class TestSuiteNames:
+    """The suite list that the parser reads from ``wmatch.oracle``
+    without running ``wmatch.verify``: its order in verify's usage and
+    error text, and a ``run_suite`` branch behind every name."""
+
+    def test_usage_lists_suites_in_order(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--help"])
+        assert exc.value.code == 0
+        usage = capsys.readouterr().out
+        assert usage.count("{" + ",".join(SUITE_CHOICES) + "}") == 2
+
+    def test_invalid_suite(self, capsys):
+        # The error line as this interpreter's argparse words it for
+        # the literal list.
+        reference = argparse.ArgumentParser(prog="wmatch verify")
+        reference.add_argument("suite", choices=SUITE_CHOICES)
+        with pytest.raises(SystemExit):
+            reference.parse_args(["nope"])
+        expected = capsys.readouterr().err.splitlines()[-1]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "nope"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == expected
+
+    def test_every_name_runs_its_checks(self):
+        bounds = dict(trials=2, max_n=2, max_s=2, max_k=2)
+        reports = {name: verify.run_suite(name, **bounds) for name in SUITE_CHOICES}
+        assert all(reports[name].checks for name in SUITE_CHOICES)
+        assert [c.name for c in reports["all"].checks] == [
+            c.name for name in SUITE_CHOICES[:-1] for c in reports[name].checks
+        ]
 
 
 class TestSeedHandling:
