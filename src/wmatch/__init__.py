@@ -58,6 +58,7 @@ from .mvv import (
     MvvTrial,
     build_power_matrix,
     edge_in_unique_min_pm,
+    exact_power_det_valuation,
     extract_pm_weight_bounded,
     mvv_trial,
 )

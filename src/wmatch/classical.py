@@ -267,7 +267,7 @@ def is_cover(w: Sequence[Sequence[int]], cover: WeightCover) -> bool:
     return all(max(map(sub, row, cover.v)) <= ui for row, ui in zip(w, cover.u))
 
 
-def _dual_steps(n: int, w: Sequence[Sequence[int]]):
+def _dual_steps(w: Sequence[Sequence[int]]):
     """Generator driving the primal-dual Hungarian method.
 
     Yields the starting cover and the cover after every dual step; its
@@ -290,8 +290,10 @@ def _dual_steps(n: int, w: Sequence[Sequence[int]]):
     to a strictly smaller u[i] + v[k] - w[i][k] + shift and finding the
     first least key: the steps, ties and flips of an argmin, slack sweep
     and slack update over all n columns, so the yields and matching are
-    theirs, at O(n) per step, O(n^2) per root and O(n^3) in all.
+    theirs, at O(n) per step, O(n^2) per root and O(n^3) in all, with
+    n = len(w).
     """
+    n = len(w)
     u = list(map(max, w))
     v = [0] * n
     mate_of_left = [-1] * n
@@ -336,11 +338,9 @@ def _dual_steps(n: int, w: Sequence[Sequence[int]]):
     return Matching.from_pairs(enumerate(mate_of_left))
 
 
-def hungarian_max_weight(
-    n: int, w: Sequence[Sequence[int]]
-) -> tuple[Matching, WeightCover]:
-    """Maximum-weight matching of the complete n x n instance w, plus a
-    minimum-cost weight cover certifying it.
+def hungarian_max_weight(w: Sequence[Sequence[int]]) -> tuple[Matching, WeightCover]:
+    """Maximum-weight matching of the complete n x n instance w,
+    n = len(w), plus a minimum-cost weight cover certifying it.
 
     Primal-dual Kuhn-Munkres in O(n^3) arithmetic operations, starting
     from the cover u[i] = max of row i, v = 0.  The cover stays
@@ -349,13 +349,14 @@ def hungarian_max_weight(
     and uses only tight positions (w[i][j] = u[i] + v[j]), so its
     weight equals the cover cost, which proves both optimal.
     """
+    n = len(w)
     if n < 1:
         raise ValueError("instance dimension must be >= 1")
-    if len(w) != n or any(len(row) != n for row in w):
+    if any(len(row) != n for row in w):
         raise ValueError(f"weight grid must be {n}x{n}")
     if min(map(min, w)) < 0:
         raise ValueError("negative weights are not accepted")
-    steps = _dual_steps(n, w)
+    steps = _dual_steps(w)
     u, v = next(steps)  # the live cover, final once the steps stop
     while True:
         try:
@@ -391,7 +392,7 @@ def _mwpm_with_dual(
     c = n * max_w + 1
     # (c - x) * True is c - x and (c - x) * False is 0.
     transformed = [list(map(mul, map(c.__sub__, row), edges)) for row, edges in rows]
-    m, cover = hungarian_max_weight(n, transformed)
+    m, cover = hungarian_max_weight(transformed)
     dual = (tuple(map(c.__sub__, cover.u)), tuple(map(neg, cover.v)))
     if not is_perfect_matching(g, m):
         return Matching.empty(), dual

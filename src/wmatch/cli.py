@@ -337,7 +337,7 @@ def cmd_find(args) -> int:
 
 def cmd_hungarian(args) -> int:
     w = _read(args.weights, parse_weights)
-    m, cover = hungarian_max_weight(w.n, w.grid)
+    m, cover = hungarian_max_weight(w.grid)
     weight = matching_weight(m, w)
     cost = cover_cost(cover)
     _emit(
@@ -376,33 +376,24 @@ def cmd_mwpm(args) -> int:
         )
     m = mwpm(g, w)
     if m.is_empty:
-        _emit(
-            args,
-            {
-                "command": "mwpm",
-                "graph": args.graph,
-                "weights": args.weights,
-                "result": "none",
-                "matching": None,
-                "matching_weight": None,
-            },
-            ["no perfect matching"],
-        )
-        return EXIT_NO
-    weight = matching_weight(m, w)
+        result, matching, weight = "none", None, None
+        lines = ["no perfect matching"]
+    else:
+        result, matching, weight = "found", _matching_json(m), matching_weight(m, w)
+        lines = ["FOUND", f"matching: {_matching_text(m)}", f"weight: {weight}"]
     _emit(
         args,
         {
             "command": "mwpm",
             "graph": args.graph,
             "weights": args.weights,
-            "result": "found",
-            "matching": _matching_json(m),
+            "result": result,
+            "matching": matching,
             "matching_weight": weight,
         },
-        ["FOUND", f"matching: {_matching_text(m)}", f"weight: {weight}"],
+        lines,
     )
-    return EXIT_YES
+    return EXIT_NO if m.is_empty else EXIT_YES
 
 
 def run_suite(name: str, **options):

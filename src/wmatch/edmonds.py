@@ -17,9 +17,8 @@ works modulo the prime :data:`~wmatch.linalg.P` first
 nonzero, and a zero cofactor residue counts only when the minor's
 pattern has no perfect matching.  Where neither settles a choice, or
 the determinant is 0 mod P, it reruns the extraction exactly
-(:func:`~wmatch.linalg.cofactors`, then :func:`extract_diagonal`),
-whose forward pass also decides a zero determinant.  Both paths return
-the same answer and the same matching.
+(:func:`extract_diagonal`), whose forward pass also decides a zero
+determinant.  Both paths return the same answer and the same matching.
 """
 
 from __future__ import annotations
@@ -107,35 +106,41 @@ def _walk(
     return ExtractionTrace(tuple(steps), tuple(sigma))
 
 
-def extract_diagonal(b: IntMatrix, det: int, adj: list[list[int]], rule: Rule) -> ExtractionTrace:
-    """Nonzero-diagonal extraction from a nonsingular b, bottom-up.
+def extract_diagonal(b: IntMatrix, rule: Rule) -> tuple[int, ExtractionTrace]:
+    """Nonzero-diagonal extraction from b, bottom-up, exactly:
+    ``(det(b), trace)``, or :class:`ZeroDeterminantError` when
+    det(b) = 0.
 
-    ``(det, adj)`` is ``cofactors(b)`` with det != 0.  For the last row
-    i of the current submatrix, the cofactor expansion along that row
-    has the nonzero terms ``(c, entry * adj[c][i])`` (up to sign, in
-    increasing column c of the submatrix); at least one exists because
-    they sum to ±det.  ``rule(prod, terms)`` picks the column, where
-    prod is the product of the entries chosen so far.  Row i and that
-    column are then deleted, and :func:`minor_cofactors` updates
-    ``(det, adj)`` to the submatrix, so the whole extraction costs one
-    O(n^3) elimination plus n - 1 O(n^2) steps.  Each chosen entry is
-    nonzero, and the 1x1 block left at row 0 equals its nonzero
-    determinant.
+    One :func:`~wmatch.linalg.cofactors` call gives det and the
+    adjugate adj.  For the last row i of the current submatrix, the
+    cofactor expansion along that row has the nonzero terms
+    ``(c, entry * adj[c][i])`` (up to sign, in increasing column c of
+    the submatrix); at least one exists because they sum to ±det.
+    ``rule(prod, terms)`` picks the column, where prod is the product
+    of the entries chosen so far.  Row i and that column are then
+    deleted, and :func:`minor_cofactors` updates ``(det, adj)`` to the
+    submatrix, so the whole extraction costs one O(n^3) elimination
+    plus n - 1 O(n^2) steps.  Each chosen entry is nonzero, and the 1x1
+    block left at row 0 equals its nonzero determinant.
     """
+    det, adj = cofactors(b)
+    if det == 0:
+        raise ZeroDeterminantError("matrix has zero determinant; no diagonal to extract")
     prod = 1  # product of the entries chosen so far
+    cur = det  # determinant of the current submatrix
 
     def choose(i, cols):
-        nonlocal det, adj, prod
+        nonlocal cur, adj, prod
         row = b.rows[i]
         terms = [(c, t) for c, j in enumerate(cols) if (t := row[j] * adj[c][i])]
         if not terms:
             raise AssertionError("nonzero determinant but no nonzero cofactor term")
         c = rule(prod, terms)
         prod *= row[cols[c]]
-        det, adj = minor_cofactors(det, adj, i, c)
+        cur, adj = minor_cofactors(cur, adj, i, c)
         return c
 
-    return _walk(b.n, choose)
+    return det, _walk(b.n, choose)
 
 
 def extract_diagonal_mod(b: IntMatrix) -> Optional[ExtractionTrace]:
@@ -206,19 +211,15 @@ def extract_pm_trace(g: BipartiteGraph, b: IntMatrix) -> ExtractionTrace:
     cofactor expansion along that row), then delete that row and column
     and recurse.  Each chosen entry is nonzero, hence sits on an edge
     of g.  :func:`extract_diagonal_mod` runs first; only its None runs
-    the exact :func:`~wmatch.linalg.cofactors` and
-    :func:`extract_diagonal`, so a zero determinant is always decided
-    exactly and raises :class:`ZeroDeterminantError`.  Raises
+    the exact :func:`extract_diagonal`, so a zero determinant is always
+    decided exactly and raises :class:`ZeroDeterminantError`.  Raises
     ValueError unless the diagonal found is a perfect matching of g.
     """
     if b.n != g.n:
         raise ValueError(f"matrix is {b.n}x{b.n}, graph is {g.n}x{g.n}")
     trace = extract_diagonal_mod(b)
     if trace is None:
-        det, adj = cofactors(b)
-        if det == 0:
-            raise ZeroDeterminantError("matrix has zero determinant; no diagonal to extract")
-        trace = extract_diagonal(b, det, adj, least_column)
+        _, trace = extract_diagonal(b, least_column)
     if not is_perfect_matching(g, trace.matching):
         raise ValueError("extracted diagonal is not a matching of the graph; "
                          "was the matrix evaluated from this graph?")

@@ -11,6 +11,11 @@ membership in the unique minimum matching from the cofactors of one
 adjugate, and (with random weights to make uniqueness hold with
 probability >= 1/2) finds a perfect matching.
 
+:func:`exact_power_det_valuation` reads that number and the membership
+set off one exact adjugate; it is the oracle of
+:func:`~wmatch.linalg.power_det_valuation`, the kernel the finder runs,
+and returns exactly what the kernel returns for the same weights.
+
 The finder is Las Vegas here: the assembled edge set is verified to be
 a perfect matching of the right weight before it is returned, so
 non-isolating weights surface as explicit failure, never as a wrong
@@ -61,80 +66,69 @@ def fewest_trailing_zeros(prod: int, terms: list[tuple[int, int]]) -> int:
     return min(terms, key=lambda term: trailing_zeros(prod * term[1]))[0]
 
 
-def extract_pm_weight_bounded(
-    g: BipartiteGraph, w: WeightAssignment, b: IntMatrix, p: int
-) -> Matching:
-    """Extract a perfect matching of weight at most p = position of the
-    least significant 1-bit of det(b).
+def extract_pm_weight_bounded(g: BipartiteGraph, w: WeightAssignment) -> Matching:
+    """Extract a perfect matching of g of weight at most p, the
+    position of the least significant 1-bit of det(2^w).
 
-    Works like plain nonzero-diagonal extraction, but at each row picks
-    the cofactor term whose running product (chosen entries so far,
-    times the entry, times the minor determinant) has the fewest
-    trailing zero bits, least column index on ties.  The sum of the
-    nonzero terms equals the current running product times the current
-    determinant, whose trailing zeros stay at most p; a sum cannot have
-    fewer trailing zeros than all its terms, so the minimum term keeps
-    the invariant.  The final product of chosen entries is exactly
-    2^(matching weight), hence the weight bound.  This holds whether or
-    not the minimum-weight perfect matching is unique.  The minors'
+    Works like plain nonzero-diagonal extraction from the power matrix
+    :func:`build_power_matrix`, but at each row picks the cofactor term
+    whose running product (chosen entries so far, times the entry,
+    times the minor determinant) has the fewest trailing zero bits,
+    least column index on ties.  The sum of the nonzero terms equals
+    the current running product times the current determinant, whose
+    trailing zeros stay at most p; a sum cannot have fewer trailing
+    zeros than all its terms, so the minimum term keeps the invariant.
+    The final product of chosen entries is exactly 2^(matching weight),
+    hence the weight bound.  This holds whether or not the
+    minimum-weight perfect matching is unique.  The minors'
     determinants come from one adjugate updated row by row
     (:func:`~wmatch.edmonds.extract_diagonal`): O(n^3) exact operations
-    in all.
+    in all.  Raises :class:`~wmatch.edmonds.ZeroDeterminantError` when
+    det(2^w) = 0.
     """
-    if b.n != g.n:
-        raise ValueError(f"matrix is {b.n}x{b.n}, graph is {g.n}x{g.n}")
-    det, adj = cofactors(b)
-    if det == 0:
-        raise ZeroDeterminantError("matrix has zero determinant; nothing to extract")
-    if trailing_zeros(det) != p:
-        raise ValueError(
-            f"p={p} does not match the determinant's trailing zero count "
-            f"{trailing_zeros(det)}"
-        )
-    m = extract_diagonal(b, det, adj, fewest_trailing_zeros).matching
-    if not is_perfect_matching(g, m):
-        raise ValueError("extracted diagonal is not a matching of the graph; "
-                         "was the matrix built from this graph?")
-    if matching_weight(m, w) > p:
+    det, trace = extract_diagonal(build_power_matrix(g, w), fewest_trailing_zeros)
+    m = trace.matching
+    if matching_weight(m, w) > trailing_zeros(det):
         raise AssertionError("extraction exceeded the weight bound")
     return m
 
 
-def _in_min_pm(adj: list[list[int]], p: int, w: WeightAssignment, i: int, j: int) -> bool:
-    """The membership rule: with p the determinant's trailing zero
-    count, edge (i, j) is in the unique minimum-weight perfect matching
-    iff its minor's determinant, ±adj[j][i], is nonzero with exactly
-    p - w(i, j) trailing zeros."""
-    return trailing_zeros(adj[j][i]) == p - w.value(i, j)
+def exact_power_det_valuation(
+    g: BipartiteGraph, w: WeightAssignment
+) -> Optional[tuple[int, list[tuple[int, int]]]]:
+    """The exact oracle of :func:`~wmatch.linalg.power_det_valuation`:
+    the same result for the same weights, read off one
+    :func:`~wmatch.linalg.cofactors` call on the power matrix 2^w.
 
-
-def unique_min_pm_edges(
-    g: BipartiteGraph, w: WeightAssignment, adj: list[list[int]], p: int
-) -> list[tuple[int, int]]:
-    """The edges of g passing the membership rule, in row-major order.
-
-    ``adj`` is the adjugate from :func:`~wmatch.linalg.cofactors` of
-    the power matrix and p its determinant's trailing zero count, so
-    one adjugate decides every edge.  When the minimum-weight perfect
-    matching is unique these are exactly its edges.
+    Returns None when det(2^w) = 0, else ``(p, tight)``: p is the
+    determinant's trailing zero count, and ``tight`` lists, in
+    row-major order, the edges (i, j) whose minor's determinant,
+    ±adj[j][i], is nonzero with exactly p - w(i, j) trailing zeros.
+    When the minimum-weight perfect matching is unique, p is its weight
+    and these are exactly its edges.
     """
-    return [(i, j) for i, j in g.edge_list() if _in_min_pm(adj, p, w, i, j)]
+    det, adj = cofactors(build_power_matrix(g, w))
+    if det == 0:
+        return None
+    p = trailing_zeros(det)
+    return p, [
+        (i, j) for i, j in g.edge_list() if trailing_zeros(adj[j][i]) == p - w.value(i, j)
+    ]
 
 
-def edge_in_unique_min_pm(
-    g: BipartiteGraph, w: WeightAssignment, b: IntMatrix, i: int, j: int
-) -> bool:
+def edge_in_unique_min_pm(g: BipartiteGraph, w: WeightAssignment, i: int, j: int) -> bool:
     """Membership of edge (i, j) in the unique minimum-weight perfect
     matching: delete row i and column j and compare trailing zero
     counts: the edge is in iff the minor's count is defined and equals
-    (minimum weight) - w(i,j).  The minor's determinant is the cofactor
-    ±adj[j][i] of one :func:`~wmatch.linalg.cofactors` call."""
+    (minimum weight) - w(i,j), as :func:`exact_power_det_valuation`
+    reads it.  Raises :class:`~wmatch.edmonds.ZeroDeterminantError`
+    when det(2^w) = 0."""
     if not g.has_edge(i, j):
         raise ValueError(f"({i}, {j}) is not an edge")
-    det, adj = cofactors(b)
-    if det == 0:
+    found = exact_power_det_valuation(g, w)
+    if found is None:
         raise ZeroDeterminantError("determinant is zero; no unique minimum matching")
-    return _in_min_pm(adj, trailing_zeros(det), w, i, j)
+    return (i, j) in found[1]
 
 
 # MvvTrial.reason values, one per way a trial can fail.
@@ -182,7 +176,7 @@ def mvv_trial(g: BipartiteGraph, seed: int) -> MvvTrial:
     determinant's trailing zero count p and every edge (i, j) whose
     minor has exactly p - w(i, j) of them: the same facts, exactly,
     that the adjugate from :func:`~wmatch.linalg.cofactors` gives
-    (:func:`unique_min_pm_edges`).  The kernel reads them off 2^V
+    (:func:`exact_power_det_valuation`).  The kernel reads them off 2^V
     times the inverse of the scaled power matrix, mod 2^(V + 1), V its
     largest pivot valuation, on numbers of at most max(64, 2V + 1)
     bits.  A zero determinant there is weight cancellation, proved by

@@ -55,12 +55,15 @@ def enumerate_perfect_matchings(g: BipartiteGraph) -> list[Matching]:
     return out
 
 
-def brute_max_weight_matching(n: int, w) -> int:
+def brute_max_weight_matching(w) -> int:
     """Maximum total weight over *all* matchings (any size) of the
-    complete n x n instance, by a sweep over the rows: after row r it
+    complete n x n instance w, n = len(w), by a sweep over the rows: after row r it
     holds, for each set of used columns (a bit mask), the best weight
     of rows 0..r that uses exactly those columns, so each (row, used
     columns) state is computed once."""
+    n = len(w)
+    if any(len(row) != n for row in w):
+        raise ValueError(f"weight grid must be {n}x{n}")
     if n > BRUTE_WEIGHT_MAX_N:
         raise ValueError(f"brute_max_weight_matching limited to n <= {BRUTE_WEIGHT_MAX_N}, got {n}")
     best = {0: 0}

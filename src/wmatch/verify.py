@@ -40,17 +40,16 @@ from .graphs import (
     matching_weight,
 )
 from .isolation import enumerate_nonisolating, nonisolating_witness_map
-from .linalg import IntMatrix, cofactors, det_bareiss, det_cofactor, det_lagrange, trailing_zeros
+from .linalg import IntMatrix, det_bareiss, det_cofactor, det_lagrange, trailing_zeros
 from .mvv import (
     build_power_matrix,
+    exact_power_det_valuation,
     fewest_trailing_zeros,
     mvv_trial,
-    unique_min_pm_edges,
 )
 from .oracle import (
     DEFAULT_BUDGET,
     SUITE_NAMES,
-    BruteMinResult,
     brute_max_matching_size,
     brute_max_weight_matching,
     brute_min_weight_pms,
@@ -113,6 +112,13 @@ def _all_graphs(n: int):
         yield BipartiteGraph.from_rows(
             [[(bits >> (i * n + j)) & 1 == 1 for j in range(n)] for i in range(n)]
         )
+
+
+def _graph_corpus(stream: SplitMix64, count: int, sizes: tuple[int, ...]) -> list[BipartiteGraph]:
+    """Every 3x3 graph, then ``count`` random graphs drawn from
+    ``stream``, the t-th with n = sizes[t % len(sizes)]."""
+    randoms = (_random_graph(stream, sizes[t % len(sizes)]) for t in range(count))
+    return [*_all_graphs(3), *randoms]
 
 
 def _permutation_matrices(n: int):
@@ -179,10 +185,7 @@ def check_matching_determinant_equivalence(seed: int = DEFAULT_SEED) -> CheckRes
     perfect matching via extraction.  Every 3x3 graph, and 500 random
     graphs with n in {4, 5}."""
     failures = []
-    graphs = list(_all_graphs(3))
-    stream = SplitMix64(derive_seed(seed, 101))
-    for t in range(500):
-        graphs.append(_random_graph(stream, 4 + t % 2))
+    graphs = _graph_corpus(SplitMix64(derive_seed(seed, 101)), 500, (4, 5))
     perm_matrices = {n: list(_permutation_matrices(n)) for n in {g.n for g in graphs}}
     with_pm = without_pm = 0
     for idx, g in enumerate(graphs):
@@ -194,14 +197,18 @@ def check_matching_determinant_equivalence(seed: int = DEFAULT_SEED) -> CheckRes
             if det_bareiss(b) not in (-1, 1):
                 failures.append({"graph": idx, "reason": "PM evaluation det not ±1"})
                 continue
-            if not is_perfect_matching(g, extract_pm_trace(g, b).matching):
+            # extract_pm_trace raises unless it returns a perfect matching
+            # of g, so a raise is the failure.
+            try:
+                extract_pm_trace(g, b)
+            except (ValueError, AssertionError):
                 failures.append({"graph": idx, "reason": "extraction invalid"})
             sample = lovasz_sample(g, derive_seed(seed, 7000 + idx))
             try:
-                extracted = extract_pm_trace(g, sample).matching
+                extract_pm_trace(g, sample)
             except ZeroDeterminantError:
-                continue
-            if not is_perfect_matching(g, extracted):
+                pass
+            except (ValueError, AssertionError):
                 failures.append({"graph": idx, "reason": "random extraction invalid"})
         else:
             without_pm += 1
@@ -239,13 +246,13 @@ def check_hungarian_against_brute(seed: int = DEFAULT_SEED, max_n: int = 5) -> C
     for t in range(samples):
         n = stream.randint(1, max_n)
         w = _random_rows(stream, n, 0, 10)
-        m, cover = hungarian_max_weight(n, w)
+        m, cover = hungarian_max_weight(w)
         weight = sum(w[i][j] for i, j in m.pairs)
         if not is_cover(w, cover):
             failures.append({"case": t, "reason": "cover inequality violated"})
         elif weight != cover_cost(cover):
             failures.append({"case": t, "reason": "weight != cover cost"})
-        elif weight != brute_max_weight_matching(n, w):
+        elif weight != brute_max_weight_matching(w):
             failures.append({"case": t, "reason": "not maximum weight"})
     return CheckResult(
         "Hungarian optimality and certificate",
@@ -289,10 +296,8 @@ def check_berge_hall(seed: int = DEFAULT_SEED) -> CheckResult:
     perfect matching existence on small graphs.  Every 3x3 graph, and
     500 random graphs with n in {4, 5, 6}."""
     failures = []
-    graphs = list(_all_graphs(3))
     stream = SplitMix64(derive_seed(seed, 401))
-    for t in range(500):
-        graphs.append(_random_graph(stream, 4 + t % 3))
+    graphs = _graph_corpus(stream, 500, (4, 5, 6))
     pm_free = 0
     for idx, g in enumerate(graphs):
         m = maximum_matching(g)
@@ -305,9 +310,7 @@ def check_berge_hall(seed: int = DEFAULT_SEED) -> CheckResult:
             if len(s) <= len(neighborhood(g, s)):
                 failures.append({"graph": idx, "reason": "violator fails |S| > |N(S)|"})
     # Hall equivalence, exhaustive subsets.
-    hall_graphs = list(_all_graphs(3))
-    for t in range(200):
-        hall_graphs.append(_random_graph(stream, 4))
+    hall_graphs = _graph_corpus(stream, 200, (4,))
     for idx, g in enumerate(hall_graphs):
         n = g.n
         has_pm = maximum_matching(g).size == n
@@ -479,64 +482,71 @@ def _fixed_unique_min_graphs() -> list[BipartiteGraph]:
     ]
 
 
+UNIQUE_MIN_RANDOM_SAMPLES = 300
+
+
+def _unique_min_instances(seed: int = DEFAULT_SEED):
+    """The instances of :func:`check_unique_min_theorems`, in order, as
+    ``(label, key, g, w, truth)`` with ``truth`` the oracle's minimum:
+    every weighting in [1, 3] of each fixed graph, then 300 n = 5 graphs
+    with weights in [1, 6] from one seeded stream."""
+    for gi, g in enumerate(_fixed_unique_min_graphs()):
+        min_weight_pms = min_weight_pms_map(g)
+        for values in product(range(1, 4), repeat=g.num_edges):
+            w = WeightAssignment.from_edge_values(g, values)
+            yield f"fixed{gi}:", values, g, w, min_weight_pms(w)
+    stream = SplitMix64(derive_seed(seed, 501))
+    for t in range(UNIQUE_MIN_RANDOM_SAMPLES):
+        g = _random_graph(stream, 5)
+        w = WeightAssignment.from_grid(_random_rows(stream, 5, 1, 6))
+        yield "random", t, g, w, brute_min_weight_pms(g, w)
+
+
 def check_unique_min_theorems(seed: int = DEFAULT_SEED) -> tuple[CheckResult, CheckResult]:
     """On every instance whose minimum-weight perfect matching the
     oracle confirms unique: the determinant's trailing zero count
     equals the minimum weight, and the per-edge membership test agrees
-    with the oracle's matching edge by edge.  Weights are exhaustive in
-    [1, 3] on fixed graphs and random in [1, 6] on 300 n = 5 graphs."""
-    random_samples = 300
+    with the oracle's matching edge by edge; on every instance with no
+    perfect matching, the determinant is 0.  Both read the power
+    matrix through :func:`~wmatch.mvv.exact_power_det_valuation`.
+    Weights are exhaustive in [1, 3] on fixed graphs and random in
+    [1, 6] on 300 n = 5 graphs (:func:`_unique_min_instances`)."""
     weight_failures = []
     membership_failures = []
-    unique_cases = 0
+    cases = unique_cases = 0
 
     def fail(failures: list, label: str, key, **entry):
         # An instance's tag is formatted only when it records a failure.
         failures.append({"instance": f"{label}{key}"} | entry)
 
-    def run_instance(g: BipartiteGraph, w: WeightAssignment, truth: BruteMinResult,
-                     label: str, key):
-        # The power matrix is built only on the branches that read it, so
+    for label, key, g, w, truth in _unique_min_instances(seed):
+        # The power matrix is read only on the branches that need it, so
         # not at all when the minimum is not unique.
-        nonlocal unique_cases
+        cases += 1
         if truth.weight is None:
-            if det_bareiss(build_power_matrix(g, w)) != 0:
+            if exact_power_det_valuation(g, w) is not None:
                 fail(weight_failures, label, key, reason="no PM but det != 0")
-            return
+            continue
         if not truth.unique:
-            return
+            continue
         unique_cases += 1
-        det, adj = cofactors(build_power_matrix(g, w))
-        if det == 0:
+        found = exact_power_det_valuation(g, w)
+        if found is None:
             fail(weight_failures, label, key, reason="unique min but det = 0")
-            return
-        p = trailing_zeros(det)
+            continue
+        p, tight = found
         if p != truth.weight:
             fail(weight_failures, label, key, reason="trailing zeros != min weight")
         pm = truth.matchings[0]
-        members = set(unique_min_pm_edges(g, w, adj, p))
+        members = set(tight)
         for i, j in g.edge_list():
             if ((i, j) in members) != ((i, j) in pm.pairs):
                 fail(membership_failures, label, key, edge=[i, j],
                      reason="membership mismatch")
 
-    exhaustive_cases = 0
-    for gi, g in enumerate(_fixed_unique_min_graphs()):
-        m = g.num_edges
-        min_weight_pms = min_weight_pms_map(g)
-        label = f"fixed{gi}:"
-        for values in product(range(1, 4), repeat=m):
-            w = WeightAssignment.from_edge_values(g, values)
-            exhaustive_cases += 1
-            run_instance(g, w, min_weight_pms(w), label, values)
-    stream = SplitMix64(derive_seed(seed, 501))
-    for t in range(random_samples):
-        g = _random_graph(stream, 5)
-        w = WeightAssignment.from_grid(_random_rows(stream, 5, 1, 6))
-        run_instance(g, w, brute_min_weight_pms(g, w), "random", t)
     details = {
-        "exhaustive_cases": exhaustive_cases,
-        "random_cases": random_samples,
+        "exhaustive_cases": cases - UNIQUE_MIN_RANDOM_SAMPLES,
+        "random_cases": UNIQUE_MIN_RANDOM_SAMPLES,
         "unique_min_cases": unique_cases,
     }
     return (
@@ -566,16 +576,15 @@ def check_weight_bounded_extraction(seed: int = DEFAULT_SEED) -> CheckResult:
         n = stream.randint(2, 5)
         g = _random_graph(stream, n)
         w = WeightAssignment.from_grid(_random_rows(stream, n, 1, 6))
-        b = build_power_matrix(g, w)
-        det, adj = cofactors(b)
-        if det == 0:
+        try:
+            det, trace = extract_diagonal(build_power_matrix(g, w), fewest_trailing_zeros)
+        except ZeroDeterminantError:
             continue
         done += 1
-        p = trailing_zeros(det)
-        m = extract_diagonal(b, det, adj, fewest_trailing_zeros).matching
+        m = trace.matching
         if not is_perfect_matching(g, m):
             failures.append({"case": done, "reason": "extraction not a PM"})
-        elif matching_weight(m, w) > p:
+        elif matching_weight(m, w) > trailing_zeros(det):
             failures.append({"case": done, "reason": "weight bound violated"})
     return CheckResult(
         "weight-bounded extraction on nonzero determinants",

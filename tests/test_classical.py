@@ -451,22 +451,30 @@ class TestHallViolator:
 
 class TestHungarian:
     def test_singleton(self):
-        m, cover = hungarian_max_weight(1, [[5]])
+        m, cover = hungarian_max_weight([[5]])
         assert m.pairs == ((0, 0),)
         assert cover_cost(cover) == 5
 
     def test_2x2_example(self):
         w = [[1, 2], [3, 1]]
-        m, cover = hungarian_max_weight(2, w)
+        m, cover = hungarian_max_weight(w)
         weight = sum(w[i][j] for i, j in m.pairs)
         assert m.pairs == ((0, 1), (1, 0))
         assert weight == 5 == cover_cost(cover)
         assert is_cover(w, cover)
 
     def test_zero_weights(self):
-        m, cover = hungarian_max_weight(2, [[0, 0], [0, 0]])
+        m, cover = hungarian_max_weight([[0, 0], [0, 0]])
         assert cover_cost(cover) == 0
         assert is_cover([[0, 0], [0, 0]], cover)
+
+    def test_non_square_rejected(self):
+        # n is len(w): a short or long row, and an empty grid.
+        for w in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3]], [[1], [2]]):
+            with pytest.raises(ValueError, match=f"weight grid must be {len(w)}x{len(w)}"):
+                hungarian_max_weight(w)
+        with pytest.raises(ValueError, match="instance dimension must be >= 1"):
+            hungarian_max_weight([])
 
     def test_negative_rejected(self):
         # Anywhere in the grid, the last row and last column included.
@@ -474,25 +482,25 @@ class TestHungarian:
             w = [[2] * n for _ in range(n)]
             w[i][j] = -1
             with pytest.raises(ValueError, match="negative weights are not accepted"):
-                hungarian_max_weight(n, w)
+                hungarian_max_weight(w)
 
     def test_random_vs_brute(self):
         rng = random.Random(17)
         for _ in range(150):
             n = rng.randint(1, 4)
             w = [[rng.randint(0, 10) for _ in range(n)] for _ in range(n)]
-            m, cover = hungarian_max_weight(n, w)
+            m, cover = hungarian_max_weight(w)
             weight = sum(w[i][j] for i, j in m.pairs)
             assert is_cover(w, cover)
             assert weight == cover_cost(cover)
-            assert weight == brute_max_weight_matching(n, w)
+            assert weight == brute_max_weight_matching(w)
 
     def test_cost_strictly_decreases_and_round_bound(self):
         rng = random.Random(23)
         for _ in range(50):
             n = rng.randint(2, 4)
             w = [[rng.randint(0, 8) for _ in range(n)] for _ in range(n)]
-            costs = [cover_cost(c) for c in _dual_steps(n, w)]
+            costs = [cover_cost(c) for c in _dual_steps(w)]
             assert all(a > b for a, b in zip(costs, costs[1:]))
             assert len(costs) <= costs[0] + 1
 
@@ -501,7 +509,7 @@ class TestHungarian:
         for _ in range(30):
             n = rng.randint(1, 3)
             w = [[rng.randint(0, 6) for _ in range(n)] for _ in range(n)]
-            _, cover = hungarian_max_weight(n, w)
+            _, cover = hungarian_max_weight(w)
             g = BipartiteGraph.complete(n)
             for m in all_matchings(g):
                 assert sum(w[i][j] for i, j in m.pairs) <= cover_cost(cover)
@@ -518,7 +526,7 @@ class TestHungarianAtScale:
         rng = random.Random(1000 + n)
         for exponent in (1, 6, 15):
             w = random_rows(rng, n, 10**exponent)
-            m, (u, v) = hungarian_max_weight(n, w)
+            m, (u, v) = hungarian_max_weight(w)
             assert sorted(i for i, _ in m.pairs) == list(range(n))
             assert sorted(j for _, j in m.pairs) == list(range(n))
             assert all(w[i][j] <= u[i] + v[j] for i in range(n) for j in range(n))
@@ -533,9 +541,9 @@ class TestHungarianAtScale:
             pms = enumerate_perfect_matchings(BipartiteGraph.complete(n))
             for hi in (3, 3, 10**15, 10**15):
                 w = random_rows(rng, n, hi)
-                m, cover = hungarian_max_weight(n, w)
+                m, cover = hungarian_max_weight(w)
                 if n <= 5:
-                    best = brute_max_weight_matching(n, w)
+                    best = brute_max_weight_matching(w)
                 else:
                     best = max(sum(w[i][j] for i, j in pm.pairs) for pm in pms)
                 assert sum(w[i][j] for i, j in m.pairs) == best == cover_cost(cover)
@@ -621,7 +629,7 @@ class TestDualStepsAgainstReference:
     @staticmethod
     def assert_same(w):
         n = len(w)
-        assert dual_step_trace(_dual_steps(n, w)) == dual_step_trace(
+        assert dual_step_trace(_dual_steps(w)) == dual_step_trace(
             reference_dual_steps(n, w)
         )
 

@@ -37,10 +37,12 @@ def per_minor_steps(b):
 def exact_trial(g, b):
     """The exact path alone, the reference for extract_pm_trace: the
     trace from cofactors(b), or None when det(b) = 0."""
-    det, adj = cofactors(b)
-    if det == 0:
+    try:
+        det, trace = extract_diagonal(b, least_column)
+    except ZeroDeterminantError:
+        assert det_bareiss(b) == 0
         return None
-    trace = extract_diagonal(b, det, adj, least_column)
+    assert det == det_bareiss(b)
     assert is_perfect_matching(g, trace.matching)
     return trace
 

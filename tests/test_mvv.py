@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from wmatch import classical, mvv
+from wmatch import classical, mvv, verify
 from wmatch.classical import hall_violator, mwpm
 from wmatch.edmonds import ZeroDeterminantError
 from wmatch.graphs import (
@@ -16,14 +16,14 @@ from wmatch.graphs import (
 )
 from wmatch.isolation import is_nonisolating
 from wmatch import linalg
-from wmatch.linalg import cofactors, det_bareiss, det_berkowitz, minor, trailing_zeros
+from wmatch.linalg import det_bareiss, det_berkowitz, minor, power_det_valuation, trailing_zeros
 from wmatch.mvv import (
     MvvTrial,
     build_power_matrix,
     edge_in_unique_min_pm,
+    exact_power_det_valuation,
     extract_pm_weight_bounded,
     mvv_trial,
-    unique_min_pm_edges,
 )
 from wmatch.oracle import brute_min_weight_pms
 
@@ -49,19 +49,18 @@ WEIGHT_MISMATCH = (
 
 def exact_trial(g, seed):
     """Reference for mvv_trial: the exact adjugate of the power matrix
-    2^w from one cofactors call, and the same verification steps and
-    failure reasons.  It draws its weights through mvv.random_weights,
+    2^w from one cofactors call (exact_power_det_valuation), and the
+    same verification steps and failure reasons.  It draws its weights through mvv.random_weights,
     as mvv_trial does, so a test can fix them for both."""
     n, m = g.n, g.num_edges
     if m == 0:
         w = WeightAssignment.from_grid([[0] * n for _ in range(n)])
         return MvvTrial(seed, w, None, None, "zero-determinant")
     w = mvv.random_weights(g, 2 * m, seed)
-    det, adj = cofactors(build_power_matrix(g, w))
-    if det == 0:
+    found = exact_power_det_valuation(g, w)
+    if found is None:
         return MvvTrial(seed, w, None, None, "zero-determinant")
-    p = trailing_zeros(det)
-    pairs = unique_min_pm_edges(g, w, adj, p)
+    p, pairs = found
     if len(pairs) != n:
         return MvvTrial(seed, w, p, None, "wrong-size")
     if len({i for i, _ in pairs}) != n or len({j for _, j in pairs}) != n:
@@ -176,9 +175,8 @@ class TestWeightBoundedExtraction:
     def test_diagonal_graph(self):
         g = BipartiteGraph.from_rows([[1, 0], [0, 1]])
         w = WeightAssignment.from_grid([[5, 0], [0, 2]])
-        b = build_power_matrix(g, w)
-        p = trailing_zeros(det_berkowitz(b))
-        m = extract_pm_weight_bounded(g, w, b, p)
+        p = trailing_zeros(det_berkowitz(build_power_matrix(g, w)))
+        m = extract_pm_weight_bounded(g, w)
         assert m.pairs == ((0, 0), (1, 1))
         assert matching_weight(m, w) == p == 7
 
@@ -186,21 +184,19 @@ class TestWeightBoundedExtraction:
         w = WeightAssignment.from_grid([[0, 1], [1, 0]])
         b = build_power_matrix(K22, w)
         assert det_berkowitz(b) == -3
-        m = extract_pm_weight_bounded(K22, w, b, 0)
+        m = extract_pm_weight_bounded(K22, w)
         assert m.pairs == ((0, 0), (1, 1))
         assert matching_weight(m, w) == 0
 
     def test_zero_det_rejected(self):
         w = WeightAssignment.from_grid([[1, 1], [1, 1]])
-        b = build_power_matrix(K22, w)
         with pytest.raises(ZeroDeterminantError):
-            extract_pm_weight_bounded(K22, w, b, 0)
+            extract_pm_weight_bounded(K22, w)
 
-    def test_wrong_p_rejected(self):
-        w = WeightAssignment.from_grid([[0, 1], [1, 0]])
-        b = build_power_matrix(K22, w)
-        with pytest.raises(ValueError):
-            extract_pm_weight_bounded(K22, w, b, 5)
+    def test_wrong_size_weights_rejected(self):
+        w = WeightAssignment.from_grid([[1, 2, 3]] * 3)
+        with pytest.raises(ValueError, match="weights are 3x3, graph is 2x2"):
+            extract_pm_weight_bounded(K22, w)
 
     def test_bound_holds_on_random_instances(self):
         rng = random.Random(41)
@@ -209,13 +205,12 @@ class TestWeightBoundedExtraction:
             n = rng.randint(2, 5)
             g = random_graph(rng, n)
             w = random_assignment(rng, n, 6)
-            b = build_power_matrix(g, w)
-            det = det_berkowitz(b)
+            det = det_berkowitz(build_power_matrix(g, w))
             if det == 0:
                 continue
             done += 1
             p = trailing_zeros(det)
-            m = extract_pm_weight_bounded(g, w, b, p)
+            m = extract_pm_weight_bounded(g, w)
             assert is_perfect_matching(g, m)
             assert matching_weight(m, w) <= p
 
@@ -233,12 +228,10 @@ class TestWeightBoundedExtraction:
             k = 2 if done % 2 else 2 * g.num_edges
             w = random_assignment(rng, n, k)
             b = build_power_matrix(g, w)
-            det = det_berkowitz(b)
-            if det == 0:
+            if det_berkowitz(b) == 0:
                 continue
             done += 1
-            p = trailing_zeros(det)
-            assert extract_pm_weight_bounded(g, w, b, p) == per_minor_weight_bounded(g, w, b)
+            assert extract_pm_weight_bounded(g, w) == per_minor_weight_bounded(g, w, b)
 
 
 class TestMinWeight:
@@ -265,21 +258,29 @@ class TestEdgeMembership:
     def test_diagonal_graph_all_edges(self):
         g = BipartiteGraph.from_rows([[1, 0], [0, 1]])
         w = WeightAssignment.from_grid([[2, 0], [0, 3]])
-        b = build_power_matrix(g, w)
-        assert edge_in_unique_min_pm(g, w, b, 0, 0)
-        assert edge_in_unique_min_pm(g, w, b, 1, 1)
+        assert edge_in_unique_min_pm(g, w, 0, 0)
+        assert edge_in_unique_min_pm(g, w, 1, 1)
 
     def test_hand_2x2(self):
         w = WeightAssignment.from_grid([[0, 1], [1, 1]])
-        b = build_power_matrix(K22, w)
-        assert edge_in_unique_min_pm(K22, w, b, 0, 0)
-        assert not edge_in_unique_min_pm(K22, w, b, 0, 1)
+        assert edge_in_unique_min_pm(K22, w, 0, 0)
+        assert not edge_in_unique_min_pm(K22, w, 0, 1)
 
     def test_non_edge_rejected(self):
         g = BipartiteGraph.from_rows([[1, 0], [0, 1]])
         w = WeightAssignment.from_grid([[1, 0], [0, 1]])
         with pytest.raises(ValueError):
-            edge_in_unique_min_pm(g, w, build_power_matrix(g, w), 0, 1)
+            edge_in_unique_min_pm(g, w, 0, 1)
+
+    def test_wrong_size_weights_rejected(self):
+        w = WeightAssignment.from_grid([[1, 2, 3]] * 3)
+        with pytest.raises(ValueError, match="weights are 3x3, graph is 2x2"):
+            edge_in_unique_min_pm(K22, w, 0, 1)
+
+    def test_zero_det_rejected(self):
+        w = WeightAssignment.from_grid([[1, 1], [1, 1]])
+        with pytest.raises(ZeroDeterminantError):
+            edge_in_unique_min_pm(K22, w, 0, 1)
 
     def test_agrees_with_oracle_when_isolating(self):
         rng = random.Random(43)
@@ -292,10 +293,47 @@ class TestEdgeMembership:
             if truth.weight is None or not truth.unique:
                 continue
             checked += 1
-            b = build_power_matrix(g, w)
             pm = truth.matchings[0]
             for i, j in g.edge_list():
-                assert edge_in_unique_min_pm(g, w, b, i, j) == ((i, j) in pm.pairs)
+                assert edge_in_unique_min_pm(g, w, i, j) == ((i, j) in pm.pairs)
+
+
+class TestExactPowerDetValuation:
+    def test_equals_kernel_on_verify_instances(self):
+        # Every instance the mvv suite's unique-minimum check visits,
+        # PM-free graphs included: the exact reading and the kernel that
+        # find runs return the same (p, tight), or both None.
+        fixed = random = pm_free = 0
+        for label, _, g, w, truth in verify._unique_min_instances():
+            grid = [[x if e else None for e, x in zip(er, wr)] for er, wr in zip(g.edges, w.grid)]
+            found = exact_power_det_valuation(g, w)
+            assert found == power_det_valuation(grid)
+            if truth.weight is None:
+                assert found is None
+                pm_free += 1
+            if label == "random":
+                random += 1
+            else:
+                fixed += 1
+        assert (fixed, random) == (7623, 300)
+        assert pm_free > 0
+
+    def test_hand_2x2(self):
+        # det(2^w) = 2^1 - 2^2 = -2: p = 1, and the tight edges are the
+        # minimum matching's.
+        w = WeightAssignment.from_grid([[0, 1], [1, 1]])
+        assert exact_power_det_valuation(K22, w) == (1, [(0, 0), (1, 1)])
+
+    def test_zero_determinant_is_none(self):
+        w = WeightAssignment.from_grid([[1, 1], [1, 1]])
+        assert exact_power_det_valuation(K22, w) is None
+        g = BipartiteGraph.from_rows([[0, 0], [1, 1]])
+        assert exact_power_det_valuation(g, w) is None
+
+    def test_wrong_size_weights_rejected(self):
+        w = WeightAssignment.from_grid([[1, 2, 3]] * 3)
+        with pytest.raises(ValueError, match="weights are 3x3, graph is 2x2"):
+            exact_power_det_valuation(K22, w)
 
 
 class TestFinder:
@@ -375,10 +413,9 @@ class TestFinder:
         # matchings of weight 7 cancel, the trailing zero count is 8,
         # and the collected set is a perfect matching of weight 9.
         g, w = WEIGHT_MISMATCH
-        b = build_power_matrix(g, w)
-        p = trailing_zeros(det_bareiss(b))
+        p = trailing_zeros(det_bareiss(build_power_matrix(g, w)))
         collected = Matching.from_pairs(
-            e for e in g.edge_list() if edge_in_unique_min_pm(g, w, b, *e)
+            e for e in g.edge_list() if edge_in_unique_min_pm(g, w, *e)
         )
         truth = brute_min_weight_pms(g, w)
         assert (p, truth.weight, len(truth.matchings)) == (8, 7, 4)

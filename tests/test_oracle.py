@@ -52,18 +52,25 @@ class TestEnumeratePerfectMatchings:
 
 class TestBruteMaxWeight:
     def test_zero_weights(self):
-        assert brute_max_weight_matching(2, [[0, 0], [0, 0]]) == 0
+        assert brute_max_weight_matching([[0, 0], [0, 0]]) == 0
 
     def test_2x2_example(self):
-        assert brute_max_weight_matching(2, [[1, 2], [3, 1]]) == 5
+        assert brute_max_weight_matching([[1, 2], [3, 1]]) == 5
 
     def test_partial_matchings_considered(self):
         # leaving a row unmatched beats any perfect matching here
-        assert brute_max_weight_matching(2, [[9, 0], [9, 0]]) == 9
+        assert brute_max_weight_matching([[9, 0], [9, 0]]) == 9
 
     def test_guard(self):
         with pytest.raises(ValueError):
-            brute_max_weight_matching(6, [[0] * 6] * 6)
+            brute_max_weight_matching([[0] * 6] * 6)
+
+    def test_non_square_rejected(self):
+        # n is len(w), and a row of any other length is an error, not a
+        # grid read on its first n columns.
+        for w in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3]], [[1], [2]]):
+            with pytest.raises(ValueError, match=f"weight grid must be {len(w)}x{len(w)}"):
+                brute_max_weight_matching(w)
 
     def test_random_vs_permutations(self):
         # On a complete graph every matching lies inside a perfect one,
@@ -76,7 +83,7 @@ class TestBruteMaxWeight:
             best = max(
                 sum(max(0, w[i][p[i]]) for i in range(n)) for p in permutations(range(n))
             )
-            assert brute_max_weight_matching(n, w) == best
+            assert brute_max_weight_matching(w) == best
 
 
 class TestBruteMaxMatchingSize:

@@ -50,13 +50,14 @@ def test_nonisolating_witness_constant(monkeypatch):
     assert all(case["oracle_mismatches"] == 0 for case in result.details["cases"])
 
 
-
 def test_unique_min_failure_tags(monkeypatch):
     # Tags are formatted only when a failure is recorded; they keep the
     # instance's label and key, byte for byte, and entries keep their
-    # key order.
-    monkeypatch.setattr(verify, "trailing_zeros", lambda det: -1)
-    monkeypatch.setattr(verify, "unique_min_pm_edges", lambda g, w, adj, p: ())
+    # key order.  The reading is patched only where det != 0, so the
+    # PM-free branch still sees None.
+    reading = verify.exact_power_det_valuation
+    monkeypatch.setattr(verify, "exact_power_det_valuation",
+                        lambda g, w: reading(g, w) and (-1, []))
     weight, membership = verify.check_unique_min_theorems()
     assert not weight.passed and not membership.passed
     assert weight.details["failures"][0] == {
@@ -69,8 +70,14 @@ def test_unique_min_failure_tags(monkeypatch):
 
 def test_unique_min_pm_free_failure_tags(monkeypatch):
     # Every fixed graph has a perfect matching, so only random instances
-    # reach the PM-free branch.
-    monkeypatch.setattr(verify, "det_bareiss", lambda b: 1)
+    # reach the PM-free branch.  The reading is patched only on graphs
+    # with no perfect matching.
+    reading = verify.exact_power_det_valuation
+
+    def nonzero_without_pm(g, w):
+        return reading(g, w) if g.has_perfect_matching() else (0, [])
+
+    monkeypatch.setattr(verify, "exact_power_det_valuation", nonzero_without_pm)
     weight, membership = verify.check_unique_min_theorems()
     assert membership.passed and not weight.passed
     failures = weight.details["failures"]
@@ -79,3 +86,29 @@ def test_unique_min_pm_free_failure_tags(monkeypatch):
         assert failure["reason"] == "no PM but det != 0"
         assert failure["instance"].startswith("random")
         assert failure["instance"][len("random"):].isdigit()
+
+
+def extraction_failures(monkeypatch, error):
+    # Every extraction raises ``error``; the check records it instead of
+    # ending with a traceback.
+    def raising(g, b):
+        raise error("bad extraction")
+
+    monkeypatch.setattr(verify, "extract_pm_trace", raising)
+    result = verify.check_matching_determinant_equivalence()
+    assert result.passed is False
+    return [failure["reason"] for failure in result.details["failures"]]
+
+
+def test_extraction_errors_are_failures(monkeypatch):
+    for error in (ValueError, AssertionError):
+        assert extraction_failures(monkeypatch, error)[:2] == [
+            "extraction invalid", "random extraction invalid"
+        ]
+
+
+def test_zero_determinant_sample_is_skipped(monkeypatch):
+    # A ZeroDeterminantError is a ValueError: on the perfect matching's
+    # evaluation (det = ±1) it is a failure, on a random sample a skip.
+    reasons = extraction_failures(monkeypatch, verify.ZeroDeterminantError)
+    assert reasons == ["extraction invalid"] * 5
