@@ -80,9 +80,18 @@ it scales the exponents, factors over Z/2^K with pivots of least
 valuation, and reads 2^V times the inverse mod 2^(V + 1), V the
 largest pivot valuation, one modular inverse per pivot.  K need only
 exceed the sum of the two largest pivot valuations (Dixon's p-adic
-precision argument, proved in its docstring).  CPU time per call on
-the exponents ``find`` draws for a density-1/2 graph (2-core x86-64
-VM, CPython 3.11.7): n = 12 0.6 ms, n = 32 8 ms, n = 64 0.1 s, where
+precision argument, proved in its docstring).  Up to K = 128
+(:data:`PACKED_MAX_K`) each row of the factorization and of the
+inverse is one integer of fields, updated whole as in
+:func:`inverse_mod`; above it, one list entry per matrix entry.  On
+the exponents ``find`` draws for a density-1/2 graph with a planted
+perfect matching (CPU time, 2-core x86-64 VM, CPython 3.11.7), one
+factorization and inverse at a fixed K take, packed, 0.5-0.9 of the
+per-entry time at K = 64 and K = 128 for n = 6 to 100; at n = 48 they
+take 1.1 times it at K = 192 and 1.65 at K = 256, and at n = 100 1.2
+at K = 256, where the digit work of the (2K + 1)-bit fields outgrows
+the interpreter work it saves.  A call takes 0.36 ms at n = 12,
+8.6 ms at n = 32, 66 ms at n = 64 and 0.68 s at n = 100, where
 :func:`cofactors` takes seconds at n = 32.  :func:`cofactors` and
 :func:`det_bareiss` stay its exact oracles.
 """
@@ -100,6 +109,11 @@ LAGRANGE_MAX_N = 9
 P = 1_073_741_789
 # 2^30 = _FOLD mod P, so a field h * 2^30 + l is congruent to _FOLD * h + l.
 _FOLD = (1 << 30) - P
+# The largest precision K, in bits, at which power_det_valuation keeps
+# each row of its factorization and inverse in one integer: up to it
+# packed rows beat one list entry per matrix entry at every n measured,
+# above it they lose at n >= 48 (the module docstring has the times).
+PACKED_MAX_K = 128
 
 
 @dataclass(frozen=True)
@@ -509,26 +523,52 @@ def minor_inverse_mod(inv: Sequence[int], j: int, bits: int) -> list[int]:
     return [(row & low) + (row >> shift) % P * neg for r, row in enumerate(inv) if r != j]
 
 
+def _packed(k_bits: int) -> bool:
+    """Whether a factorization at precision K = ``k_bits``, and the Y
+    phase of :func:`power_det_valuation` after it, keep rows packed."""
+    return k_bits <= PACKED_MAX_K
+
+
+def _row_bits(k_bits: int) -> int:
+    """Width F = 2K + 1 of one field of a row of :func:`_ldu_rows` at
+    precision K = ``k_bits``."""
+    return 2 * k_bits + 1
+
+
 def _ldu_mod(a: Sequence[Sequence[int]], k_bits: int):
     """LDU factorization of the integer matrix a over Z/2^K, K =
     ``k_bits``, with full pivoting on the least 2-adic valuation.
 
-    The working array starts as a mod 2^K and is factored in place.  At
-    step k the pivot is the first odd entry of row k's trailing part, as
-    0 is the least valuation, or else the first entry of least valuation
-    in the trailing block (row-major).  It is moved to (k, k) by
-    swapping two whole rows and two whole columns, so L's finished
-    columns travel with the rows and U's finished rows with the
-    columns.  With the pivot d = 2^v u (u odd), the entries x below it
-    become the multipliers ``(x >> v) * u^-1``, the trailing block takes
-    its Schur complement, and the pivot row's tail is divided by d the
-    same way.
+    Each step takes a pivot of least valuation in the trailing block:
+    an odd entry of the first remaining row when it has one, as 0 is
+    the least valuation.  With the pivot d = 2^v u (u odd), every entry
+    x below it becomes the multiplier ``(x >> v) * u^-1``, the trailing
+    block takes its Schur complement, and the pivot row's tail is
+    divided by d the same way.  Up to K = :data:`PACKED_MAX_K` this is
+    :func:`_ldu_rows`, one integer per row; above it,
+    :func:`_ldu_entries`, one list entry per matrix entry.  Which
+    least-valuation entry each picks may differ, but not the pivot
+    valuations (:func:`power_det_valuation`).
 
     Returns None when the trailing block of some step is 0 mod 2^K, else
     ``(rows, cols, lu, pivots)``: with ``B[k][l] = a[rows[k]][cols[l]]``,
     ``B = L diag(pivots) U`` mod 2^K, L and U unit triangular with their
     strict parts in ``lu``; L's column k and U's row k are known mod
     2^(K - v_k), v_k the valuation of pivot k.
+    """
+    return (_ldu_rows if _packed(k_bits) else _ldu_entries)(a, k_bits)
+
+
+def _ldu_entries(a: Sequence[Sequence[int]], k_bits: int):
+    """:func:`_ldu_mod` on lists: ``lu[k][l]`` holds entry (k, l) of L's
+    strict part (l < k) or U's (l > k), and ``lu[k][k]`` pivot k.
+
+    The working array starts as a mod 2^K and is factored in place.  At
+    step k the pivot is the first odd entry of row k's trailing part, or
+    else the first entry of least valuation in the trailing block
+    (row-major).  It is moved to (k, k) by swapping two whole rows and
+    two whole columns, so L's finished columns travel with the rows and
+    U's finished rows with the columns.
     """
     n = len(a)
     mask = (1 << k_bits) - 1
@@ -572,6 +612,156 @@ def _ldu_mod(a: Sequence[Sequence[int]], k_bits: int):
                 row[k + 1:] = [(x - f * y) & mask for x, y in zip(row[k + 1:], tail)]
         pr[k + 1:] = [((y >> v) * inv) & mask for y in tail]
     return rows, cols, lu, pivots
+
+
+def _ldu_rows(a: Sequence[Sequence[int]], k_bits: int):
+    """:func:`_ldu_mod` on packed rows: ``lu[k]`` is the pair of L's row
+    k, a list, and U's row k, one integer whose field ``cols[l]`` (bits
+    ``cols[l] * F`` up to ``(cols[l] + 1) * F``, F = ``_row_bits(K)`` =
+    2K + 1) holds ``U[k][l]`` for l > k and whose other fields are 0.
+
+    Columns never move, so a field names its column of a, and rows are
+    swapped whole.  Once a column is pivoted on, its field is 0 in every
+    row below the pivot.  At step k the pivot is the highest odd field
+    of row k (``row & ones``), or else, with v the least valuation of
+    any field of the remaining rows (their OR, folded onto one field),
+    the highest field with bit v set in the first row that has one.
+    Taking the highest leaves the zero fields of pivoted columns mostly
+    at the top, so the remaining rows shrink as the elimination goes on.
+
+    A row below the pivot becomes ``(row + f * neg) & mask``, f its
+    multiplier, where ``neg`` holds 2^K - y in the field of every column
+    not yet pivoted, y the pivot row's entry there, and 0 elsewhere.  No
+    field is subtracted from, so none borrows; a field becomes x + f
+    (2^K - y) <= (2^K - 1) + (2^K - 1) 2^K < 2^(2K), so none carries;
+    and the AND reduces every field mod 2^K at once, which leaves x - f
+    d = 0 in the pivot column.  The pivot row's other fields become
+    ``((row >> v) * u^-1) & mask``: one shift divides every field by
+    2^v, as each has valuation at least v.
+    """
+    n = len(a)
+    bits = _row_bits(k_bits)
+    mask = (1 << k_bits) - 1
+    ones = ((1 << bits * n) - 1) // ((1 << bits) - 1)
+    full = ones * mask
+    shifts = range(0, n * bits, bits)
+    packed = [sum([(x & mask) << s for x, s in zip(row, shifts) if x]) for row in a]
+    lower = [[] for _ in range(n)]
+    rows = list(range(n))
+    cols = []
+    pivots = []
+    # 2^K in the field of every column not yet pivoted.
+    top = ones << k_bits
+    for k in range(n):
+        r = k
+        hit = packed[k] & ones
+        if hit:
+            v = 0
+        else:
+            rest = reduce(or_, packed[k:])
+            if not rest:
+                return None
+            # OR the fields onto the lowest: its lowest bit is then v.
+            span = n
+            while span > 1:
+                span = (span + 1) // 2
+                rest = rest & (1 << span * bits) - 1 | rest >> span * bits
+            v = (rest & -rest).bit_length() - 1
+            sel = ones << v
+            r = next(t for t in range(k, n) if packed[t] & sel)
+            hit = packed[r] & sel
+        if r != k:
+            packed[k], packed[r] = packed[r], packed[k]
+            lower[k], lower[r] = lower[r], lower[k]
+            rows[k], rows[r] = rows[r], rows[k]
+        pr = packed[k]
+        pos = (hit.bit_length() - 1) // bits * bits
+        d = pr >> pos & mask
+        cols.append(pos // bits)
+        pivots.append(d)
+        # U's row k: the pivot row's other fields, divided by d below.
+        packed[k] = pr ^ d << pos
+        if k == n - 1:
+            break
+        inv = pow(d >> v, -1, mask + 1)
+        neg = top - pr
+        top ^= 1 << pos + k_bits
+        at = pos + v
+        low = mask >> v
+        for t, row in enumerate(packed[k + 1:], k + 1):
+            f = row >> at & low
+            if f:
+                f = f * inv & mask
+                packed[t] = (row + f * neg) & full
+            lower[t].append(f)
+        packed[k] = (packed[k] >> v) * inv & full
+    return rows, cols, list(zip(lower, packed)), pivots
+
+
+def _y_entries(lu, scales, mask):
+    """Rows of Y' = U^-1 diag(scales) L^-1 mod ``mask + 1`` from the
+    factorization of :func:`_ldu_entries`, one list entry per matrix
+    entry."""
+    n = len(lu)
+    # Row k of L^-1, up to and including its diagonal, is e_k minus the
+    # sum of L[k][t] times row t over t < k.
+    inv_l = []
+    for k, lk in enumerate(lu):
+        row = [0] * k + [1]
+        for t in range(k):
+            f = lk[t]
+            if f:
+                row[: t + 1] = [(x - f * z) & mask for x, z in zip(row, inv_l[t])]
+        inv_l.append(row)
+    # Back-substitution; ycols[c] holds column c of Y' from the bottom
+    # up, so Y'[l][c] = ycols[c][n - 1 - l].
+    ycols = [[] for _ in range(n)]
+    for k in range(n - 1, -1, -1):
+        ur = lu[k][:k:-1]  # U[k][n-1], ..., U[k][k+1]
+        s = scales[k]
+        for z, col in zip(inv_l[k], ycols):
+            col.append((s * z - sum(map(mul, ur, col))) & mask)
+        for col in ycols[k + 1:]:
+            col.append(-sum(map(mul, ur, col)) & mask)
+    return list(zip(*ycols))[::-1]
+
+
+def _y_rows(lu, cols, scales, mask, k_bits):
+    """:func:`_y_entries` from the factorization of :func:`_ldu_rows`:
+    each row of L^-1 and of Y' is one integer of G-bit fields, G =
+    2 (V + 1) + bitlen(n + 1) with ``mask = 2^(V + 1) - 1``, field m
+    holding column m.
+
+    Row k of L^-1 is e_k plus ``(-L[k][t]) & mask`` times row t over
+    t < k, and row l of Y' is ``scales[l]`` times row l of L^-1 plus
+    ``(-U[l][t]) & mask`` times row t of Y' over t > l: at most n
+    products of two numbers below 2^(V + 1) per field, below 2^G, so no
+    field carries and one AND per row reduces them all.
+    """
+    n = len(lu)
+    bits = 2 * mask.bit_length() + (n + 1).bit_length()
+    full = ((1 << bits * n) - 1) // ((1 << bits) - 1) * mask
+    inv_l = []
+    for k, (lk, _) in enumerate(lu):
+        x = 1 << k * bits
+        for f, z in zip(lk, inv_l):
+            if f:
+                x += (-f & mask) * z
+        inv_l.append(x & full)
+    # y holds the rows of Y' from the bottom up, at[t] the field of U's
+    # column t in lu.
+    at = [c * _row_bits(k_bits) for c in cols]
+    y = []
+    for l in range(n - 1, -1, -1):
+        row = lu[l][1]
+        x = scales[l] * inv_l[l]
+        for s, z in zip(at[:l:-1], y):
+            f = -(row >> s) & mask
+            if f:
+                x += f * z
+        y.append(x & full)
+    shifts = range(0, n * bits, bits)
+    return [[yl >> s & mask for s in shifts] for yl in reversed(y)]
 
 
 def power_det_valuation(
@@ -645,9 +835,27 @@ def power_det_valuation(
     *Precision schedule.*  K starts at 64 and doubles while a pivot
     vanishes mod 2^K; if then ``K <= V + v_(n-2)``, the factorization
     is rerun at K = V + v_(n-2) + 1, where no pivot vanishes as every
-    ``v_k <= V``.  The rerun picks the same pivots: each choice is the
-    first entry of least valuation, and that valuation is below both
-    precisions.
+    ``v_k <= V``.  The rerun may take other pivots than the pass before
+    it, on the same representation or the other, but not other
+    valuations: with a pivot of least valuation at every step,
+    ``v_0 <= ... <= v_(n-1)`` are the valuations of the invariant
+    factors of A' (its Smith form over the 2-adic integers), whichever
+    entry of least valuation a step takes, and each Schur complement is
+    exact mod 2^K, so the factorization mod 2^K reads every ``v_k < K``
+    and fails exactly when some ``v_k >= K``.  So V and v_(n-2), and
+    the precision proof with them, depend on neither the representation
+    nor the tie-break.
+
+    *Representation.*  Up to K = :data:`PACKED_MAX_K` the factorization
+    keeps each row of the working matrix in one integer, a field of
+    2K + 1 bits per column (:func:`_ldu_rows`): a row step leaves every
+    field below 2^(2K), so none carries into the next.  After it, the
+    Y phase keeps each row of L^-1 and of Y' in one integer with fields
+    of 2V + 2 + bitlen(n + 1) bits (:func:`_y_rows`): a row is a sum of
+    at most n products of two residues below 2^(V + 1), below
+    n 2^(2V + 2) per field.  Above that K, one list entry per matrix
+    entry is faster (:func:`_ldu_entries`, :func:`_y_entries`).  Both
+    give the same ``(p, tight)``.
 
     *Proof of zero* (Hadamard's bound).  If det(A') != 0, then
     ``2^p' <= |det(A')| <= prod_i ||row_i|| < 2^h`` with
@@ -657,7 +865,11 @@ def power_det_valuation(
     that first rules out a structurally singular A (no perfect matching
     in its pattern) meets this only through exact cancellation.
 
-    O(n^3) operations on numbers of at most max(64, 2V + 1) bits.
+    The factorization and the Y phase make O(n^3) operations on
+    residues mod 2^K and their products, numbers of at most 2K +
+    bitlen(n) bits, where K <= max(64, 2V + 1) once det(A) != 0: K
+    doubles past 64 only after a pivot of valuation at least K / 2
+    vanished.  Packed, they make O(n^2) operations on rows of n fields.
     """
     r = []
     for row in w:
@@ -675,51 +887,33 @@ def power_det_valuation(
         [0 if e is None else 1 << (e - ri - cj) for e, cj in zip(row, c)]
         for row, ri in zip(w, r)
     ]
-    hadamard = sum((sum(map(mul, row, row)).bit_length() + 1) // 2 for row in a)
     k_bits = 64
+    hadamard = None  # Hadamard's bound, read only once a pivot vanishes
     while (fac := _ldu_mod(a, k_bits)) is None:
+        if hadamard is None:
+            hadamard = sum((sum(map(mul, row, row)).bit_length() + 1) // 2 for row in a)
         if k_bits >= hadamard:
             return None
         k_bits *= 2
     vals = [trailing_zeros(d) for d in fac[3]]  # nondecreasing
     vmax = vals[-1]
     if k_bits <= sum(vals[-2:]):
-        fac = _ldu_mod(a, sum(vals[-2:]) + 1)
+        k_bits = sum(vals[-2:]) + 1
+        fac = _ldu_mod(a, k_bits)
     rows, cols, lu, pivots = fac
-    n = len(a)
     mask = (2 << vmax) - 1
-    # Row k of L^-1, up to and including its diagonal, is e_k minus the
-    # sum of L[k][t] times row t over t < k.
-    inv_l = []
-    for k, lk in enumerate(lu):
-        row = [0] * k + [1]
-        for t in range(k):
-            f = lk[t]
-            if f:
-                row[: t + 1] = [(x - f * z) & mask for x, z in zip(row, inv_l[t])]
-        inv_l.append(row)
-    # Y' = U^-1 diag(2^(V - v_k) u_k^-1) L^-1 by back-substitution;
-    # ycols[c] holds column c of Y' from the bottom up, so Y'[l][c] =
-    # ycols[c][n - 1 - l].
-    ycols = [[] for _ in range(n)]
-    for k in range(n - 1, -1, -1):
-        ur = lu[k][:k:-1]  # U[k][n-1], ..., U[k][k+1]
-        v = vals[k]
-        s = pow(pivots[k] >> v, -1, 2 << v) << (vmax - v)
-        for z, col in zip(inv_l[k], ycols):
-            col.append((s * z - sum(map(mul, ur, col))) & mask)
-        for col in ycols[k + 1:]:
-            col.append(-sum(map(mul, ur, col)) & mask)
-    # Y'[l][k] = 2^V A'^-1[cols[l]][rows[k]], and its valuation is
-    # V - w'[i][j] iff Y'[l][k] * 2^w'[i][j] has valuation exactly V.
-    # ycols[k] runs over the l from the bottom up, so it pairs with
-    # cols reversed.
+    scales = [pow(d >> v, -1, 2 << v) << (vmax - v) for d, v in zip(pivots, vals)]
+    if _packed(k_bits):
+        yrows = _y_rows(lu, cols, scales, mask, k_bits)
+    else:
+        yrows = _y_entries(lu, scales, mask)
+    # yrows[l][m] = Y'[l][m] = 2^V A'^-1[j][i] with (i, j) = (rows[m],
+    # cols[l]), and its valuation is V - w'[i][j] iff Y'[l][m] *
+    # 2^w'[i][j] has valuation exactly V.
     top = 1 << vmax
-    rcols = cols[::-1]
     tight = []
-    for i, col in zip(rows, ycols):
-        ai = a[i]
-        tight += [(i, j) for j, x in zip(rcols, col) if (x * ai[j]) & mask == top]
+    for j, yl in zip(cols, yrows):
+        tight += [(i, j) for i, x in zip(rows, yl) if (x * a[i][j]) & mask == top]
     tight.sort()
     return sum(vals) + sum(r) + sum(c), tight
 

@@ -25,6 +25,7 @@ answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional
 
 from .edmonds import ZeroDeterminantError, extract_diagonal
@@ -45,16 +46,30 @@ from .linalg import (  # noqa: F401  (perfbench/tests wraps det_berkowitz here)
 )
 
 
+# The most bits the entries of a power matrix may hold in all: 2^30 bits
+# are 128 MiB.
+POWER_MATRIX_MAX_BITS = 1 << 30
+
+
 def build_power_matrix(g: BipartiteGraph, w: WeightAssignment) -> IntMatrix:
     """Evaluation of g's edge matrix at 2^w: entry (i, j) is 2^w(i,j)
-    on edges and 0 elsewhere."""
+    on edges and 0 elsewhere.
+
+    Raises ValueError, before building any entry, when the entries
+    would hold more than :data:`POWER_MATRIX_MAX_BITS` bits (128 MiB)
+    in all, the sum over the edges of w(i, j) + 1: one caller weight
+    of 2^40 would otherwise ask for 128 GiB."""
     if w.n != g.n:
         raise ValueError(f"weights are {w.n}x{w.n}, graph is {g.n}x{g.n}")
-    n = g.n
+    bits = g.num_edges + sum(map(sum, map(compress, w.grid, g.edges)))
+    if bits > POWER_MATRIX_MAX_BITS:
+        raise ValueError(
+            f"2^w would hold {bits} bits, above the cap of {POWER_MATRIX_MAX_BITS}"
+        )
     return IntMatrix(
         tuple(
-            tuple(1 << w.value(i, j) if g.edges[i][j] else 0 for j in range(n))
-            for i in range(n)
+            tuple(1 << x if e else 0 for e, x in zip(er, wr))
+            for er, wr in zip(g.edges, w.grid)
         )
     )
 
@@ -178,8 +193,10 @@ def mvv_trial(g: BipartiteGraph, seed: int) -> MvvTrial:
     that the adjugate from :func:`~wmatch.linalg.cofactors` gives
     (:func:`exact_power_det_valuation`).  The kernel reads them off 2^V
     times the inverse of the scaled power matrix, mod 2^(V + 1), V its
-    largest pivot valuation, on numbers of at most max(64, 2V + 1)
-    bits.  A zero determinant there is weight cancellation, proved by
+    largest pivot valuation, after factoring that matrix mod 2^K with
+    K at most max(64, 2V + 1): residues of K bits whose products have
+    up to 2K, packed n to an integer while K <= 128.  A zero
+    determinant there is weight cancellation, proved by
     the kernel's Hadamard bound.  The collected set is only trusted
     after verification: it must be a perfect matching of g whose
     weight equals p.  Anything else is reported as failure, with its

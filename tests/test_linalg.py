@@ -989,8 +989,14 @@ def reference_power_det_valuation(w):
     reference: the same scaling and factorization, then X = adj(A') =
     U^-1 diag(prod_(t != k) d_t) L^-1 from prefix and suffix products of
     the pivots, formed mod 2^(p' + 1) after a rerun at K = p' + 1 when
-    the doubling stopped at K <= p'.  It factors through linalg._ldu_mod,
-    so ldu_calls sees its precisions too."""
+    the doubling stopped at K <= p'.  It factors through linalg._ldu_mod
+    on list entries at every K, so ldu_calls sees its precisions too."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "PACKED_MAX_K", 0)
+        return _adjugate_kernel(w)
+
+
+def _adjugate_kernel(w):
     r = []
     for row in w:
         present = [e for e in row if e is not None]
@@ -1307,6 +1313,199 @@ class TestAgainstAdjugateKernel:
                 short += 1
                 reruns += k_bits == vals[-1] + vals[-2] + 1
         assert short >= 200 and reruns >= 100
+
+
+@pytest.fixture
+def by_representation(monkeypatch):
+    """power_det_valuation(w) with every factorization and Y phase on
+    packed rows, then with every one on list entries: the switch
+    linalg.PACKED_MAX_K set above, then below, every precision K."""
+    default = linalg.PACKED_MAX_K
+
+    def run(w):
+        out = []
+        for switch in (1 << 30, 0):
+            monkeypatch.setattr(linalg, "PACKED_MAX_K", switch)
+            out.append(power_det_valuation(w))
+        monkeypatch.setattr(linalg, "PACKED_MAX_K", default)
+        return out
+
+    return run
+
+
+def ldu_entries_of(fac, k_bits, packed):
+    """The factorization fac of linalg._ldu_rows (packed) or
+    linalg._ldu_entries as one list of rows: L's strict part, the
+    pivot, U's strict part, every entry reduced mod 2^K.  A packed U
+    row must hold U's entries in their columns' fields and nothing
+    else."""
+    rows, cols, lu, pivots = fac
+    if packed:
+        bits = linalg._row_bits(k_bits)
+        out = []
+        for k, (lower, upper) in enumerate(lu):
+            u = [upper >> c * bits & ((1 << bits) - 1) for c in cols]
+            assert upper == sum(x << c * bits for x, c in zip(u[k + 1:], cols[k + 1:]))
+            out.append(lower + [pivots[k]] + u[k + 1:])
+    else:
+        out = [row[:k] + [d] + row[k + 1:] for k, (row, d) in enumerate(zip(lu, pivots))]
+    assert all(0 <= x < 1 << k_bits for row in out for x in row)
+    return out
+
+
+def assert_ldu(a, k_bits, fac, packed):
+    """B = L diag(pivots) U mod 2^K with B[k][l] = a[rows[k]][cols[l]],
+    as linalg._ldu_mod promises: L's column t and U's row t are known
+    mod 2^(K - v_t), so each product L[k][t] d_t U[t][l] is known mod
+    2^K."""
+    rows, cols, _, pivots = fac
+    n = len(a)
+    assert sorted(rows) == sorted(cols) == list(range(n))
+    lu = ldu_entries_of(fac, k_bits, packed)
+    mask = (1 << k_bits) - 1
+    for k in range(n):
+        for l in range(n):
+            total = sum(
+                (lu[k][t] if t < k else 1) * pivots[t] * (lu[t][l] if t < l else 1)
+                for t in range(min(k, l) + 1)
+            )
+            assert (total - a[rows[k]][cols[l]]) & mask == 0, (k, l)
+
+
+class TestPackedRows:
+    """Both representations of power_det_valuation's factorization and Y
+    phase against each other and, up to n = 16, against exact cofactors
+    of 2^w."""
+
+    def test_random_exponents_n1_to_16(self, by_representation):
+        rng = random.Random(307)
+        nonzero = 0
+        for _ in range(160):
+            n = rng.randint(1, 16)
+            w = random_exponents(rng, n, rng.choice([0.3, 0.6, 1.0]), rng.choice([0, 1]),
+                                 rng.choice([1, 2, 3, 2 * n * n]))
+            expected = exact_valuation(w)
+            assert by_representation(w) == [expected, expected]
+            nonzero += expected is not None
+        assert nonzero > 80
+
+    @pytest.mark.parametrize("n, count", [(12, 6), (16, 2)])
+    def test_find_grids(self, n, count, by_representation):
+        rng = random.Random(f"packed-rows:{n}")
+        for _ in range(count):
+            w = find_exponents(rng, n)
+            expected = exact_valuation(w)
+            assert expected is not None
+            assert by_representation(w) == [expected, expected]
+
+    def test_find_grids_up_to_n32(self, by_representation):
+        # Beyond the exact oracle's budget: the two representations
+        # agree with each other, and the finder's answer is a matching.
+        rng = random.Random("packed-rows:large")
+        for n in (20, 24, 32):
+            w = find_exponents(rng, n)
+            packed, entries = by_representation(w)
+            assert packed == entries
+            assert len(packed[1]) == n
+
+    def test_gadget_blocks(self, by_representation):
+        # The grids of TestAgainstAdjugateKernel.test_last_unit_known_short:
+        # high pivot valuations whose last unit is known short.
+        rng = random.Random(311)
+        for _ in range(60):
+            blocks = [cancellation_gadget(rng.randint(0, 60), rng.randint(0, 60))
+                      for _ in range(rng.randint(2, 3))]
+            w = block_diagonal(blocks, rng, 1.0)
+            for row in w:
+                row[:] = [rng.randint(0, 200) if e is None and rng.random() < 0.5 else e
+                          for e in row]
+            expected = exact_valuation(w)
+            assert by_representation(w) == [expected, expected]
+
+    def test_no_perfect_matching_and_one_by_one(self, by_representation):
+        rng = random.Random(313)
+        for n in range(2, 9):
+            w = find_exponents(rng, n)
+            w[rng.randrange(n)] = [None] * n
+            assert by_representation(w) == [None, None]
+            # A Hall violator: 3 rows whose entries lie in 2 columns.
+            if n >= 3:
+                w = find_exponents(rng, n)
+                for i in rng.sample(range(n), 3):
+                    w[i] = [e if c < 2 else None for c, e in enumerate(w[i])]
+                    w[i][0] = w[i][0] or 1
+                assert by_representation(w) == [None, None]
+        # Cancellation proved by the Hadamard bound at K = 256.
+        assert by_representation([[0, 0, None], [0, 0, 100], [100, 100, 0]]) == [None, None]
+        assert by_representation([[7]]) == [(7, [(0, 0)])] * 2
+        assert by_representation([[None]]) == [None, None]
+
+    def test_field_edge_entries(self):
+        for k_bits in (64, 128):
+            top = (1 << k_bits) - 1
+            # Row 0's one odd entry is the pivot, 1; row 1's multiplier
+            # is 2^K - 1, and its field in column 1, under the pivot
+            # row's 0, reaches (2^K - 1) + (2^K - 1) 2^K = 2^(2K) - 1,
+            # the largest a row step can make.
+            a = [[1, 0, 2], [top, top, top - 1], [top, 1, top]]
+            for packed, ldu in ((True, linalg._ldu_rows), (False, linalg._ldu_entries)):
+                fac = ldu(a, k_bits)
+                assert fac[1][0] == 0 and ldu_entries_of(fac, k_bits, packed)[1][0] == top
+                assert_ldu(a, k_bits, fac, packed)
+            rng = random.Random(f"field-edge:{k_bits}")
+            edges = [0, 1, 2, top, top - 1, 1 << k_bits - 1, (1 << k_bits - 1) + 1]
+            for _ in range(60):
+                n = rng.randint(1, 8)
+                a = [[rng.choice(edges) if rng.random() < 0.8 else rng.getrandbits(k_bits)
+                      for _ in range(n)] for _ in range(n)]
+                facs = [linalg._ldu_rows(a, k_bits), linalg._ldu_entries(a, k_bits)]
+                assert (facs[0] is None) == (facs[1] is None)
+                if facs[0] is not None:
+                    assert ([trailing_zeros(d) for d in facs[0][3]]
+                            == [trailing_zeros(d) for d in facs[1][3]])
+                    assert_ldu(a, k_bits, facs[0], True)
+                    assert_ldu(a, k_bits, facs[1], False)
+
+    def test_multipliers_of_all_ones(self, by_representation, monkeypatch):
+        # Exponents 0 and 1 make entries -1 mod 2^K after one step, so
+        # multipliers 2^K - 1 are common.
+        seen = []
+        ldu = linalg._ldu_rows
+
+        def recording(a, k_bits):
+            fac = ldu(a, k_bits)
+            if fac is not None:
+                seen.extend(f == (1 << k_bits) - 1 for lower, _ in fac[2] for f in lower)
+            return fac
+
+        monkeypatch.setattr(linalg, "_ldu_rows", recording)
+        rng = random.Random(317)
+        for _ in range(40):
+            w = random_exponents(rng, rng.randint(2, 10), 1.0, 0, 1)
+            expected = exact_valuation(w)
+            assert by_representation(w) == [expected, expected]
+        assert sum(seen) > 40
+
+    def test_rerun_on_each_side_of_switch(self, ldu_calls, by_representation):
+        # Two pivots of valuation 50: none vanishes mod 2^64, and the
+        # rerun at K = 101 is packed like the factorization before it.
+        w = block_diagonal([cancellation_gadget(25, 25), cancellation_gadget(20, 30)],
+                           random.Random(0), 0.3)
+        expected = exact_valuation(w)
+        assert power_det_valuation(w) == expected
+        assert ldu_calls == [64, 101]
+        assert ldu_calls[-1] <= linalg.PACKED_MAX_K
+        assert by_representation(w) == [expected, expected]
+        # Two pivots of valuation 70: one vanishes mod 2^64, K = 128
+        # finds both, and the rerun at K = 141 is above the switch.
+        ldu_calls.clear()
+        w = block_diagonal([cancellation_gadget(35, 35), cancellation_gadget(30, 40)],
+                           random.Random(0), 0.3)
+        expected = exact_valuation(w)
+        assert power_det_valuation(w) == expected
+        assert ldu_calls == [64, 128, 141]
+        assert ldu_calls[-2] <= linalg.PACKED_MAX_K < ldu_calls[-1]
+        assert by_representation(w) == [expected, expected]
 
 
 class TestTrailingZeros:

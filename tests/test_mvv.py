@@ -170,6 +170,30 @@ class TestPowerMatrix:
         b = build_power_matrix(K22, WeightAssignment.from_grid([[1, 2], [3, 4]]))
         assert b.rows == ((2, 4), (8, 16))
 
+    def test_huge_weight_rejected_at_once(self):
+        # 2^(2^40) alone would take 128 GiB.
+        w = WeightAssignment.from_grid([[1, 2], [3, 1 << 40]])
+        with pytest.raises(ValueError, match="cap"):
+            build_power_matrix(K22, w)
+
+    def test_weights_near_ten_thousand_build(self):
+        grid = [[9_998, 10_000], [10_001, 9_999]]
+        b = build_power_matrix(K22, WeightAssignment.from_grid(grid))
+        assert b.rows == tuple(tuple(1 << x for x in row) for row in grid)
+
+    def test_cap_counts_edge_bits_only(self, monkeypatch):
+        # Entry 2^w holds w + 1 bits: the K_2,2 grid below holds 100.
+        monkeypatch.setattr(mvv, "POWER_MATRIX_MAX_BITS", 100)
+        grid = [[20, 30], [25, 21]]
+        assert build_power_matrix(K22, WeightAssignment.from_grid(grid)).rows[0][0] == 1 << 20
+        grid[1][1] += 1
+        with pytest.raises(ValueError, match="101 bits"):
+            build_power_matrix(K22, WeightAssignment.from_grid(grid))
+        # A weight off the edges is never raised to a power.
+        g = BipartiteGraph.from_rows([[1, 0], [0, 1]])
+        w = WeightAssignment.from_grid([[20, 1 << 40], [30, 21]])
+        assert build_power_matrix(g, w).rows == ((1 << 20, 0), (0, 1 << 21))
+
 
 class TestWeightBoundedExtraction:
     def test_diagonal_graph(self):
