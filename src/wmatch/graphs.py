@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .linalg import IntMatrix
@@ -123,7 +123,8 @@ def edge_grid(g: BipartiteGraph, values: Iterable[int]) -> tuple[tuple[int, ...]
     """The n x n grid with the k-th value at the k-th edge of
     :meth:`BipartiteGraph.edge_list` (row-major edge order) and 0 at
     every non-edge; values past the last edge are not read."""
-    rows = [[0] * g.n for _ in range(g.n)]
+    n = g.n
+    rows = [[0] * n for _ in range(n)]
     for (i, j), v in zip(g.edge_list(), values):
         rows[i][j] = v
     return tuple(map(tuple, rows))
@@ -153,7 +154,7 @@ class Matching:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Matching":
-        return cls(tuple(sorted((int(i), int(j)) for i, j in pairs)))
+        return cls(tuple(sorted((index(i), index(j)) for i, j in pairs)))
 
     @classmethod
     def from_dict(cls, mapping: Mapping[int, int]) -> "Matching":
@@ -217,7 +218,10 @@ class WeightAssignment:
 
     @classmethod
     def from_grid(cls, rows: Iterable[Iterable[int]]) -> "WeightAssignment":
-        return cls(tuple(tuple(map(int, row)) for row in rows))
+        """The assignment of a grid of ints; bools pass as 0 and 1, and
+        any other entry (a float, str, Fraction, ...) raises TypeError
+        rather than being truncated or parsed."""
+        return cls(tuple(tuple(map(index, row)) for row in rows))
 
     @classmethod
     def _from_checked(cls, grid: tuple[tuple[int, ...], ...]) -> "WeightAssignment":
@@ -232,10 +236,21 @@ class WeightAssignment:
     def from_edge_values(
         cls, g: BipartiteGraph, values: Sequence[int]
     ) -> "WeightAssignment":
-        """Place one value per edge (row-major edge order); non-edges get 0."""
+        """Place one value per edge (row-major edge order); non-edges get 0.
+
+        The m values are checked once, flat, as :meth:`from_grid` checks
+        a grid's entries (ints or bools, else TypeError; none negative),
+        and the grid is built from them with no second pass over its n^2
+        entries.  The first negative value in edge order lies in the
+        first row that holds one, so the error names the row that
+        ``from_grid`` would name."""
         if len(values) != g.num_edges:
             raise ValueError(f"expected {g.num_edges} edge values, got {len(values)}")
-        return cls.from_grid(edge_grid(g, values))
+        values = list(map(index, values))
+        if values and min(values) < 0:
+            k, x = next((k, x) for k, x in enumerate(values) if x < 0)
+            raise ValueError(f"negative weight {x} at row {g.edge_list()[k][0]}")
+        return cls._from_checked(edge_grid(g, values))
 
     @property
     def n(self) -> int:
@@ -250,7 +265,7 @@ GridLike = Union[IntMatrix, Sequence[Sequence[int]]]
 
 def _as_rows(values: GridLike, n: int) -> tuple[tuple[int, ...], ...]:
     rows = values.rows if isinstance(values, IntMatrix) else tuple(
-        tuple(map(int, row)) for row in values
+        tuple(map(index, row)) for row in values
     )
     if len(rows) != n or any(len(row) != n for row in rows):
         raise ValueError(f"value grid must be {n}x{n}")

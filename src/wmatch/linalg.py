@@ -16,14 +16,17 @@ three oracles are provided on purpose:
   guarded to n <= 12.
 * :func:`det_lagrange` is the full signed permutation expansion, the
   n! permutations listed in Heap's order so each sign costs O(1):
-  O(n * n!) products, guarded to n <= 9.
+  O(n * n!) products, guarded to n <= 9.  Which entries each term
+  multiplies depends on n alone, so it gathers them through one index
+  table per n, kept for the sizes ``verify`` runs.
 
 The oracles exist so the production path can be cross-checked without
 trusting any shared code: elimination, expansion by minors and the
 permutation sum share nothing.  On the ``verify det`` inputs (entries
-in [-9, 9], n = 6; CPU time per matrix, best of 7, 2-core x86-64 VM,
-CPython 3.11.7), ``det_bareiss`` takes 0.032 ms, ``det_cofactor``
-0.14 ms and ``det_lagrange`` 0.74 ms.
+in [-9, 9], n = 6; CPU time per matrix, the best of 7 repetitions in
+each of 4 processes, 2-core x86-64 VM, CPython 3.11.7), ``det_bareiss``
+takes 0.017 ms, ``det_cofactor`` 0.085 ms and ``det_lagrange``
+0.15 ms.
 
 Every loop that needs the determinants of many minors (nonzero-diagonal
 extraction, the membership oracles of ``verify``) reads them off one
@@ -100,11 +103,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import mul, or_
+from itertools import chain, islice
+from math import prod
+from operator import add, index, itemgetter, mul, or_
 from typing import Iterable, Optional, Sequence
 
 COFACTOR_MAX_N = 12
 LAGRANGE_MAX_N = 9
+# det_lagrange keeps its table for every n up to this, the largest n
+# that `verify det` runs.
+LAGRANGE_KEPT_N = 6
+_lagrange_tables: dict[int, itemgetter] = {}
 # The largest prime below 2^30: a product of two residues is below 2^60.
 P = 1_073_741_789
 # 2^30 = _FOLD mod P, so a field h * 2^30 + l is congruent to _FOLD * h + l.
@@ -136,7 +145,10 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntMatrix":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
+        """The matrix of a grid of ints; bools pass as 0 and 1, and any
+        other entry (a float, str, Fraction, ...) raises TypeError
+        rather than being truncated or parsed."""
+        return cls(tuple(tuple(map(index, row)) for row in rows))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -764,6 +776,12 @@ def _y_rows(lu, cols, scales, mask, k_bits):
     return [[yl >> s & mask for s in shifts] for yl in reversed(y)]
 
 
+def _power_mod(e: Sequence[Sequence[Optional[int]]], k_bits: int) -> list[list[int]]:
+    """The power matrix 2^e mod 2^K, K = ``k_bits``: 2^x where an
+    exponent x is below K, and 0 where it is at least K or None."""
+    return [[0 if x is None or x >= k_bits else 1 << x for x in row] for row in e]
+
+
 def power_det_valuation(
     w: Sequence[Sequence[Optional[int]]],
 ) -> Optional[tuple[int, list[tuple[int, int]]]]:
@@ -787,6 +805,9 @@ def power_det_valuation(
     A': ``v(adj(A')[j][i]) == p' - w'[i][j]``.  Scaling removes the part
     of every valuation that no cancellation can touch; the numbers below
     carry O(p') bits instead of the thousands that 2^w has at n = 32.
+    A' is not held either, only w': each factorization reads A' mod
+    2^K, so its input has 2^w' where w' < K and 0 elsewhere, and
+    Hadamard's bound and the tight test below read w' itself.
 
     *Factor over Z/2^K* (:func:`_ldu_mod`).  A pivot of least valuation
     v divides its whole row and column 2-adically, so every multiplier
@@ -883,15 +904,19 @@ def power_det_valuation(
         if not present:
             return None
         c.append(min(present))
-    a = [
-        [0 if e is None else 1 << (e - ri - cj) for e, cj in zip(row, c)]
+    # The scaled exponents w', None where A' is 0.
+    e = [
+        [None if x is None else x - ri - cj for x, cj in zip(row, c)]
         for row, ri in zip(w, r)
     ]
     k_bits = 64
     hadamard = None  # Hadamard's bound, read only once a pivot vanishes
-    while (fac := _ldu_mod(a, k_bits)) is None:
+    while (fac := _ldu_mod(_power_mod(e, k_bits), k_bits)) is None:
         if hadamard is None:
-            hadamard = sum((sum(map(mul, row, row)).bit_length() + 1) // 2 for row in a)
+            hadamard = sum(
+                (sum(1 << 2 * x for x in row if x is not None).bit_length() + 1) // 2
+                for row in e
+            )
         if k_bits >= hadamard:
             return None
         k_bits *= 2
@@ -899,7 +924,7 @@ def power_det_valuation(
     vmax = vals[-1]
     if k_bits <= sum(vals[-2:]):
         k_bits = sum(vals[-2:]) + 1
-        fac = _ldu_mod(a, k_bits)
+        fac = _ldu_mod(_power_mod(e, k_bits), k_bits)
     rows, cols, lu, pivots = fac
     mask = (2 << vmax) - 1
     scales = [pow(d >> v, -1, 2 << v) << (vmax - v) for d, v in zip(pivots, vals)]
@@ -909,12 +934,24 @@ def power_det_valuation(
         yrows = _y_entries(lu, scales, mask)
     # yrows[l][m] = Y'[l][m] = 2^V A'^-1[j][i] with (i, j) = (rows[m],
     # cols[l]), and its valuation is V - w'[i][j] iff Y'[l][m] *
-    # 2^w'[i][j] has valuation exactly V.
-    top = 1 << vmax
-    tight = []
+    # 2^w'[i][j] has valuation exactly V.  Where w'[i][j] > V the
+    # product's low V + 1 bits are 0, so only w'[i][j] <= V can pass.
+    # Walking w' row-major reads Y' only there, and lists the tight
+    # entries in order.
+    n = len(e)
+    y_of = [None] * n  # y_of[j]: row l of Y' with cols[l] = j
     for j, yl in zip(cols, yrows):
-        tight += [(i, j) for i, x in zip(rows, yl) if (x * a[i][j]) & mask == top]
-    tight.sort()
+        y_of[j] = yl
+    at = [0] * n  # at[i]: the m with rows[m] = i
+    for m, i in enumerate(rows):
+        at[i] = m
+    top = 1 << vmax
+    tight = [
+        (i, j)
+        for i, row in enumerate(e)
+        for j, x in enumerate(row)
+        if x is not None and x <= vmax and (y_of[j][at[i]] << x) & mask == top
+    ]
     return sum(vals) + sum(r) + sum(c), tight
 
 
@@ -954,41 +991,63 @@ def det_cofactor(m: IntMatrix) -> int:
     return expand(tuple(range(m.n)))
 
 
-def det_lagrange(m: IntMatrix) -> int:
-    """Exact determinant as the signed sum over all n! permutations.
+def _lagrange_table(n: int) -> itemgetter:
+    """The flat indices ``r * n + sigma(r)`` of every permutation sigma
+    of range(n), n >= 2, as one ``itemgetter``: the even permutations'
+    first, then the odd ones'.  Applied to the row-major entries of an
+    n x n matrix it returns the factors of every term of the
+    determinant, n per term.
 
-    Oracle only, refuses n > 9.  The permutations come in Heap's order
-    (B. R. Heap, 1963), where each differs from the one before by a
-    single transposition, so the sign flips once per step instead of
-    being recounted: O(n * n!) products.
-    """
-    n = m.n
-    if n > LAGRANGE_MAX_N:
-        raise ValueError(f"det_lagrange limited to n <= {LAGRANGE_MAX_N}, got n={n}")
-    rows = m.rows
+    The permutations come in Heap's order (B. R. Heap, 1963), where each
+    differs from the one before by a single transposition, so the
+    parity flips once per step instead of being recounted."""
     perm = list(range(n))
+    starts = range(0, n * n, n)
     # counters[i] counts the swaps made at level i since it was last reset
     counters = [0] * n
-    sign = 1
-    total = 0
+    blocks = ([], [])  # even, odd
+    parity = 0
     i = 1
     while True:
-        prod = sign
-        for row, c in zip(rows, perm):
-            prod *= row[c]
-            if prod == 0:
-                break
-        total += prod
+        blocks[parity].extend(map(add, starts, perm))
         while i < n and counters[i] == i:
             counters[i] = 0
             i += 1
         if i == n:
-            return total
+            return itemgetter(*blocks[0], *blocks[1])
         k = counters[i] if i % 2 else 0
         perm[k], perm[i] = perm[i], perm[k]
-        sign = -sign
+        parity ^= 1
         counters[i] += 1
         i = 1
+
+
+def det_lagrange(m: IntMatrix) -> int:
+    """Exact determinant as the signed sum over all n! permutations.
+
+    Oracle only, refuses n > 9.  One :func:`_lagrange_table` call takes
+    every factor of every term off the flattened rows, ``math.prod``
+    multiplies them n at a time, and the odd terms' sum is subtracted
+    from the even terms': O(n * n!) products.  The table depends on n
+    alone, so the tables for n <= :data:`LAGRANGE_KEPT_N` (40 KB in
+    all) are built once and kept; a larger one (3.3 million indices
+    at n = 9) is built for its call and dropped.
+    """
+    n = m.n
+    if n > LAGRANGE_MAX_N:
+        raise ValueError(f"det_lagrange limited to n <= {LAGRANGE_MAX_N}, got n={n}")
+    if n == 1:
+        # A one-index itemgetter returns the entry, not a tuple.
+        return m.rows[0][0]
+    take = _lagrange_tables.get(n)
+    if take is None:
+        take = _lagrange_table(n)
+        if n <= LAGRANGE_KEPT_N:
+            _lagrange_tables[n] = take
+    factors = take(list(chain.from_iterable(m.rows)))
+    terms = map(prod, zip(*[iter(factors)] * n))
+    even = sum(islice(terms, len(factors) // (2 * n)))
+    return even - sum(terms)
 
 
 def trailing_zeros(y: int) -> Optional[int]:

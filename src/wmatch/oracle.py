@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import getitem
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .graphs import BipartiteGraph, Matching, WeightAssignment, matching_weight
+from .graphs import BipartiteGraph, Matching, WeightAssignment
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -33,18 +34,18 @@ class BudgetExceededError(RuntimeError):
     """An exhaustive enumeration would exceed its evaluation budget."""
 
 
-def enumerate_perfect_matchings(g: BipartiteGraph) -> list[Matching]:
-    """All perfect matchings of g, in lexicographic order of the column
-    sequence (row 0's partner varies slowest)."""
+def _perfect_matching_columns(g: BipartiteGraph) -> list[tuple[int, ...]]:
+    """The column sequence (c_0, ..., c_(n-1)) of every perfect matching
+    {(0, c_0), ..., (n - 1, c_(n-1))} of g, in lexicographic order."""
     n = g.n
     if n > ENUM_PM_MAX_N:
         raise ValueError(f"enumerate_perfect_matchings limited to n <= {ENUM_PM_MAX_N}, got {n}")
-    out: list[Matching] = []
+    out: list[tuple[int, ...]] = []
     assignment = [0] * n
 
     def walk(row: int, used: int):
         if row == n:
-            out.append(Matching.from_pairs(enumerate(assignment)))
+            out.append(tuple(assignment))
             return
         for j in range(n):
             if g.edges[row][j] and not (used >> j) & 1:
@@ -53,6 +54,12 @@ def enumerate_perfect_matchings(g: BipartiteGraph) -> list[Matching]:
 
     walk(0, 0)
     return out
+
+
+def enumerate_perfect_matchings(g: BipartiteGraph) -> list[Matching]:
+    """All perfect matchings of g, in lexicographic order of the column
+    sequence (row 0's partner varies slowest)."""
+    return [Matching.from_pairs(enumerate(cols)) for cols in _perfect_matching_columns(g)]
 
 
 def brute_max_weight_matching(w) -> int:
@@ -108,15 +115,22 @@ class BruteMinResult(NamedTuple):
 def min_weight_pms_map(g: BipartiteGraph) -> Callable[[WeightAssignment], BruteMinResult]:
     """Enumerate g's perfect matchings once and return the map
     ``w -> brute_min_weight_pms(g, w)`` over them, for callers that
-    weigh one graph many times."""
-    pms = enumerate_perfect_matchings(g)
+    weigh one graph many times.
+
+    Next to each matching it keeps the column sequence (c_0, ..., c_(n-1))
+    that the enumeration produced it from, so a weighting's grid is
+    summed along it with one ``map`` per matching, with no per-pair
+    lookup through the assignment."""
+    columns = _perfect_matching_columns(g)
+    pms = [Matching.from_pairs(enumerate(cols)) for cols in columns]
 
     def minimum(w: WeightAssignment) -> BruteMinResult:
         if not pms:
             return BruteMinResult(None, ())
-        weighted = [(matching_weight(m, w), m) for m in pms]
-        best = min(weight for weight, _ in weighted)
-        return BruteMinResult(best, tuple(m for weight, m in weighted if weight == best))
+        grid = w.grid
+        weights = [sum(map(getitem, grid, cols)) for cols in columns]
+        best = min(weights)
+        return BruteMinResult(best, tuple(m for x, m in zip(weights, pms) if x == best))
 
     return minimum
 

@@ -537,12 +537,15 @@ def check_unique_min_theorems(seed: int = DEFAULT_SEED) -> tuple[CheckResult, Ch
         p, tight = found
         if p != truth.weight:
             fail(weight_failures, label, key, reason="trailing zeros != min weight")
-        pm = truth.matchings[0]
+        # Both sets hold edges only, so they are equal exactly when no
+        # edge is recorded below.
         members = set(tight)
-        for i, j in g.edge_list():
-            if ((i, j) in members) != ((i, j) in pm.pairs):
-                fail(membership_failures, label, key, edge=[i, j],
-                     reason="membership mismatch")
+        pm = set(truth.matchings[0].pairs)
+        if members != pm:
+            for edge in g.edge_list():
+                if (edge in members) != (edge in pm):
+                    fail(membership_failures, label, key, edge=list(edge),
+                         reason="membership mismatch")
 
     details = {
         "exhaustive_cases": cases - UNIQUE_MIN_RANDOM_SAMPLES,

@@ -1,5 +1,7 @@
 import random
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
@@ -136,6 +138,11 @@ class TestHasPerfectMatching:
             assert g.has_perfect_matching() == (maximum_matching(g).size == n) != violator
 
 
+# Exact-integer constructors refuse these rather than truncate or parse
+# them: int() would give 1, 2, 3, 3 and 3.
+NON_INTEGERS = [1.7, 2.9, "3", Fraction(3), Decimal(3)]
+
+
 def pattern_id(g):
     return "-".join("".join("1" if e else "0" for e in row) for row in g.edges)
 
@@ -171,6 +178,41 @@ class TestEdgeGrid:
         values = list(range(7, 7 + g.num_edges))
         assert edge_grid(g, values) == reference_grid(g, values)
         assert WeightAssignment.from_edge_values(g, values).grid == reference_grid(g, values)
+        w = WeightAssignment.from_edge_values(g, [True] * g.num_edges)
+        assert w.grid == reference_grid(g, [1] * g.num_edges)
+        assert all(type(x) is int for row in w.grid for x in row)
+
+    @pytest.mark.parametrize("g", GRAPHS, ids=pattern_id)
+    def test_from_edge_values_errors(self, g):
+        # The same messages as the grid path from_edge_values took
+        # before it checked the m values flat: the length check, then
+        # from_grid on the laid-out grid.
+        def reference(values):
+            if len(values) != g.num_edges:
+                raise ValueError(f"expected {g.num_edges} edge values, got {len(values)}")
+            return WeightAssignment.from_grid(reference_grid(g, values))
+
+        m = g.num_edges
+        rng = random.Random(pattern_id(g))
+        cases = [[1] * (m + 1)]
+        if m:
+            cases.append([1] * (m - 1))
+            for _ in range(30):
+                values = [rng.randint(-3, 3) for _ in range(m)]
+                values[rng.randrange(m)] = -rng.randint(1, 5)
+                cases.append(values)
+        for values in cases:
+            with pytest.raises(ValueError) as expected:
+                reference(values)
+            with pytest.raises(ValueError) as got:
+                WeightAssignment.from_edge_values(g, values)
+            assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("entry", NON_INTEGERS)
+    def test_from_edge_values_non_integers_rejected(self, entry):
+        g = BipartiteGraph.complete(1)
+        with pytest.raises(TypeError):
+            WeightAssignment.from_edge_values(g, [entry])
 
     def test_random_weights(self):
         rng = random.Random(23)
@@ -239,6 +281,16 @@ class TestMatching:
         m = Matching.from_pairs([(0, 1), (1, 0)])
         assert m.permutation_matrix(2).rows == ((0, 1), (1, 0))
 
+    @pytest.mark.parametrize("index", NON_INTEGERS)
+    def test_non_integer_indices_rejected(self, index):
+        with pytest.raises(TypeError):
+            Matching.from_pairs([(0, 1), (1, index)])
+        with pytest.raises(TypeError):
+            Matching.from_pairs([(index, 1)])
+        m = Matching.from_pairs([(True, False), (False, True)])
+        assert m.pairs == ((0, 1), (1, 0))
+        assert all(type(x) is int for pair in m.pairs for x in pair)
+
 
 class TestEdmondsEval:
     def test_complete_all_ones(self):
@@ -257,6 +309,11 @@ class TestEdmondsEval:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             edmonds_eval(BipartiteGraph.complete(2), [[1, 2, 3]])
+
+    @pytest.mark.parametrize("entry", NON_INTEGERS)
+    def test_non_integer_grid_rejected(self, entry):
+        with pytest.raises(TypeError):
+            edmonds_eval(BipartiteGraph.complete(2), [[1, entry], [0, 1]])
 
     def test_non_edge_entries_irrelevant(self):
         g = BipartiteGraph.from_rows([[1, 0], [1, 1]])
@@ -353,11 +410,17 @@ class TestMatchingWeight:
         assert str(info.value) == message
 
     def test_entries_become_ints(self):
-        w = WeightAssignment.from_grid([[True, "7"], (3.0, 0)])
+        w = WeightAssignment.from_grid([[True, 7], (3, False)])
         assert w.grid == ((1, 7), (3, 0))
         assert all(type(x) is int for row in w.grid for x in row)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             WeightAssignment.from_grid([["x", 0], [0, 0]])
+
+    @pytest.mark.parametrize("entry", NON_INTEGERS)
+    def test_non_integer_entries_rejected(self, entry):
+        # int() would truncate 1.7 to 1 and parse "3".
+        with pytest.raises(TypeError):
+            WeightAssignment.from_grid([[entry, 0], [0, 1]])
 
 
 class TestRandomWeights:

@@ -1,4 +1,7 @@
 import random
+import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 from itertools import permutations
 from operator import mul
 
@@ -46,6 +49,18 @@ class TestIntMatrix:
     def test_rejects_ragged(self):
         with pytest.raises(ValueError):
             IntMatrix.from_rows([[1, 2], [3]])
+
+    @pytest.mark.parametrize("entry", [2.5, 2.0, "3", Fraction(3), Decimal(3)])
+    def test_non_integer_entries_rejected(self, entry):
+        # int() would truncate 2.5 to 2 and parse "3": the oracles would
+        # then compute another matrix's determinant.
+        with pytest.raises(TypeError):
+            IntMatrix.from_rows([[entry, 1], [0, 1]])
+
+    def test_ints_and_bools_accepted(self):
+        m = IntMatrix.from_rows([[True, 2], (False, -3)])
+        assert m.rows == ((1, 2), (0, -3))
+        assert all(type(x) is int for row in m.rows for x in row)
 
 
 class TestMinor:
@@ -235,6 +250,36 @@ class TestExpansionOracles:
         assert det_cofactor(m) == det_bareiss(m) != 0
         m = random_matrix(rng, 9)
         assert det_lagrange(m) == det_bareiss(m) != 0
+        assert 9 not in linalg._lagrange_tables
+
+    def test_lagrange_n1_n2(self):
+        # n = 1 has no table: a one-index itemgetter returns a scalar.
+        rng = random.Random(67)
+        for n in (1, 2):
+            for _ in range(30):
+                m = random_matrix(rng, n)
+                assert det_lagrange(m) == det_by_inversions(m)
+
+    def test_lagrange_tables_kept_up_to_six(self, monkeypatch):
+        # Tables for n <= 6 are built once and kept (under 50 KB in all);
+        # larger ones are dropped after their call.
+        monkeypatch.setattr(linalg, "_lagrange_tables", {})
+        rng = random.Random(71)
+        tracemalloc.start()
+        try:
+            for n in range(2, 7):
+                m = random_matrix(rng, n)
+                assert det_lagrange(m) == det_by_inversions(m)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 50_000
+        assert sorted(linalg._lagrange_tables) == [2, 3, 4, 5, 6]
+        before = dict(linalg._lagrange_tables)
+        for n in (7, 8):
+            m = random_matrix(rng, n)
+            assert det_lagrange(m) == det_bareiss(m)
+        assert linalg._lagrange_tables == before
 
 
 def power_matrix(rng, n):
@@ -1233,6 +1278,20 @@ class TestPowerDetValuation:
         copy = [row[:] for row in w]
         power_det_valuation(w)
         assert w == copy
+
+    def test_large_exponent_never_built(self):
+        # 2^(2^24) takes 2 MiB; the kernel keeps the exponent and gives
+        # each factorization 2^w' mod 2^K, 0 here.  det = 1 - 2^(2^24)
+        # is odd, and only the diagonal's cofactors are odd.
+        w = [[0, 1 << 24], [0, 0]]
+        tracemalloc.start()
+        try:
+            got = power_det_valuation(w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == (0, [(0, 0), (1, 1)])
+        assert peak < 1 << 20
 
 
 @pytest.fixture

@@ -5,8 +5,9 @@ from math import factorial
 import pytest
 
 from wmatch.classical import maximum_matching
-from wmatch.graphs import BipartiteGraph, Matching, WeightAssignment
+from wmatch.graphs import BipartiteGraph, Matching, WeightAssignment, matching_weight
 from wmatch.oracle import (
+    BruteMinResult,
     BudgetExceededError,
     brute_max_matching_size,
     brute_max_weight_matching,
@@ -166,6 +167,51 @@ class TestBruteMinPms:
                 got = minimum(w)
                 assert got == brute_min_weight_pms(g, w)
                 assert got.weight == best and got.matchings == expected
+
+
+def reference_min_weight_pms(g, w):
+    """Every enumerated perfect matching weighed with matching_weight."""
+    pms = enumerate_perfect_matchings(g)
+    weights = [matching_weight(m, w) for m in pms]
+    best = min(weights, default=None)
+    return BruteMinResult(best, tuple(m for m, x in zip(pms, weights) if x == best))
+
+
+class TestMinWeightPmsMap:
+    """The map's kept column sequences against weighing each matching
+    pair by pair."""
+
+    def test_every_3x3_graph(self):
+        # Weights in [0, 2] on a 3x3 grid tie often; a third of the
+        # graphs have no perfect matching.
+        rng = random.Random(79)
+        ties = pm_free = 0
+        for bits in range(1 << 9):
+            g = BipartiteGraph.from_rows(
+                [[(bits >> (3 * i + j)) & 1 for j in range(3)] for i in range(3)]
+            )
+            minimum = min_weight_pms_map(g)
+            for _ in range(4):
+                w = WeightAssignment.from_grid(
+                    [[rng.randint(0, 2) for _ in range(3)] for _ in range(3)]
+                )
+                expected = reference_min_weight_pms(g, w)
+                assert minimum(w) == expected == brute_min_weight_pms(g, w)
+                ties += len(expected.matchings) > 1
+                pm_free += expected.weight is None
+        assert ties > 100 and pm_free > 100
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_seeded_graphs(self, n):
+        rng = random.Random(83 + n)
+        for _ in range(40):
+            g = random_graph(rng, n)
+            minimum = min_weight_pms_map(g)
+            for hi in (1, 3, 50):
+                w = WeightAssignment.from_grid(
+                    [[rng.randint(0, hi) for _ in range(n)] for _ in range(n)]
+                )
+                assert minimum(w) == reference_min_weight_pms(g, w)
 
 
 class TestCheckSurjection:
