@@ -335,7 +335,7 @@ def _dual_steps(w: Sequence[Sequence[int]]):
             i = parent[j]
             mate_of_right[j] = i
             mate_of_left[i], j = j, mate_of_left[i]
-    return Matching.from_pairs(enumerate(mate_of_left))
+    return Matching.from_columns(mate_of_left)
 
 
 def hungarian_max_weight(w: Sequence[Sequence[int]]) -> tuple[Matching, WeightCover]:

@@ -150,7 +150,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=SUITE_NAMES + ("all",))
     p.add_argument("--trials", type=_positive, default=1000,
                    help="trials for the success-rate checks")
-    p.add_argument("--max-n", type=_positive, default=6)
+    p.add_argument("--max-n", type=_positive, default=6,
+                   help="cap on n in the det agreement and permutation checks, "
+                        "the classical Hungarian and mwpm checks and the sz "
+                        "complete-graph cases; the other checks ignore it")
     p.add_argument("--max-s", type=_positive, default=4)
     p.add_argument("--max-k", type=_positive, default=8)
     p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET,

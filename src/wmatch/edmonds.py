@@ -67,7 +67,7 @@ class ExtractionTrace:
 
     @property
     def matching(self) -> Matching:
-        return Matching.from_pairs(enumerate(self.sigma))
+        return Matching.from_columns(self.sigma)
 
 
 Rule = Callable[[int, list[tuple[int, int]]], int]
@@ -239,4 +239,4 @@ def lovasz_sample(g: BipartiteGraph, seed: int) -> IntMatrix:
     :func:`~wmatch.graphs.random_weights` with k = 2n, so the draws are
     deterministic in (g, seed).
     """
-    return IntMatrix(random_weights(g, 2 * g.n, seed).grid)
+    return IntMatrix._from_checked(random_weights(g, 2 * g.n, seed).grid)

@@ -157,6 +157,19 @@ class Matching:
         return cls(tuple(sorted((index(i), index(j)) for i, j in pairs)))
 
     @classmethod
+    def from_columns(cls, cols: Sequence[int]) -> "Matching":
+        """The matching {(0, cols[0]), ..., (n - 1, cols[n - 1])}, n =
+        len(cols), for int columns.  Its lefts are 0 ... n - 1 in order
+        by construction, so only the columns are checked: a repeated one
+        raises ValueError, as :meth:`from_pairs` does."""
+        if len(set(cols)) != len(cols):
+            raise ValueError("matching is not injective")
+        m = object.__new__(cls)
+        object.__setattr__(m, "pairs", tuple(enumerate(cols)))
+        object.__setattr__(m, "_right_of", dict(m.pairs))
+        return m
+
+    @classmethod
     def from_dict(cls, mapping: Mapping[int, int]) -> "Matching":
         return cls.from_pairs(mapping.items())
 
@@ -277,11 +290,17 @@ def edmonds_eval(g: BipartiteGraph, values: GridLike) -> IntMatrix:
 
     Entry (i, j) of the result is values[i][j] when (i, j) is an edge
     and 0 otherwise, so non-edge positions never influence anything
-    computed from the result.
+    computed from the result.  An :class:`IntMatrix` of g's n is read
+    as it is; any other grid goes through ``_as_rows``, which raises
+    ValueError unless it is n x n.
     """
-    rows = _as_rows(values, g.n)
+    n = g.n
+    if isinstance(values, IntMatrix) and values.n == n:
+        rows = values.rows
+    else:
+        rows = _as_rows(values, n)
     # x * True is x and x * False is 0.
-    return IntMatrix(
+    return IntMatrix._from_checked(
         tuple(tuple(map(mul, row, edges)) for row, edges in zip(rows, g.edges))
     )
 

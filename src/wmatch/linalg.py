@@ -151,6 +151,14 @@ class IntMatrix:
         return cls(tuple(tuple(map(index, row)) for row in rows))
 
     @classmethod
+    def _from_checked(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        """The matrix of rows that their caller built square (n x n,
+        n >= 1) from checked data, built without checking them again."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 

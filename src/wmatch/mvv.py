@@ -66,7 +66,7 @@ def build_power_matrix(g: BipartiteGraph, w: WeightAssignment) -> IntMatrix:
         raise ValueError(
             f"2^w would hold {bits} bits, above the cap of {POWER_MATRIX_MAX_BITS}"
         )
-    return IntMatrix(
+    return IntMatrix._from_checked(
         tuple(
             tuple(1 << x if e else 0 for e, x in zip(er, wr))
             for er, wr in zip(g.edges, w.grid)

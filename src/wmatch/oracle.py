@@ -59,7 +59,7 @@ def _perfect_matching_columns(g: BipartiteGraph) -> list[tuple[int, ...]]:
 def enumerate_perfect_matchings(g: BipartiteGraph) -> list[Matching]:
     """All perfect matchings of g, in lexicographic order of the column
     sequence (row 0's partner varies slowest)."""
-    return [Matching.from_pairs(enumerate(cols)) for cols in _perfect_matching_columns(g)]
+    return [Matching.from_columns(cols) for cols in _perfect_matching_columns(g)]
 
 
 def brute_max_weight_matching(w) -> int:
@@ -122,7 +122,7 @@ def min_weight_pms_map(g: BipartiteGraph) -> Callable[[WeightAssignment], BruteM
     summed along it with one ``map`` per matching, with no per-pair
     lookup through the assignment."""
     columns = _perfect_matching_columns(g)
-    pms = [Matching.from_pairs(enumerate(cols)) for cols in columns]
+    pms = [Matching.from_columns(cols) for cols in columns]
 
     def minimum(w: WeightAssignment) -> BruteMinResult:
         if not pms:

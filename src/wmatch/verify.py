@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 
 from .classical import (
     hall_violator,
@@ -186,7 +186,13 @@ def check_matching_determinant_equivalence(seed: int = DEFAULT_SEED) -> CheckRes
     graphs with n in {4, 5}."""
     failures = []
     graphs = _graph_corpus(SplitMix64(derive_seed(seed, 101)), 500, (4, 5))
-    perm_matrices = {n: list(_permutation_matrices(n)) for n in {g.n for g in graphs}}
+    perms = {n: list(zip(permutations(range(n)), _permutation_matrices(n)))
+             for n in {g.n for g in graphs}}
+    # The evaluation of a graph with no perfect matching at sigma's
+    # permutation matrix is that matrix on the rows i where (i, sigma(i))
+    # is an edge, named by sigma(i) on those rows and -1 on the others;
+    # each name's determinant is computed once.
+    dets: dict[tuple[int, ...], int] = {}
     with_pm = without_pm = 0
     for idx, g in enumerate(graphs):
         n = g.n
@@ -213,8 +219,7 @@ def check_matching_determinant_equivalence(seed: int = DEFAULT_SEED) -> CheckRes
         else:
             without_pm += 1
             if any(
-                det_bareiss(edmonds_eval(g, p)) != 0
-                for p in perm_matrices[n]
+                _perm_eval_det(dets, g, perm, p) != 0 for perm, p in perms[n]
             ):
                 failures.append({"graph": idx, "reason": "no PM but nonzero perm det"})
             if any(
@@ -231,6 +236,17 @@ def check_matching_determinant_equivalence(seed: int = DEFAULT_SEED) -> CheckRes
             "failures": failures[:5],
         },
     )
+
+
+def _perm_eval_det(dets: dict, g: BipartiteGraph, perm: tuple[int, ...],
+                   p: IntMatrix) -> int:
+    """det of g's evaluation at the permutation matrix p of perm, read
+    from ``dets`` under the evaluation's name, or computed and kept."""
+    name = tuple(j if m >> j & 1 else -1 for j, m in zip(perm, g.row_masks))
+    det = dets.get(name)
+    if det is None:
+        det = dets[name] = det_bareiss(edmonds_eval(g, p))
+    return det
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +306,20 @@ def check_mwpm_against_brute(seed: int = DEFAULT_SEED, max_n: int = 5) -> CheckR
     )
 
 
+def _hall_holds(masks: tuple[int, ...]) -> bool:
+    """Hall's condition |S| <= |N(S)| for every left subset S of the
+    graph with these row masks.  The subsets S are bit masks in
+    increasing order, so S without its lowest vertex comes before S and
+    N(S) is one OR; the first violator stops the walk."""
+    reach = [0] * (1 << len(masks))
+    for s in range(1, len(reach)):
+        low = s & -s
+        reach[s] = r = reach[s ^ low] | masks[low.bit_length() - 1]
+        if s.bit_count() > r.bit_count():
+            return False
+    return True
+
+
 def check_berge_hall(seed: int = DEFAULT_SEED) -> CheckResult:
     """Maximum matching size vs brute force; Hall violators on every
     perfect-matching-free instance; Hall's condition equivalent to
@@ -299,8 +329,12 @@ def check_berge_hall(seed: int = DEFAULT_SEED) -> CheckResult:
     stream = SplitMix64(derive_seed(seed, 401))
     graphs = _graph_corpus(stream, 500, (4, 5, 6))
     pm_free = 0
+    # Maximum matching size by row masks; the Hall corpus starts with the
+    # same 3x3 graphs, so it computes only the sizes of graphs not seen.
+    sizes: dict[tuple[int, ...], int] = {}
     for idx, g in enumerate(graphs):
         m = maximum_matching(g)
+        sizes[g.row_masks] = m.size
         if m.size != brute_max_matching_size(g):
             failures.append({"graph": idx, "reason": "maximum matching size wrong"})
             continue
@@ -312,14 +346,11 @@ def check_berge_hall(seed: int = DEFAULT_SEED) -> CheckResult:
     # Hall equivalence, exhaustive subsets.
     hall_graphs = _graph_corpus(stream, 200, (4,))
     for idx, g in enumerate(hall_graphs):
-        n = g.n
-        has_pm = maximum_matching(g).size == n
-        hall_holds = all(
-            len(subset) <= len(neighborhood(g, subset))
-            for size in range(n + 1)
-            for subset in combinations(range(n), size)
-        )
-        if has_pm != hall_holds:
+        masks = g.row_masks
+        size = sizes.get(masks)
+        if size is None:
+            size = maximum_matching(g).size
+        if (size == g.n) != _hall_holds(masks):
             failures.append({"graph": idx, "reason": "Hall equivalence broken"})
     return CheckResult(
         "Berge maximum matching, Hall violators and equivalence",

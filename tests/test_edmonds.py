@@ -178,6 +178,12 @@ class TestLovasz:
         g = BipartiteGraph.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
         assert lovasz_sample(g, 9).rows == random_weights(g, 6, 9).grid
 
+    def test_sample_equals_from_rows(self):
+        g = BipartiteGraph.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+        b = lovasz_sample(g, 9)
+        expected = IntMatrix.from_rows(random_weights(g, 6, 9).grid)
+        assert b == expected and hash(b) == hash(expected)
+
     def test_yes_answers_certified(self):
         rng = random.Random(77)
         for case in range(100):

@@ -334,3 +334,18 @@ def test_verify_all(capsys):
 def test_verify_all_text_and_other_seed(capsys, fmt, seed):
     argv = ["verify", "all", "--format", fmt, "--seed", str(seed)]
     assert digest(capsys, argv) == VERIFY_ALL_MORE[fmt, seed]
+
+
+# Recorded before Berge-Hall and the matching-determinant check kept
+# each matching size and each evaluation's determinant once.  The first
+# is the benchmark's verify warm-up; neither check reads --max-n.
+VERIFY_REDUCED = {
+    ("classical", "2"): "9ec1427cd21fda82120f6bc60da7e7589aecdacd8dfc433b02ea26c08e79b16c",
+    ("det", "3"): "7a4fa7ae98db8a6767e436f432a4b3529ef7905b190fa6ecd8d48168d4a222ef",
+}
+
+
+@pytest.mark.parametrize("suite, max_n", list(VERIFY_REDUCED))
+def test_verify_reduced_bounds(capsys, suite, max_n):
+    argv = ["verify", suite, "--max-n", max_n, "--format", "json"]
+    assert digest(capsys, argv) == VERIFY_REDUCED[suite, max_n]

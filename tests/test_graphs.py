@@ -277,6 +277,18 @@ class TestMatching:
         same = Matching.from_pairs([(1, 0), (0, 2)])
         assert m == same and hash(m) == hash(same) and repr(m) == repr(same)
 
+    def test_from_columns(self):
+        m = Matching.from_columns([2, 0, 1])
+        same = Matching.from_pairs([(2, 1), (0, 2), (1, 0)])
+        assert m.pairs == same.pairs == ((0, 2), (1, 0), (2, 1))
+        assert m == same and hash(m) == hash(same) and repr(m) == repr(same)
+        assert [m.get(i) for i in range(4)] == [2, 0, 1, None]
+        assert Matching.from_columns(()) == Matching.empty()
+
+    def test_from_columns_refuses_a_repeated_column(self):
+        with pytest.raises(ValueError, match="^matching is not injective$"):
+            Matching.from_columns([1, 0, 1])
+
     def test_permutation_matrix(self):
         m = Matching.from_pairs([(0, 1), (1, 0)])
         assert m.permutation_matrix(2).rows == ((0, 1), (1, 0))
@@ -309,6 +321,22 @@ class TestEdmondsEval:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             edmonds_eval(BipartiteGraph.complete(2), [[1, 2, 3]])
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_int_matrix_of_another_size(self, n):
+        with pytest.raises(ValueError, match="^value grid must be 2x2$"):
+            edmonds_eval(BipartiteGraph.complete(2), IntMatrix.identity(n))
+
+    def test_result_equals_from_rows(self):
+        g = BipartiteGraph.from_rows([[1, 0, 1], [0, 1, 1], [1, 1, 0]])
+        grid = [[5, -2, 7], [1, 0, 3], [-4, 8, 6]]
+        expected = IntMatrix.from_rows(
+            [[x if e else 0 for x, e in zip(row, edges)] for row, edges in zip(grid, g.edges)]
+        )
+        for values in (grid, IntMatrix.from_rows(grid)):
+            b = edmonds_eval(g, values)
+            assert b == expected and hash(b) == hash(expected)
+            assert all(type(x) is int for row in b.rows for x in row)
 
     @pytest.mark.parametrize("entry", NON_INTEGERS)
     def test_non_integer_grid_rejected(self, entry):

@@ -62,6 +62,12 @@ class TestIntMatrix:
         assert m.rows == ((1, 2), (0, -3))
         assert all(type(x) is int for row in m.rows for x in row)
 
+    def test_from_checked_equals_from_rows(self):
+        rows = ((1, 2), (0, -3))
+        m = IntMatrix._from_checked(rows)
+        assert m == IntMatrix.from_rows(rows) and hash(m) == hash(IntMatrix.from_rows(rows))
+        assert m.rows is rows and m.n == 2
+
 
 class TestMinor:
     def test_identity_2x2(self):

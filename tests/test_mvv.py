@@ -16,7 +16,7 @@ from wmatch.graphs import (
 )
 from wmatch.isolation import is_nonisolating
 from wmatch import linalg
-from wmatch.linalg import det_bareiss, det_berkowitz, minor, power_det_valuation, trailing_zeros
+from wmatch.linalg import IntMatrix, det_bareiss, det_berkowitz, minor, power_det_valuation, trailing_zeros
 from wmatch.mvv import (
     MvvTrial,
     build_power_matrix,
@@ -169,6 +169,15 @@ class TestPowerMatrix:
     def test_k22_grid(self):
         b = build_power_matrix(K22, WeightAssignment.from_grid([[1, 2], [3, 4]]))
         assert b.rows == ((2, 4), (8, 16))
+
+    def test_equals_from_rows(self):
+        g = BipartiteGraph.from_rows([[1, 0, 1], [1, 1, 0], [0, 1, 1]])
+        grid = [[3, 7, 0], [1, 4, 9], [5, 2, 6]]
+        b = build_power_matrix(g, WeightAssignment.from_grid(grid))
+        expected = IntMatrix.from_rows(
+            [[1 << x if e else 0 for x, e in zip(row, edges)] for row, edges in zip(grid, g.edges)]
+        )
+        assert b == expected and hash(b) == hash(expected)
 
     def test_huge_weight_rejected_at_once(self):
         # 2^(2^40) alone would take 128 GiB.

@@ -1,11 +1,16 @@
-"""The coverage checks fail when their witness does not cover.
+"""The checks fail when the code they check is wrong.
 
-Each witness is replaced by a map that returns one constant element of
-its error set, so every case with more than one error leaves some of
-it uncovered.  No correct run of the package reaches these failures.
+Each coverage witness is replaced by a map that returns one constant
+element of its error set, so every case with more than one error leaves
+some of it uncovered; other checks get one wrong value patched in.  No
+correct run of the package reaches these failures.
 """
 
+from itertools import combinations
+
 from wmatch import verify
+from wmatch.classical import neighborhood
+from wmatch.graphs import BipartiteGraph, Matching
 
 
 def zero_grid(n):
@@ -112,3 +117,62 @@ def test_zero_determinant_sample_is_skipped(monkeypatch):
     # evaluation (det = ±1) it is a failure, on a random sample a skip.
     reasons = extraction_failures(monkeypatch, verify.ZeroDeterminantError)
     assert reasons == ["extraction invalid"] * 5
+
+
+# The Berge-Hall and matching-determinant checks compute each distinct
+# state once; a wrong value must still fail every graph that reads it.
+
+
+def test_memoized_perm_det_failure_is_reported(monkeypatch):
+    # One evaluation of PM-free graphs gets det 1.  It is computed on the
+    # first graph that holds it and read from the memo after that, so
+    # every holder fails, as when each evaluation is recomputed.
+    target = ((0, 1, 0), (1, 0, 0), (0, 0, 0))
+    det = verify.det_bareiss
+    monkeypatch.setattr(verify, "det_bareiss", lambda m: 1 if m.rows == target else det(m))
+    result = verify.check_matching_determinant_equivalence()
+    holders = [
+        idx for idx, g in enumerate(verify._all_graphs(3))
+        if not g.has_perfect_matching()
+        and any(verify.edmonds_eval(g, p).rows == target for p in verify._permutation_matrices(3))
+    ]
+    assert result.passed is False
+    assert result.details["failures"] == [
+        {"graph": idx, "reason": "no PM but nonzero perm det"} for idx in holders[:5]
+    ]
+
+
+def test_memoized_matching_size_failure_is_reported(monkeypatch):
+    # The diagonal 3x3 graph gets a maximum matching one edge short.  The
+    # Berge loop reports it, and the Hall loop, which reads the size the
+    # Berge loop recorded, reports the broken equivalence.
+    diagonal = BipartiteGraph.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    idx = list(verify._all_graphs(3)).index(diagonal)
+    real = verify.maximum_matching
+
+    def one_short(g):
+        m = real(g)
+        return Matching(m.pairs[:-1]) if g == diagonal else m
+
+    monkeypatch.setattr(verify, "maximum_matching", one_short)
+    result = verify.check_berge_hall()
+    assert result.passed is False
+    assert result.details["failures"] == [
+        {"graph": idx, "reason": "maximum matching size wrong"},
+        {"graph": idx, "reason": "Hall equivalence broken"},
+    ]
+
+
+def test_hall_holds_matches_subset_enumeration():
+    # The diagonal graph has |S| = |N(S)| for every S, so a test that
+    # took equality for a violation would fail it.
+    assert verify._hall_holds((1, 2, 4)) is True
+    assert verify._hall_holds((3, 3, 3)) is False
+    for g in verify._all_graphs(3):
+        expected = all(
+            len(s) <= len(neighborhood(g, s))
+            for size in range(4)
+            for s in combinations(range(3), size)
+        )
+        assert verify._hall_holds(g.row_masks) is expected
+    assert verify.check_berge_hall().passed
