@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from math import inf
-from operator import mul, neg, sub
+from operator import getitem, mul, neg, sub
 from typing import NamedTuple, Optional, Sequence
 
-from .graphs import BipartiteGraph, Matching, WeightAssignment, is_perfect_matching
+from .graphs import BipartiteGraph, Matching, WeightAssignment
 
 
 class PerfectMatchingExistsError(ValueError):
@@ -267,14 +267,19 @@ def is_cover(w: Sequence[Sequence[int]], cover: WeightCover) -> bool:
     return all(max(map(sub, row, cover.v)) <= ui for row, ui in zip(w, cover.u))
 
 
-def _dual_steps(w: Sequence[Sequence[int]]):
-    """Generator driving the primal-dual Hungarian method.
+def _dual_steps(
+    w: Sequence[Sequence[int]],
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """The primal-dual Hungarian method on the n x n grid w, n = len(w).
 
-    Yields the starting cover and the cover after every dual step; its
-    return value (carried by StopIteration) is the perfect matching
-    that the last cover certifies.  Every yield is the same live cover
-    over the working lists u and v, which the next step changes in
-    place: read it (or copy it) before advancing the generator.
+    The grid must be square with n >= 1 and no negative entry; that is
+    not checked here (see :func:`hungarian_max_weight`).  Returns
+    ``(cols, u, v, deltas)``: the maximum-weight perfect matching as
+    the column of each left vertex, the minimum-cost cover (u, v) that
+    certifies it, and the size of every dual step in order.  The
+    starting cover u[i] = max of row i, v = 0 costs sum(map(max, w));
+    each step lowers the cost by its delta >= 1, so the final cost is
+    that minus sum(deltas), and len(deltas) bounds the work.
 
     Invariants: the cover is feasible (w[i][j] <= u[i] + v[j]) and every
     matched pair is tight.  Each root grows one alternating tree of tight
@@ -289,17 +294,15 @@ def _dual_steps(w: Sequence[Sequence[int]]):
     joining S (the root first) makes one pass over free, lowering key[k]
     to a strictly smaller u[i] + v[k] - w[i][k] + shift and finding the
     first least key: the steps, ties and flips of an argmin, slack sweep
-    and slack update over all n columns, so the yields and matching are
-    theirs, at O(n) per step, O(n^2) per root and O(n^3) in all, with
-    n = len(w).
+    and slack update over all n columns, so the covers and matching are
+    theirs, at O(n) per step, O(n^2) per root and O(n^3) in all.
     """
     n = len(w)
     u = list(map(max, w))
     v = [0] * n
     mate_of_left = [-1] * n
     mate_of_right = [-1] * n
-    cover = WeightCover(u, v)
-    yield cover
+    deltas = []
     for root in range(n):
         free = list(range(n))
         lefts, rights = [root], []
@@ -323,7 +326,7 @@ def _dual_steps(w: Sequence[Sequence[int]]):
                 for k in rights:
                     v[k] += delta
                 shift += delta
-                yield cover
+                deltas.append(delta)
             free.remove(j)
             rights.append(j)
             i = mate_of_right[j]
@@ -335,17 +338,18 @@ def _dual_steps(w: Sequence[Sequence[int]]):
             i = parent[j]
             mate_of_right[j] = i
             mate_of_left[i], j = j, mate_of_left[i]
-    return Matching.from_columns(mate_of_left)
+    return mate_of_left, u, v, deltas
 
 
 def hungarian_max_weight(w: Sequence[Sequence[int]]) -> tuple[Matching, WeightCover]:
     """Maximum-weight matching of the complete n x n instance w,
     n = len(w), plus a minimum-cost weight cover certifying it.
 
-    Primal-dual Kuhn-Munkres in O(n^3) arithmetic operations, starting
-    from the cover u[i] = max of row i, v = 0.  The cover stays
-    feasible throughout and every dual step lowers its cost by exactly
-    its step size (see _dual_steps).  The returned matching is perfect
+    Checks that w is square with n >= 1 and no negative entry, then
+    runs :func:`_dual_steps` once: primal-dual Kuhn-Munkres in O(n^3)
+    arithmetic operations from the cover u[i] = max of row i, v = 0.
+    The cover stays feasible throughout and every dual step lowers its
+    cost by exactly its step size.  The returned matching is perfect
     and uses only tight positions (w[i][j] = u[i] + v[j]), so its
     weight equals the cover cost, which proves both optimal.
     """
@@ -356,32 +360,30 @@ def hungarian_max_weight(w: Sequence[Sequence[int]]) -> tuple[Matching, WeightCo
         raise ValueError(f"weight grid must be {n}x{n}")
     if min(map(min, w)) < 0:
         raise ValueError("negative weights are not accepted")
-    steps = _dual_steps(w)
-    u, v = next(steps)  # the live cover, final once the steps stop
-    while True:
-        try:
-            next(steps)
-        except StopIteration as done:
-            return done.value, WeightCover(tuple(u), tuple(v))
+    cols, u, v, _ = _dual_steps(w)
+    return Matching.from_columns(cols), WeightCover(tuple(u), tuple(v))
 
 
 def _mwpm_with_dual(
     g: BipartiteGraph, w: WeightAssignment
-) -> tuple[Matching, tuple[tuple[int, ...], tuple[int, ...]]]:
-    """mwpm's matching together with potentials (a, b) such that
-    a[i] + b[j] <= w(i, j) on every edge of g, with equality on the
-    matched pairs.
+) -> tuple[Optional[list[int]], tuple[tuple[int, ...], tuple[int, ...]]]:
+    """A minimum-weight perfect matching of g under w, as the column of
+    each left vertex (None when g has no perfect matching), together
+    with potentials (a, b) such that a[i] + b[j] <= w(i, j) on every
+    edge of g, with equality on the matched pairs.
 
-    When the matching is non-empty the potentials are an optimal dual,
-    so by complementary slackness the minimum-weight perfect matchings
-    of g are exactly the perfect matchings of its tight edges, those
-    with a[i] + b[j] = w(i, j).
+    When there is a matching the potentials are an optimal dual, so by
+    complementary slackness the minimum-weight perfect matchings of g
+    are exactly the perfect matchings of its tight edges, those with
+    a[i] + b[j] = w(i, j).
 
     Reduces to maximum-weight matching on the complete instance with
     transformed weights c - w on edges and 0 elsewhere, where
     c = n * max edge weight + 1.  Any perfect matching of g then beats
     every matching that uses a non-edge, so a non-edge in the result
-    proves there is no perfect matching.  The cover (u, v) of the
+    proves there is no perfect matching.  The transformed grid is
+    square, n >= 1 and nonnegative by construction, so it goes to
+    :func:`_dual_steps` unchecked, once.  The cover (u, v) of the
     transformed instance maps back to a = c - u, b = -v.
     """
     n = g.n
@@ -392,14 +394,14 @@ def _mwpm_with_dual(
     c = n * max_w + 1
     # (c - x) * True is c - x and (c - x) * False is 0.
     transformed = [list(map(mul, map(c.__sub__, row), edges)) for row, edges in rows]
-    m, cover = hungarian_max_weight(transformed)
-    dual = (tuple(map(c.__sub__, cover.u)), tuple(map(neg, cover.v)))
-    if not is_perfect_matching(g, m):
-        return Matching.empty(), dual
-    return m, dual
+    cols, u, v, _ = _dual_steps(transformed)
+    dual = (tuple(map(c.__sub__, u)), tuple(map(neg, v)))
+    return (cols if all(map(getitem, g.edges, cols)) else None), dual
 
 
 def mwpm(g: BipartiteGraph, w: WeightAssignment) -> Matching:
     """Minimum-weight perfect matching of g, or the empty matching if g
-    has no perfect matching (see _mwpm_with_dual for the reduction)."""
-    return _mwpm_with_dual(g, w)[0]
+    has no perfect matching: one :func:`_mwpm_with_dual` solve (see it
+    for the reduction), its columns made a :class:`Matching`."""
+    cols = _mwpm_with_dual(g, w)[0]
+    return Matching.empty() if cols is None else Matching.from_columns(cols)

@@ -9,22 +9,26 @@ witnesses, the map's surjectivity is the executable content of that
 bound and is checked exhaustively at small sizes.
 
 The non-isolating predicate itself takes one exact minimum-weight
-perfect matching solve, M with an optimal dual (a, b).  By
+perfect matching solve, :func:`~wmatch.classical._mwpm_with_dual`: the
+column M(i) of each left vertex i and an optimal dual (a, b).  By
 complementary slackness the minimum-weight perfect matchings are
 exactly the perfect matchings of the tight edges (a[i] + b[j] = w(i, j)),
 and M is one of them.  Any other one differs from M on disjoint
 M-alternating cycles, so the minimum ties iff the tight edges carry an
 M-alternating cycle: a directed cycle in the graph on left vertices
 with an arc i -> M^-1(j) for every tight non-matching edge (i, j).
+The witness reads the same solve's columns to weigh a matching, with
+no :class:`~wmatch.graphs.Matching` built.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from operator import getitem
 from typing import Callable, Iterator, Sequence
 
-from .classical import _mwpm_with_dual, mwpm
-from .graphs import BipartiteGraph, WeightAssignment, matching_weight
+from .classical import _mwpm_with_dual
+from .graphs import BipartiteGraph, WeightAssignment
 from .oracle import DEFAULT_BUDGET, BudgetExceededError
 
 
@@ -49,19 +53,16 @@ def is_nonisolating(g: BipartiteGraph, w: WeightAssignment, k: int) -> bool:
     repeatedly deleting its vertices with no incoming arc leaves some.
     """
     _check_edge_weights(g, w, k)
-    m, (a, b) = _mwpm_with_dual(g, w)
-    if m.is_empty:
+    cols, (a, b) = _mwpm_with_dual(g, w)
+    if cols is None:
         return False
     n = g.n
-    mate = m.as_dict()
-    mate_of_right = {j: i for i, j in m.pairs}
+    mate_of_right = [0] * n
+    for i, j in enumerate(cols):
+        mate_of_right[j] = i
     arcs = [
-        [
-            mate_of_right[j]
-            for j in g.neighbors(i)
-            if j != mate[i] and w.value(i, j) == a[i] + b[j]
-        ]
-        for i in range(n)
+        [mate_of_right[j] for j in g.neighbors(i) if j != cj and row[j] - b[j] == ai]
+        for i, (row, ai, cj) in enumerate(zip(w.grid, a, cols))
     ]
     indegree = [0] * n
     for targets in arcs:
@@ -133,12 +134,13 @@ def nonisolating_witness_map(
         values = list(w_rest[:i]) + [0] + list(w_rest[i:])  # 0 fills e_i's slot
         w_partial = WeightAssignment.from_edge_values(g, values)
 
-        m_prime = mwpm(without[i], w_partial)
-        if m_prime.is_empty:
+        cols_prime = _mwpm_with_dual(without[i], w_partial)[0]
+        if cols_prime is None:
             return dummy
-        # g has a perfect matching (m_prime), so m_g is not empty.
-        m_g = mwpm(g, w_partial)
-        spliced = matching_weight(m_prime, w_partial) - matching_weight(m_g, w_partial)
+        # g has a perfect matching (M'), so cols is not None.
+        cols = _mwpm_with_dual(g, w_partial)[0]
+        grid = w_partial.grid
+        spliced = sum(map(getitem, grid, cols_prime)) - sum(map(getitem, grid, cols))
         if not 1 <= spliced <= k:
             return dummy
         values[i] = spliced

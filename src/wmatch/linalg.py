@@ -966,37 +966,31 @@ def power_det_valuation(
 def det_cofactor(m: IntMatrix) -> int:
     """Exact determinant by cofactor expansion along the last row.
 
-    Oracle only, refuses n > 12.  Every minor met in the recursion
-    keeps the leading rows of m, as many as it has columns, so its
-    column set alone names it: each minor's determinant is computed
-    once and looked up afterwards: O(2^n * n) products rather than the
-    n! of plain recursion.  The cache lives for one call only.
+    Oracle only, refuses n > 12.  Every minor the expansion meets keeps
+    the leading rows of m, as many as it has columns, so its column set
+    alone names it.  The minors are computed bottom up over column bit
+    masks in increasing order, each once: ``dets[mask]`` expands row
+    popcount(mask) - 1 over the columns in ``mask``, each term reading
+    the smaller ``dets[mask ^ bit]``.  That is O(2^n * n) products
+    rather than the n! of plain recursion.
     """
-    if m.n > COFACTOR_MAX_N:
-        raise ValueError(f"det_cofactor limited to n <= {COFACTOR_MAX_N}, got n={m.n}")
+    n = m.n
+    if n > COFACTOR_MAX_N:
+        raise ValueError(f"det_cofactor limited to n <= {COFACTOR_MAX_N}, got n={n}")
     rows = m.rows
-    dets: dict[tuple[int, ...], int] = {}
-
-    def expand(cols: tuple[int, ...]) -> int:
-        # det of rows[:len(cols)] restricted to cols, along its last row
-        i = len(cols) - 1
-        if i == 0:
-            return rows[0][cols[0]]
-        known = dets.get(cols)
-        if known is not None:
-            return known
-        row = rows[i]
-        total = 0
-        for j, c in enumerate(cols):
-            entry = row[c]
-            if entry == 0:
-                continue
-            term = entry * expand(cols[:j] + cols[j + 1:])
-            total += -term if (i + j) % 2 else term
-        dets[cols] = total
-        return total
-
-    return expand(tuple(range(m.n)))
+    dets = [1] * (1 << n)  # dets[0]: the empty minor
+    for mask in range(1, 1 << n):
+        row = rows[mask.bit_count() - 1]
+        total, sign, rest = 0, 1, mask
+        # Columns from the highest down: the last one's cofactor sign is +.
+        while rest:
+            bit = 1 << (rest.bit_length() - 1)
+            entry = row[bit.bit_length() - 1]
+            if entry:
+                total += sign * entry * dets[mask ^ bit]
+            sign, rest = -sign, rest ^ bit
+        dets[mask] = total
+    return dets[-1]
 
 
 def _lagrange_table(n: int) -> itemgetter:

@@ -114,11 +114,10 @@ def _all_graphs(n: int):
         )
 
 
-def _graph_corpus(stream: SplitMix64, count: int, sizes: tuple[int, ...]) -> list[BipartiteGraph]:
-    """Every 3x3 graph, then ``count`` random graphs drawn from
-    ``stream``, the t-th with n = sizes[t % len(sizes)]."""
-    randoms = (_random_graph(stream, sizes[t % len(sizes)]) for t in range(count))
-    return [*_all_graphs(3), *randoms]
+def _random_graphs(stream: SplitMix64, count: int, sizes: tuple[int, ...]) -> list[BipartiteGraph]:
+    """``count`` random graphs drawn from ``stream``, the t-th with
+    n = sizes[t % len(sizes)]."""
+    return [_random_graph(stream, sizes[t % len(sizes)]) for t in range(count)]
 
 
 def _permutation_matrices(n: int):
@@ -185,7 +184,8 @@ def check_matching_determinant_equivalence(seed: int = DEFAULT_SEED) -> CheckRes
     perfect matching via extraction.  Every 3x3 graph, and 500 random
     graphs with n in {4, 5}."""
     failures = []
-    graphs = _graph_corpus(SplitMix64(derive_seed(seed, 101)), 500, (4, 5))
+    stream = SplitMix64(derive_seed(seed, 101))
+    graphs = [*_all_graphs(3), *_random_graphs(stream, 500, (4, 5))]
     perms = {n: list(zip(permutations(range(n)), _permutation_matrices(n)))
              for n in {g.n for g in graphs}}
     # The evaluation of a graph with no perfect matching at sigma's
@@ -327,10 +327,13 @@ def check_berge_hall(seed: int = DEFAULT_SEED) -> CheckResult:
     500 random graphs with n in {4, 5, 6}."""
     failures = []
     stream = SplitMix64(derive_seed(seed, 401))
-    graphs = _graph_corpus(stream, 500, (4, 5, 6))
+    # Both corpora start with every 3x3 graph, built once: the Hall loop
+    # reads the same graphs and their cached row masks.
+    small = list(_all_graphs(3))
+    graphs = small + _random_graphs(stream, 500, (4, 5, 6))
     pm_free = 0
-    # Maximum matching size by row masks; the Hall corpus starts with the
-    # same 3x3 graphs, so it computes only the sizes of graphs not seen.
+    # Maximum matching size by row masks; the Hall corpus computes only
+    # the sizes of graphs not seen.
     sizes: dict[tuple[int, ...], int] = {}
     for idx, g in enumerate(graphs):
         m = maximum_matching(g)
@@ -344,7 +347,7 @@ def check_berge_hall(seed: int = DEFAULT_SEED) -> CheckResult:
             if len(s) <= len(neighborhood(g, s)):
                 failures.append({"graph": idx, "reason": "violator fails |S| > |N(S)|"})
     # Hall equivalence, exhaustive subsets.
-    hall_graphs = _graph_corpus(stream, 200, (4,))
+    hall_graphs = small + _random_graphs(stream, 200, (4,))
     for idx, g in enumerate(hall_graphs):
         masks = g.row_masks
         size = sizes.get(masks)

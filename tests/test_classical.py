@@ -500,9 +500,11 @@ class TestHungarian:
         for _ in range(50):
             n = rng.randint(2, 4)
             w = [[rng.randint(0, 8) for _ in range(n)] for _ in range(n)]
-            costs = [cover_cost(c) for c in _dual_steps(w)]
-            assert all(a > b for a, b in zip(costs, costs[1:]))
-            assert len(costs) <= costs[0] + 1
+            _, u, v, deltas = _dual_steps(w)
+            start = sum(map(max, w))  # the starting cover's cost
+            assert all(d >= 1 for d in deltas)
+            assert len(deltas) <= start
+            assert start - sum(deltas) == sum(u) + sum(v)
 
     def test_every_matching_below_any_cover(self):
         rng = random.Random(29)
@@ -601,16 +603,18 @@ def reference_dual_steps(n, w):
     return Matching.from_pairs(enumerate(mate_of_left))
 
 
-def dual_step_trace(steps):
-    """Every cover a dual-step generator yields, as (u, v) tuples, and
-    the matching it returns."""
-    covers = []
+def reference_trace(n, w):
+    """The cost drop of every dual step of :func:`reference_dual_steps`
+    in order, its final cover as (u, v) lists, and its matching."""
+    steps = reference_dual_steps(n, w)
+    costs = []
     while True:
         try:
             u, v = next(steps)
         except StopIteration as done:
-            return covers, done.value
-        covers.append((tuple(u), tuple(v)))
+            drops = [a - b for a, b in zip(costs, costs[1:])]
+            return drops, (u, v), done.value
+        costs.append(sum(u) + sum(v))
 
 
 def mwpm_grid(g, w):
@@ -621,17 +625,16 @@ def mwpm_grid(g, w):
 
 
 class TestDualStepsAgainstReference:
-    """_dual_steps yields exactly the reference's cover after every dual
-    step and returns the same matching: the running shift, the one pass
-    over the free rights and its tie-breaks (strictly smaller keys,
-    first least key by index) change none of them."""
+    """_dual_steps takes the reference's dual steps one for one (each
+    delta is the reference's cost drop at that step) and ends at exactly
+    its cover and matching: the running shift, the one pass over the
+    free rights and its tie-breaks (strictly smaller keys, first least
+    key by index) change none of them."""
 
     @staticmethod
     def assert_same(w):
-        n = len(w)
-        assert dual_step_trace(_dual_steps(w)) == dual_step_trace(
-            reference_dual_steps(n, w)
-        )
+        cols, u, v, deltas = _dual_steps(w)
+        assert (deltas, (u, v), Matching.from_columns(cols)) == reference_trace(len(w), w)
 
     @pytest.mark.parametrize("hi", [1, 10, 10**6, 10**15])
     def test_random_up_to_n12(self, hi):
@@ -784,3 +787,28 @@ class TestMwpm:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             mwpm(BipartiteGraph.complete(2), WeightAssignment.from_grid([[1]]))
+
+
+class TestMwpmDual:
+    """The dual that the isolation predicate's complementary slackness
+    argument rests on, checked with the test's own arithmetic at the
+    sizes and weights the CLI takes."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 16, 32])
+    def test_feasible_tight_and_optimal(self, n):
+        rng = random.Random(67 + n)
+        for exponent in (1, 6, 15):
+            for violator in (False, True) if n >= 3 else (False,):
+                g = planted_graph(rng, n, violator)
+                w = random_rows(rng, n, 10**exponent)
+                cols, (a, b) = _mwpm_with_dual(g, WeightAssignment.from_grid(w))
+                # a[i] + b[j] <= w(i, j) on every edge, PM or not.
+                for i, j in g.edge_list():
+                    assert a[i] + b[j] <= w[i][j]
+                if violator:
+                    assert cols is None
+                    continue
+                assert sorted(cols) == list(range(n))
+                assert all(g.edges[i][j] for i, j in enumerate(cols))
+                assert all(a[i] + b[j] == w[i][j] for i, j in enumerate(cols))
+                assert sum(a) + sum(b) == sum(w[i][j] for i, j in enumerate(cols))

@@ -72,6 +72,28 @@ class TestIsNonisolating:
             assert is_nonisolating(g, w, k) == tied
         assert min(outcomes.values()) >= 20, outcomes
 
+    @pytest.mark.parametrize("k", [2, 10**15])
+    def test_matches_oracle_at_n5_to_7(self, k):
+        # With k = 2 ties are common.  With k = 10^15 every other
+        # instance draws its weights from three values in [1, k], so the
+        # predicate meets ties between 50-bit weights too.
+        rng = random.Random(k)
+        outcomes = {"pm_free": 0, "tied": 0, "isolated": 0}
+        for t in range(90):
+            n = rng.randint(5, 7)
+            density = rng.choice((0.35, 0.5, 0.7))
+            g = BipartiteGraph.from_rows(
+                [[rng.random() < density for _ in range(n)] for _ in range(n)]
+            )
+            palette = [rng.randint(1, k) for _ in range(3)]
+            draw = (lambda: rng.choice(palette)) if t % 2 else (lambda: rng.randint(1, k))
+            w = WeightAssignment.from_grid([[draw() for _ in range(n)] for _ in range(n)])
+            truth = brute_min_weight_pms(g, w)
+            tied = len(truth.matchings) >= 2
+            outcomes["pm_free" if truth.weight is None else "tied" if tied else "isolated"] += 1
+            assert is_nonisolating(g, w, k) == tied
+        assert min(outcomes.values()) >= 5, outcomes
+
     def test_weight_out_of_range(self):
         with pytest.raises(ValueError):
             is_nonisolating(K22, WeightAssignment.from_grid([[0, 1], [1, 1]]), 2)
