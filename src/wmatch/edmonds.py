@@ -38,7 +38,6 @@ from .linalg import (  # noqa: F401  (perfbench/tests wraps det_berkowitz here)
     IntMatrix,
     cofactors,
     det_berkowitz,
-    field_bits,
     inverse_mod,
     inverse_residue,
     minor_cofactors,
@@ -153,7 +152,9 @@ def extract_diagonal_mod(b: IntMatrix) -> Optional[ExtractionTrace]:
     each deletion updates it by :func:`~wmatch.linalg.minor_inverse_mod`,
     so the chain never unpacks a row: a cofactor at (i, c) is nonzero
     mod P exactly when :func:`~wmatch.linalg.inverse_residue` reads a
-    nonzero field i off packed row c.  For the last row i of the
+    nonzero entry (c, i).  The packed inverse carries its own field
+    width, so this chain hands it from one call to the next and knows
+    nothing of its layout.  For the last row i of the
     current submatrix, the columns whose entry is nonzero are tried in
     increasing order:
 
@@ -179,7 +180,6 @@ def extract_diagonal_mod(b: IntMatrix) -> Optional[ExtractionTrace]:
     inv = inverse_mod(b)
     if inv is None:
         return None
-    bits = field_bits(b.n)
     rows = b.rows
     nonzero = None  # each row's nonzero mask, made at the first proof
 
@@ -189,8 +189,8 @@ def extract_diagonal_mod(b: IntMatrix) -> Optional[ExtractionTrace]:
         for c, j in enumerate(cols):
             if not row[j]:
                 continue
-            if inverse_residue(inv, c, i, bits):
-                inv = minor_inverse_mod(inv, c, bits)
+            if inverse_residue(inv, c, i):
+                inv = minor_inverse_mod(inv, c)
                 return c
             if nonzero is None:
                 nonzero = nonzero_masks(rows)

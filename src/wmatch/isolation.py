@@ -24,11 +24,11 @@ no :class:`~wmatch.graphs.Matching` built.
 from __future__ import annotations
 
 from itertools import product
-from operator import getitem
+from operator import getitem, index
 from typing import Callable, Iterator, Sequence
 
 from .classical import _mwpm_with_dual
-from .graphs import BipartiteGraph, WeightAssignment
+from .graphs import BipartiteGraph, WeightAssignment, edge_grid
 from .oracle import DEFAULT_BUDGET, BudgetExceededError
 
 
@@ -131,8 +131,11 @@ def nonisolating_witness_map(
         for v in w_rest:
             if not 1 <= v <= k:
                 raise ValueError(f"weight {v} out of range [1, {k}]")
-        values = list(w_rest[:i]) + [0] + list(w_rest[i:])  # 0 fills e_i's slot
-        w_partial = WeightAssignment.from_edge_values(g, values)
+        # Each value is in [1, k] and, after index(), an int (a float
+        # raises TypeError), so the grids skip WeightAssignment's checks.
+        values = list(map(index, w_rest))
+        values.insert(i, 0)  # 0 fills e_i's slot
+        w_partial = WeightAssignment._from_checked(edge_grid(g, values))
 
         cols_prime = _mwpm_with_dual(without[i], w_partial)[0]
         if cols_prime is None:
@@ -144,7 +147,7 @@ def nonisolating_witness_map(
         if not 1 <= spliced <= k:
             return dummy
         values[i] = spliced
-        return WeightAssignment.from_edge_values(g, values)
+        return WeightAssignment._from_checked(edge_grid(g, values))
 
     return witness
 

@@ -60,14 +60,18 @@ nothing: ``edmonds`` proves it zero another way or falls back to
 :func:`cofactors`, so the results are exact whatever P is.
 
 Both keep each row of the working matrix packed in one integer of
-F-bit fields, one field per column (F = :func:`field_bits`), and update
-it whole: a row step is a few big-integer operations, not one
-interpreter operation per entry (residues packed into one wide integer:
-Dumas, Fousse and Salvy, "Simultaneous modular reduction and Kronecker
-substitution for small finite fields", J. Symbolic Computation 46,
-2011).  Fields are never subtracted from, so no borrow crosses them,
-and only the row a step divides by is reduced, all its fields at once
-(:func:`_fold`); :func:`inverse_mod` proves that no field reaches 2^F.
+F-bit fields, one field per column, and update it whole: a row step is
+a few big-integer operations, not one interpreter operation per entry
+(residues packed into one wide integer: Dumas, Fousse and Salvy,
+"Simultaneous modular reduction and Kronecker substitution for small
+finite fields", J. Symbolic Computation 46, 2011).  Fields are never
+subtracted from, so no borrow crosses them, and only the row a step
+divides by is reduced, all its fields at once (:func:`_fold`);
+:func:`inverse_mod` proves that no field reaches 2^F for
+F = 62 + bitlen(n), n the size of the matrix it inverts.  It returns
+the rows with F, as ``(rows, F)``, and :func:`minor_inverse_mod` and
+:func:`inverse_residue` read F from there, so a caller hands the packed
+inverse on and never names a width.
 P is the largest prime below 2^30, so a product of two residues stays
 below 2^60 and a multiplier is one CPython digit.  CPU time for the
 inverse and the whole extraction chain on one Lovász sample of a
@@ -86,14 +90,25 @@ exceed the sum of the two largest pivot valuations (Dixon's p-adic
 precision argument, proved in its docstring).  Up to K = 128
 (:data:`PACKED_MAX_K`) each row of the factorization and of the
 inverse is one integer of fields, updated whole as in
-:func:`inverse_mod`; above it, one list entry per matrix entry.  On
-the exponents ``find`` draws for a density-1/2 graph with a planted
+:func:`inverse_mod`; above it, one list entry per matrix entry.  The
+two representations meet in one layout: either factorization returns
+``lu``, each row a list of L's strict part, the pivot and U's strict
+part in pivot order (:func:`_ldu_rows` reads U out of its packed rows
+once, at its end), and either Y phase takes ``(lu, scales, mask)``.
+So each field width is chosen and read inside the one function that
+packs with it: 2K + 1 bits in :func:`_ldu_rows`, 2V + 2 + bitlen(n + 1)
+in :func:`_y_rows`.
+
+Both representations stay because each wins where it runs.  On the
+exponents ``find`` draws for a density-1/2 graph with a planted
 perfect matching (CPU time, 2-core x86-64 VM, CPython 3.11.7), one
 factorization and inverse at a fixed K take, packed, 0.5-0.9 of the
-per-entry time at K = 64 and K = 128 for n = 6 to 100; at n = 48 they
-take 1.1 times it at K = 192 and 1.65 at K = 256, and at n = 100 1.2
-at K = 256, where the digit work of the (2K + 1)-bit fields outgrows
-the interpreter work it saves.  A call takes 0.36 ms at n = 12,
+per-entry time at K = 64 and K = 128 for n = 6 to 100, and the packed
+Y phase alone 0.3-0.45 of it at n = 12.  At the K where ``find``'s
+calls end, the packed factorization takes 1.5-3 times the per-entry
+time at n = 48 (K = 512 to 607) and 5.5-6.5 times at n = 100
+(K = 1,559 to 1,854), where the digit work of the (2K + 1)-bit fields
+outgrows the interpreter work it saves.  A call takes 0.36 ms at n = 12,
 8.6 ms at n = 32, 66 ms at n = 64 and 0.68 s at n = 100, where
 :func:`cofactors` takes seconds at n = 32.  :func:`cofactors` and
 :func:`det_bareiss` stay its exact oracles.
@@ -408,16 +423,33 @@ def minor_cofactors(
     return sign * pivot, out
 
 
-def field_bits(n: int) -> int:
-    """Width F of one field of the packed inverse of an n x n matrix:
-    62 + bitlen(n), the bound :func:`inverse_mod` proves."""
-    return 62 + n.bit_length()
+def _ones(bits: int, width: int) -> int:
+    """``width`` fields of ``bits`` bits, each holding 1: times x, x in
+    every field."""
+    return ((1 << bits * width) - 1) // ((1 << bits) - 1)
+
+
+def _pack(row: Sequence[int], bits: int, modulus: int) -> int:
+    """One integer whose field t, bits ``t * bits`` up to
+    ``(t + 1) * bits``, holds ``row[t] % modulus``, for a modulus of at
+    most 2^bits."""
+    x = 0
+    for v, s in zip(row, range(0, len(row) * bits, bits)):
+        if v:
+            x |= v % modulus << s
+    return x
+
+
+def _fields(x: int, shifts: Iterable[int], mask: int) -> list[int]:
+    """The fields of x that start at the bit offsets ``shifts``, each
+    ANDed with ``mask``."""
+    return [x >> s & mask for s in shifts]
 
 
 def _masks(bits: int, width: int) -> tuple[int, int, int]:
     """``width`` fields of ``bits`` bits holding, in every field,
     2^30 - 1, then 2^(bits - 30) - 1, then 2P."""
-    ones = ((1 << bits * width) - 1) // ((1 << bits) - 1)
+    ones = _ones(bits, width)
     return ones * ((1 << 30) - 1), ones * ((1 << (bits - 30)) - 1), ones * (2 * P)
 
 
@@ -437,13 +469,16 @@ def _fold(x: int, bound: int, lo: int, hi: int) -> int:
     return x
 
 
-def inverse_mod(m: IntMatrix) -> Optional[list[int]]:
+def inverse_mod(m: IntMatrix) -> Optional[tuple[list[int], int]]:
     """Inverse of m modulo the prime :data:`P`, packed, or None when
     det(m) is 0 mod P.
 
-    Row c of the inverse is one integer whose field i, bits ``i * F``
-    to ``(i + 1) * F - 1`` with F = ``field_bits(n)``, is congruent
-    mod P to ``inverse[c][i]``; fields are not reduced.
+    Returns ``(rows, F)``: ``rows[c]`` is row c of the inverse, one
+    integer whose field i, bits ``i * F`` to ``(i + 1) * F - 1``, is
+    congruent mod P to ``inverse[c][i]``; fields are not reduced.  The
+    field width F = 62 + bitlen(n) is the bound proved below, and it
+    travels with the rows, so :func:`inverse_residue` and
+    :func:`minor_inverse_mod` read it from there.
 
     *Elimination.*  Gauss-Jordan elimination of ``[m | I]``, every row
     one integer: the columns of m not yet eliminated in the low fields,
@@ -480,16 +515,10 @@ def inverse_mod(m: IntMatrix) -> Optional[list[int]]:
     P also gives.
     """
     n = m.n
-    bits = field_bits(n)
+    bits = 62 + n.bit_length()
     mask = (1 << bits) - 1
     lo, hi, pp = _masks(bits, 2 * n)
-    rows = []
-    for row in m.rows:
-        x = 0
-        for v, shift in zip(row, range(0, n * bits, bits)):
-            if v:
-                x |= v % P << shift
-        rows.append(x)
+    rows = [_pack(row, bits, P) for row in m.rows]
     # orig[r]: the row of m now at row r, for r >= k.
     orig = list(range(n))
     for k in range(n):
@@ -507,22 +536,24 @@ def inverse_mod(m: IntMatrix) -> Optional[list[int]]:
         neg = (pp >> (2 * n - width) * bits) - pr
         rows = [(row >> bits) + (row & mask) % P * neg for row in rows]
         rows[k] = pr
-    return rows
+    return rows, bits
 
 
-def inverse_residue(inv: Sequence[int], c: int, i: int, bits: int) -> int:
-    """``inverse[c][i] mod P``, read off the packed inverse ``inv`` whose
-    fields are ``bits`` wide (:func:`inverse_mod`)."""
-    return (inv[c] >> i * bits & ((1 << bits) - 1)) % P
+def inverse_residue(inv: tuple[Sequence[int], int], c: int, i: int) -> int:
+    """``inverse[c][i] mod P``, read off the packed inverse ``inv`` of
+    :func:`inverse_mod` or :func:`minor_inverse_mod`."""
+    rows, bits = inv
+    return (rows[c] >> i * bits & ((1 << bits) - 1)) % P
 
 
-def minor_inverse_mod(inv: Sequence[int], j: int, bits: int) -> list[int]:
+def minor_inverse_mod(inv: tuple[Sequence[int], int], j: int) -> tuple[list[int], int]:
     """Packed inverse mod P of ``minor(A, n - 1, j)`` from ``inv``, the
-    packed inverse of the n x n matrix A (n = ``len(inv)``).
+    packed inverse of the n x n matrix A, in the same ``(rows, F)``
+    form and field width.
 
-    ``inv`` comes from :func:`inverse_mod` of an N x N matrix, or from
-    this function, and ``bits = field_bits(N)``.  Row j's top field,
-    ``inverse[j][n - 1] = det(minor) / det(A)``, must be nonzero mod P.
+    ``inv`` comes from :func:`inverse_mod`, or from this function.  Row
+    j's top field, ``inverse[j][n - 1] = det(minor) / det(A)``, must be
+    nonzero mod P.
     This is :func:`minor_cofactors` in inverse form (Desnanot-Jacobi):
     the minor's inverse is the inverse without row j and column n - 1,
     minus ``inverse[r][n - 1] * inverse[j][s] / inverse[j][n - 1]``, a
@@ -533,26 +564,15 @@ def minor_inverse_mod(inv: Sequence[int], j: int, bits: int) -> list[int]:
     one more term below 2P^2 per field, within :func:`inverse_mod`'s
     bound.  n rows of a few big-integer operations each.
     """
-    i = len(inv) - 1
+    rows, bits = inv
+    i = len(rows) - 1
     shift = i * bits
     low = (1 << shift) - 1
     lo, hi, pp = _masks(bits, i)
-    row_j = inv[j]
+    row_j = rows[j]
     t = pow((row_j >> shift) % P, -1, P)
     neg = pp - _fold(_fold(row_j & low, 1 << bits, lo, hi) * t, 2 * P * P, lo, hi)
-    return [(row & low) + (row >> shift) % P * neg for r, row in enumerate(inv) if r != j]
-
-
-def _packed(k_bits: int) -> bool:
-    """Whether a factorization at precision K = ``k_bits``, and the Y
-    phase of :func:`power_det_valuation` after it, keep rows packed."""
-    return k_bits <= PACKED_MAX_K
-
-
-def _row_bits(k_bits: int) -> int:
-    """Width F = 2K + 1 of one field of a row of :func:`_ldu_rows` at
-    precision K = ``k_bits``."""
-    return 2 * k_bits + 1
+    return [(row & low) + (row >> shift) % P * neg for r, row in enumerate(rows) if r != j], bits
 
 
 def _ldu_mod(a: Sequence[Sequence[int]], k_bits: int):
@@ -572,16 +592,18 @@ def _ldu_mod(a: Sequence[Sequence[int]], k_bits: int):
 
     Returns None when the trailing block of some step is 0 mod 2^K, else
     ``(rows, cols, lu, pivots)``: with ``B[k][l] = a[rows[k]][cols[l]]``,
-    ``B = L diag(pivots) U`` mod 2^K, L and U unit triangular with their
-    strict parts in ``lu``; L's column k and U's row k are known mod
-    2^(K - v_k), v_k the valuation of pivot k.
+    ``B = L diag(pivots) U`` mod 2^K, L and U unit triangular.  Both
+    representations return the same layout: ``lu[k]`` is a list of n
+    residues mod 2^K, entry (k, l) of L's strict part at l < k, pivot k
+    at l = k and entry (k, l) of U's strict part at l > k, all in pivot
+    order.  L's column k and U's row k are known mod 2^(K - v_k), v_k
+    the valuation of pivot k.
     """
-    return (_ldu_rows if _packed(k_bits) else _ldu_entries)(a, k_bits)
+    return (_ldu_rows if k_bits <= PACKED_MAX_K else _ldu_entries)(a, k_bits)
 
 
 def _ldu_entries(a: Sequence[Sequence[int]], k_bits: int):
-    """:func:`_ldu_mod` on lists: ``lu[k][l]`` holds entry (k, l) of L's
-    strict part (l < k) or U's (l > k), and ``lu[k][k]`` pivot k.
+    """:func:`_ldu_mod` on lists, one list entry per matrix entry.
 
     The working array starts as a mod 2^K and is factored in place.  At
     step k the pivot is the first odd entry of row k's trailing part, or
@@ -635,10 +657,11 @@ def _ldu_entries(a: Sequence[Sequence[int]], k_bits: int):
 
 
 def _ldu_rows(a: Sequence[Sequence[int]], k_bits: int):
-    """:func:`_ldu_mod` on packed rows: ``lu[k]`` is the pair of L's row
-    k, a list, and U's row k, one integer whose field ``cols[l]`` (bits
-    ``cols[l] * F`` up to ``(cols[l] + 1) * F``, F = ``_row_bits(K)`` =
-    2K + 1) holds ``U[k][l]`` for l > k and whose other fields are 0.
+    """:func:`_ldu_mod` on packed rows: each row of the working matrix
+    is one integer of F-bit fields, F = 2K + 1, field c (bits ``c * F``
+    up to ``(c + 1) * F``) holding column c of a.  L's rows are lists
+    from the start; U's row k stays packed until the end, when its
+    fields ``cols[k + 1:]`` are read once into ``lu[k]``.
 
     Columns never move, so a field names its column of a, and rows are
     swapped whole.  Once a column is pivoted on, its field is 0 in every
@@ -660,12 +683,11 @@ def _ldu_rows(a: Sequence[Sequence[int]], k_bits: int):
     2^v, as each has valuation at least v.
     """
     n = len(a)
-    bits = _row_bits(k_bits)
+    bits = 2 * k_bits + 1
     mask = (1 << k_bits) - 1
-    ones = ((1 << bits * n) - 1) // ((1 << bits) - 1)
+    ones = _ones(bits, n)
     full = ones * mask
-    shifts = range(0, n * bits, bits)
-    packed = [sum([(x & mask) << s for x, s in zip(row, shifts) if x]) for row in a]
+    packed = [_pack(row, bits, mask + 1) for row in a]
     lower = [[] for _ in range(n)]
     rows = list(range(n))
     cols = []
@@ -715,13 +737,15 @@ def _ldu_rows(a: Sequence[Sequence[int]], k_bits: int):
                 packed[t] = (row + f * neg) & full
             lower[t].append(f)
         packed[k] = (packed[k] >> v) * inv & full
-    return rows, cols, list(zip(lower, packed)), pivots
+    at = [c * bits for c in cols]
+    lu = [lk + [d] + _fields(uk, at[k + 1:], mask)
+          for k, (lk, d, uk) in enumerate(zip(lower, pivots, packed))]
+    return rows, cols, lu, pivots
 
 
 def _y_entries(lu, scales, mask):
     """Rows of Y' = U^-1 diag(scales) L^-1 mod ``mask + 1`` from the
-    factorization of :func:`_ldu_entries`, one list entry per matrix
-    entry."""
+    ``lu`` of :func:`_ldu_mod`, one list entry per matrix entry."""
     n = len(lu)
     # Row k of L^-1, up to and including its diagonal, is e_k minus the
     # sum of L[k][t] times row t over t < k.
@@ -746,11 +770,10 @@ def _y_entries(lu, scales, mask):
     return list(zip(*ycols))[::-1]
 
 
-def _y_rows(lu, cols, scales, mask, k_bits):
-    """:func:`_y_entries` from the factorization of :func:`_ldu_rows`:
-    each row of L^-1 and of Y' is one integer of G-bit fields, G =
-    2 (V + 1) + bitlen(n + 1) with ``mask = 2^(V + 1) - 1``, field m
-    holding column m.
+def _y_rows(lu, scales, mask):
+    """:func:`_y_entries` on packed rows: each row of L^-1 and of Y' is
+    one integer of G-bit fields, G = 2 (V + 1) + bitlen(n + 1) with
+    ``mask = 2^(V + 1) - 1``, field m holding column m.
 
     Row k of L^-1 is e_k plus ``(-L[k][t]) & mask`` times row t over
     t < k, and row l of Y' is ``scales[l]`` times row l of L^-1 plus
@@ -760,28 +783,25 @@ def _y_rows(lu, cols, scales, mask, k_bits):
     """
     n = len(lu)
     bits = 2 * mask.bit_length() + (n + 1).bit_length()
-    full = ((1 << bits * n) - 1) // ((1 << bits) - 1) * mask
+    full = _ones(bits, n) * mask
     inv_l = []
-    for k, (lk, _) in enumerate(lu):
+    for k, lk in enumerate(lu):
         x = 1 << k * bits
         for f, z in zip(lk, inv_l):
             if f:
                 x += (-f & mask) * z
         inv_l.append(x & full)
-    # y holds the rows of Y' from the bottom up, at[t] the field of U's
-    # column t in lu.
-    at = [c * _row_bits(k_bits) for c in cols]
+    # y holds the rows of Y' from the bottom up.
     y = []
     for l in range(n - 1, -1, -1):
-        row = lu[l][1]
         x = scales[l] * inv_l[l]
-        for s, z in zip(at[:l:-1], y):
-            f = -(row >> s) & mask
+        for u, z in zip(lu[l][:l:-1], y):
+            f = -u & mask
             if f:
                 x += f * z
         y.append(x & full)
     shifts = range(0, n * bits, bits)
-    return [[yl >> s & mask for s in shifts] for yl in reversed(y)]
+    return [_fields(yl, shifts, mask) for yl in reversed(y)]
 
 
 def _power_mod(e: Sequence[Sequence[Optional[int]]], k_bits: int) -> list[list[int]]:
@@ -883,8 +903,11 @@ def power_det_valuation(
     of 2V + 2 + bitlen(n + 1) bits (:func:`_y_rows`): a row is a sum of
     at most n products of two residues below 2^(V + 1), below
     n 2^(2V + 2) per field.  Above that K, one list entry per matrix
-    entry is faster (:func:`_ldu_entries`, :func:`_y_entries`).  Both
-    give the same ``(p, tight)``.
+    entry is faster (:func:`_ldu_entries`, :func:`_y_entries`; the
+    module docstring has the times).  Both factorizations return the
+    same ``lu`` layout and both Y phases take ``(lu, scales, mask)``,
+    so the code below picks a representation by K alone and hands on
+    no K, column order or field width.  Both give the same ``(p, tight)``.
 
     *Proof of zero* (Hadamard's bound).  If det(A') != 0, then
     ``2^p' <= |det(A')| <= prod_i ||row_i|| < 2^h`` with
@@ -936,10 +959,7 @@ def power_det_valuation(
     rows, cols, lu, pivots = fac
     mask = (2 << vmax) - 1
     scales = [pow(d >> v, -1, 2 << v) << (vmax - v) for d, v in zip(pivots, vals)]
-    if _packed(k_bits):
-        yrows = _y_rows(lu, cols, scales, mask, k_bits)
-    else:
-        yrows = _y_entries(lu, scales, mask)
+    yrows = (_y_rows if k_bits <= PACKED_MAX_K else _y_entries)(lu, scales, mask)
     # yrows[l][m] = Y'[l][m] = 2^V A'^-1[j][i] with (i, j) = (rows[m],
     # cols[l]), and its valuation is V - w'[i][j] iff Y'[l][m] *
     # 2^w'[i][j] has valuation exactly V.  Where w'[i][j] > V the

@@ -31,7 +31,7 @@ from .classical import (
     mwpm,
     neighborhood,
 )
-from .edmonds import ZeroDeterminantError, extract_diagonal, extract_pm_trace, lovasz_sample
+from .edmonds import ZeroDeterminantError, extract_pm_trace, lovasz_sample
 from .graphs import (
     BipartiteGraph,
     WeightAssignment,
@@ -40,13 +40,8 @@ from .graphs import (
     matching_weight,
 )
 from .isolation import enumerate_nonisolating, nonisolating_witness_map
-from .linalg import IntMatrix, det_bareiss, det_cofactor, det_lagrange, trailing_zeros
-from .mvv import (
-    build_power_matrix,
-    exact_power_det_valuation,
-    fewest_trailing_zeros,
-    mvv_trial,
-)
+from .linalg import IntMatrix, det_bareiss, det_cofactor, det_lagrange
+from .mvv import exact_power_det_valuation, extract_pm_weight_bounded, mvv_trial
 from .oracle import (
     DEFAULT_BUDGET,
     SUITE_NAMES,
@@ -613,16 +608,19 @@ def check_weight_bounded_extraction(seed: int = DEFAULT_SEED) -> CheckResult:
         n = stream.randint(2, 5)
         g = _random_graph(stream, n)
         w = WeightAssignment.from_grid(_random_rows(stream, n, 1, 6))
+        # extract_pm_weight_bounded raises AssertionError when the
+        # matching it extracts weighs more than the bound.
         try:
-            det, trace = extract_diagonal(build_power_matrix(g, w), fewest_trailing_zeros)
+            m = extract_pm_weight_bounded(g, w)
         except ZeroDeterminantError:
             continue
+        except AssertionError:
+            m = None
         done += 1
-        m = trace.matching
-        if not is_perfect_matching(g, m):
-            failures.append({"case": done, "reason": "extraction not a PM"})
-        elif matching_weight(m, w) > trailing_zeros(det):
+        if m is None:
             failures.append({"case": done, "reason": "weight bound violated"})
+        elif not is_perfect_matching(g, m):
+            failures.append({"case": done, "reason": "extraction not a PM"})
     return CheckResult(
         "weight-bounded extraction on nonzero determinants",
         done >= samples and not failures,

@@ -329,7 +329,6 @@ def reference_proofs(b):
     inv = inverse_mod(b)
     if inv is None:
         return None, []
-    bits = linalg.field_bits(b.n)
     rows = b.rows
     verdicts = []
 
@@ -338,8 +337,8 @@ def reference_proofs(b):
         for c, j in enumerate(cols):
             if not rows[i][j]:
                 continue
-            if linalg.inverse_residue(inv, c, i, bits):
-                inv = linalg.minor_inverse_mod(inv, c, bits)
+            if linalg.inverse_residue(inv, c, i):
+                inv = linalg.minor_inverse_mod(inv, c)
                 return c
             pattern = [[r[k] != 0 for k in cols if k != j] for r in rows[:i]]
             verdicts.append(BipartiteGraph.from_rows(pattern).has_perfect_matching())

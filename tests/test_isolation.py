@@ -139,6 +139,17 @@ class TestWitness:
         with pytest.raises(ValueError):
             nonisolating_witness(K22, 2, 0, (1, 3, 1), ALL_ONES)
 
+    def test_float_weight_rejected(self):
+        # 2.0 passes the range check, then is refused as a non-int
+        # rather than truncated; 0.5 fails the range check first.
+        with pytest.raises(TypeError):
+            nonisolating_witness(K22, 2, 0, (1, 2.0, 1), ALL_ONES)
+        with pytest.raises(ValueError):
+            nonisolating_witness(K22, 2, 0, (1, 0.5, 1), ALL_ONES)
+        # Bools pass as 0 and 1, as in WeightAssignment.from_edge_values.
+        assert (nonisolating_witness(K22, 2, 1, (True, True, True), ALL_ONES)
+                == nonisolating_witness(K22, 2, 1, (1, 1, 1), ALL_ONES))
+
     def test_isolating_dummy_rejected(self):
         isolating = WeightAssignment.from_grid([[1, 2], [2, 1]])
         assert not is_nonisolating(K22, isolating, 2)

@@ -17,7 +17,6 @@ from wmatch.linalg import (
     det_berkowitz,
     det_cofactor,
     det_lagrange,
-    field_bits,
     inverse_mod,
     inverse_residue,
     minor,
@@ -850,12 +849,13 @@ def minor_inverse_mod_list(inv, i, j):
     return out
 
 
-def unpack(packed, bits):
-    """The residues of a packed inverse with ``bits``-bit fields, one
-    field per row; nothing may sit above the top field."""
-    n = len(packed)
-    assert all(0 <= row < 1 << n * bits for row in packed)
-    return [[inverse_residue(packed, c, q, bits) for q in range(n)] for c in range(n)]
+def unpack(inv):
+    """The residues of a packed inverse ``(rows, bits)``, one field per
+    column; nothing may sit above the top field."""
+    rows, bits = inv
+    n = len(rows)
+    assert all(0 <= row < 1 << n * bits for row in rows)
+    return [[inverse_residue(inv, c, q) for q in range(n)] for c in range(n)]
 
 
 def inverse_from_cofactors(m):
@@ -869,7 +869,7 @@ def inverse_from_cofactors(m):
 
 def packed_inverse(m):
     inv = inverse_mod(m)
-    return None if inv is None else unpack(inv, field_bits(m.n))
+    return None if inv is None else unpack(inv)
 
 
 def residue_matrix(rng, n):
@@ -904,13 +904,14 @@ class TestInverseMod:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64])
     def test_field_width_boundaries(self, n):
-        # field_bits(n) steps up at each power of two: n on both sides
-        # of each step, with residues uniform mod P and the pivots out
-        # of row order, so every field takes its largest terms and the
-        # rows their greatest width.
+        # The field width, 62 + bitlen(n), steps up at each power of
+        # two: n on both sides of each step, with residues uniform mod P
+        # and the pivots out of row order, so every field takes its
+        # largest terms and the rows their greatest width.
         rng = random.Random(f"width:{n}")
         for m in (residue_matrix(rng, n), lovasz_matrix(rng, n)):
             assert det_bareiss(m) % P != 0
+            assert inverse_mod(m)[1] == 62 + n.bit_length()
             assert packed_inverse(m) == inverse_mod_list(m) == inverse_from_cofactors(m)
 
     @pytest.mark.parametrize("n", [48, 100])
@@ -936,15 +937,14 @@ class TestInverseMod:
         rng = random.Random(43)
         for n in (2, 7, 16, 48, 100):
             cur = lovasz_matrix(rng, n)
-            bits = field_bits(n)
             inv = inverse_mod(cur)
             ref = inverse_mod_list(cur)
-            while len(inv) > 1:
-                i = len(inv) - 1
+            while len(ref) > 1:
+                i = len(ref) - 1
                 j = next(j for j in range(i + 1) if ref[j][i])
-                inv = minor_inverse_mod(inv, j, bits)
+                inv = minor_inverse_mod(inv, j)
                 ref = minor_inverse_mod_list(ref, i, j)
-                assert unpack(inv, bits) == ref
+                assert unpack(inv) == ref
                 if n <= 16:
                     cur = minor(cur, i, j)
                     assert ref == inverse_from_cofactors(cur)
@@ -955,7 +955,6 @@ class TestInverseMod:
         # is reached.
         rng = random.Random(47)
         m = random_matrix(rng, 6, 1, 50)
-        bits = field_bits(6)
         ref = inverse_mod_list(m)
         for i in range(6):
             rows = m.rows[:i] + m.rows[i + 1:] + m.rows[i:i + 1]
@@ -963,7 +962,7 @@ class TestInverseMod:
             for j in range(6):
                 if ref[j][i]:
                     expected = inverse_mod_list(minor(m, i, j))
-                    assert unpack(minor_inverse_mod(inv, j, bits), bits) == expected
+                    assert unpack(minor_inverse_mod(inv, j)) == expected
                     assert minor_inverse_mod_list(ref, i, j) == expected
 
 
@@ -1398,35 +1397,18 @@ def by_representation(monkeypatch):
     return run
 
 
-def ldu_entries_of(fac, k_bits, packed):
-    """The factorization fac of linalg._ldu_rows (packed) or
-    linalg._ldu_entries as one list of rows: L's strict part, the
-    pivot, U's strict part, every entry reduced mod 2^K.  A packed U
-    row must hold U's entries in their columns' fields and nothing
-    else."""
-    rows, cols, lu, pivots = fac
-    if packed:
-        bits = linalg._row_bits(k_bits)
-        out = []
-        for k, (lower, upper) in enumerate(lu):
-            u = [upper >> c * bits & ((1 << bits) - 1) for c in cols]
-            assert upper == sum(x << c * bits for x, c in zip(u[k + 1:], cols[k + 1:]))
-            out.append(lower + [pivots[k]] + u[k + 1:])
-    else:
-        out = [row[:k] + [d] + row[k + 1:] for k, (row, d) in enumerate(zip(lu, pivots))]
-    assert all(0 <= x < 1 << k_bits for row in out for x in row)
-    return out
-
-
-def assert_ldu(a, k_bits, fac, packed):
+def assert_ldu(a, k_bits, fac):
     """B = L diag(pivots) U mod 2^K with B[k][l] = a[rows[k]][cols[l]],
-    as linalg._ldu_mod promises: L's column t and U's row t are known
-    mod 2^(K - v_t), so each product L[k][t] d_t U[t][l] is known mod
-    2^K."""
-    rows, cols, _, pivots = fac
+    as linalg._ldu_mod promises of either representation: ``lu[k]``
+    holds L's strict part, pivot k and U's strict part, n residues mod
+    2^K.  L's column t and U's row t are known mod 2^(K - v_t), so each
+    product L[k][t] d_t U[t][l] is known mod 2^K."""
+    rows, cols, lu, pivots = fac
     n = len(a)
     assert sorted(rows) == sorted(cols) == list(range(n))
-    lu = ldu_entries_of(fac, k_bits, packed)
+    assert [len(row) for row in lu] == [n] * n
+    assert [row[k] for k, row in enumerate(lu)] == pivots
+    assert all(0 <= x < 1 << k_bits for row in lu for x in row)
     mask = (1 << k_bits) - 1
     for k in range(n):
         for l in range(n):
@@ -1513,10 +1495,10 @@ class TestPackedRows:
             # row's 0, reaches (2^K - 1) + (2^K - 1) 2^K = 2^(2K) - 1,
             # the largest a row step can make.
             a = [[1, 0, 2], [top, top, top - 1], [top, 1, top]]
-            for packed, ldu in ((True, linalg._ldu_rows), (False, linalg._ldu_entries)):
+            for ldu in (linalg._ldu_rows, linalg._ldu_entries):
                 fac = ldu(a, k_bits)
-                assert fac[1][0] == 0 and ldu_entries_of(fac, k_bits, packed)[1][0] == top
-                assert_ldu(a, k_bits, fac, packed)
+                assert fac[1][0] == 0 and fac[2][1][0] == top
+                assert_ldu(a, k_bits, fac)
             rng = random.Random(f"field-edge:{k_bits}")
             edges = [0, 1, 2, top, top - 1, 1 << k_bits - 1, (1 << k_bits - 1) + 1]
             for _ in range(60):
@@ -1528,8 +1510,40 @@ class TestPackedRows:
                 if facs[0] is not None:
                     assert ([trailing_zeros(d) for d in facs[0][3]]
                             == [trailing_zeros(d) for d in facs[1][3]])
-                    assert_ldu(a, k_bits, facs[0], True)
-                    assert_ldu(a, k_bits, facs[1], False)
+                    assert_ldu(a, k_bits, facs[0])
+                    assert_ldu(a, k_bits, facs[1])
+
+    def test_y_phases_on_one_factorization(self):
+        # Both factorizations return one lu layout, and both Y phases
+        # take it: on each lu, packed or not, at K = 64 and above the
+        # switch, they return the same Y'.  Where K > 2V every unit is
+        # known to V + 1 bits, and Y' B = 2^V I mod 2^(V + 1) exactly.
+        rng = random.Random(331)
+        compared = exact = 0
+        for k_bits in (64, linalg.PACKED_MAX_K + 64):
+            for _ in range(40):
+                n = rng.randint(1, 10)
+                a = linalg._power_mod(random_exponents(rng, n, 0.8, 0, 40), k_bits)
+                for ldu in (linalg._ldu_rows, linalg._ldu_entries):
+                    fac = ldu(a, k_bits)
+                    if fac is None:
+                        continue
+                    rows, cols, lu, pivots = fac
+                    vals = [trailing_zeros(d) for d in pivots]
+                    vmax = vals[-1]
+                    mask = (2 << vmax) - 1
+                    scales = [pow(d >> v, -1, 2 << v) << (vmax - v)
+                              for d, v in zip(pivots, vals)]
+                    y = linalg._y_rows(lu, scales, mask)
+                    assert y == [list(row) for row in linalg._y_entries(lu, scales, mask)]
+                    compared += 1
+                    if k_bits > 2 * vmax:
+                        for l in range(n):
+                            for c in range(n):
+                                total = sum(y[l][m] * a[rows[m]][cols[c]] for m in range(n))
+                                assert total & mask == (l == c) << vmax, (l, c)
+                        exact += 1
+        assert compared > 100 and exact > 80
 
     def test_multipliers_of_all_ones(self, by_representation, monkeypatch):
         # Exponents 0 and 1 make entries -1 mod 2^K after one step, so
@@ -1540,7 +1554,8 @@ class TestPackedRows:
         def recording(a, k_bits):
             fac = ldu(a, k_bits)
             if fac is not None:
-                seen.extend(f == (1 << k_bits) - 1 for lower, _ in fac[2] for f in lower)
+                seen.extend(f == (1 << k_bits) - 1 for k, row in enumerate(fac[2])
+                            for f in row[:k])
             return fac
 
         monkeypatch.setattr(linalg, "_ldu_rows", recording)
