@@ -150,8 +150,9 @@ def find_augmenting_path(
     n = g.n
     mate_of_right = {j: i for i, j in m.pairs}
     free = ~sum(1 << j for j in mate_of_right)
+    matched = m.lefts()
     for s in range(n):
-        if m.get(s) is not None:
+        if s in matched:
             continue
         order, parent = _alternating_reach(g.row_masks, mate_of_right, free, s)
         v = order[-1]
@@ -204,16 +205,21 @@ def maximum_matching(g: BipartiteGraph) -> Matching:
     matching grows elsewhere (Berge 1957; Kuhn 1955), so one search per
     left vertex is enough.  The pass augments along exactly the paths
     that restarting :func:`find_augmenting_path` from scratch after
-    every augmentation finds, and returns the same matching.
+    every augmentation finds, and returns the same matching.  The pass
+    is the graph's own
+    :attr:`~wmatch.graphs.BipartiteGraph.matching_columns`, run once
+    per graph and shared with ``has_perfect_matching`` and
+    :func:`hall_violator`.
     """
-    return Matching(tuple((i, j) for i, j in enumerate(_kuhn(g.row_masks)) if j >= 0))
+    return Matching(tuple((i, j) for i, j in enumerate(g.matching_columns) if j >= 0))
 
 
 def matches_every_row(masks: Sequence[int]) -> bool:
     """Whether a matching covers every row of the pattern ``masks``
     (bit j of masks[i] set iff row i may take column j), by the Kuhn
-    pass of :func:`maximum_matching` on the masks alone.  For a square
-    pattern this is whether it has a perfect matching."""
+    pass of :func:`maximum_matching` on the masks alone, for a pattern
+    that is not a graph.  For a square pattern this is whether it has a
+    perfect matching."""
     return -1 not in _kuhn(masks)
 
 
@@ -229,17 +235,20 @@ def hall_violator(g: BipartiteGraph) -> tuple[int, ...]:
     """Left vertex set S with |S| > |N(S)|, for a graph with no perfect
     matching.  Raises PerfectMatchingExistsError otherwise.
 
-    S is the least unsaturated left vertex of a maximum matching plus
-    every left vertex it reaches by alternating paths."""
-    m = maximum_matching(g)
-    if m.size == g.n:
+    S is the least unsaturated left vertex of the graph's maximum
+    matching (its :attr:`~wmatch.graphs.BipartiteGraph.matching_columns`,
+    the pass :func:`maximum_matching` reads, not run again) plus every
+    left vertex it reaches by alternating paths."""
+    cols = g.matching_columns
+    if -1 not in cols:
         raise PerfectMatchingExistsError(
             "graph has a perfect matching; no Hall violator exists"
         )
-    start = next(i for i in range(g.n) if m.get(i) is None)
-    mate_of_right = {j: i for i, j in m.pairs}
+    start = cols.index(-1)
+    mate_of_right = {j: i for i, j in enumerate(cols) if j >= 0}
     free = ~sum(1 << j for j in mate_of_right)
-    # m is maximum, so the search finds no free right and runs to the end.
+    # The matching is maximum, so the search finds no free right and
+    # runs to the end.
     order, _ = _alternating_reach(g.row_masks, mate_of_right, free, start)
     s = tuple(sorted(v for v in order if v < g.n))
     if len(neighborhood(g, s)) >= len(s):

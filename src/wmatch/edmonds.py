@@ -51,17 +51,16 @@ class ZeroDeterminantError(ValueError):
 
 @dataclass(frozen=True)
 class ExtractionTrace:
-    """Record of one nonzero-diagonal extraction.
+    """Record of one nonzero-diagonal extraction: the permutation
+    ``sigma`` it found, row i matched to column sigma[i].
 
-    ``steps`` lists, from the bottom row upward, the row handled, the
-    chosen column inside the shrinking submatrix, and the original
-    column it labels (the column-label bookkeeping plays the role of
-    deleting rows/columns from an index matrix in lockstep with the
-    value matrix).  ``sigma`` is the resulting permutation: row i is
-    matched to column sigma[i].
+    sigma is the whole record.  The extraction handles rows from the
+    bottom up and deletes each chosen column, so the column that row i
+    takes inside its shrinking submatrix is the rank of sigma[i] among
+    sigma[0], ..., sigma[i]: the steps follow from sigma and are not
+    kept beside it.
     """
 
-    steps: tuple[tuple[int, int, int], ...]
     sigma: tuple[int, ...]
 
     @property
@@ -81,28 +80,24 @@ def least_column(prod: int, terms: list[tuple[int, int]]) -> int:
 def _walk(
     n: int, choose: Callable[[int, list[int]], Optional[int]]
 ) -> Optional[ExtractionTrace]:
-    """Steps and sigma of a bottom-up extraction from an n x n matrix.
+    """The trace of a bottom-up extraction from an n x n matrix.
 
     For i = n - 1, ..., 1, ``choose(i, cols)`` picks the column c of the
     current submatrix (rows 0..i, original columns ``cols``) for its
     last row i, or returns None to give up, and the walk returns None
-    too.  Row i and that column are then deleted; row 0 takes the one
-    column left.
+    too.  Row i takes original column ``cols[c]``, and row i and that
+    column are then deleted; row 0 takes the one column left.
     """
     cols = list(range(n))
-    steps = []
     sigma = [0] * n
     for i in range(n - 1, 0, -1):
         c = choose(i, cols)
         if c is None:
             return None
-        sigma[i] = cols[c]
-        steps.append((i, c, cols[c]))
-        del cols[c]
+        sigma[i] = cols.pop(c)
     # Row 0: a single 1x1 block remains and equals its own determinant.
     sigma[0] = cols[0]
-    steps.append((0, 0, cols[0]))
-    return ExtractionTrace(tuple(steps), tuple(sigma))
+    return ExtractionTrace(tuple(sigma))
 
 
 def extract_diagonal(b: IntMatrix, rule: Rule) -> tuple[int, ExtractionTrace]:

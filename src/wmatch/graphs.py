@@ -14,7 +14,7 @@ edges, so the resulting determinant depends only on edge positions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from operator import index, mul
@@ -74,7 +74,7 @@ class BipartiteGraph:
         """All edges (i, j) in row-major order; fixes the enumeration
         e_0 ... e_{m-1} used wherever edges are indexed.  Built on first
         use and kept, like :meth:`neighbors`, :attr:`row_masks` and
-        :meth:`has_perfect_matching`: the graph is immutable, and a
+        :attr:`matching_columns`: the graph is immutable, and a
         ``cached_property`` is no dataclass field, so it takes no part
         in ==, hash or repr."""
         return self._edge_list
@@ -100,18 +100,22 @@ class BipartiteGraph:
         return nonzero_masks(self.edges)
 
     @cached_property
-    def _has_perfect_matching(self) -> bool:
-        from .classical import matches_every_row  # classical imports this module
+    def matching_columns(self) -> tuple[int, ...]:
+        """The right matched to each left vertex, or -1, by one
+        :func:`~wmatch.classical._kuhn` pass over :attr:`row_masks`:
+        the one pass behind :meth:`has_perfect_matching`,
+        :func:`~wmatch.classical.maximum_matching` and
+        :func:`~wmatch.classical.hall_violator`, run on first use and
+        kept."""
+        from .classical import _kuhn  # classical imports this module
 
-        return matches_every_row(self.row_masks)
+        return tuple(_kuhn(self.row_masks))
 
     def has_perfect_matching(self) -> bool:
-        """Whether the graph has a perfect matching, decided exactly by
-        :func:`~wmatch.classical.matches_every_row` on :attr:`row_masks`,
-        the Kuhn pass that the zero-residue proofs of
-        :func:`~wmatch.edmonds.extract_diagonal_mod` run, with no
+        """Whether the graph has a perfect matching: whether
+        :attr:`matching_columns` matches every left vertex, with no
         :class:`Matching` built."""
-        return self._has_perfect_matching
+        return -1 not in self.matching_columns
 
     def without_edge(self, i: int, j: int) -> "BipartiteGraph":
         rows = [list(row) for row in self.edges]
@@ -134,13 +138,12 @@ def edge_grid(g: BipartiteGraph, values: Iterable[int]) -> tuple[tuple[int, ...]
 class Matching:
     """Injective partial map from left to right vertex indices.
 
-    Stored as pairs sorted by left index.  Perfect means total on
-    [0, n) for the n of the graph it is validated against.
+    Stored as pairs sorted by left index, and as nothing else:
+    :meth:`get` and every other view reads the pairs.  Perfect means
+    total on [0, n) for the n of the graph it is validated against.
     """
 
     pairs: tuple[tuple[int, int], ...]
-    # left -> right, for get(); not compared, hashed or shown.
-    _right_of: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         right_of = dict(self.pairs)
@@ -150,7 +153,6 @@ class Matching:
             raise ValueError("matching is not injective")
         if list(self.pairs) != sorted(self.pairs):
             raise ValueError("matching pairs must be sorted by left index")
-        object.__setattr__(self, "_right_of", right_of)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Matching":
@@ -166,7 +168,6 @@ class Matching:
             raise ValueError("matching is not injective")
         m = object.__new__(cls)
         object.__setattr__(m, "pairs", tuple(enumerate(cols)))
-        object.__setattr__(m, "_right_of", dict(m.pairs))
         return m
 
     @classmethod
@@ -186,8 +187,9 @@ class Matching:
         return not self.pairs
 
     def get(self, left: int) -> Optional[int]:
-        """Right partner of ``left``, or None when it is unmatched."""
-        return self._right_of.get(left)
+        """Right partner of ``left``, or None when it is unmatched, read
+        off the pairs."""
+        return next((j for i, j in self.pairs if i == left), None)
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.pairs)

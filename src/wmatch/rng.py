@@ -19,6 +19,7 @@ and the result is the same stream, value for value, that single
 from __future__ import annotations
 
 import sys
+from operator import index
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -47,7 +48,10 @@ def derive_seed(seed: int, index: int) -> int:
 def _rejection_limit(lo: int, hi: int) -> tuple[int, int]:
     """(span, limit) of the range [lo, hi]: outputs at or above limit,
     the largest multiple of span that fits in 2^64, are rejected so that
-    ``u % span`` carries no modulo bias."""
+    ``u % span`` carries no modulo bias.  Both ends go through
+    ``operator.index``, so a float or a str raises TypeError instead of
+    making the draws floats."""
+    lo, hi = index(lo), index(hi)
     if lo > hi:
         raise ValueError(f"empty range [{lo}, {hi}]")
     span = hi - lo + 1
@@ -111,7 +115,8 @@ class SplitMix64:
 
         Rejection sampling over the 64-bit outputs; the expected number
         of draws per call is below 2.  The range may hold at most 2^64
-        values; a wider one raises ValueError.
+        values; a wider one raises ValueError, and a bound that is not
+        an int (a float, a str) raises TypeError.
         """
         span, limit = _rejection_limit(lo, hi)
         while True:

@@ -6,7 +6,9 @@ Each check returns a :class:`CheckResult` with a JSON-able details
 dict; suites group the checks the way the CLI exposes them.  All
 randomness is drawn from seeded SplitMix64 streams, and every sample
 count is fixed, so a suite's report is a pure function of its
-arguments.
+arguments.  Each check writes its own case list once and drops the
+cases above the caps (``max_n``, ``max_s``, ``max_k``) that
+:func:`run_suite` hands it unchanged.
 
 Both error bounds are checked through one driver, :func:`_coverage`:
 an error set is at most as large as a padded sample space
@@ -21,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
+from math import inf
 
 from .classical import (
     hall_violator,
@@ -126,11 +129,16 @@ def _permutation_matrices(n: int):
 # det suite
 
 
-def check_det_agreement(seed: int = DEFAULT_SEED, max_n: int = 6) -> CheckResult:
+def _det_sizes(max_n: float) -> range:
+    """The det suite's matrix sizes: n = 1 .. 6, none above max_n."""
+    return range(1, min(max_n, 6) + 1)
+
+
+def check_det_agreement(seed: int = DEFAULT_SEED, max_n: float = inf) -> CheckResult:
     """Three-way determinant agreement of the production determinant
     (:func:`~wmatch.linalg.det_bareiss`) with both expansion oracles:
     exhaustive over all 0/1 3x3 matrices, and 200 random matrices with
-    entries in [-9, 9] for each n in {4..max_n}."""
+    entries in [-9, 9] for each n >= 4 of :func:`_det_sizes`."""
     mismatches = []
     for bits in range(1 << 9):
         m = IntMatrix.from_rows(
@@ -139,7 +147,7 @@ def check_det_agreement(seed: int = DEFAULT_SEED, max_n: int = 6) -> CheckResult
         if not det_bareiss(m) == det_cofactor(m) == det_lagrange(m):
             mismatches.append([list(r) for r in m.rows])
     random_cases = 0
-    for n in range(4, max_n + 1):
+    for n in _det_sizes(max_n)[3:]:
         stream = SplitMix64(derive_seed(seed, n))
         for _ in range(200):
             m = _random_matrix(stream, n, -9, 9)
@@ -157,11 +165,12 @@ def check_det_agreement(seed: int = DEFAULT_SEED, max_n: int = 6) -> CheckResult
     )
 
 
-def check_permutation_determinants(max_n: int = 6) -> CheckResult:
-    """det of every permutation matrix up to max_n is +1 or -1."""
+def check_permutation_determinants(max_n: float = inf) -> CheckResult:
+    """det of every permutation matrix of each n of :func:`_det_sizes`
+    is +1 or -1."""
     checked = 0
     bad = []
-    for n in range(1, max_n + 1):
+    for n in _det_sizes(max_n):
         for p in _permutation_matrices(n):
             checked += 1
             if det_bareiss(p) not in (-1, 1):
@@ -248,14 +257,21 @@ def _perm_eval_det(dets: dict, g: BipartiteGraph, perm: tuple[int, ...],
 # classical suite
 
 
-def check_hungarian_against_brute(seed: int = DEFAULT_SEED, max_n: int = 5) -> CheckResult:
+def _classical_size(stream: SplitMix64, max_n: float) -> int:
+    """One classical-suite instance's n, drawn uniform in [1, 5], or in
+    [1, max_n] below that."""
+    return stream.randint(1, min(max_n, 5))
+
+
+def check_hungarian_against_brute(seed: int = DEFAULT_SEED, max_n: float = inf) -> CheckResult:
     """Certificate (weight = cover cost, cover valid) and optimality
-    against full matching enumeration on 500 random small instances."""
+    against full matching enumeration on 500 random small instances,
+    each n from :func:`_classical_size`."""
     samples = 500
     stream = SplitMix64(derive_seed(seed, 201))
     failures = []
     for t in range(samples):
-        n = stream.randint(1, max_n)
+        n = _classical_size(stream, max_n)
         w = _random_rows(stream, n, 0, 10)
         m, cover = hungarian_max_weight(w)
         weight = sum(w[i][j] for i, j in m.pairs)
@@ -272,14 +288,15 @@ def check_hungarian_against_brute(seed: int = DEFAULT_SEED, max_n: int = 5) -> C
     )
 
 
-def check_mwpm_against_brute(seed: int = DEFAULT_SEED, max_n: int = 5) -> CheckResult:
+def check_mwpm_against_brute(seed: int = DEFAULT_SEED, max_n: float = inf) -> CheckResult:
     """Empty result iff no perfect matching; otherwise the weight
-    matches exhaustive enumeration.  500 random instances."""
+    matches exhaustive enumeration.  500 random instances, each n from
+    :func:`_classical_size`."""
     samples = 500
     stream = SplitMix64(derive_seed(seed, 301))
     failures = []
     for t in range(samples):
-        n = stream.randint(1, max_n)
+        n = _classical_size(stream, max_n)
         g = _random_graph(stream, n)
         w = WeightAssignment.from_grid(_random_rows(stream, n, 0, 10))
         got = mwpm(g, w)
@@ -319,20 +336,22 @@ def check_berge_hall(seed: int = DEFAULT_SEED) -> CheckResult:
     """Maximum matching size vs brute force; Hall violators on every
     perfect-matching-free instance; Hall's condition equivalent to
     perfect matching existence on small graphs.  Every 3x3 graph, and
-    500 random graphs with n in {4, 5, 6}."""
+    500 random graphs with n in {4, 5, 6}.
+
+    Each graph keeps its one Kuhn pass
+    (:attr:`~wmatch.graphs.BipartiteGraph.matching_columns`), which
+    ``maximum_matching`` and ``hall_violator`` both read, so the Hall
+    loop's 3x3 graphs, the Berge loop's own objects, run no second
+    one and their row masks are not rebuilt."""
     failures = []
     stream = SplitMix64(derive_seed(seed, 401))
     # Both corpora start with every 3x3 graph, built once: the Hall loop
-    # reads the same graphs and their cached row masks.
+    # reads the same graph objects.
     small = list(_all_graphs(3))
     graphs = small + _random_graphs(stream, 500, (4, 5, 6))
     pm_free = 0
-    # Maximum matching size by row masks; the Hall corpus computes only
-    # the sizes of graphs not seen.
-    sizes: dict[tuple[int, ...], int] = {}
     for idx, g in enumerate(graphs):
         m = maximum_matching(g)
-        sizes[g.row_masks] = m.size
         if m.size != brute_max_matching_size(g):
             failures.append({"graph": idx, "reason": "maximum matching size wrong"})
             continue
@@ -344,11 +363,7 @@ def check_berge_hall(seed: int = DEFAULT_SEED) -> CheckResult:
     # Hall equivalence, exhaustive subsets.
     hall_graphs = small + _random_graphs(stream, 200, (4,))
     for idx, g in enumerate(hall_graphs):
-        masks = g.row_masks
-        size = sizes.get(masks)
-        if size is None:
-            size = maximum_matching(g).size
-        if (size == g.n) != _hall_holds(masks):
+        if (maximum_matching(g).size == g.n) != _hall_holds(g.row_masks):
             failures.append({"graph": idx, "reason": "Hall equivalence broken"})
     return CheckResult(
         "Berge maximum matching, Hall violators and equivalence",
@@ -408,18 +423,20 @@ def _zero_witness_case(head: dict, g: BipartiteGraph, s: int, cert, budget: int,
 
 
 def check_zero_witness_complete(
-    cases=((2, 2), (2, 3), (2, 4), (3, 2)),
-    budget: int = DEFAULT_BUDGET,
+    max_n: float = inf, max_s: float = inf, budget: int = DEFAULT_BUDGET
 ) -> CheckResult:
     """Exhaustive surjectivity of the complete-graph witness onto the
     zero set, plus the frozen cardinality anchors and the counting
-    bound |Z| <= n * s^(n^2 - 1).  The witness is the general-graph
-    map on K_{n,n} certified by the identity."""
+    bound |Z| <= n * s^(n^2 - 1), for each case (n, s) of
+    (2, 2), (2, 3), (2, 4) and (3, 2) with n <= max_n and s <= max_s.
+    The witness is the general-graph map on K_{n,n} certified by the
+    identity."""
     anchors = {(2, 2): 10, (2, 4): 64}
     per_case = [
         _zero_witness_case({"n": n, "s": s}, BipartiteGraph.complete(n), s,
                            IntMatrix.identity(n), budget, anchors.get((n, s)))
-        for n, s in cases
+        for n, s in ((2, 2), (2, 3), (2, 4), (3, 2))
+        if n <= max_n and s <= max_s
     ]
     return CheckResult(
         "complete-graph zero-set witness surjective",
@@ -436,14 +453,14 @@ def _fixed_witness_graphs() -> list[BipartiteGraph]:
     ]
 
 
-def check_zero_witness_graph(s_values=(2, 3), budget: int = DEFAULT_BUDGET) -> CheckResult:
+def check_zero_witness_graph(max_s: float = inf, budget: int = DEFAULT_BUDGET) -> CheckResult:
     """Exhaustive surjectivity of the general-graph witness on fixed
     non-complete graphs, certified by a perfect matching's permutation
-    matrix."""
+    matrix, at s = 2 and 3 where s <= max_s."""
     per_case = []
     for g in _fixed_witness_graphs():
         cert = maximum_matching(g).permutation_matrix(g.n)
-        for s in s_values:
+        for s in (s for s in (2, 3) if s <= max_s):
             head = {"n": g.n, "edges": g.num_edges, "s": s}
             per_case.append(_zero_witness_case(head, g, s, cert, budget))
     return CheckResult(
@@ -453,15 +470,16 @@ def check_zero_witness_graph(s_values=(2, 3), budget: int = DEFAULT_BUDGET) -> C
     )
 
 
-def check_isolation(k_values=(2, 3, 4, 8), budget: int = DEFAULT_BUDGET) -> CheckResult:
-    """On the complete 2x2 graph: the non-isolating predicate matches
+def check_isolation(max_k: float = inf, budget: int = DEFAULT_BUDGET) -> CheckResult:
+    """On the complete 2x2 graph, for each weight range [1, k] with k in
+    2, 3, 4 and 8 and k <= max_k: the non-isolating predicate matches
     brute force on every assignment, the witness covers the whole bad
     set, and the counting bounds hold."""
     g = BipartiteGraph.complete(2)
     m = g.num_edges
     min_weight_pms = min_weight_pms_map(g)
     per_k = []
-    for k in k_values:
+    for k in (k for k in (2, 3, 4, 8) if k <= max_k):
         # The target reuses the module's lexicographic bad-set
         # enumeration; an independent brute-force sweep checks the
         # predicate behind it assignment by assignment.
@@ -676,45 +694,39 @@ def run_suite(
     name: str,
     seed: int = DEFAULT_SEED,
     trials: int = 1000,
-    max_n: int = 6,
-    max_s: int = 4,
-    max_k: int = 8,
+    max_n: float = inf,
+    max_s: float = inf,
+    max_k: float = inf,
     budget: int = DEFAULT_BUDGET,
 ) -> SuiteReport:
-    """Run one named verification suite (or every suite for "all")."""
+    """Run one named verification suite (or every suite for "all").
+
+    ``max_n``, ``max_s`` and ``max_k`` go to the checks unchanged; each
+    check keeps its own case list and drops the cases above a cap.  The
+    defaults drop none."""
     if name not in SUITE_NAMES + ("all",):
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
     checks = []
     for suite in SUITE_NAMES if name == "all" else (name,):
         if suite == "det":
             checks += [
-                check_det_agreement(seed=seed, max_n=min(max_n, 6)),
-                check_permutation_determinants(max_n=min(max_n, 6)),
+                check_det_agreement(seed=seed, max_n=max_n),
+                check_permutation_determinants(max_n=max_n),
                 check_matching_determinant_equivalence(seed=seed),
             ]
         elif suite == "classical":
             checks += [
-                check_hungarian_against_brute(seed=seed, max_n=min(max_n, 5)),
-                check_mwpm_against_brute(seed=seed, max_n=min(max_n, 5)),
+                check_hungarian_against_brute(seed=seed, max_n=max_n),
+                check_mwpm_against_brute(seed=seed, max_n=max_n),
                 check_berge_hall(seed=seed),
             ]
         elif suite == "sz":
-            cases = [(n, s) for (n, s) in ((2, 2), (2, 3), (2, 4), (3, 2))
-                     if n <= max_n and s <= max_s]
             checks += [
-                check_zero_witness_complete(cases=cases, budget=budget),
-                check_zero_witness_graph(
-                    s_values=tuple(s for s in (2, 3) if s <= max_s),
-                    budget=budget,
-                ),
+                check_zero_witness_complete(max_n=max_n, max_s=max_s, budget=budget),
+                check_zero_witness_graph(max_s=max_s, budget=budget),
             ]
         elif suite == "iso":
-            checks.append(
-                check_isolation(
-                    k_values=tuple(k for k in (2, 3, 4, 8) if k <= max_k),
-                    budget=budget,
-                )
-            )
+            checks.append(check_isolation(max_k=max_k, budget=budget))
         elif suite == "mvv":
             checks += [
                 *check_unique_min_theorems(seed=seed),

@@ -48,7 +48,7 @@ maps 19,683 points through 2,187 distinct grids.
 from __future__ import annotations
 
 from itertools import product
-from operator import mul
+from operator import index, mul
 from typing import Callable, Iterator, Optional, Sequence
 
 from .edmonds import extract_pm_trace
@@ -91,7 +91,10 @@ def _lay_out(
     grid, flattened: the values of ``rest`` in order around the unknown
     cell (i, sigma(i)), which holds 0, with every position whose flag
     in ``edge_flags`` is False structurally zero.  Every value is
-    checked against [0, s), in order, non-edge ones too."""
+    checked against [0, s), in order, non-edge ones too, after
+    ``operator.index`` has converted it: an int or a bool passes, and
+    a float or a str raises TypeError rather than being truncated or
+    parsed."""
     if not 0 <= i < n:
         raise ValueError(f"step index {i} out of range [0, {n})")
     if len(rest) != n * n - 1:
@@ -99,7 +102,7 @@ def _lay_out(
     values = []
     # map is lazy, so a value is converted only once every value before
     # it has passed its range check.
-    for v in map(int, rest):
+    for v in map(index, rest):
         if not 0 <= v < s:
             raise ValueError(f"value {v} out of range [0, {s})")
         values.append(v)

@@ -80,7 +80,7 @@ def test_criterion_5_isolation():
         "non-isolating predicate matches brute force on [1,k]^4 for "
         "k in {2,3,4,8}; witness covers the bad set; |Phi| <= m*k^(m-1); "
         "failure fraction <= m/k",
-        check_isolation(k_values=(2, 3, 4, 8)),
+        check_isolation(max_k=8),
     )
 
 

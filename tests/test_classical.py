@@ -260,6 +260,36 @@ class TestSinglePassAgainstRestarts:
                 maximum_matching(g)
                 assert len(calls) == n
 
+    @pytest.mark.parametrize("first", range(3))
+    def test_one_kuhn_pass_per_graph(self, monkeypatch, first):
+        # has_perfect_matching, maximum_matching and hall_violator all
+        # read the graph's one pass, whichever of them runs first.
+        calls = []
+        kuhn = classical._kuhn
+
+        def counted(masks):
+            calls.append(masks)
+            return kuhn(masks)
+
+        def violator(g):
+            try:
+                return hall_violator(g)
+            except PerfectMatchingExistsError:
+                return None
+
+        asks = [lambda g: g.has_perfect_matching(), maximum_matching, violator]
+        asks = asks[first:] + asks[:first]
+        monkeypatch.setattr(classical, "_kuhn", counted)
+        pm_free = 0
+        for g in all_graphs(3):
+            calls.clear()
+            for ask in asks:
+                ask(g)
+                ask(g)
+            assert calls == [g.row_masks]
+            pm_free += violator(g) is not None
+        assert pm_free == 512 - 247
+
 
 def reference_alternating_reach(g, mate_of_left, mate_of_right, start):
     """The search over dicts and neighbour lists that the row-mask

@@ -199,16 +199,16 @@ class TestNoPerfectMatchingGate:
             raise AssertionError("a trial ran on a graph with no perfect matching")
 
         matchings = []
-        matches_every_row = classical.matches_every_row
+        kuhn = classical._kuhn
 
         def counting_matching(masks):
             matchings.append(masks)
-            return matches_every_row(masks)
+            return kuhn(masks)
 
         for module, name in ((cli, "lovasz_sample"), (edmonds, "lovasz_sample"),
                              (mvv, "random_weights"), (linalg, "_eliminate")):
             monkeypatch.setattr(module, name, forbidden)
-        monkeypatch.setattr(classical, "matches_every_row", counting_matching)
+        monkeypatch.setattr(classical, "_kuhn", counting_matching)
         p = tmp_path / "violator.graph"
         p.write_text(hall_violator_graph(200, 200), encoding="utf-8")
         return str(p), matchings

@@ -273,9 +273,13 @@ class TestMatching:
         assert [m.get(i) for i in range(3)] == [2, 0, None]
         assert m.get(5) is None
         assert (0, 2) in m.pairs
-        # The lookup table takes no part in equality, hashing or repr.
         same = Matching.from_pairs([(1, 0), (0, 2)])
         assert m == same and hash(m) == hash(same) and repr(m) == repr(same)
+
+    def test_stores_only_pairs(self):
+        for m in (Matching.from_pairs([(1, 0), (0, 2)]), Matching.from_columns([2, 0]),
+                  Matching.empty()):
+            assert vars(m) == {"pairs": m.pairs}
 
     def test_from_columns(self):
         m = Matching.from_columns([2, 0, 1])
@@ -493,6 +497,12 @@ class TestRandomWeights:
     def test_k_above_two_to_the_64_rejected(self):
         with pytest.raises(ValueError, match="more than 2\\^64"):
             random_weights(BipartiteGraph.complete(1), 2**64 + 1, 3)
+
+    @pytest.mark.parametrize("k", [3.5, 4.0, Fraction(7, 2)])
+    def test_non_integer_k_rejected(self, k):
+        # Such a k would pass the k >= 1 check and give float weights.
+        with pytest.raises(TypeError):
+            random_weights(BipartiteGraph.complete(2), k, 5)
 
 
 # The one-draw-per-edge loop that the packed draw replaced, kept as its

@@ -502,15 +502,15 @@ class TestFinder:
             raise AssertionError("exact elimination in mvv_trial")
 
         matchings = []
-        matches_every_row = classical.matches_every_row
+        kuhn = classical._kuhn
 
         def counting_matching(masks):
             matchings.append(masks)
-            return matches_every_row(masks)
+            return kuhn(masks)
 
         monkeypatch.setattr(linalg, "_eliminate", forbidden)
         monkeypatch.setattr(mvv, "cofactors", forbidden)
-        monkeypatch.setattr(classical, "matches_every_row", counting_matching)
+        monkeypatch.setattr(classical, "_kuhn", counting_matching)
         rng = random.Random(83)
         reasons = set()
         for _ in range(30):

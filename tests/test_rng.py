@@ -62,6 +62,16 @@ class TestRangeErrors:
         with pytest.raises(ValueError, match=f"spans {2**64 + 1} values"):
             draw(SplitMix64(1), 0, 2**64)
 
+    @pytest.mark.parametrize("draw", [
+        lambda s, lo, hi: s.randint(lo, hi),
+        lambda s, lo, hi: s.randints(lo, hi, 3),
+    ])
+    @pytest.mark.parametrize("lo, hi", [(1, 3.5), (1.0, 3), (1, "3"), ("1", 3)])
+    def test_non_integer_bounds(self, draw, lo, hi):
+        # A float bound would make every draw a float; it is refused.
+        with pytest.raises(TypeError):
+            draw(SplitMix64(1), lo, hi)
+
     def test_error_leaves_the_stream(self):
         stream = SplitMix64(3)
         with pytest.raises(ValueError):

@@ -144,8 +144,9 @@ def test_memoized_perm_det_failure_is_reported(monkeypatch):
 
 def test_memoized_matching_size_failure_is_reported(monkeypatch):
     # The diagonal 3x3 graph gets a maximum matching one edge short.  The
-    # Berge loop reports it, and the Hall loop, which reads the size the
-    # Berge loop recorded, reports the broken equivalence.
+    # Berge loop reports it, and the Hall loop, which calls
+    # maximum_matching again on the same graph object (whose Kuhn pass
+    # the graph keeps), reports the broken equivalence.
     diagonal = BipartiteGraph.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     idx = list(verify._all_graphs(3)).index(diagonal)
     real = verify.maximum_matching

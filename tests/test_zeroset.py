@@ -175,6 +175,17 @@ class TestWitnessComplete:
         with pytest.raises(ValueError):
             zero_witness_complete(2, 2, 0, (0, 2, 0))  # value out of range
 
+    def test_non_integer_values_rejected(self):
+        # A value is an int or a bool; a float or a str is refused, not
+        # truncated or parsed into the grid of (1, 2, 0).
+        assert zero_witness_complete(2, 3, 1, (True, 2, 0)) == zero_witness_complete(2, 3, 1, (1, 2, 0))
+        for bad in (1.5, 1.0, "1"):
+            with pytest.raises(TypeError):
+                zero_witness_complete(2, 3, 1, (bad, 2, 0))
+        # An int out of range keeps its ValueError and message.
+        with pytest.raises(ValueError, match=r"^value 3 out of range \[0, 3\)$"):
+            zero_witness_complete(2, 3, 1, (3, 2, 0))
+
 
 class TestWitnessGraph:
     def test_coincides_with_complete_on_identity_certificate(self):
@@ -283,12 +294,16 @@ class TestWitnessGraphCache:
             ((0, (0, 3, 0)), r"^value 3 out of range \[0, 3\)$"),
             ((1, (0, -1, 5)), r"^value -1 out of range \[0, 3\)$"),
             ((0, (1, 7, "x")), r"^value 7 out of range \[0, 3\)$"),
-            ((0, (1, "x", 7)), r"invalid literal for int"),
         ]
         for point, message in cases:
             with pytest.raises(ValueError, match=message):
                 witness(*point)
-        assert witness(0, ("0", 1.0, 2)) == witness(0, (0, 1, 2))
+        # A value that is not an int is refused when its turn comes, not
+        # parsed or truncated; a bool is an int.
+        for point in ((0, (1, "x", 7)), (0, ("0", 1, 2)), (0, (0, 1.0, 2))):
+            with pytest.raises(TypeError):
+                witness(*point)
+        assert witness(0, (False, True, 2)) == witness(0, (0, 1, 2))
 
     def test_cached_grid_still_checks_non_edges(self):
         # (0, 2) and (2, 0) are non-edges: their values never reach the
