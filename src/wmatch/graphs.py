@@ -104,9 +104,9 @@ class BipartiteGraph:
         """The right matched to each left vertex, or -1, by one
         :func:`~wmatch.classical._kuhn` pass over :attr:`row_masks`:
         the one pass behind :meth:`has_perfect_matching`,
-        :func:`~wmatch.classical.maximum_matching` and
-        :func:`~wmatch.classical.hall_violator`, run on first use and
-        kept."""
+        :func:`~wmatch.classical.maximum_matching`,
+        :func:`~wmatch.classical.hall_violator` and the zero-set
+        witness's chain, run on first use and kept."""
         from .classical import _kuhn  # classical imports this module
 
         return tuple(_kuhn(self.row_masks))
@@ -227,7 +227,9 @@ class WeightAssignment:
         for i, row in enumerate(self.grid):
             if len(row) != n:
                 raise ValueError(f"weight row {i} has {len(row)} entries, expected {n}")
-            if min(row) < 0:
+            # operator.index raises TypeError on a float, str, Fraction,
+            # ...; an int or a bool passes.
+            if min(map(index, row)) < 0:
                 x = next(x for x in row if x < 0)
                 raise ValueError(f"negative weight {x} at row {i}")
 

@@ -6,7 +6,10 @@ high probability: among assignments drawn from [1, k]^m (m edges), the
 non-isolating ones admit an explicit map from [0, m) x [1, k]^(m-1)
 onto them, so their fraction is at most m/k.  As with the zero-set
 witnesses, the map's surjectivity is the executable content of that
-bound and is checked exhaustively at small sizes.
+bound and is checked exhaustively at small sizes.  The map needs only
+the graph and k: where it cannot splice, it returns the all-ones
+assignment, which is non-isolating on every graph with two perfect
+matchings, the only graphs whose bad set is not empty.
 
 The non-isolating predicate itself takes one exact minimum-weight
 perfect matching solve, :func:`~wmatch.classical._mwpm_with_dual`: the
@@ -32,27 +35,18 @@ from .graphs import BipartiteGraph, WeightAssignment, edge_grid
 from .oracle import DEFAULT_BUDGET, BudgetExceededError
 
 
-def _check_edge_weights(g: BipartiteGraph, w: WeightAssignment, k: int) -> None:
-    if w.n != g.n:
-        raise ValueError(f"weights are {w.n}x{w.n}, graph is {g.n}x{g.n}")
-    for i, j in g.edge_list():
-        if not 1 <= w.value(i, j) <= k:
-            raise ValueError(
-                f"edge ({i}, {j}) has weight {w.value(i, j)} outside [1, {k}]"
-            )
-
-
-def is_nonisolating(g: BipartiteGraph, w: WeightAssignment, k: int) -> bool:
+def is_nonisolating(g: BipartiteGraph, w: WeightAssignment) -> bool:
     """True iff g has two distinct minimum-weight perfect matchings
     under w.  Graphs without any perfect matching have nothing to
-    isolate, so the answer there is False for every assignment.
+    isolate, so the answer there is False for every assignment.  Any
+    nonnegative weights are read; w must be n x n for g's n, or
+    ValueError.
 
     One solve gives a minimum matching M and an optimal dual (a, b);
     the minimum ties iff the digraph of tight non-matching edges
     described in the module docstring has a cycle, that is, iff
     repeatedly deleting its vertices with no incoming arc leaves some.
     """
-    _check_edge_weights(g, w, k)
     cols, (a, b) = _mwpm_with_dual(g, w)
     if cols is None:
         return False
@@ -81,11 +75,7 @@ def is_nonisolating(g: BipartiteGraph, w: WeightAssignment, k: int) -> bool:
 
 
 def nonisolating_witness(
-    g: BipartiteGraph,
-    k: int,
-    i: int,
-    w_rest: Sequence[int],
-    dummy: WeightAssignment,
+    g: BipartiteGraph, k: int, i: int, w_rest: Sequence[int]
 ) -> WeightAssignment:
     """Map (edge index, weights for the other m-1 edges) to a
     non-isolating assignment.
@@ -95,32 +85,39 @@ def nonisolating_witness(
     e_i.  If both exist and d = w(M') - w(M1) lands in [1, k], splicing
     d in as e_i's weight makes M' and M1 + {e_i} two distinct
     minimum-weight perfect matchings, so the spliced assignment is
-    non-isolating and is returned.  Otherwise the caller-supplied
-    ``dummy`` (itself required to be non-isolating) is returned.
+    non-isolating and is returned.  Otherwise the all-ones assignment
+    is returned: the first point of [1, k]^m, under which every perfect
+    matching weighs n, so it is non-isolating exactly when g has two
+    perfect matchings.
 
     M1 needs no subgraph of its own: a minimum perfect matching M of g
     either uses e_i or avoids it, so w(M) = min(w(M1), w(M')).  Hence
     w(M') - w(M) is d whenever d >= 1, and 0, which no k accepts, when
     d <= 0 or M1 does not exist.
     """
-    return nonisolating_witness_map(g, k, dummy)(i, w_rest)
+    return nonisolating_witness_map(g, k)(i, w_rest)
 
 
 def nonisolating_witness_map(
-    g: BipartiteGraph, k: int, dummy: WeightAssignment
+    g: BipartiteGraph, k: int
 ) -> Callable[[int, Sequence[int]], WeightAssignment]:
-    """:func:`nonisolating_witness` with g, k and ``dummy`` fixed, as a
-    function of (i, w_rest).
+    """:func:`nonisolating_witness` with g and k fixed, as a function of
+    (i, w_rest).
 
-    ``dummy`` is checked to be non-isolating once, here, and g minus
-    each edge is built once, so a caller that maps a whole domain pays
-    for them once rather than per point; the returned map still checks
-    each point's arguments.
+    Raises ValueError when [1, k] is empty (k < 1) or g has fewer than
+    two perfect matchings, so that no assignment is non-isolating and
+    the all-ones fallback is not one.  That is checked once, here, and
+    g minus each edge is built once, so a caller that maps a whole
+    domain pays for them once rather than per point; the returned map
+    still checks each point's arguments.
     """
-    if not is_nonisolating(g, dummy, k):
-        raise ValueError("dummy assignment is not non-isolating")
+    if k < 1:
+        raise ValueError(f"weight range bound must be >= 1, got {k}")
+    m = g.num_edges
+    all_ones = WeightAssignment.from_edge_values(g, (1,) * m)
+    if not is_nonisolating(g, all_ones):
+        raise ValueError("graph has fewer than two perfect matchings, so none is non-isolating")
     edges = g.edge_list()
-    m = len(edges)
     without = [g.without_edge(a, b) for a, b in edges]
 
     def witness(i: int, w_rest: Sequence[int]) -> WeightAssignment:
@@ -139,13 +136,13 @@ def nonisolating_witness_map(
 
         cols_prime = _mwpm_with_dual(without[i], w_partial)[0]
         if cols_prime is None:
-            return dummy
+            return all_ones
         # g has a perfect matching (M'), so cols is not None.
         cols = _mwpm_with_dual(g, w_partial)[0]
         grid = w_partial.grid
         spliced = sum(map(getitem, grid, cols_prime)) - sum(map(getitem, grid, cols))
         if not 1 <= spliced <= k:
-            return dummy
+            return all_ones
         values[i] = spliced
         return WeightAssignment._from_checked(edge_grid(g, values))
 
@@ -168,5 +165,5 @@ def enumerate_nonisolating(
         )
     for values in product(range(1, k + 1), repeat=m):
         w = WeightAssignment.from_edge_values(g, values)
-        if is_nonisolating(g, w, k):
+        if is_nonisolating(g, w):
             yield w

@@ -11,9 +11,9 @@ three oracles are provided on purpose:
 * :func:`det_berkowitz` is the division-free oracle: the
   Samuelson-Berkowitz algorithm, O(n^4) multiplications, no size cap,
   so it checks the production determinant at the sizes production uses.
-* :func:`det_cofactor` is recursive last-row cofactor expansion that
-  computes each minor's determinant once: O(2^n * n) products,
-  guarded to n <= 12.
+* :func:`det_cofactor` is last-row cofactor expansion computed bottom
+  up over column bit masks, each minor's determinant once: O(2^n * n)
+  products, guarded to n <= 12.
 * :func:`det_lagrange` is the full signed permutation expansion, the
   n! permutations listed in Heap's order so each sign costs O(1):
   O(n * n!) products, guarded to n <= 9.  Which entries each term
@@ -50,8 +50,8 @@ adjugate instead:
   Desnanot-Jacobi (Sylvester) identity, so deleting one row and column
   after another costs O(n^3) in all.
 
-Extracting a matching (``edmonds.extract_pm_trace``, which ``decide``,
-``verify`` and the zero-set certificate all run) needs only which
+Extracting a matching (``edmonds.extract_pm_trace``, which ``decide``
+and ``verify`` both run) needs only which
 cofactors are zero, and a nonzero residue proves an integer nonzero.
 :func:`inverse_mod` inverts A modulo the prime P = 1,073,741,789 by
 Gauss-Jordan elimination, and :func:`minor_inverse_mod` is
@@ -99,7 +99,7 @@ So each field width is chosen and read inside the one function that
 packs with it: 2K + 1 bits in :func:`_ldu_rows`, 2V + 2 + bitlen(n + 1)
 in :func:`_y_rows`.
 
-Both representations stay because each wins where it runs.  On the
+Both factorizations stay because each wins where it runs.  On the
 exponents ``find`` draws for a density-1/2 graph with a planted
 perfect matching (CPU time, 2-core x86-64 VM, CPython 3.11.7), one
 factorization and inverse at a fixed K take, packed, 0.5-0.9 of the
@@ -108,8 +108,12 @@ Y phase alone 0.3-0.45 of it at n = 12.  At the K where ``find``'s
 calls end, the packed factorization takes 1.5-3 times the per-entry
 time at n = 48 (K = 512 to 607) and 5.5-6.5 times at n = 100
 (K = 1,559 to 1,854), where the digit work of the (2K + 1)-bit fields
-outgrows the interpreter work it saves.  A call takes 0.36 ms at n = 12,
-8.6 ms at n = 32, 66 ms at n = 64 and 0.68 s at n = 100, where
+outgrows the interpreter work it saves.  The Y phase does not follow
+that split: its fields have 2V + 2 + bitlen(n + 1) bits, not 2K + 1,
+and at n = 16 to 48, wherever K > 128 sends it to :func:`_y_entries`,
+:func:`_y_rows` on the same ``lu`` is 1.1-3.5 times faster.  The
+switch still picks both phases by K alone.  A call takes 0.36 ms at
+n = 12, 8.6 ms at n = 32, 66 ms at n = 64 and 0.68 s at n = 100, where
 :func:`cofactors` takes seconds at n = 32.  :func:`cofactors` and
 :func:`det_bareiss` stay its exact oracles.
 """
@@ -136,7 +140,8 @@ _FOLD = (1 << 30) - P
 # The largest precision K, in bits, at which power_det_valuation keeps
 # each row of its factorization and inverse in one integer: up to it
 # packed rows beat one list entry per matrix entry at every n measured,
-# above it they lose at n >= 48 (the module docstring has the times).
+# above it the packed factorization loses at n >= 48 (the module
+# docstring has the times; the packed inverse does not lose there).
 PACKED_MAX_K = 128
 
 
@@ -157,6 +162,8 @@ class IntMatrix:
         for r, row in enumerate(self.rows):
             if len(row) != n:
                 raise ValueError(f"row {r} has {len(row)} entries, expected {n}")
+            for x in row:
+                index(x)  # TypeError on a float, str, Fraction, ...; bools pass
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntMatrix":
@@ -903,11 +910,13 @@ def power_det_valuation(
     of 2V + 2 + bitlen(n + 1) bits (:func:`_y_rows`): a row is a sum of
     at most n products of two residues below 2^(V + 1), below
     n 2^(2V + 2) per field.  Above that K, one list entry per matrix
-    entry is faster (:func:`_ldu_entries`, :func:`_y_entries`; the
-    module docstring has the times).  Both factorizations return the
-    same ``lu`` layout and both Y phases take ``(lu, scales, mask)``,
-    so the code below picks a representation by K alone and hands on
-    no K, column order or field width.  Both give the same ``(p, tight)``.
+    entry is faster in the factorization (:func:`_ldu_entries`; the
+    module docstring has the times), and the Y phase follows it
+    (:func:`_y_entries`) although packed rows would be faster there.
+    Both factorizations return the same ``lu`` layout and both Y phases
+    take ``(lu, scales, mask)``, so the code below picks a
+    representation by K alone and hands on no K, column order or field
+    width.  Both give the same ``(p, tight)``.
 
     *Proof of zero* (Hadamard's bound).  If det(A') != 0, then
     ``2^p' <= |det(A')| <= prod_i ||row_i|| < 2^h`` with

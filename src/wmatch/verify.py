@@ -14,7 +14,8 @@ Both error bounds are checked through one driver, :func:`_coverage`:
 an error set is at most as large as a padded sample space
 [0, count) x values^arity that a witness map covers.  The zero-set
 checks cover Z from [0, n) x [0, s)^(n^2 - 1), the isolation check
-covers the non-isolating weights from [0, m) x [1, k]^(m - 1).  A new
+covers the non-isolating weights from [0, m) x [1, k]^(m - 1).  Each
+witness map is built from the graph and the range alone.  A new
 coverage case is one call to it.
 """
 
@@ -404,15 +405,15 @@ def _all_passed(cases: list[dict]) -> bool:
     return bool(cases) and all(case["passed"] for case in cases)
 
 
-def _zero_witness_case(head: dict, g: BipartiteGraph, s: int, cert, budget: int,
+def _zero_witness_case(head: dict, g: BipartiteGraph, s: int, budget: int,
                        anchor=None) -> dict:
     """One zero-set coverage case: ``head``, then the size of g's zero
-    set over [0, s), the :func:`_coverage` entries of the witness map
-    that ``cert`` fixes, and whether the case holds and the size equals
-    ``anchor`` where one is given."""
+    set over [0, s), the :func:`_coverage` entries of g's witness map,
+    and whether the case holds and the size equals ``anchor`` where one
+    is given."""
     n = g.n
     target = list(zero_set(g, s, budget))
-    witness = zero_witness_graph_map(g, s, cert)
+    witness = zero_witness_graph_map(g, s)
     holds, entries = _coverage(witness, n, range(s), n * n - 1, target, budget)
     return (
         head
@@ -429,12 +430,11 @@ def check_zero_witness_complete(
     zero set, plus the frozen cardinality anchors and the counting
     bound |Z| <= n * s^(n^2 - 1), for each case (n, s) of
     (2, 2), (2, 3), (2, 4) and (3, 2) with n <= max_n and s <= max_s.
-    The witness is the general-graph map on K_{n,n} certified by the
-    identity."""
+    The witness is the general-graph map on K_{n,n}."""
     anchors = {(2, 2): 10, (2, 4): 64}
     per_case = [
         _zero_witness_case({"n": n, "s": s}, BipartiteGraph.complete(n), s,
-                           IntMatrix.identity(n), budget, anchors.get((n, s)))
+                           budget, anchors.get((n, s)))
         for n, s in ((2, 2), (2, 3), (2, 4), (3, 2))
         if n <= max_n and s <= max_s
     ]
@@ -455,14 +455,12 @@ def _fixed_witness_graphs() -> list[BipartiteGraph]:
 
 def check_zero_witness_graph(max_s: float = inf, budget: int = DEFAULT_BUDGET) -> CheckResult:
     """Exhaustive surjectivity of the general-graph witness on fixed
-    non-complete graphs, certified by a perfect matching's permutation
-    matrix, at s = 2 and 3 where s <= max_s."""
+    non-complete graphs at s = 2 and 3 where s <= max_s."""
     per_case = []
     for g in _fixed_witness_graphs():
-        cert = maximum_matching(g).permutation_matrix(g.n)
         for s in (s for s in (2, 3) if s <= max_s):
             head = {"n": g.n, "edges": g.num_edges, "s": s}
-            per_case.append(_zero_witness_case(head, g, s, cert, budget))
+            per_case.append(_zero_witness_case(head, g, s, budget))
     return CheckResult(
         "general-graph zero-set witness surjective",
         _all_passed(per_case),
@@ -491,7 +489,7 @@ def check_isolation(max_k: float = inf, budget: int = DEFAULT_BUDGET) -> CheckRe
             if len(min_weight_pms(w).matchings) >= 2
         ]
         mismatches = len(set(bad) ^ set(oracle_bad))
-        witness = nonisolating_witness_map(g, k, bad[0])
+        witness = nonisolating_witness_map(g, k)
         holds, entries = _coverage(witness, m, range(1, k + 1), m - 1, bad, budget)
         fraction = Fraction(len(bad), k ** m)
         per_k.append(

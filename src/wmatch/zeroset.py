@@ -10,8 +10,8 @@ determinant).  This module provides:
   ground-truth side of every check;
 * :func:`zero_witness_graph`: an explicit map from
   [0, n) x S^(n^2 - 1) onto the zero set (:func:`zero_witness_graph_map`
-  fixes the graph's certificate once), and :func:`zero_witness_complete`,
-  the same map on the complete graph certified by the identity.
+  fixes the graph and s once), and :func:`zero_witness_complete`, the
+  same map on the complete graph.
 
 The maps being surjections is the whole point: the domain has
 n * s^(n^2 - 1) elements, so the zero set can have at most that many,
@@ -19,9 +19,10 @@ i.e. a uniform random assignment evaluates to zero with probability at
 most n/s.  Surjectivity is checked exhaustively at small sizes by the
 verification suites rather than taken on faith.
 
-Mechanism: a nonzero diagonal sigma of the graph (read off a
-certificate; the identity for the complete graph) fixes a nested chain
-of submatrices.  The step-k submatrix is the leading (k+1) x (k+1)
+Mechanism: a perfect matching sigma of the graph, the one its single
+cached Kuhn pass finds
+(:attr:`~wmatch.graphs.BipartiteGraph.matching_columns`; the identity
+on the complete graph), fixes a nested chain of submatrices.  The step-k submatrix is the leading (k+1) x (k+1)
 block of the grid with its columns taken in sigma's order, sigma(0),
 ..., sigma(k), so step k-1 is step k without its last row and column.
 A zero determinant makes the last step singular; let i be the least
@@ -51,8 +52,7 @@ from itertools import product
 from operator import index, mul
 from typing import Callable, Iterator, Optional, Sequence
 
-from .edmonds import extract_pm_trace
-from .graphs import BipartiteGraph, GridLike, edge_grid, edmonds_eval
+from .graphs import BipartiteGraph, edge_grid
 from .linalg import IntMatrix, det_bareiss
 from .oracle import DEFAULT_BUDGET, BudgetExceededError
 
@@ -72,7 +72,7 @@ def zero_set(g: BipartiteGraph, s: int, budget: int = DEFAULT_BUDGET) -> Iterato
         )
     for values in product(range(s), repeat=g.num_edges):
         grid = edge_grid(g, values)
-        if det_bareiss(IntMatrix(grid)) == 0:
+        if det_bareiss(IntMatrix._from_checked(grid)) == 0:
             yield grid
 
 
@@ -80,7 +80,9 @@ def _chain_det(grid: Sequence[Sequence[int]], sigma: Sequence[int], k: int) -> i
     """Determinant of the step-k chain submatrix: rows 0..k of grid with
     columns sigma[0], ..., sigma[k], in that order."""
     cols = sigma[: k + 1]
-    return det_bareiss(IntMatrix(tuple(tuple(row[c] for c in cols) for row in grid[: k + 1])))
+    return det_bareiss(
+        IntMatrix._from_checked(tuple(tuple(row[c] for c in cols) for row in grid[: k + 1]))
+    )
 
 
 def _lay_out(
@@ -132,53 +134,43 @@ def _complete(
         unknown = i * n + sigma[i]
         cells = cells[:unknown] + (x,) + cells[unknown + 1:]
     grid = tuple(cells[r * n:(r + 1) * n] for r in range(n))
-    if det_bareiss(IntMatrix(grid)) != 0:
+    if det_bareiss(IntMatrix._from_checked(grid)) != 0:
         return dummy
     return grid
 
 
 def zero_witness_complete(n: int, s: int, i: int, rest: Sequence[int]) -> Grid:
     """Witness for the complete graph: :func:`zero_witness_graph` on
-    K_{n,n} certified by the identity, whose diagonal sigma is the
-    identity, so the deletion chain runs down the main diagonal and the
-    unknown sits at (i, i)."""
-    if n < 1 or s < 1:
-        raise ValueError("need n >= 1 and s >= 1")
-    return zero_witness_graph(BipartiteGraph.complete(n), s, IntMatrix.identity(n), i, rest)
+    K_{n,n}, whose Kuhn pass matches each i to i, so the deletion chain
+    runs down the main diagonal and the unknown sits at (i, i)."""
+    return zero_witness_graph(BipartiteGraph.complete(n), s, i, rest)
 
 
-def zero_witness_graph(
-    g: BipartiteGraph, s: int, cert: GridLike, i: int, rest: Sequence[int]
-) -> Grid:
-    """Witness for an arbitrary graph with a perfect matching.
-
-    ``cert`` is any assignment whose evaluation has nonzero determinant
-    (a permutation matrix of a perfect matching works).  Extracting a
-    nonzero diagonal from it fixes the deletion chain: at step i the
-    unknown sits at (i, sigma(i)), which is always an edge.
-    """
-    return zero_witness_graph_map(g, s, cert)(i, rest)
+def zero_witness_graph(g: BipartiteGraph, s: int, i: int, rest: Sequence[int]) -> Grid:
+    """Witness for an arbitrary graph with a perfect matching: the
+    matching sigma of :attr:`~wmatch.graphs.BipartiteGraph.matching_columns`
+    fixes the deletion chain, so at step i the unknown sits at
+    (i, sigma(i)), which is always an edge."""
+    return zero_witness_graph_map(g, s)(i, rest)
 
 
-def zero_witness_graph_map(
-    g: BipartiteGraph, s: int, cert: GridLike
-) -> Callable[[int, Sequence[int]], Grid]:
-    """:func:`zero_witness_graph` with g, s and ``cert`` fixed, as a
-    function of (i, rest).
+def zero_witness_graph_map(g: BipartiteGraph, s: int) -> Callable[[int, Sequence[int]], Grid]:
+    """:func:`zero_witness_graph` with g and s fixed, as a function of
+    (i, rest).
 
-    The certificate is evaluated and sigma extracted once, here, by
-    :func:`~wmatch.edmonds.extract_pm_trace`, which raises
-    :class:`~wmatch.edmonds.ZeroDeterminantError` on a singular
-    certificate, so a caller that maps a whole domain pays for that
-    once rather than per point.  The returned map still checks
-    and lays out each point's arguments, then caches completions: the
-    chain determinants, the solve for the unknown and the full-grid
-    check run once per distinct (i, laid-out grid), and the result is
-    kept in a dict that lives as long as the map does.
+    sigma is read once, here, off the graph's cached Kuhn pass; a graph
+    without a perfect matching has no chain to invert and raises
+    ValueError.  The returned map still checks and lays out each
+    point's arguments, then caches completions: the chain determinants,
+    the solve for the unknown and the full-grid check run once per
+    distinct (i, laid-out grid), and the result is kept in a dict that
+    lives as long as the map does.
     """
     if s < 1:
         raise ValueError(f"value range bound must be >= 1, got {s}")
-    sigma = extract_pm_trace(g, edmonds_eval(g, cert)).sigma
+    sigma = g.matching_columns
+    if -1 in sigma:
+        raise ValueError("graph has no perfect matching, so its zero set has no witness")
 
     n = g.n
     edge_flags = tuple(e for row in g.edges for e in row)

@@ -242,11 +242,11 @@ class TestEdgeGrid:
         BipartiteGraph.from_rows([[1, 1, 0], [1, 1, 1], [0, 1, 1]]),
     ], ids=pattern_id)
     def test_isolation_witness(self, g):
-        # A graph with an empty row has no perfect matching, so no
-        # non-isolating dummy, and the witness map refuses it.
+        # A graph with an empty row has no perfect matching, so its
+        # all-ones fallback isolates, and the witness map refuses it.
         k, m = 3, g.num_edges
         dummy = next(enumerate_nonisolating(g, k))
-        witness = nonisolating_witness_map(g, k, dummy)
+        witness = nonisolating_witness_map(g, k)
         spliced = 0
         for i, (a, b) in enumerate(g.edge_list()):
             for rest in product(range(1, k + 1), repeat=m - 1):
@@ -257,7 +257,7 @@ class TestEdgeGrid:
                     assert out.grid == reference_grid(g, values)
         assert spliced > 0
         with pytest.raises(ValueError):
-            nonisolating_witness_map(BipartiteGraph.from_rows([[1, 1], [0, 0]]), k, dummy)
+            nonisolating_witness_map(BipartiteGraph.from_rows([[1, 1], [0, 0]]), k)
 
 
 class TestMatching:
@@ -453,6 +453,14 @@ class TestMatchingWeight:
         # int() would truncate 1.7 to 1 and parse "3".
         with pytest.raises(TypeError):
             WeightAssignment.from_grid([[entry, 0], [0, 1]])
+
+    @pytest.mark.parametrize("entry", NON_INTEGERS)
+    def test_constructor_rejects_non_integers(self, entry):
+        # The constructor checks the entries it is given, as from_grid
+        # converts them: (1.5, 2) is not a row of weights.
+        with pytest.raises(TypeError):
+            WeightAssignment(((entry, 2), (3, 4)))
+        assert WeightAssignment(((True, 2), (3, False))).grid == ((1, 2), (3, 0))
 
 
 class TestRandomWeights:

@@ -37,20 +37,20 @@ def oracle_bad(g, w):
 class TestIsNonisolating:
     def test_unique_pm_never_bad(self):
         for w in assignments(DIAG2, 2):
-            assert not is_nonisolating(DIAG2, w, 2)
+            assert not is_nonisolating(DIAG2, w)
 
     def test_equal_weights_tie(self):
         w = WeightAssignment.from_grid([[1, 1], [1, 1]])
-        assert is_nonisolating(K22, w, 1)
+        assert is_nonisolating(K22, w)
 
     def test_pm_free_graph_never_bad(self):
         g = BipartiteGraph.from_rows([[0, 0], [1, 1]])
         for w in assignments(g, 2):
-            assert not is_nonisolating(g, w, 2)
+            assert not is_nonisolating(g, w)
 
     def test_matches_oracle_exhaustively_k3(self):
         for w in assignments(K22, 3):
-            assert is_nonisolating(K22, w, 3) == oracle_bad(K22, w)
+            assert is_nonisolating(K22, w) == oracle_bad(K22, w)
 
     def test_matches_oracle_on_random_graphs(self):
         # Weights in [1, k] with k <= 4 make ties common; non-edge
@@ -69,7 +69,7 @@ class TestIsNonisolating:
             truth = brute_min_weight_pms(g, w)
             tied = len(truth.matchings) >= 2
             outcomes["pm_free" if truth.weight is None else "tied" if tied else "isolated"] += 1
-            assert is_nonisolating(g, w, k) == tied
+            assert is_nonisolating(g, w) == tied
         assert min(outcomes.values()) >= 20, outcomes
 
     @pytest.mark.parametrize("k", [2, 10**15])
@@ -91,14 +91,19 @@ class TestIsNonisolating:
             truth = brute_min_weight_pms(g, w)
             tied = len(truth.matchings) >= 2
             outcomes["pm_free" if truth.weight is None else "tied" if tied else "isolated"] += 1
-            assert is_nonisolating(g, w, k) == tied
+            assert is_nonisolating(g, w) == tied
         assert min(outcomes.values()) >= 5, outcomes
 
     def test_weight_out_of_range(self):
-        with pytest.raises(ValueError):
-            is_nonisolating(K22, WeightAssignment.from_grid([[0, 1], [1, 1]]), 2)
-        with pytest.raises(ValueError):
-            is_nonisolating(K22, WeightAssignment.from_grid([[3, 1], [1, 1]]), 2)
+        # The predicate takes no range: any nonnegative weights are read,
+        # 0 included, as the witness's weight-0 splice slot is.  A grid
+        # of another size is refused.
+        for grid in ([[0, 1], [1, 1]], [[3, 1], [1, 1]], [[0, 5], [5, 10]]):
+            w = WeightAssignment.from_grid(grid)
+            assert is_nonisolating(K22, w) == oracle_bad(K22, w)
+        assert is_nonisolating(K22, WeightAssignment.from_grid([[0, 5], [5, 10]]))
+        with pytest.raises(ValueError, match=r"^weights are 3x3, graph is 2x2$"):
+            is_nonisolating(K22, WeightAssignment.from_grid([[1] * 3] * 3))
 
 
 ALL_ONES = WeightAssignment.from_grid([[1, 1], [1, 1]])
@@ -109,77 +114,103 @@ class TestWitness:
         # e_0 = (0,0), remaining weights all 1: the minimum matching of
         # K22 minus e_0 weighs 2, the one left after deleting both
         # endpoints weighs 1, so weight 1 is spliced in.
-        out = nonisolating_witness(K22, 2, 0, (1, 1, 1), ALL_ONES)
+        out = nonisolating_witness(K22, 2, 0, (1, 1, 1))
         assert out == ALL_ONES
-        assert is_nonisolating(K22, out, 2)
+        assert is_nonisolating(K22, out)
 
     def test_dummy_when_deletion_kills_pms(self):
+        # The fallback is the all-ones assignment on SWAP3's edges.
         dummy = WeightAssignment.from_grid(
             [[1, 1, 0], [1, 1, 0], [0, 0, 1]]
         )
-        assert is_nonisolating(SWAP3, dummy, 2)
+        assert is_nonisolating(SWAP3, dummy)
         i = SWAP3.edge_list().index((2, 2))
-        out = nonisolating_witness(SWAP3, 2, i, (1, 1, 1, 1), dummy)
+        out = nonisolating_witness(SWAP3, 2, i, (2, 2, 2, 2))
         assert out == dummy
 
     def test_dummy_when_splice_out_of_range(self):
         # weights force w(M') - w(M1) = 0, outside [1, k].
-        out = nonisolating_witness(K22, 2, 0, (1, 1, 2), ALL_ONES)
+        out = nonisolating_witness(K22, 2, 0, (1, 1, 2))
         assert out == ALL_ONES
 
     def test_bad_edge_index(self):
         with pytest.raises(ValueError):
-            nonisolating_witness(K22, 2, 4, (1, 1, 1), ALL_ONES)
+            nonisolating_witness(K22, 2, 4, (1, 1, 1))
 
     def test_wrong_rest_length(self):
         with pytest.raises(ValueError):
-            nonisolating_witness(K22, 2, 0, (1, 1), ALL_ONES)
+            nonisolating_witness(K22, 2, 0, (1, 1))
 
     def test_rest_out_of_range(self):
         with pytest.raises(ValueError):
-            nonisolating_witness(K22, 2, 0, (1, 3, 1), ALL_ONES)
+            nonisolating_witness(K22, 2, 0, (1, 3, 1))
 
     def test_float_weight_rejected(self):
         # 2.0 passes the range check, then is refused as a non-int
         # rather than truncated; 0.5 fails the range check first.
         with pytest.raises(TypeError):
-            nonisolating_witness(K22, 2, 0, (1, 2.0, 1), ALL_ONES)
+            nonisolating_witness(K22, 2, 0, (1, 2.0, 1))
         with pytest.raises(ValueError):
-            nonisolating_witness(K22, 2, 0, (1, 0.5, 1), ALL_ONES)
+            nonisolating_witness(K22, 2, 0, (1, 0.5, 1))
         # Bools pass as 0 and 1, as in WeightAssignment.from_edge_values.
-        assert (nonisolating_witness(K22, 2, 1, (True, True, True), ALL_ONES)
-                == nonisolating_witness(K22, 2, 1, (1, 1, 1), ALL_ONES))
+        assert (nonisolating_witness(K22, 2, 1, (True, True, True))
+                == nonisolating_witness(K22, 2, 1, (1, 1, 1)))
 
     def test_isolating_dummy_rejected(self):
-        isolating = WeightAssignment.from_grid([[1, 2], [2, 1]])
-        assert not is_nonisolating(K22, isolating, 2)
-        with pytest.raises(ValueError):
-            nonisolating_witness(K22, 2, 0, (1, 1, 1), isolating)
+        # On a graph with fewer than two perfect matchings the all-ones
+        # fallback isolates, as every assignment does: no map is built.
+        message = r"^graph has fewer than two perfect matchings"
+        for g in (DIAG2, BipartiteGraph.from_rows([[0, 0], [1, 1]])):
+            all_ones = WeightAssignment.from_edge_values(g, (1,) * g.num_edges)
+            assert not is_nonisolating(g, all_ones)
+            with pytest.raises(ValueError, match=message):
+                nonisolating_witness(g, 2, 0, (1,) * (g.num_edges - 1))
+            with pytest.raises(ValueError, match=message):
+                nonisolating_witness_map(g, 2)
 
     def test_map_checks_dummy_once_and_points_always(self):
-        isolating = WeightAssignment.from_grid([[1, 2], [2, 1]])
-        with pytest.raises(ValueError):
-            nonisolating_witness_map(K22, 2, isolating)
-        witness = nonisolating_witness_map(K22, 2, ALL_ONES)
+        # The range and the all-ones fallback are checked when the map
+        # is built; each point when it is mapped.
+        for k in (0, -1):
+            with pytest.raises(ValueError, match=rf"^weight range bound must be >= 1, got {k}$"):
+                nonisolating_witness_map(K22, k)
+        witness = nonisolating_witness_map(K22, 2)
         for bad_point in ((4, (1, 1, 1)), (0, (1, 1)), (0, (1, 3, 1))):
             with pytest.raises(ValueError):
                 witness(*bad_point)
         for i in range(4):
             for rest in product((1, 2), repeat=3):
-                assert witness(i, rest) == nonisolating_witness(K22, 2, i, rest, ALL_ONES)
+                assert witness(i, rest) == nonisolating_witness(K22, 2, i, rest)
+
+    def test_fallback_is_the_first_bad_assignment(self):
+        # On each 3x3 graph with two perfect matchings the all-ones
+        # fallback is the lexicographically first non-isolating point of
+        # [1, 2]^m; on every other graph the map refuses to be built.
+        with_two = 0
+        for bits in product((0, 1), repeat=9):
+            g = BipartiteGraph.from_rows([bits[r * 3:(r + 1) * 3] for r in range(3)])
+            all_ones = WeightAssignment.from_edge_values(g, (1,) * g.num_edges)
+            if len(brute_min_weight_pms(g, all_ones).matchings) >= 2:
+                with_two += 1
+                assert next(enumerate_nonisolating(g, 2)) == all_ones
+                nonisolating_witness_map(g, 2)
+            else:
+                with pytest.raises(ValueError):
+                    nonisolating_witness_map(g, 2)
+        assert with_two == 97
 
     def test_soundness_every_output_bad(self):
         k = 3
         for i in range(4):
             for rest in product(range(1, k + 1), repeat=3):
-                out = nonisolating_witness(K22, k, i, rest, ALL_ONES)
-                assert is_nonisolating(K22, out, k)
+                out = nonisolating_witness(K22, k, i, rest)
+                assert is_nonisolating(K22, out)
 
     def test_surjective_k22(self):
         for k in (2, 3):
             bad = set(enumerate_nonisolating(K22, k))
             hits = {
-                nonisolating_witness(K22, k, i, rest, ALL_ONES)
+                nonisolating_witness(K22, k, i, rest)
                 for i in range(4)
                 for rest in product(range(1, k + 1), repeat=3)
             }
@@ -191,7 +222,7 @@ class TestWitness:
         assert bad
         m = SWAP3.num_edges
         hits = {
-            nonisolating_witness(SWAP3, k, i, rest, bad[0])
+            nonisolating_witness(SWAP3, k, i, rest)
             for i in range(m)
             for rest in product(range(1, k + 1), repeat=m - 1)
         }
@@ -236,7 +267,7 @@ class TestWitnessAgainstSubgraph:
     )
     def test_pointwise_over_the_whole_domain(self, g, k):
         dummy = next(enumerate_nonisolating(g, k))
-        witness = nonisolating_witness_map(g, k, dummy)
+        witness = nonisolating_witness_map(g, k)
         m = g.num_edges
         spliced = 0
         for i in range(m):
@@ -247,15 +278,16 @@ class TestWitnessAgainstSubgraph:
         assert spliced > 0
 
     def test_single_vertex_pair(self):
-        # K_1,1 has one perfect matching, so no dummy is non-isolating
-        # and the map is never built; the old n = 1 branch was never
-        # reached either, as g minus its one edge has no perfect matching.
+        # K_1,1 has one perfect matching, so no assignment is
+        # non-isolating and the map is never built; the old n = 1 branch
+        # was never reached either, as g minus its one edge has no
+        # perfect matching.
         g = BipartiteGraph.complete(1)
         for k in (1, 2, 3):
+            with pytest.raises(ValueError):
+                nonisolating_witness_map(g, k)
             for v in range(1, k + 1):
                 w = WeightAssignment.from_grid([[v]])
-                with pytest.raises(ValueError):
-                    nonisolating_witness_map(g, k, w)
                 assert subgraph_witness(g, k, w, 0, ()) == w
 
 

@@ -56,6 +56,13 @@ class TestIntMatrix:
         with pytest.raises(TypeError):
             IntMatrix.from_rows([[entry, 1], [0, 1]])
 
+    @pytest.mark.parametrize("entry", [0.5, 2.0, "3", Fraction(3), Decimal(3)])
+    def test_constructor_rejects_non_integers(self, entry):
+        # Unchecked, det_bareiss of ((0.5, 1), (1, 1)) would be -1.0.
+        with pytest.raises(TypeError):
+            IntMatrix(((entry, 1), (1, 1)))
+        assert IntMatrix(((True, 1), (False, 1))).rows == ((1, 1), (0, 1))
+
     def test_ints_and_bools_accepted(self):
         m = IntMatrix.from_rows([[True, 2], (False, -3)])
         assert m.rows == ((1, 2), (0, -3))

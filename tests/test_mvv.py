@@ -431,13 +431,13 @@ class TestFinder:
         assert failures
         for t in failures:
             assert t.matching is None and t.min_weight is not None
-            assert is_nonisolating(g, t.weights, 2 * g.num_edges)
+            assert is_nonisolating(g, t.weights)
 
     def test_reason_not_injective(self):
         g, seed = NON_INJECTIVE
         trial = mvv_trial(g, seed)
         assert trial.reason == "not-injective" and trial.matching is None
-        assert is_nonisolating(g, trial.weights, 2 * g.num_edges)
+        assert is_nonisolating(g, trial.weights)
 
     def test_weight_mismatch_collection_exists(self):
         # No seeded trial searched drew weights like these, so the
@@ -465,8 +465,7 @@ class TestFinder:
         g = BipartiteGraph.complete(3)
         for seed in range(40):
             trial = mvv_trial(g, seed)
-            k = 2 * g.num_edges
-            if trial.min_weight is None or is_nonisolating(g, trial.weights, k):
+            if trial.min_weight is None or is_nonisolating(g, trial.weights):
                 continue
             truth = brute_min_weight_pms(g, trial.weights)
             assert trial.success
@@ -539,7 +538,7 @@ class TestProductionSize:
                 if trial.success:
                     assert is_perfect_matching(g, trial.matching)
                     assert matching_weight(trial.matching, trial.weights) == trial.min_weight
-                if is_nonisolating(g, trial.weights, 2 * g.num_edges):
+                if is_nonisolating(g, trial.weights):
                     continue
                 isolating += 1
                 best = mwpm(g, trial.weights)

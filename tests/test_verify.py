@@ -10,7 +10,7 @@ from itertools import combinations
 
 from wmatch import verify
 from wmatch.classical import neighborhood
-from wmatch.graphs import BipartiteGraph, Matching
+from wmatch.graphs import BipartiteGraph, Matching, WeightAssignment
 
 
 def zero_grid(n):
@@ -30,7 +30,7 @@ def assert_fails_uncovered(result):
         assert report["target_size"] == report["covered_count"] + len(report["uncovered"])
 
 
-def constant_zero_map(g, s, cert):
+def constant_zero_map(g, s):
     return lambda i, rest: zero_grid(g.n)
 
 
@@ -45,8 +45,10 @@ def test_graph_witness_constant(monkeypatch):
 
 
 def test_nonisolating_witness_constant(monkeypatch):
-    def constant_map(g, k, dummy):
-        return lambda i, rest: dummy
+    def constant_map(g, k):
+        # The witness's all-ones fallback, one element of the bad set.
+        all_ones = WeightAssignment.from_edge_values(g, (1,) * g.num_edges)
+        return lambda i, rest: all_ones
 
     monkeypatch.setattr(verify, "nonisolating_witness_map", constant_map)
     result = verify.check_isolation()

@@ -5,8 +5,8 @@ import pytest
 from wmatch import zeroset
 from wmatch.classical import maximum_matching
 from wmatch.graphs import BipartiteGraph
-from wmatch.edmonds import ZeroDeterminantError, extract_diagonal_mod
-from wmatch.linalg import P, IntMatrix, det_bareiss, det_berkowitz, det_lagrange
+from wmatch.edmonds import extract_pm_trace
+from wmatch.linalg import IntMatrix, det_bareiss, det_berkowitz, det_lagrange
 from wmatch.oracle import BudgetExceededError
 from wmatch.verify import _fixed_witness_graphs
 from wmatch.zeroset import (
@@ -189,20 +189,21 @@ class TestWitnessComplete:
 
 class TestWitnessGraph:
     def test_coincides_with_complete_on_identity_certificate(self):
+        # K_2,2's Kuhn pass matches each row to its own column: sigma is
+        # the identity, the matching the identity certificate fixed.
         g = BipartiteGraph.complete(2)
-        cert = IntMatrix.identity(2)
+        assert g.matching_columns == (0, 1)
         for i, rest in complete_domain(2, 3):
-            assert zero_witness_graph(g, 3, cert, i, rest) == zero_witness_complete(
+            assert zero_witness_graph(g, 3, i, rest) == zero_witness_complete(
                 2, 3, i, rest
             )
 
     def test_diagonal_graph_exhaustive(self):
         g = BipartiteGraph.from_rows([[1, 0], [0, 1]])
-        cert = IntMatrix.identity(2)
         target = set(zero_set(g, 2))
         assert len(target) == 3  # r00 * r11 = 0 over {0,1}^2
         hits = {
-            zero_witness_graph(g, 2, cert, i, rest)
+            zero_witness_graph(g, 2, i, rest)
             for i, rest in complete_domain(2, 2)
         }
         assert target <= hits
@@ -212,63 +213,36 @@ class TestWitnessGraph:
 
     def test_missing_edge_graph_exhaustive(self):
         g = BipartiteGraph.from_rows([[1, 0], [1, 1]])
-        cert = IntMatrix.identity(2)
         target = set(zero_set(g, 3))
         hits = {
-            zero_witness_graph(g, 3, cert, i, rest)
+            zero_witness_graph(g, 3, i, rest)
             for i, rest in complete_domain(2, 3)
         }
         assert target <= hits
-
-    def test_non_permutation_certificate_also_works(self):
-        g = BipartiteGraph.from_rows([[1, 0], [1, 1]])
-        cert = IntMatrix.from_rows([[2, 7], [1, 3]])  # evaluates to det 6
-        target = set(zero_set(g, 3))
-        hits = {
-            zero_witness_graph(g, 3, cert, i, rest)
-            for i, rest in complete_domain(2, 3)
-        }
-        assert target <= hits
-
-    def test_certificate_with_det_p_fixes_the_exact_sigma(self):
-        # det [[P + 1, 1], [1, 1]] = P is 0 mod P, so sigma comes from
-        # the exact fallback: (1, 0), as for the anti-diagonal
-        # permutation matrix, where the identity's sigma is (0, 1).
-        g = BipartiteGraph.complete(2)
-        cert = IntMatrix.from_rows([[P + 1, 1], [1, 1]])
-        assert det_bareiss(cert) == P and extract_diagonal_mod(cert) is None
-        witness = zero_witness_graph_map(g, 2, cert)
-        anti = zero_witness_graph_map(g, 2, IntMatrix.from_rows([[0, 1], [1, 0]]))
-        domain = complete_domain(2, 2)
-        outs = [witness(i, rest) for i, rest in domain]
-        assert outs == [anti(i, rest) for i, rest in domain]
-        assert outs != [zero_witness_complete(2, 2, i, rest) for i, rest in domain]
-
-    def test_zero_certificate_rejected(self):
-        g = BipartiteGraph.complete(2)
-        with pytest.raises(ZeroDeterminantError):
-            zero_witness_graph(g, 2, IntMatrix.from_rows([[0, 0], [0, 0]]), 0, (0, 0, 0))
 
     def test_pm_free_certificate_rejected(self):
-        g = BipartiteGraph.from_rows([[0, 0], [1, 1]])
-        with pytest.raises(ZeroDeterminantError):
-            zero_witness_graph(g, 2, IntMatrix.identity(2), 0, (0, 0, 0))
+        # A graph without a perfect matching has no certificate, so no
+        # chain to invert: the map refuses it before any point.
+        for g in (BipartiteGraph.from_rows([[0, 0], [1, 1]]), BipartiteGraph.empty(2)):
+            with pytest.raises(ValueError, match=r"^graph has no perfect matching"):
+                zero_witness_graph(g, 2, 0, (0, 0, 0))
+            with pytest.raises(ValueError, match=r"^graph has no perfect matching"):
+                zero_witness_graph_map(g, 2)
 
     def test_map_checks_certificate_once_and_points_always(self):
+        # The graph's certificate, its perfect matching, and s are
+        # checked when the map is built; each point when it is mapped.
         g = BipartiteGraph.from_rows([[1, 0], [1, 1]])
-        with pytest.raises(ZeroDeterminantError):
-            zero_witness_graph_map(g, 3, IntMatrix.from_rows([[0, 0], [0, 0]]))
-        with pytest.raises(ValueError):
-            zero_witness_graph_map(g, 0, IntMatrix.identity(2))
-        cert = IntMatrix.from_rows([[2, 7], [1, 3]])
-        witness = zero_witness_graph_map(g, 3, cert)
+        with pytest.raises(ValueError, match=r"^value range bound must be >= 1, got 0$"):
+            zero_witness_graph_map(g, 0)
+        witness = zero_witness_graph_map(g, 3)
         for bad_point in ((2, (0, 0, 0)), (0, (0, 0)), (0, (0, 3, 0))):
             with pytest.raises(ValueError):
                 witness(*bad_point)
         # One map serves the whole domain, in any order.
         domain = list(complete_domain(2, 3))
         outs = [witness(i, rest) for i, rest in reversed(domain)][::-1]
-        assert outs == [zero_witness_graph(g, 3, cert, i, rest) for i, rest in domain]
+        assert outs == [zero_witness_graph(g, 3, i, rest) for i, rest in domain]
         assert set(zero_set(g, 3)) <= set(outs)
 
 
@@ -279,12 +253,10 @@ class TestWitnessGraphCache:
     G = BipartiteGraph.from_rows([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
 
     def witness(self):
-        return zero_witness_graph_map(self.G, 3, maximum_matching(self.G).permutation_matrix(3))
+        return zero_witness_graph_map(self.G, 3)
 
     def test_point_errors_pinned(self):
-        witness = zero_witness_graph_map(
-            BipartiteGraph.from_rows([[1, 0], [1, 1]]), 3, IntMatrix.identity(2)
-        )
+        witness = zero_witness_graph_map(BipartiteGraph.from_rows([[1, 0], [1, 1]]), 3)
         cases = [
             ((2, (0, 0, 0)), r"^step index 2 out of range \[0, 2\)$"),
             ((-1, (0, 0, 0)), r"^step index -1 out of range \[0, 2\)$"),
@@ -381,8 +353,7 @@ class TestWitnessAnySigma:
         for graphs, s in ((two, 2), (two, 3), (three, 2)):
             for g, sigma in graphs:
                 n = g.n
-                cert = maximum_matching(g).permutation_matrix(n)
-                witness = zero_witness_graph_map(g, s, cert)
+                witness = zero_witness_graph_map(g, s)
                 for elem in zero_set(g, s):
                     i = vanishing_step(elem, sigma)
                     rest = tuple(
@@ -403,7 +374,7 @@ class TestWitnessAnySigma:
         dummies = 0
         for g, sigma, s in cases:
             n = g.n
-            witness = zero_witness_graph_map(g, s, maximum_matching(g).permutation_matrix(n))
+            witness = zero_witness_graph_map(g, s)
             for i, rest in complete_domain(n, s):
                 out = witness(i, rest)
                 assert out == sorted_column_witness(g, s, i, rest, sigma)
@@ -415,3 +386,32 @@ class TestWitnessAnySigma:
                 assert zero_witness_complete(2, s, i, rest) == sorted_column_witness(
                     k2, s, i, rest, (0, 1)
                 )
+
+
+class TestSigmaFromTheGraph:
+    """The witness reads sigma off the graph's Kuhn pass.  These pin
+    that it equals the sigma extracted from a perfect matching's
+    permutation matrix (from the identity on the complete graph),
+    wherever ``verify`` and the tests above run the witness."""
+
+    def test_kuhn_sigma_is_the_extracted_sigma(self):
+        for n in (2, 3):
+            for g, _ in graphs_with_pm(n):
+                cert = maximum_matching(g).permutation_matrix(n)
+                assert extract_pm_trace(g, cert).sigma == g.matching_columns
+
+    @pytest.mark.parametrize("g, s", [
+        (BipartiteGraph.complete(2), 2),
+        (BipartiteGraph.complete(2), 3),
+        (BipartiteGraph.complete(3), 2),
+        *((g, s) for g in _fixed_witness_graphs() for s in (2, 3)),
+    ])
+    def test_matches_reference_on_extracted_sigma(self, g, s):
+        n = g.n
+        if g == BipartiteGraph.complete(n):
+            sigma = extract_pm_trace(g, IntMatrix.identity(n)).sigma
+        else:
+            sigma = extract_pm_trace(g, maximum_matching(g).permutation_matrix(n)).sigma
+        witness = zero_witness_graph_map(g, s)
+        for i, rest in complete_domain(n, s):
+            assert witness(i, rest) == sorted_column_witness(g, s, i, rest, sigma)
