@@ -164,6 +164,6 @@ def enumerate_nonisolating(
             f"bad-set enumeration needs {total} evaluations, budget is {budget}"
         )
     for values in product(range(1, k + 1), repeat=m):
-        w = WeightAssignment.from_edge_values(g, values)
+        w = WeightAssignment._from_checked(edge_grid(g, values))
         if is_nonisolating(g, w):
             yield w

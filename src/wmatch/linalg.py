@@ -90,11 +90,13 @@ exceed the sum of the two largest pivot valuations (Dixon's p-adic
 precision argument, proved in its docstring).  Up to K = 128
 (:data:`PACKED_MAX_K`) each row of the factorization and of the
 inverse is one integer of fields, updated whole as in
-:func:`inverse_mod`; above it, one list entry per matrix entry.  The
-two representations meet in one layout: either factorization returns
-``lu``, each row a list of L's strict part, the pivot and U's strict
-part in pivot order (:func:`_ldu_rows` reads U out of its packed rows
-once, at its end), and either Y phase takes ``(lu, scales, mask)``.
+:func:`inverse_mod`, and the factorization's rows are packed straight
+from the scaled exponents, one bit set per entry below 2^K; above it,
+one list entry per matrix entry.  The two representations meet in one
+layout: either factorization returns ``lu``, each row a list of L's
+strict part, the pivot and U's strict part in pivot order
+(:func:`_ldu_rows` reads U out of its packed rows once, at its end),
+and either Y phase takes ``(lu, scales, mask)``.
 So each field width is chosen and read inside the one function that
 packs with it: 2K + 1 bits in :func:`_ldu_rows`, 2V + 2 + bitlen(n + 1)
 in :func:`_y_rows`.
@@ -447,6 +449,18 @@ def _pack(row: Sequence[int], bits: int, modulus: int) -> int:
     return x
 
 
+def _pack_powers(row: Sequence[Optional[int]], bits: int, k_bits: int) -> int:
+    """:func:`_pack` of the row 2^row mod 2^K, K = ``k_bits`` at most
+    ``bits``, read off the exponents: an exponent x < K in field t sets
+    bit ``t * bits + x`` and nothing else, and None or x >= K leaves
+    field t 0."""
+    x = 0
+    for v, s in zip(row, range(0, len(row) * bits, bits)):
+        if v is not None and v < k_bits:
+            x |= 1 << s + v
+    return x
+
+
 def _fields(x: int, shifts: Iterable[int], mask: int) -> list[int]:
     """The fields of x that start at the bit offsets ``shifts``, each
     ANDed with ``mask``."""
@@ -582,35 +596,40 @@ def minor_inverse_mod(inv: tuple[Sequence[int], int], j: int) -> tuple[list[int]
     return [(row & low) + (row >> shift) % P * neg for r, row in enumerate(rows) if r != j], bits
 
 
-def _ldu_mod(a: Sequence[Sequence[int]], k_bits: int):
-    """LDU factorization of the integer matrix a over Z/2^K, K =
+def _ldu_mod(e: Sequence[Sequence[Optional[int]]], k_bits: int):
+    """LDU factorization of the power matrix 2^e over Z/2^K, K =
     ``k_bits``, with full pivoting on the least 2-adic valuation.
 
-    Each step takes a pivot of least valuation in the trailing block:
-    an odd entry of the first remaining row when it has one, as 0 is
-    the least valuation.  With the pivot d = 2^v u (u odd), every entry
-    x below it becomes the multiplier ``(x >> v) * u^-1``, the trailing
-    block takes its Schur complement, and the pivot row's tail is
-    divided by d the same way.  Up to K = :data:`PACKED_MAX_K` this is
-    :func:`_ldu_rows`, one integer per row; above it,
-    :func:`_ldu_entries`, one list entry per matrix entry.  Which
-    least-valuation entry each picks may differ, but not the pivot
-    valuations (:func:`power_det_valuation`).
+    ``e`` holds integer exponents, None where the matrix is 0; an entry
+    2^x with x >= K is 0 mod 2^K.  Each step takes a pivot of least
+    valuation in the trailing block: an odd entry of the first
+    remaining row when it has one, as 0 is the least valuation.  With
+    the pivot d = 2^v u (u odd), every entry x below it becomes the
+    multiplier ``(x >> v) * u^-1``, the trailing block takes its Schur
+    complement, and the pivot row's tail is divided by d the same way.
+    Up to K = :data:`PACKED_MAX_K` this is :func:`_ldu_rows`, one
+    integer per row, packed straight from the exponents; above it,
+    :func:`_ldu_entries` on the residues :func:`_power_mod`, one list
+    entry per matrix entry.  Which least-valuation entry each picks may
+    differ, but not the pivot valuations (:func:`power_det_valuation`).
 
     Returns None when the trailing block of some step is 0 mod 2^K, else
-    ``(rows, cols, lu, pivots)``: with ``B[k][l] = a[rows[k]][cols[l]]``,
-    ``B = L diag(pivots) U`` mod 2^K, L and U unit triangular.  Both
-    representations return the same layout: ``lu[k]`` is a list of n
-    residues mod 2^K, entry (k, l) of L's strict part at l < k, pivot k
-    at l = k and entry (k, l) of U's strict part at l > k, all in pivot
-    order.  L's column k and U's row k are known mod 2^(K - v_k), v_k
-    the valuation of pivot k.
+    ``(rows, cols, lu, pivots)``: with ``B[k][l] = 2^e[rows[k]][cols[l]]``
+    (0 where None), ``B = L diag(pivots) U`` mod 2^K, L and U unit
+    triangular.  Both representations return the same layout:
+    ``lu[k]`` is a list of n residues mod 2^K, entry (k, l) of L's
+    strict part at l < k, pivot k at l = k and entry (k, l) of U's
+    strict part at l > k, all in pivot order.  L's column k and U's row
+    k are known mod 2^(K - v_k), v_k the valuation of pivot k.
     """
-    return (_ldu_rows if k_bits <= PACKED_MAX_K else _ldu_entries)(a, k_bits)
+    if k_bits <= PACKED_MAX_K:
+        return _ldu_rows(e, k_bits)
+    return _ldu_entries(_power_mod(e, k_bits), k_bits)
 
 
 def _ldu_entries(a: Sequence[Sequence[int]], k_bits: int):
-    """:func:`_ldu_mod` on lists, one list entry per matrix entry.
+    """:func:`_ldu_mod` on lists, one list entry per matrix entry, of
+    the integer matrix a (the power matrix's residues, or any other).
 
     The working array starts as a mod 2^K and is factored in place.  At
     step k the pivot is the first odd entry of row k's trailing part, or
@@ -663,14 +682,18 @@ def _ldu_entries(a: Sequence[Sequence[int]], k_bits: int):
     return rows, cols, lu, pivots
 
 
-def _ldu_rows(a: Sequence[Sequence[int]], k_bits: int):
+def _ldu_rows(e: Sequence[Sequence[Optional[int]]], k_bits: int):
     """:func:`_ldu_mod` on packed rows: each row of the working matrix
     is one integer of F-bit fields, F = 2K + 1, field c (bits ``c * F``
-    up to ``(c + 1) * F``) holding column c of a.  L's rows are lists
-    from the start; U's row k stays packed until the end, when its
+    up to ``(c + 1) * F``) holding column c of the matrix.  L's rows are
+    lists from the start; U's row k stays packed until the end, when its
     fields ``cols[k + 1:]`` are read once into ``lu[k]``.
 
-    Columns never move, so a field names its column of a, and rows are
+    ``e`` holds exponents, as :func:`_ldu_mod` takes them, and each row
+    is packed straight from them (:func:`_pack_powers`), so no residue
+    grid is built.
+
+    Columns never move, so a field names its column, and rows are
     swapped whole.  Once a column is pivoted on, its field is 0 in every
     row below the pivot.  At step k the pivot is the highest odd field
     of row k (``row & ones``), or else, with v the least valuation of
@@ -689,12 +712,12 @@ def _ldu_rows(a: Sequence[Sequence[int]], k_bits: int):
     ``((row >> v) * u^-1) & mask``: one shift divides every field by
     2^v, as each has valuation at least v.
     """
-    n = len(a)
+    n = len(e)
     bits = 2 * k_bits + 1
     mask = (1 << k_bits) - 1
     ones = _ones(bits, n)
     full = ones * mask
-    packed = [_pack(row, bits, mask + 1) for row in a]
+    packed = [_pack_powers(row, bits, k_bits) for row in e]
     lower = [[] for _ in range(n)]
     rows = list(range(n))
     cols = []
@@ -813,7 +836,9 @@ def _y_rows(lu, scales, mask):
 
 def _power_mod(e: Sequence[Sequence[Optional[int]]], k_bits: int) -> list[list[int]]:
     """The power matrix 2^e mod 2^K, K = ``k_bits``: 2^x where an
-    exponent x is below K, and 0 where it is at least K or None."""
+    exponent x is below K, and 0 where it is at least K or None.  Only
+    :func:`_ldu_entries` reads it; :func:`_ldu_rows` packs 2^x
+    itself."""
     return [[0 if x is None or x >= k_bits else 1 << x for x in row] for row in e]
 
 
@@ -841,8 +866,9 @@ def power_det_valuation(
     of every valuation that no cancellation can touch; the numbers below
     carry O(p') bits instead of the thousands that 2^w has at n = 32.
     A' is not held either, only w': each factorization reads A' mod
-    2^K, so its input has 2^w' where w' < K and 0 elsewhere, and
-    Hadamard's bound and the tight test below read w' itself.
+    2^K, which is 2^w' where w' < K and 0 elsewhere, and takes w'
+    itself (:func:`_ldu_mod`), as do Hadamard's bound and the tight
+    test below.
 
     *Factor over Z/2^K* (:func:`_ldu_mod`).  A pivot of least valuation
     v divides its whole row and column 2-adically, so every multiplier
@@ -905,14 +931,17 @@ def power_det_valuation(
     *Representation.*  Up to K = :data:`PACKED_MAX_K` the factorization
     keeps each row of the working matrix in one integer, a field of
     2K + 1 bits per column (:func:`_ldu_rows`): a row step leaves every
-    field below 2^(2K), so none carries into the next.  After it, the
+    field below 2^(2K), so none carries into the next.  Each row starts
+    as the bits ``c (2K + 1) + w'`` set for the w' < K of its columns
+    c, read off w' with no grid of residues in between.  After it, the
     Y phase keeps each row of L^-1 and of Y' in one integer with fields
     of 2V + 2 + bitlen(n + 1) bits (:func:`_y_rows`): a row is a sum of
     at most n products of two residues below 2^(V + 1), below
     n 2^(2V + 2) per field.  Above that K, one list entry per matrix
-    entry is faster in the factorization (:func:`_ldu_entries`; the
-    module docstring has the times), and the Y phase follows it
-    (:func:`_y_entries`) although packed rows would be faster there.
+    entry is faster in the factorization (:func:`_ldu_entries`, on the
+    residues :func:`_power_mod`; the module docstring has the times),
+    and the Y phase follows it (:func:`_y_entries`) although packed rows
+    would be faster there.
     Both factorizations return the same ``lu`` layout and both Y phases
     take ``(lu, scales, mask)``, so the code below picks a
     representation by K alone and hands on no K, column order or field
@@ -951,7 +980,7 @@ def power_det_valuation(
     ]
     k_bits = 64
     hadamard = None  # Hadamard's bound, read only once a pivot vanishes
-    while (fac := _ldu_mod(_power_mod(e, k_bits), k_bits)) is None:
+    while (fac := _ldu_mod(e, k_bits)) is None:
         if hadamard is None:
             hadamard = sum(
                 (sum(1 << 2 * x for x in row if x is not None).bit_length() + 1) // 2
@@ -964,7 +993,7 @@ def power_det_valuation(
     vmax = vals[-1]
     if k_bits <= sum(vals[-2:]):
         k_bits = sum(vals[-2:]) + 1
-        fac = _ldu_mod(_power_mod(e, k_bits), k_bits)
+        fac = _ldu_mod(e, k_bits)
     rows, cols, lu, pivots = fac
     mask = (2 << vmax) - 1
     scales = [pow(d >> v, -1, 2 << v) << (vmax - v) for d, v in zip(pivots, vals)]

@@ -121,13 +121,23 @@ def exact_power_det_valuation(
     ±adj[j][i], is nonzero with exactly p - w(i, j) trailing zeros.
     When the minimum-weight perfect matching is unique, p is its weight
     and these are exactly its edges.
+
+    The count is read with one mask per edge: with s = p - w(i, j), y
+    has exactly s trailing zeros iff s >= 0 and ``y & (2^(s + 1) - 1)
+    == 2^s``, bits 0 to s - 1 clear and bit s set.  This holds for a
+    negative y too, whose two's complement keeps the trailing zeros of
+    |y| and the bit above them, and it fails for y = 0, which has no
+    trailing zero count.
     """
     det, adj = cofactors(build_power_matrix(g, w))
     if det == 0:
         return None
     p = trailing_zeros(det)
+    grid = w.grid
     return p, [
-        (i, j) for i, j in g.edge_list() if trailing_zeros(adj[j][i]) == p - w.value(i, j)
+        (i, j)
+        for i, j in g.edge_list()
+        if (s := p - grid[i][j]) >= 0 and adj[j][i] & ((2 << s) - 1) == 1 << s
     ]
 
 
@@ -220,9 +230,13 @@ def mvv_trial(g: BipartiteGraph, seed: int) -> MvvTrial:
     p, pairs = found
     if len(pairs) != n:
         return MvvTrial(seed, w, p, None, WRONG_SIZE)
-    if len({i for i, _ in pairs}) != n or len({j for _, j in pairs}) != n:
+    lefts, rights = zip(*sorted(pairs))
+    if len(set(lefts)) != n or len(set(rights)) != n:
         return MvvTrial(seed, w, p, None, NOT_INJECTIVE)
-    candidate = Matching.from_pairs(pairs)
+    # n distinct sorted lefts other than 0..n-1 put one outside [0, n).
+    if lefts != tuple(range(n)):
+        return MvvTrial(seed, w, p, None, NOT_PERFECT)
+    candidate = Matching.from_columns(rights)
     if not is_perfect_matching(g, candidate):
         return MvvTrial(seed, w, p, None, NOT_PERFECT)
     if matching_weight(candidate, w) != p:

@@ -39,6 +39,7 @@ from .edmonds import ZeroDeterminantError, extract_pm_trace, lovasz_sample
 from .graphs import (
     BipartiteGraph,
     WeightAssignment,
+    edge_grid,
     edmonds_eval,
     is_perfect_matching,
     matching_weight,
@@ -187,7 +188,18 @@ def check_matching_determinant_equivalence(seed: int = DEFAULT_SEED) -> CheckRes
     """A perfect matching exists iff some evaluation of the edge matrix
     has nonzero determinant; any nonzero evaluation yields a verified
     perfect matching via extraction.  Every 3x3 graph, and 500 random
-    graphs with n in {4, 5}."""
+    graphs with n in {4, 5}.
+
+    A graph's PM evaluation, at the permutation matrix of its maximum
+    matching, is that permutation matrix, and many graphs share one
+    (574 graphs share 108 at the default seed).  Its determinant and
+    its extraction trace are computed once per distinct evaluation, by
+    :func:`~wmatch.edmonds.extract_pm_trace` on the first graph that
+    meets it; a raise is kept in place of the trace.  Every graph is
+    still checked on its own: the trace must be a perfect matching of
+    that graph (:func:`~wmatch.graphs.is_perfect_matching`, the check
+    ``extract_pm_trace`` makes), so a bad trace or a raise is reported
+    on every graph that shares the evaluation."""
     failures = []
     stream = SplitMix64(derive_seed(seed, 101))
     graphs = [*_all_graphs(3), *_random_graphs(stream, 500, (4, 5))]
@@ -198,6 +210,8 @@ def check_matching_determinant_equivalence(seed: int = DEFAULT_SEED) -> CheckRes
     # is an edge, named by sigma(i) on those rows and -1 on the others;
     # each name's determinant is computed once.
     dets: dict[tuple[int, ...], int] = {}
+    # A PM evaluation's rows -> (its det, its trace, or None on a raise).
+    pm_evals: dict[tuple[tuple[int, ...], ...], tuple] = {}
     with_pm = without_pm = 0
     for idx, g in enumerate(graphs):
         n = g.n
@@ -205,14 +219,14 @@ def check_matching_determinant_equivalence(seed: int = DEFAULT_SEED) -> CheckRes
         if mm.size == n:
             with_pm += 1
             b = edmonds_eval(g, mm.permutation_matrix(n))
-            if det_bareiss(b) not in (-1, 1):
+            seen = pm_evals.get(b.rows)
+            if seen is None:
+                seen = pm_evals[b.rows] = _pm_evaluation(g, b)
+            det, trace = seen
+            if det not in (-1, 1):
                 failures.append({"graph": idx, "reason": "PM evaluation det not ±1"})
                 continue
-            # extract_pm_trace raises unless it returns a perfect matching
-            # of g, so a raise is the failure.
-            try:
-                extract_pm_trace(g, b)
-            except (ValueError, AssertionError):
+            if trace is None or not is_perfect_matching(g, trace.matching):
                 failures.append({"graph": idx, "reason": "extraction invalid"})
             sample = lovasz_sample(g, derive_seed(seed, 7000 + idx))
             try:
@@ -241,6 +255,19 @@ def check_matching_determinant_equivalence(seed: int = DEFAULT_SEED) -> CheckRes
             "failures": failures[:5],
         },
     )
+
+
+def _pm_evaluation(g: BipartiteGraph, b: IntMatrix) -> tuple:
+    """``(det(b), trace)`` for g's PM evaluation b: the trace of
+    :func:`~wmatch.edmonds.extract_pm_trace`, or None where it raises
+    and, without running it, where det(b) is not ±1."""
+    det = det_bareiss(b)
+    if det not in (-1, 1):
+        return det, None
+    try:
+        return det, extract_pm_trace(g, b)
+    except (ValueError, AssertionError):
+        return det, None
 
 
 def _perm_eval_det(dets: dict, g: BipartiteGraph, perm: tuple[int, ...],
@@ -485,7 +512,7 @@ def check_isolation(max_k: float = inf, budget: int = DEFAULT_BUDGET) -> CheckRe
         oracle_bad = [
             w
             for values in product(range(1, k + 1), repeat=m)
-            for w in [WeightAssignment.from_edge_values(g, values)]
+            for w in [WeightAssignment._from_checked(edge_grid(g, values))]
             if len(min_weight_pms(w).matchings) >= 2
         ]
         mismatches = len(set(bad) ^ set(oracle_bad))
@@ -538,7 +565,7 @@ def _unique_min_instances(seed: int = DEFAULT_SEED):
     for gi, g in enumerate(_fixed_unique_min_graphs()):
         min_weight_pms = min_weight_pms_map(g)
         for values in product(range(1, 4), repeat=g.num_edges):
-            w = WeightAssignment.from_edge_values(g, values)
+            w = WeightAssignment._from_checked(edge_grid(g, values))
             yield f"fixed{gi}:", values, g, w, min_weight_pms(w)
     stream = SplitMix64(derive_seed(seed, 501))
     for t in range(UNIQUE_MIN_RANDOM_SAMPLES):

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from wmatch import cli
+from wmatch import cli, linalg
 
 SIZES = (6, 8, 10, 12, 14, 16, 18, 20)
 KINDS = ("pm", "left-violator", "right-violator")
@@ -349,3 +349,37 @@ VERIFY_REDUCED = {
 def test_verify_reduced_bounds(capsys, suite, max_n):
     argv = ["verify", suite, "--max-n", max_n, "--format", "json"]
     assert digest(capsys, argv) == VERIFY_REDUCED[suite, max_n]
+
+
+# Recorded before the packed factorization read its rows straight off
+# the exponents.  Each run's last factorization is above PACKED_MAX_K,
+# so it and the Y phase after it run on list entries, which the sizes
+# above never reach: (digest, the K of each factorization in order).
+FIND_PER_ENTRY = {
+    (32, "json"): ("44d174691472c3f054d692f086d56c89dfaa4988c33522fd4b73c0ff1c2ad796",
+                   [64, 128, 256, 304]),
+    (32, "text"): ("3d8f4ea00f5625754cc9418e1290cbdd7cc0dbf428e6db42c101e41355dbfa68",
+                   [64, 128, 256, 304]),
+    (48, "json"): ("5ed12e146b5255af5e263519851e54ce7f0f6c9dc809f39d196f8aac2b37a78a",
+                   [64, 128, 256, 512, 596]),
+    (48, "text"): ("4ab1068bc2cb17b704fd89a54b62509e5db25d48940a3b9f572a612117b1ecc9",
+                   [64, 128, 256, 512, 596]),
+}
+
+
+@pytest.mark.parametrize("n, fmt", list(FIND_PER_ENTRY))
+def test_find_per_entry_kernel(capsys, tmp_path, monkeypatch, n, fmt):
+    k_bits = []
+    ldu = linalg._ldu_mod
+
+    def recording(e, k):
+        k_bits.append(k)
+        return ldu(e, k)
+
+    monkeypatch.setattr(linalg, "_ldu_mod", recording)
+    monkeypatch.chdir(tmp_path)
+    graph = f"pm-{n}.graph"
+    write_rows(tmp_path / graph, golden_graph("pm", n))
+    argv = ["find", graph, "--seed", str(1000 + n), "--format", fmt]
+    assert (digest(capsys, argv), k_bits) == FIND_PER_ENTRY[n, fmt]
+    assert k_bits[0] <= linalg.PACKED_MAX_K < k_bits[-1]

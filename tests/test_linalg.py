@@ -1066,19 +1066,21 @@ def _adjugate_kernel(w):
         if not present:
             return None
         c.append(min(present))
-    a = [
-        [0 if e is None else 1 << (e - ri - cj) for e, cj in zip(row, c)]
+    # The scaled exponents w', which linalg._ldu_mod factors, and A'.
+    e = [
+        [None if x is None else x - ri - cj for x, cj in zip(row, c)]
         for row, ri in zip(w, r)
     ]
+    a = [[0 if x is None else 1 << x for x in row] for row in e]
     hadamard = sum((sum(map(mul, row, row)).bit_length() + 1) // 2 for row in a)
     k_bits = 64
-    while (fac := linalg._ldu_mod(a, k_bits)) is None:
+    while (fac := linalg._ldu_mod(e, k_bits)) is None:
         if k_bits >= hadamard:
             return None
         k_bits *= 2
     p = sum(map(trailing_zeros, fac[3]))  # p', the valuation of det(A')
     if k_bits <= p:
-        fac = linalg._ldu_mod(a, p + 1)
+        fac = linalg._ldu_mod(e, p + 1)
     rows, cols, lu, pivots = fac
     n = len(a)
     mask = (2 << p) - 1
@@ -1426,6 +1428,15 @@ def assert_ldu(a, k_bits, fac):
             assert (total - a[rows[k]][cols[l]]) & mask == 0, (k, l)
 
 
+def ldu_rows_of_residues(a, k_bits):
+    """linalg._ldu_rows on any integer matrix a: its rows are packed
+    field by field mod 2^K (linalg._pack) in place of the exponent rows
+    of linalg._pack_powers."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_pack_powers", lambda row, bits, k: linalg._pack(row, bits, 1 << k))
+        return linalg._ldu_rows(a, k_bits)
+
+
 class TestPackedRows:
     """Both representations of power_det_valuation's factorization and Y
     phase against each other and, up to n = 16, against exact cofactors
@@ -1502,8 +1513,7 @@ class TestPackedRows:
             # row's 0, reaches (2^K - 1) + (2^K - 1) 2^K = 2^(2K) - 1,
             # the largest a row step can make.
             a = [[1, 0, 2], [top, top, top - 1], [top, 1, top]]
-            for ldu in (linalg._ldu_rows, linalg._ldu_entries):
-                fac = ldu(a, k_bits)
+            for fac in (ldu_rows_of_residues(a, k_bits), linalg._ldu_entries(a, k_bits)):
                 assert fac[1][0] == 0 and fac[2][1][0] == top
                 assert_ldu(a, k_bits, fac)
             rng = random.Random(f"field-edge:{k_bits}")
@@ -1512,13 +1522,37 @@ class TestPackedRows:
                 n = rng.randint(1, 8)
                 a = [[rng.choice(edges) if rng.random() < 0.8 else rng.getrandbits(k_bits)
                       for _ in range(n)] for _ in range(n)]
-                facs = [linalg._ldu_rows(a, k_bits), linalg._ldu_entries(a, k_bits)]
+                facs = [ldu_rows_of_residues(a, k_bits), linalg._ldu_entries(a, k_bits)]
                 assert (facs[0] is None) == (facs[1] is None)
                 if facs[0] is not None:
                     assert ([trailing_zeros(d) for d in facs[0][3]]
                             == [trailing_zeros(d) for d in facs[1][3]])
                     assert_ldu(a, k_bits, facs[0])
                     assert_ldu(a, k_bits, facs[1])
+
+    def test_rows_packed_from_exponents(self):
+        # The packed factorization sets one bit per exponent below K.  Its
+        # rows must be _pack of the residues 2^e mod 2^K bit for bit, at
+        # the narrowest width and at the factorization's, and _ldu_mod on
+        # the exponents must return what the factorization of the
+        # residues returns.  Exponents run over None, 0, K - 1, K and up
+        # to 2K.
+        rng = random.Random(337)
+        nonzero = 0
+        for k_bits in (64, 101, 128):
+            for _ in range(60):
+                n = rng.randint(1, 10)
+                e = [[rng.choice([None, 0, 1, k_bits - 1, k_bits, rng.randint(0, 2 * k_bits)])
+                      for _ in range(n)] for _ in range(n)]
+                a = linalg._power_mod(e, k_bits)
+                for bits in (k_bits, 2 * k_bits + 1):
+                    for row, residues in zip(e, a):
+                        assert (linalg._pack_powers(row, bits, k_bits)
+                                == linalg._pack(residues, bits, 1 << k_bits))
+                fac = linalg._ldu_mod(e, k_bits)
+                assert fac == ldu_rows_of_residues(a, k_bits)
+                nonzero += fac is not None
+        assert nonzero > 40
 
     def test_y_phases_on_one_factorization(self):
         # Both factorizations return one lu layout, and both Y phases
@@ -1530,9 +1564,11 @@ class TestPackedRows:
         for k_bits in (64, linalg.PACKED_MAX_K + 64):
             for _ in range(40):
                 n = rng.randint(1, 10)
-                a = linalg._power_mod(random_exponents(rng, n, 0.8, 0, 40), k_bits)
-                for ldu in (linalg._ldu_rows, linalg._ldu_entries):
-                    fac = ldu(a, k_bits)
+                e = random_exponents(rng, n, 0.8, 0, 40)
+                a = linalg._power_mod(e, k_bits)
+                # The packed factorization reads the exponents, the
+                # per-entry one their residues.
+                for fac in (linalg._ldu_rows(e, k_bits), linalg._ldu_entries(a, k_bits)):
                     if fac is None:
                         continue
                     rows, cols, lu, pivots = fac

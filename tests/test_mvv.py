@@ -368,6 +368,27 @@ class TestExactPowerDetValuation:
         with pytest.raises(ValueError, match="weights are 3x3, graph is 2x2"):
             exact_power_det_valuation(K22, w)
 
+    def test_mask_reads_trailing_zeros(self, monkeypatch):
+        # Each edge is read with one mask, y & (2^(s + 1) - 1) == 2^s for
+        # s = p - w(i, j): it must say exactly trailing_zeros(y) == s, for
+        # y = 0, for y = ±z 2^t (z odd, t <= 80) and for s in [-3, 90].
+        # The cofactors of the 1 x 1 graph are patched to (±3 2^p, [[y]]),
+        # with w = 3 and p = s + 3.
+        rng = random.Random(347)
+        odd = (1, 3, 5, (1 << 70) + 1, rng.getrandbits(90) | 1)
+        ys = [0] + [sign * z << t for z in odd for t in range(81) for sign in (1, -1)]
+        g = BipartiteGraph.complete(1)
+        w = WeightAssignment.from_grid([[3]])
+        given = {}
+        monkeypatch.setattr(mvv, "cofactors", lambda m: (given["det"], [[given["y"]]]))
+        for s in range(-3, 91):
+            for sign in (1, -1):
+                given["det"] = sign * 3 << s + 3
+                for y in ys:
+                    given["y"] = y
+                    tight = [(0, 0)] if trailing_zeros(y) == s else []
+                    assert exact_power_det_valuation(g, w) == (s + 3, tight), (s, y)
+
 
 class TestFinder:
     def test_pm_free_always_fails(self):
@@ -454,6 +475,25 @@ class TestFinder:
         assert (p, truth.weight, len(truth.matchings)) == (8, 7, 4)
         assert is_perfect_matching(g, collected)
         assert matching_weight(collected, w) == 9
+
+    def test_pairs_in_any_order(self, monkeypatch):
+        # A trial sorts the tight pairs and builds its candidate from
+        # their columns, so pairs in any order give the same trial.
+        g = BipartiteGraph.complete(3)
+        expected = [mvv_trial(g, seed) for seed in range(30)]
+        assert {t.reason for t in expected} >= {None, "wrong-size"}
+        kernel = mvv.power_det_valuation
+
+        def reversed_pairs(e):
+            found = kernel(e)
+            return found and (found[0], found[1][::-1])
+
+        monkeypatch.setattr(mvv, "power_det_valuation", reversed_pairs)
+        assert [mvv_trial(g, seed) for seed in range(30)] == expected
+        # Lefts not 0..n-1, or a column outside [0, n): no perfect matching.
+        for pairs in ([(0, 0), (1, 1), (5, 2)], [(0, 0), (1, 1), (2, 7)]):
+            monkeypatch.setattr(mvv, "power_det_valuation", lambda e: (4, pairs))
+            assert mvv_trial(g, 0).reason == "not-perfect-matching"
 
     def test_success_has_no_reason(self):
         trial = mvv_trial(BipartiteGraph.complete(1), 3)

@@ -10,7 +10,9 @@ from itertools import combinations
 
 from wmatch import verify
 from wmatch.classical import neighborhood
-from wmatch.graphs import BipartiteGraph, Matching, WeightAssignment
+from wmatch.edmonds import ExtractionTrace
+from wmatch.graphs import BipartiteGraph, Matching, WeightAssignment, is_perfect_matching
+from wmatch.rng import DEFAULT_SEED, SplitMix64, derive_seed
 
 
 def zero_grid(n):
@@ -164,6 +166,95 @@ def test_memoized_matching_size_failure_is_reported(monkeypatch):
         {"graph": idx, "reason": "maximum matching size wrong"},
         {"graph": idx, "reason": "Hall equivalence broken"},
     ]
+
+
+def pm_evaluation_holders():
+    """The matching-determinant check's graphs at the default seed, and
+    the indices of the graphs with a perfect matching grouped by their
+    PM evaluation's rows, in the order the check meets them."""
+    stream = SplitMix64(derive_seed(DEFAULT_SEED, 101))
+    graphs = [*verify._all_graphs(3), *verify._random_graphs(stream, 500, (4, 5))]
+    holders = {}
+    for idx, g in enumerate(graphs):
+        mm = verify.maximum_matching(g)
+        if mm.size == g.n:
+            b = verify.edmonds_eval(g, mm.permutation_matrix(g.n))
+            holders.setdefault(b.rows, []).append(idx)
+    return graphs, holders
+
+
+def test_memoized_extraction_blames_every_holder(monkeypatch):
+    # One PM evaluation shared by a few graphs gets a trace that is a
+    # perfect matching of some of them only: the first holder, which
+    # the memo extracts for, one later holder or more, but not all.
+    # Each graph is checked against the shared trace, so exactly those
+    # it does not fit fail.
+    graphs, holders = pm_evaluation_holders()
+    counts = verify.check_matching_determinant_equivalence().details
+
+    def picks():
+        for rows, idxs in holders.items():
+            if 3 <= len(idxs) <= 5:
+                sigma = [row.index(1) for row in rows]
+                for a, c in combinations(range(len(sigma)), 2):
+                    cols = list(sigma)
+                    cols[a], cols[c] = cols[c], cols[a]
+                    trace = ExtractionTrace(tuple(cols))
+                    bad = [i for i in idxs
+                           if not is_perfect_matching(graphs[i], trace.matching)]
+                    if bad[:1] == idxs[:1] and 2 <= len(bad) < len(idxs):
+                        yield rows, idxs, trace, bad
+
+    target, idxs, trace, bad = next(picks())
+    real = verify.extract_pm_trace
+    monkeypatch.setattr(verify, "extract_pm_trace",
+                        lambda g, b: trace if b.rows == target else real(g, b))
+    result = verify.check_matching_determinant_equivalence()
+    assert result.passed is False
+    assert result.details["failures"] == [
+        {"graph": i, "reason": "extraction invalid"} for i in bad
+    ]
+    for key in ("graphs_with_pm", "graphs_without_pm"):
+        assert result.details[key] == counts[key]
+
+    # An extraction that raises on the shared evaluation fails every
+    # graph that holds it.
+    def raising(g, b):
+        if b.rows == target:
+            raise ValueError("bad extraction")
+        return real(g, b)
+
+    monkeypatch.setattr(verify, "extract_pm_trace", raising)
+    result = verify.check_matching_determinant_equivalence()
+    assert result.details["failures"] == [
+        {"graph": i, "reason": "extraction invalid"} for i in idxs
+    ]
+
+
+def test_one_extraction_per_pm_evaluation(monkeypatch):
+    # 574 graphs with a perfect matching share 108 PM evaluations at the
+    # default seed; each evaluation is extracted once.  Every other
+    # extraction is of a graph's own random sample.
+    _, holders = pm_evaluation_holders()
+    samples = []
+    pm_extractions = []
+    sample, extract = verify.lovasz_sample, verify.extract_pm_trace
+
+    def sampling(g, seed):
+        samples.append(sample(g, seed))
+        return samples[-1]
+
+    def extracting(g, b):
+        if not any(b is s for s in samples):
+            pm_extractions.append(b.rows)
+        return extract(g, b)
+
+    monkeypatch.setattr(verify, "lovasz_sample", sampling)
+    monkeypatch.setattr(verify, "extract_pm_trace", extracting)
+    result = verify.check_matching_determinant_equivalence()
+    assert result.passed
+    assert result.details["graphs_with_pm"] == sum(map(len, holders.values())) == 574
+    assert sorted(pm_extractions) == sorted(holders) and len(holders) == 108
 
 
 def test_hall_holds_matches_subset_enumeration():
