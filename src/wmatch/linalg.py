@@ -88,36 +88,38 @@ valuation, and reads 2^V times the inverse mod 2^(V + 1), V the
 largest pivot valuation, one modular inverse per pivot.  K need only
 exceed the sum of the two largest pivot valuations (Dixon's p-adic
 precision argument, proved in its docstring).  Up to K = 128
-(:data:`PACKED_MAX_K`) each row of the factorization and of the
-inverse is one integer of fields, updated whole as in
-:func:`inverse_mod`, and the factorization's rows are packed straight
-from the scaled exponents, one bit set per entry below 2^K; above it,
-one list entry per matrix entry.  The two representations meet in one
-layout: either factorization returns ``lu``, each row a list of L's
-strict part, the pivot and U's strict part in pivot order
-(:func:`_ldu_rows` reads U out of its packed rows once, at its end),
-and either Y phase takes ``(lu, scales, mask)``.
-So each field width is chosen and read inside the one function that
-packs with it: 2K + 1 bits in :func:`_ldu_rows`, 2V + 2 + bitlen(n + 1)
-in :func:`_y_rows`.
+(:data:`PACKED_MAX_K`) each row of the factorization is one integer of
+fields, updated whole as in :func:`inverse_mod`, packed straight from
+the scaled exponents, one bit set per entry below 2^K; above it, one
+list entry per matrix entry.  Either factorization returns ``lu``, each
+row a list of L's strict part, the pivot and U's strict part in pivot
+order (:func:`_ldu_rows` reads U out of its packed rows once, at its
+end).  The Y phase, :func:`_y_rows`, takes ``lu`` from either and keeps
+each row of the inverse in one integer at every K: its fields have
+2V + 2 + bitlen(n + 1) bits, set by V, not K.  It returns the rows with
+that width, as :func:`inverse_mod` does, and the tight test reads one
+field for each entry that can pass.  So each field width is chosen
+inside the one function that packs with it: 2K + 1 bits in
+:func:`_ldu_rows`, 2V + 2 + bitlen(n + 1) in :func:`_y_rows`.
 
 Both factorizations stay because each wins where it runs.  On the
 exponents ``find`` draws for a density-1/2 graph with a planted
 perfect matching (CPU time, 2-core x86-64 VM, CPython 3.11.7), one
-factorization and inverse at a fixed K take, packed, 0.5-0.9 of the
-per-entry time at K = 64 and K = 128 for n = 6 to 100, and the packed
-Y phase alone 0.3-0.45 of it at n = 12.  At the K where ``find``'s
+factorization at a fixed K takes, packed, 0.5-0.9 of the per-entry time
+at K = 64 and K = 128 for n = 6 to 100.  At the K where ``find``'s
 calls end, the packed factorization takes 1.5-3 times the per-entry
 time at n = 48 (K = 512 to 607) and 5.5-6.5 times at n = 100
 (K = 1,559 to 1,854), where the digit work of the (2K + 1)-bit fields
 outgrows the interpreter work it saves.  The Y phase does not follow
-that split: its fields have 2V + 2 + bitlen(n + 1) bits, not 2K + 1,
-and at n = 16 to 48, wherever K > 128 sends it to :func:`_y_entries`,
-:func:`_y_rows` on the same ``lu`` is 1.1-3.5 times faster.  The
-switch still picks both phases by K alone.  A call takes 0.36 ms at
-n = 12, 8.6 ms at n = 32, 66 ms at n = 64 and 0.68 s at n = 100, where
-:func:`cofactors` takes seconds at n = 32.  :func:`cofactors` and
-:func:`det_bareiss` stay its exact oracles.
+that split, as its fields do not grow with K.  On ``find``'s draws
+for CI's graphs (the first at n = 16, 32, 48 and 200, the first four at
+n = 100), the Y phase and the tight test on packed rows, read only
+where the test can pass, take 0.45-0.75 of the time that one list
+entry per matrix entry took at n = 16 to 48 and 0.8 at n = 200; at
+n = 100 they take 0.93-1.25 of it per draw, 4% more over the four.
+A call takes 0.36 ms at n = 12, 8.6 ms at n = 32, 66 ms at n = 64 and
+0.68 s at n = 100, where :func:`cofactors` takes seconds at n = 32.
+:func:`cofactors` and :func:`det_bareiss` stay its exact oracles.
 """
 
 from __future__ import annotations
@@ -140,10 +142,10 @@ P = 1_073_741_789
 # 2^30 = _FOLD mod P, so a field h * 2^30 + l is congruent to _FOLD * h + l.
 _FOLD = (1 << 30) - P
 # The largest precision K, in bits, at which power_det_valuation keeps
-# each row of its factorization and inverse in one integer: up to it
-# packed rows beat one list entry per matrix entry at every n measured,
-# above it the packed factorization loses at n >= 48 (the module
-# docstring has the times; the packed inverse does not lose there).
+# each row of its factorization in one integer: up to it packed rows
+# beat one list entry per matrix entry at every n measured, above it
+# the packed factorization loses at n >= 48 (the module docstring has
+# the times).  It picks nothing else: the Y phase is packed at every K.
 PACKED_MAX_K = 128
 
 
@@ -461,12 +463,6 @@ def _pack_powers(row: Sequence[Optional[int]], bits: int, k_bits: int) -> int:
     return x
 
 
-def _fields(x: int, shifts: Iterable[int], mask: int) -> list[int]:
-    """The fields of x that start at the bit offsets ``shifts``, each
-    ANDed with ``mask``."""
-    return [x >> s & mask for s in shifts]
-
-
 def _masks(bits: int, width: int) -> tuple[int, int, int]:
     """``width`` fields of ``bits`` bits holding, in every field,
     2^30 - 1, then 2^(bits - 30) - 1, then 2P."""
@@ -768,48 +764,24 @@ def _ldu_rows(e: Sequence[Sequence[Optional[int]]], k_bits: int):
             lower[t].append(f)
         packed[k] = (packed[k] >> v) * inv & full
     at = [c * bits for c in cols]
-    lu = [lk + [d] + _fields(uk, at[k + 1:], mask)
+    lu = [lk + [d] + [uk >> s & mask for s in at[k + 1:]]
           for k, (lk, d, uk) in enumerate(zip(lower, pivots, packed))]
     return rows, cols, lu, pivots
 
 
-def _y_entries(lu, scales, mask):
-    """Rows of Y' = U^-1 diag(scales) L^-1 mod ``mask + 1`` from the
-    ``lu`` of :func:`_ldu_mod`, one list entry per matrix entry."""
-    n = len(lu)
-    # Row k of L^-1, up to and including its diagonal, is e_k minus the
-    # sum of L[k][t] times row t over t < k.
-    inv_l = []
-    for k, lk in enumerate(lu):
-        row = [0] * k + [1]
-        for t in range(k):
-            f = lk[t]
-            if f:
-                row[: t + 1] = [(x - f * z) & mask for x, z in zip(row, inv_l[t])]
-        inv_l.append(row)
-    # Back-substitution; ycols[c] holds column c of Y' from the bottom
-    # up, so Y'[l][c] = ycols[c][n - 1 - l].
-    ycols = [[] for _ in range(n)]
-    for k in range(n - 1, -1, -1):
-        ur = lu[k][:k:-1]  # U[k][n-1], ..., U[k][k+1]
-        s = scales[k]
-        for z, col in zip(inv_l[k], ycols):
-            col.append((s * z - sum(map(mul, ur, col))) & mask)
-        for col in ycols[k + 1:]:
-            col.append(-sum(map(mul, ur, col)) & mask)
-    return list(zip(*ycols))[::-1]
-
-
 def _y_rows(lu, scales, mask):
-    """:func:`_y_entries` on packed rows: each row of L^-1 and of Y' is
-    one integer of G-bit fields, G = 2 (V + 1) + bitlen(n + 1) with
-    ``mask = 2^(V + 1) - 1``, field m holding column m.
+    """Y' = U^-1 diag(scales) L^-1 mod ``mask + 1``, ``mask = 2^(V + 1)
+    - 1``, from the ``lu`` of :func:`_ldu_mod`, packed: returns
+    ``(rows, G)``, ``rows[l]`` row l of Y' as one integer whose field m,
+    bits ``m * G`` up to ``(m + 1) * G``, holds ``Y'[l][m]`` reduced mod
+    2^(V + 1), with G = 2 (V + 1) + bitlen(n + 1).
 
-    Row k of L^-1 is e_k plus ``(-L[k][t]) & mask`` times row t over
-    t < k, and row l of Y' is ``scales[l]`` times row l of L^-1 plus
-    ``(-U[l][t]) & mask`` times row t of Y' over t > l: at most n
-    products of two numbers below 2^(V + 1) per field, below 2^G, so no
-    field carries and one AND per row reduces them all.
+    Each row of L^-1 is packed the same way.  Row k of L^-1 is e_k plus
+    ``(-L[k][t]) & mask`` times row t over t < k, and row l of Y' is
+    ``scales[l]`` times row l of L^-1 plus ``(-U[l][t]) & mask`` times
+    row t of Y' over t > l: at most n products of two numbers below
+    2^(V + 1) per field, below 2^G, so no field carries and one AND per
+    row reduces them all.
     """
     n = len(lu)
     bits = 2 * mask.bit_length() + (n + 1).bit_length()
@@ -821,17 +793,18 @@ def _y_rows(lu, scales, mask):
             if f:
                 x += (-f & mask) * z
         inv_l.append(x & full)
-    # y holds the rows of Y' from the bottom up.
+    # y holds the rows of Y' from the bottom up.  Row l of L^-1 is read
+    # only for row l of Y', so it is dropped there.
     y = []
     for l in range(n - 1, -1, -1):
-        x = scales[l] * inv_l[l]
+        x = scales[l] * inv_l.pop()
         for u, z in zip(lu[l][:l:-1], y):
             f = -u & mask
             if f:
                 x += f * z
         y.append(x & full)
-    shifts = range(0, n * bits, bits)
-    return [_fields(yl, shifts, mask) for yl in reversed(y)]
+    y.reverse()
+    return y, bits
 
 
 def _power_mod(e: Sequence[Sequence[Optional[int]]], k_bits: int) -> list[list[int]]:
@@ -933,19 +906,18 @@ def power_det_valuation(
     2K + 1 bits per column (:func:`_ldu_rows`): a row step leaves every
     field below 2^(2K), so none carries into the next.  Each row starts
     as the bits ``c (2K + 1) + w'`` set for the w' < K of its columns
-    c, read off w' with no grid of residues in between.  After it, the
-    Y phase keeps each row of L^-1 and of Y' in one integer with fields
-    of 2V + 2 + bitlen(n + 1) bits (:func:`_y_rows`): a row is a sum of
-    at most n products of two residues below 2^(V + 1), below
-    n 2^(2V + 2) per field.  Above that K, one list entry per matrix
-    entry is faster in the factorization (:func:`_ldu_entries`, on the
-    residues :func:`_power_mod`; the module docstring has the times),
-    and the Y phase follows it (:func:`_y_entries`) although packed rows
-    would be faster there.
-    Both factorizations return the same ``lu`` layout and both Y phases
-    take ``(lu, scales, mask)``, so the code below picks a
-    representation by K alone and hands on no K, column order or field
-    width.  Both give the same ``(p, tight)``.
+    c, read off w' with no grid of residues in between.  Above that K,
+    one list entry per matrix entry is faster (:func:`_ldu_entries`, on
+    the residues :func:`_power_mod`; the module docstring has the
+    times).  Both return the same ``lu`` layout, so the code below picks
+    the factorization by K alone and hands on no K, column order or
+    field width.  The Y phase after either keeps each row of L^-1 and
+    of Y' in one integer with fields of G = 2V + 2 + bitlen(n + 1) bits
+    (:func:`_y_rows`): a row is a sum of at most n products of two
+    residues below 2^(V + 1), below n 2^(2V + 2) per field.  It returns
+    the rows with G, and each field is reduced mod 2^(V + 1), so one
+    shift and one AND read an entry.  Both factorizations give the same
+    ``(p, tight)``.
 
     *Proof of zero* (Hadamard's bound).  If det(A') != 0, then
     ``2^p' <= |det(A')| <= prod_i ||row_i|| < 2^h`` with
@@ -997,26 +969,26 @@ def power_det_valuation(
     rows, cols, lu, pivots = fac
     mask = (2 << vmax) - 1
     scales = [pow(d >> v, -1, 2 << v) << (vmax - v) for d, v in zip(pivots, vals)]
-    yrows = (_y_rows if k_bits <= PACKED_MAX_K else _y_entries)(lu, scales, mask)
-    # yrows[l][m] = Y'[l][m] = 2^V A'^-1[j][i] with (i, j) = (rows[m],
-    # cols[l]), and its valuation is V - w'[i][j] iff Y'[l][m] *
-    # 2^w'[i][j] has valuation exactly V.  Where w'[i][j] > V the
+    yrows, bits = _y_rows(lu, scales, mask)
+    # Field m of yrows[l] is Y'[l][m] = 2^V A'^-1[j][i] with (i, j) =
+    # (rows[m], cols[l]), and its valuation is V - w'[i][j] iff Y'[l][m]
+    # * 2^w'[i][j] has valuation exactly V.  Where w'[i][j] > V the
     # product's low V + 1 bits are 0, so only w'[i][j] <= V can pass.
-    # Walking w' row-major reads Y' only there, and lists the tight
-    # entries in order.
+    # Walking w' row-major reads Y' only there, one field per entry, and
+    # lists the tight entries in order.
     n = len(e)
     y_of = [None] * n  # y_of[j]: row l of Y' with cols[l] = j
     for j, yl in zip(cols, yrows):
         y_of[j] = yl
-    at = [0] * n  # at[i]: the m with rows[m] = i
+    at = [0] * n  # at[i]: the offset of field m, rows[m] = i
     for m, i in enumerate(rows):
-        at[i] = m
+        at[i] = m * bits
     top = 1 << vmax
     tight = [
         (i, j)
         for i, row in enumerate(e)
         for j, x in enumerate(row)
-        if x is not None and x <= vmax and (y_of[j][at[i]] << x) & mask == top
+        if x is not None and x <= vmax and (y_of[j] >> at[i] & mask) << x & mask == top
     ]
     return sum(vals) + sum(r) + sum(c), tight
 

@@ -205,7 +205,8 @@ def mvv_trial(g: BipartiteGraph, seed: int) -> MvvTrial:
     times the inverse of the scaled power matrix, mod 2^(V + 1), V its
     largest pivot valuation, after factoring that matrix mod 2^K with
     K at most max(64, 2V + 1): residues of K bits whose products have
-    up to 2K, packed n to an integer while K <= 128.  A zero
+    up to 2K, the factorization's packed n to an integer while
+    K <= 128, the inverse's at every K.  A zero
     determinant there is weight cancellation, proved by
     the kernel's Hadamard bound.  The collected set is only trusted
     after verification: it must be a perfect matching of g whose

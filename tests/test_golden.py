@@ -352,9 +352,11 @@ def test_verify_reduced_bounds(capsys, suite, max_n):
 
 
 # Recorded before the packed factorization read its rows straight off
-# the exponents.  Each run's last factorization is above PACKED_MAX_K,
-# so it and the Y phase after it run on list entries, which the sizes
-# above never reach: (digest, the K of each factorization in order).
+# the exponents, and while the Y phase still followed the factorization
+# onto list entries.  Each run's last factorization is above
+# PACKED_MAX_K, so it runs on list entries, which the sizes above never
+# reach; the Y phase after it is packed, as at every K: (digest, the K
+# of each factorization in order).
 FIND_PER_ENTRY = {
     (32, "json"): ("44d174691472c3f054d692f086d56c89dfaa4988c33522fd4b73c0ff1c2ad796",
                    [64, 128, 256, 304]),

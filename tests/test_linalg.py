@@ -1390,9 +1390,10 @@ class TestAgainstAdjugateKernel:
 
 @pytest.fixture
 def by_representation(monkeypatch):
-    """power_det_valuation(w) with every factorization and Y phase on
-    packed rows, then with every one on list entries: the switch
-    linalg.PACKED_MAX_K set above, then below, every precision K."""
+    """power_det_valuation(w) with every factorization on packed rows,
+    then with every one on list entries: the switch linalg.PACKED_MAX_K
+    set above, then below, every precision K.  The Y phase is packed
+    either way."""
     default = linalg.PACKED_MAX_K
 
     def run(w):
@@ -1555,12 +1556,15 @@ class TestPackedRows:
         assert nonzero > 40
 
     def test_y_phases_on_one_factorization(self):
-        # Both factorizations return one lu layout, and both Y phases
-        # take it: on each lu, packed or not, at K = 64 and above the
-        # switch, they return the same Y'.  Where K > 2V every unit is
-        # known to V + 1 bits, and Y' B = 2^V I mod 2^(V + 1) exactly.
+        # The one Y phase takes lu from either factorization, at K = 64
+        # and above the switch.  Its rows hold reduced fields of width G
+        # and nothing above field n - 1, and U Y' L = diag(scales) mod
+        # 2^(V + 1), so Y' = U^-1 diag(scales) L^-1 on every lu.  Where
+        # K > 2V every unit is known to V + 1 bits, Y' B = 2^V I mod
+        # 2^(V + 1) exactly, and both factorizations give the same Y
+        # once un-permuted: Y[cols[l]][rows[m]] = Y'[l][m].
         rng = random.Random(331)
-        compared = exact = 0
+        checked = exact = 0
         for k_bits in (64, linalg.PACKED_MAX_K + 64):
             for _ in range(40):
                 n = rng.randint(1, 10)
@@ -1568,6 +1572,7 @@ class TestPackedRows:
                 a = linalg._power_mod(e, k_bits)
                 # The packed factorization reads the exponents, the
                 # per-entry one their residues.
+                ys = []
                 for fac in (linalg._ldu_rows(e, k_bits), linalg._ldu_entries(a, k_bits)):
                     if fac is None:
                         continue
@@ -1577,16 +1582,27 @@ class TestPackedRows:
                     mask = (2 << vmax) - 1
                     scales = [pow(d >> v, -1, 2 << v) << (vmax - v)
                               for d, v in zip(pivots, vals)]
-                    y = linalg._y_rows(lu, scales, mask)
-                    assert y == [list(row) for row in linalg._y_entries(lu, scales, mask)]
-                    compared += 1
+                    packed, g = linalg._y_rows(lu, scales, mask)
+                    assert g == 2 * (vmax + 1) + (n + 1).bit_length()
+                    y = [[row >> m * g & mask for m in range(n)] for row in packed]
+                    assert packed == [sum(x << m * g for m, x in enumerate(yl)) for yl in y]
+                    for k in range(n):
+                        for c in range(n):
+                            total = sum((lu[k][t] if t > k else t == k) * y[t][s]
+                                        * (lu[s][c] if s > c else s == c)
+                                        for t in range(k, n) for s in range(c, n))
+                            assert total & mask == (k == c) * scales[k] & mask, (k, c)
+                    checked += 1
                     if k_bits > 2 * vmax:
                         for l in range(n):
                             for c in range(n):
                                 total = sum(y[l][m] * a[rows[m]][cols[c]] for m in range(n))
                                 assert total & mask == (l == c) << vmax, (l, c)
+                        ys.append({(cols[l], rows[m]): y[l][m]
+                                   for l in range(n) for m in range(n)})
                         exact += 1
-        assert compared > 100 and exact > 80
+                assert ys == [] or ys[0] == ys[1]
+        assert checked > 100 and exact > 80
 
     def test_multipliers_of_all_ones(self, by_representation, monkeypatch):
         # Exponents 0 and 1 make entries -1 mod 2^K after one step, so
