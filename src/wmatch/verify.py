@@ -192,8 +192,10 @@ def check_matching_determinant_equivalence(seed: int = DEFAULT_SEED) -> CheckRes
 
     A graph's PM evaluation, at the permutation matrix of its maximum
     matching, is that permutation matrix, and many graphs share one
-    (574 graphs share 108 at the default seed).  Its determinant and
-    its extraction trace are computed once per distinct evaluation, by
+    (574 graphs share 108 at the default seed).  It is named as
+    :func:`_perm_eval_det` names an evaluation, so a non-edge pair
+    still names a zero row, and it is built, its determinant taken and
+    its extraction trace computed only for a name not seen before, by
     :func:`~wmatch.edmonds.extract_pm_trace` on the first graph that
     meets it; a raise is kept in place of the trace.  Every graph is
     still checked on its own: the trace must be a perfect matching of
@@ -205,23 +207,22 @@ def check_matching_determinant_equivalence(seed: int = DEFAULT_SEED) -> CheckRes
     graphs = [*_all_graphs(3), *_random_graphs(stream, 500, (4, 5))]
     perms = {n: list(zip(permutations(range(n)), _permutation_matrices(n)))
              for n in {g.n for g in graphs}}
-    # The evaluation of a graph with no perfect matching at sigma's
-    # permutation matrix is that matrix on the rows i where (i, sigma(i))
-    # is an edge, named by sigma(i) on those rows and -1 on the others;
-    # each name's determinant is computed once.
+    # An evaluation's name (see _eval_name) -> its det, for graphs with
+    # no perfect matching.
     dets: dict[tuple[int, ...], int] = {}
-    # A PM evaluation's rows -> (its det, its trace, or None on a raise).
-    pm_evals: dict[tuple[tuple[int, ...], ...], tuple] = {}
+    # A PM evaluation's name -> (its det, its trace, or None on a raise).
+    pm_evals: dict[tuple[int, ...], tuple] = {}
     with_pm = without_pm = 0
     for idx, g in enumerate(graphs):
         n = g.n
         mm = maximum_matching(g)
         if mm.size == n:
             with_pm += 1
-            b = edmonds_eval(g, mm.permutation_matrix(n))
-            seen = pm_evals.get(b.rows)
+            name = _eval_name(g, tuple(j for _, j in mm.pairs))
+            seen = pm_evals.get(name)
             if seen is None:
-                seen = pm_evals[b.rows] = _pm_evaluation(g, b)
+                seen = pm_evals[name] = _pm_evaluation(
+                    g, edmonds_eval(g, mm.permutation_matrix(n)))
             det, trace = seen
             if det not in (-1, 1):
                 failures.append({"graph": idx, "reason": "PM evaluation det not ±1"})
@@ -270,11 +271,20 @@ def _pm_evaluation(g: BipartiteGraph, b: IntMatrix) -> tuple:
         return det, None
 
 
+def _eval_name(g: BipartiteGraph, perm: tuple[int, ...]) -> tuple[int, ...]:
+    """The name of g's evaluation at perm's permutation matrix.  Row i
+    of that evaluation is the unit row e_perm[i] where (i, perm[i]) is
+    an edge and 0 where it is not, so the name holds perm[i] on the
+    first rows and -1 on the others, and two evaluations are equal
+    exactly when their names are."""
+    return tuple(j if m >> j & 1 else -1 for j, m in zip(perm, g.row_masks))
+
+
 def _perm_eval_det(dets: dict, g: BipartiteGraph, perm: tuple[int, ...],
                    p: IntMatrix) -> int:
     """det of g's evaluation at the permutation matrix p of perm, read
     from ``dets`` under the evaluation's name, or computed and kept."""
-    name = tuple(j if m >> j & 1 else -1 for j, m in zip(perm, g.row_masks))
+    name = _eval_name(g, perm)
     det = dets.get(name)
     if det is None:
         det = dets[name] = det_bareiss(edmonds_eval(g, p))

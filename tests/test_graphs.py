@@ -6,6 +6,7 @@ from itertools import permutations, product
 
 import pytest
 
+from wmatch import graphs
 from wmatch.graphs import (
     BipartiteGraph,
     FileFormatError,
@@ -706,9 +707,9 @@ class TestFileFormats:
         assert parse_graph(" 2 \n1 0\n0 1\n").n == 2
 
 
-# The per-token parser that the row-wise one replaced, kept as its
-# reference: each token goes through _decimal on its own, and each
-# check reads the parsed ints one at a time.
+# The per-token parser, kept as the reference for both reads: each
+# token goes through _decimal on its own, and each check reads the
+# parsed ints one at a time.
 def reference_parse_row(line, lineno, n):
     fields = [f for f in line.replace("\t", " ").split(" ") if f]
     if len(fields) != n:
@@ -748,9 +749,12 @@ def reference_parse_weights(text):
     return WeightAssignment.from_grid(rows)
 
 
-# Tokens and blanks that take a row off the plain path, or keep it on
-# the plain path but off the 0/1 string comparison.
-ODD_TOKENS = ("00", "-0", "01", "+1", "1_0", "\uff11", "2", "-3", "1" * 5000)
+# Tokens and blanks that take a file off the one-pass read, or keep a
+# weight file on it but not a graph file.  The tokens from "1,2" on are
+# ones that a JSON read takes differently from _decimal: a comma,
+# brackets, an exponent, a fraction, a literal, or a misplaced minus.
+ODD_TOKENS = ("00", "-0", "01", "+1", "1_0", "\uff11", "2", "-3", "1" * 5000,
+              "1,2", "[1]", "1e5", "1.0", "true", "null", "-", "--1", "1-2")
 ODD_BLANKS = ("\t", "   ", " \t ", "\xa0", "\u2028", "\x0b")
 
 
@@ -789,9 +793,13 @@ class TestRowWiseParserAgainstReference:
     @pytest.mark.parametrize("parse, reference, plain_tokens", CASES, ids=["graph", "weights"])
     def test_each_odd_token_and_blank(self, parse, reference, plain_tokens):
         for token in ODD_TOKENS + plain_tokens:
-            for blank in ODD_BLANKS + (" ",):
-                for eol in ("\n", "\r\n"):
-                    text = eol.join(["2", f"1{blank}0", f"0{blank}{token}"]) + eol
+            for eol in ("\n", "\r\n"):
+                texts = [eol.join(["2", f"1{blank}0", f"0{blank}{token}"]) + eol
+                         for blank in ODD_BLANKS + (" ",)]
+                # The token alone is a row one entry short, which a JSON
+                # read of "1,2" would take as two entries.
+                texts.append(eol.join(["2", token, "1 0"]) + eol)
+                for text in texts:
                     assert outcome(parse, text) == outcome(reference, text), repr(text)
 
     @pytest.mark.parametrize("parse, reference, plain_tokens", CASES, ids=["graph", "weights"])
@@ -810,3 +818,62 @@ class TestRowWiseParserAgainstReference:
                 kind = bool if parse is parse_graph else int
                 assert all(type(x) is kind for row in entries for x in row)
         assert parsed > 300 and refused > 300
+
+    @staticmethod
+    def per_token_rows(monkeypatch):
+        """The line numbers that the per-token pass reads from now on."""
+        rows = []
+        per_token = graphs._parse_row
+
+        def spy(line, lineno, n):
+            rows.append(lineno)
+            return per_token(line, lineno, n)
+
+        monkeypatch.setattr(graphs, "_parse_row", spy)
+        return rows
+
+    @staticmethod
+    def canonical(n, entry):
+        r = random.Random(n)
+        return f"{n}\n" + "".join(" ".join(str(entry(r)) for _ in range(n)) + "\n"
+                                  for _ in range(n))
+
+    # CLI sizes: solve's weight grids at n = 32 (entries up to 10^15),
+    # search's graphs at n = 12 and CI's at n = 100.
+    @pytest.mark.parametrize(
+        "parse, reference, n, entry",
+        [
+            (parse_weights, reference_parse_weights, 32, lambda r: r.randint(10**14, 10**15 - 1)),
+            (parse_graph, reference_parse_graph, 12, lambda r: int(r.random() < 0.5)),
+            (parse_graph, reference_parse_graph, 100, lambda r: int(r.random() < 0.5)),
+        ],
+        ids=["weights-32", "graph-12", "graph-100"],
+    )
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_canonical_file_read_in_one_pass(self, monkeypatch, parse, reference, n, entry, eol):
+        text = self.canonical(n, entry).replace("\n", eol)
+        rows = self.per_token_rows(monkeypatch)
+        got = parse(text)
+        assert rows == []
+        assert got == reference(text)
+        entries = got.edges if parse is parse_graph else got.grid
+        kind = bool if parse is parse_graph else int
+        assert all(type(x) is kind for row in entries for x in row)
+
+    # Rows of the canonical total length whose token counts differ: a
+    # read that checked only the total would take the graph's rows as
+    # 1 0 1 / 1 1 0 / 0 1 0.
+    @pytest.mark.parametrize(
+        "parse, reference, text, refusal",
+        [
+            (parse_graph, reference_parse_graph, "3\n1 0 1 1\n1 0\n0 1 0\n",
+             (2, "expected 3 entries, got 4")),
+            (parse_weights, reference_parse_weights, "2\n1 2 3\n4\n",
+             (2, "expected 2 entries, got 3")),
+        ],
+        ids=["graph", "weights"],
+    )
+    def test_uneven_rows_take_the_per_token_pass(self, monkeypatch, parse, reference, text, refusal):
+        rows = self.per_token_rows(monkeypatch)
+        assert outcome(parse, text) == outcome(reference, text) == refusal
+        assert rows == [2]

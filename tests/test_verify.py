@@ -249,12 +249,42 @@ def test_one_extraction_per_pm_evaluation(monkeypatch):
             pm_extractions.append(b.rows)
         return extract(g, b)
 
+    # A PM evaluation is built only for a name not seen before; the
+    # evaluations of graphs without one are built by _perm_eval_det.
+    pm_builds = []
+    build = verify.edmonds_eval
+
+    def building(g, values):
+        if g.has_perfect_matching():
+            pm_builds.append(values.rows)
+        return build(g, values)
+
     monkeypatch.setattr(verify, "lovasz_sample", sampling)
     monkeypatch.setattr(verify, "extract_pm_trace", extracting)
+    monkeypatch.setattr(verify, "edmonds_eval", building)
     result = verify.check_matching_determinant_equivalence()
     assert result.passed
     assert result.details["graphs_with_pm"] == sum(map(len, holders.values())) == 574
     assert sorted(pm_extractions) == sorted(holders) and len(holders) == 108
+    assert sorted(pm_builds) == sorted(holders)
+
+
+def test_non_edge_pair_in_the_pm_evaluation_fails(monkeypatch):
+    # The diagonal 3x3 graph gets a "perfect matching" whose pairs (0, 1)
+    # and (1, 0) are not edges.  Its evaluation has two zero rows, so its
+    # det is 0, and only it fails, though another graph's perfect
+    # matching has the same columns (1, 0, 2).
+    graphs = list(verify._all_graphs(3))
+    diagonal = BipartiteGraph.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    swapped = Matching(((0, 1), (1, 0), (2, 2)))
+    assert any(verify.maximum_matching(g) == swapped for g in graphs)
+    real = verify.maximum_matching
+    monkeypatch.setattr(verify, "maximum_matching",
+                        lambda g: swapped if g == diagonal else real(g))
+    result = verify.check_matching_determinant_equivalence()
+    assert result.details["failures"] == [
+        {"graph": graphs.index(diagonal), "reason": "PM evaluation det not ±1"}
+    ]
 
 
 def test_hall_holds_matches_subset_enumeration():

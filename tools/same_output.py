@@ -28,6 +28,9 @@ The corpus:
 * ``hungarian`` on CI's n = 100 grid of weights up to 10^15, and
   ``mwpm`` under it on the n = 100 graph and the n = 100 Hall violator,
   in JSON and text;
+* ``hungarian`` and ``mwpm`` the same way on copies of that grid and
+  the n = 100 graph re-spaced with tabs, doubled spaces, zero-padded
+  entries and CRLF line ends, which the parsers read token by token;
 * every ``search`` and ``solve`` job of the benchmark's seeds 1, 2 and 3
   (``perfbench/inputs.py`` of this checkout).
 
@@ -111,6 +114,19 @@ def ci_weights(n: int) -> str:
     return rows_text([[r.randint(0, 10**15) for _ in range(n)] for _ in range(n)])
 
 
+def respaced(text: str) -> str:
+    """A copy of a file of the CLI's format that holds the same numbers
+    off the canonical layout: each entry gains a leading 0, the first
+    half of each row's separators are doubled spaces and the rest tabs,
+    and lines end in CRLF."""
+    head, *rows = text.splitlines()
+    lines = [head]
+    for row in rows:
+        tokens = ["0" + x for x in row.split(" ")]
+        lines.append("\t".join(tokens).replace("\t", "  ", len(tokens) // 2))
+    return "".join(line + "\r\n" for line in lines)
+
+
 def rows_text(rows: list[list[int]]) -> str:
     """The CLI's file format: n, then one line of integers per row."""
     return f"{len(rows)}\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows)
@@ -134,6 +150,9 @@ def corpus(workdir: Path) -> list[list[str]]:
         (workdir / f"n{n}-violator.graph").write_text(ci_graph(n, True), encoding="utf-8")
     weights = f"n{WEIGHTS_N}.weights"
     (workdir / weights).write_text(ci_weights(WEIGHTS_N), encoding="utf-8")
+    for name in (weights, f"n{WEIGHTS_N}.graph"):
+        text = (workdir / name).read_text(encoding="utf-8")
+        (workdir / f"respaced-{name}").write_text(respaced(text), encoding="utf-8", newline="")
     runs = [("find", f"n{n}.graph") for n in FIND_N]
     runs += [("decide", f"n{n}.graph") for n in DECIDE_N]
     runs += [(command, f"n{n}-violator.graph")
@@ -141,6 +160,8 @@ def corpus(workdir: Path) -> list[list[str]]:
     runs += [("hungarian", weights)]
     runs += [("mwpm", graph, weights)
              for graph in (f"n{WEIGHTS_N}.graph", f"n{WEIGHTS_N}-violator.graph")]
+    runs += [("hungarian", f"respaced-{weights}"),
+             ("mwpm", f"respaced-n{WEIGHTS_N}.graph", f"respaced-{weights}")]
     for run in runs:
         for fmt in ("json", "text"):
             commands.append([*run, "--format", fmt])
