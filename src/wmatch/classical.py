@@ -174,14 +174,28 @@ def find_augmenting_path(
 def _kuhn(masks: Sequence[int]) -> list[int]:
     """Kuhn's single pass over the row masks of a pattern (as
     :func:`_alternating_reach` takes them): the right matched to each
-    left vertex, or -1, after one :func:`_alternating_reach` from each
-    left vertex in index order, flipping the path to the free right it
-    ends at."""
+    left vertex, or -1, after one alternating search from each left
+    vertex in index order, flipping the path to the free right it ends
+    at.
+
+    A left whose mask meets a free right takes the least such right
+    without calling :func:`_alternating_reach`: that is the right the
+    search returns from its first layer, where ``start``'s own
+    neighbours are all unreached, so the pass is the same with or
+    without the step."""
     n = len(masks)
     mate_of_left = [-1] * n
     mate_of_right: dict[int, int] = {}
     free = -1  # every right, at whatever bit position
     for s in range(n):
+        hit = masks[s] & free
+        if hit:
+            hit &= -hit
+            free ^= hit
+            j = hit.bit_length() - 1
+            mate_of_left[s] = j
+            mate_of_right[j] = s
+            continue
         order, parent = _alternating_reach(masks, mate_of_right, free, s)
         j = order[-1] - n  # the free right, if the search ended at one
         if j >= 0:
@@ -199,7 +213,9 @@ def maximum_matching(g: BipartiteGraph) -> Matching:
     alternating search from each left vertex in index order, flipping
     the path to the first free right vertex it discovers.  The search
     works on row bit masks (see :func:`_alternating_reach`) and finds
-    the path a search over neighbour lists finds.
+    the path a search over neighbour lists finds; a left vertex that
+    sees a free right takes the least one without a search, the
+    search's own first answer.
 
     A left vertex with no augmenting path never gains one as the
     matching grows elsewhere (Berge 1957; Kuhn 1955), so one search per

@@ -26,6 +26,12 @@ code runs on first use, which :func:`run_suite` makes on the first
 ``importlib.resources`` only by :func:`report_schema`; input files
 are read with ``open`` rather than ``pathlib``.  The parser lists the
 suites from :data:`wmatch.oracle.SUITE_NAMES` without running them.
+
+A report is built once, in the format asked for: each command hands
+:func:`_emit` its JSON payload and a function that builds its text
+lines, which runs only under ``--format text``.  The JSON writer
+:func:`_json_text` joins a list of plain ints, and each row of a list
+of such lists (a matching's pairs, a weight grid), in one call.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ import importlib.util
 import json
 import os
 import sys
+from typing import Callable
 
 from .classical import cover_cost, hungarian_max_weight, is_cover, mwpm
 from .edmonds import ZeroDeterminantError, extract_pm, lovasz_sample
@@ -190,10 +197,12 @@ def _json_text(value, newline: str = "\n") -> str:
 
     ``newline`` is a line break followed by the current depth's indent.
     Strings, ``None``, ``True``, ``False``, ints (through
-    ``int.__repr__``), lists, tuples and dicts with only ``str`` keys
-    are laid out here as ``json`` lays them out: sorted keys, ``": "``
-    after a key, ``","`` at a line end, and empty containers as ``[]``
-    and ``{}``; a list of plain ints is joined in one call.  Any other
+    ``int.__repr__``, which ``repr`` is for a plain int), lists, tuples
+    and dicts with only ``str`` keys are laid out here as ``json`` lays
+    them out: sorted keys, ``": "`` after a key, ``","`` at a line end,
+    and empty containers as ``[]`` and ``{}``.  A list of plain ints is joined in one call, and a list
+    whose items are all non-empty lists (or tuples) of plain ints, a
+    matching's pairs or a weight grid, in one call per item.  Any other
     value, a float or a dict with a non-``str`` key say, is handed to
     ``json.dumps`` whole and re-indented to the current depth, which
     is exact because JSON text holds no raw newline inside a string;
@@ -204,8 +213,13 @@ def _json_text(value, newline: str = "\n") -> str:
         if not value:
             return "[]"
         inner = newline + "  "
-        if all(type(x) is int for x in value):
-            body = map(int.__repr__, value)
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            body = map(repr, value)
+        elif kinds <= {list, tuple} and all(x and {int}.issuperset(map(type, x)) for x in value):
+            deeper = inner + "  "
+            sep = "," + deeper
+            body = ["[" + deeper + sep.join(map(repr, x)) + inner + "]" for x in value]
         else:
             body = [_json_text(x, inner) for x in value]
         return "[" + inner + ("," + inner).join(body) + newline + "]"
@@ -226,19 +240,17 @@ def _json_text(value, newline: str = "\n") -> str:
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _emit(args, payload: dict, text_lines: Callable[[], list[str]]) -> None:
     """Print the report: ``payload`` as :func:`_json_text` writes it
     under ``--format json``, byte for byte what ``json.dumps(payload,
-    indent=2, sort_keys=True)`` prints, else ``text_lines``."""
+    indent=2, sort_keys=True)`` prints, else the lines that
+    ``text_lines()`` returns, built only then.  ``payload`` may hold
+    tuples where ``json`` would print a list, as a matching's pairs."""
     if args.format == "json":
         print(_json_text(payload))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
-
-
-def _matching_json(m: Matching) -> list[list[int]]:
-    return [[i, j] for i, j in m.pairs]
 
 
 def _matching_text(m: Matching) -> str:
@@ -247,12 +259,13 @@ def _matching_text(m: Matching) -> str:
     return " ".join(f"{i}->{j}" for i, j in m.pairs)
 
 
-def _trial_report(args, t, fields: dict, text_lines: list[str]) -> int:
-    """Print the report of ``decide`` or ``find`` and return its exit
-    code.  ``t`` is the index of the first successful trial, or None
-    when no trial succeeded; the JSON payload is ``command``, ``graph``,
-    ``seed``, ``trials`` and ``trial`` with the command's own ``fields``
-    added."""
+def _trial_report(args, t, fields: dict, text_lines: Callable[[], list[str]]) -> int:
+    """Print the report of ``decide`` or ``find`` by :func:`_emit` and
+    return its exit code.  ``t`` is the index of the first successful
+    trial, or None when no trial succeeded; the JSON payload is
+    ``command``, ``graph``, ``seed``, ``trials`` and ``trial`` with the
+    command's own ``fields`` added, and ``text_lines`` builds the text
+    lines, called only under ``--format text``."""
     _emit(
         args,
         {
@@ -295,11 +308,11 @@ def cmd_decide(args) -> int:
         return _trial_report(
             args,
             t,
-            {"result": "yes", "matching": _matching_json(m)},
-            ["YES", f"trial: {t}", f"matching: {_matching_text(m)}"],
+            {"result": "yes", "matching": m.pairs},
+            lambda: ["YES", f"trial: {t}", f"matching: {_matching_text(m)}"],
         )
     return _trial_report(
-        args, None, {"result": "no", "matching": None}, ["NO", f"trials: {args.trials}"]
+        args, None, {"result": "no", "matching": None}, lambda: ["NO", f"trials: {args.trials}"]
     )
 
 
@@ -317,11 +330,11 @@ def cmd_find(args) -> int:
                 t,
                 {
                     "result": "found",
-                    "matching": _matching_json(trial.matching),
+                    "matching": trial.matching.pairs,
                     "min_weight": trial.min_weight,
-                    "weights": [list(row) for row in trial.weights.grid],
+                    "weights": trial.weights.grid,
                 },
-                [
+                lambda: [
                     "FOUND",
                     f"trial: {t}",
                     f"matching: {_matching_text(trial.matching)}",
@@ -334,7 +347,7 @@ def cmd_find(args) -> int:
         args,
         None,
         {"result": "failed", "matching": None, "min_weight": None, "weights": None},
-        ["FAILED", f"trials: {args.trials}"],
+        lambda: ["FAILED", f"trials: {args.trials}"],
     )
 
 
@@ -348,15 +361,15 @@ def cmd_hungarian(args) -> int:
         {
             "command": "hungarian",
             "weights": args.weights,
-            "matching": _matching_json(m),
+            "matching": m.pairs,
             "matching_weight": weight,
-            "cover_u": list(cover.u),
-            "cover_v": list(cover.v),
+            "cover_u": cover.u,
+            "cover_v": cover.v,
             "cover_cost": cost,
             "cover_valid": is_cover(w.grid, cover),
             "weight_equals_cost": weight == cost,
         },
-        [
+        lambda: [
             f"matching: {_matching_text(m)}",
             f"weight: {weight}",
             f"cover-u: {' '.join(str(x) for x in cover.u)}",
@@ -378,25 +391,25 @@ def cmd_mwpm(args) -> int:
             source=args.weights,
         )
     m = mwpm(g, w)
-    if m.is_empty:
-        result, matching, weight = "none", None, None
-        lines = ["no perfect matching"]
-    else:
-        result, matching, weight = "found", _matching_json(m), matching_weight(m, w)
-        lines = ["FOUND", f"matching: {_matching_text(m)}", f"weight: {weight}"]
+    found = not m.is_empty
+    weight = matching_weight(m, w) if found else None
     _emit(
         args,
         {
             "command": "mwpm",
             "graph": args.graph,
             "weights": args.weights,
-            "result": result,
-            "matching": matching,
+            "result": "found" if found else "none",
+            "matching": m.pairs if found else None,
             "matching_weight": weight,
         },
-        lines,
+        lambda: (
+            ["FOUND", f"matching: {_matching_text(m)}", f"weight: {weight}"]
+            if found
+            else ["no perfect matching"]
+        ),
     )
-    return EXIT_NO if m.is_empty else EXIT_YES
+    return EXIT_YES if found else EXIT_NO
 
 
 def run_suite(name: str, **options):
@@ -415,14 +428,14 @@ def cmd_verify(args) -> int:
         max_k=args.max_k,
         budget=args.budget,
     )
-    lines = [f"suite: {report.suite}"]
-    for check in report.checks:
-        lines.append(f"{'PASS' if check.passed else 'FAIL'} {check.name}")
-    lines.append(f"result: {'PASS' if report.passed else 'FAIL'}")
     _emit(
         args,
         {"command": "verify", "seed": args.seed} | report.to_dict(),
-        lines,
+        lambda: [
+            f"suite: {report.suite}",
+            *(f"{'PASS' if c.passed else 'FAIL'} {c.name}" for c in report.checks),
+            f"result: {'PASS' if report.passed else 'FAIL'}",
+        ],
     )
     return EXIT_YES if report.passed else EXIT_NO
 

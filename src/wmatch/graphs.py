@@ -25,7 +25,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress, product
 from operator import index, mul
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -75,17 +75,19 @@ class BipartiteGraph:
 
     @cached_property
     def _edge_list(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (i, j) for i, row in enumerate(self.edges) for j, e in enumerate(row) if e
-        )
+        cells = product(range(len(self.edges)), repeat=2)
+        return tuple(compress(cells, chain.from_iterable(self.edges)))
 
     def edge_list(self) -> tuple[tuple[int, int], ...]:
         """All edges (i, j) in row-major order; fixes the enumeration
         e_0 ... e_{m-1} used wherever edges are indexed.  Built on first
-        use and kept, like :meth:`neighbors`, :attr:`row_masks` and
-        :attr:`matching_columns`: the graph is immutable, and a
-        ``cached_property`` is no dataclass field, so it takes no part
-        in ==, hash or repr."""
+        use, by one ``compress`` of the row-major cells (i, j) by the
+        flattened edge flags, and kept, like :meth:`neighbors`,
+        :attr:`row_masks` and :attr:`matching_columns`: the graph is
+        immutable, and a ``cached_property`` is no dataclass field, so it
+        takes no part in ==, hash or repr.  No table of cells is kept
+        between graphs: in a ``wmatch`` process, which reads one graph,
+        it would be built for that graph alone."""
         return self._edge_list
 
     @property

@@ -242,6 +242,8 @@ class TestSinglePassAgainstRestarts:
         assert deficient >= 300
 
     def test_one_search_per_left_vertex(self, monkeypatch):
+        # A search runs only for a left that sees no free right at its
+        # turn, as the pass that searches from every left counts them.
         calls = []
         reach = classical._alternating_reach
 
@@ -251,6 +253,7 @@ class TestSinglePassAgainstRestarts:
 
         monkeypatch.setattr(classical, "_alternating_reach", counted)
         rng = random.Random(73)
+        searched = 0
         for n in range(1, 10):
             for p in (0.0, 0.3, 1.0):
                 g = BipartiteGraph.from_rows(
@@ -258,7 +261,25 @@ class TestSinglePassAgainstRestarts:
                 )
                 calls.clear()
                 maximum_matching(g)
-                assert len(calls) == n
+                _, blocked = search_every_left(g.row_masks, reach)
+                assert len(calls) == blocked <= n
+                searched += blocked
+        assert searched > 0
+
+    def test_kuhn_equals_a_search_from_every_left(self):
+        # Masks as matches_every_row may pass them: n rows over any n
+        # columns, which may sit at bit positions above n - 1.
+        rng = random.Random(74)
+        for n in range(1, 10):
+            for p in (0.0, 0.3, 1.0):
+                for spread in (n, 3 * n + 2):
+                    for _ in range(40):
+                        cols = rng.sample(range(spread), n)
+                        masks = [
+                            sum(1 << c for c in cols if rng.random() < p) for _ in range(n)
+                        ]
+                        expected, _ = search_every_left(masks, classical._alternating_reach)
+                        assert classical._kuhn(masks) == expected
 
     @pytest.mark.parametrize("first", range(3))
     def test_one_kuhn_pass_per_graph(self, monkeypatch, first):
@@ -289,6 +310,28 @@ class TestSinglePassAgainstRestarts:
             assert calls == [g.row_masks]
             pm_free += violator(g) is not None
         assert pm_free == 512 - 247
+
+
+def search_every_left(masks, reach):
+    """Kuhn's pass with one ``reach`` search from every left, the
+    greedy step left out, and the number of lefts that saw no free
+    right at their turn: the pass as it ran before that step."""
+    n = len(masks)
+    mate_of_left = [-1] * n
+    mate_of_right = {}
+    free = -1
+    blocked = 0
+    for s in range(n):
+        blocked += not masks[s] & free
+        order, parent = reach(masks, mate_of_right, free, s)
+        j = order[-1] - n
+        if j >= 0:
+            free ^= 1 << j
+        while j >= 0:
+            i = parent[n + j]
+            mate_of_right[j] = i
+            mate_of_left[i], j = j, mate_of_left[i]
+    return mate_of_left, blocked
 
 
 def reference_alternating_reach(g, mate_of_left, mate_of_right, start):

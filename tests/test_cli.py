@@ -528,6 +528,19 @@ def reference_json(value):
 ODD_NAME = 'odd "quote" \\ \x01\x1f\x7f \u2028 \u00e9 \U0001f600.graph'
 
 
+# Each command and report kind that writes a JSON report, with its exit
+# code.
+REPORT_COMMANDS = [
+    (["decide", "k33.graph"], 0),
+    (["decide", "pmfree.graph"], 1),
+    (["find", "k33.graph"], 0),
+    (["find", "pmfree.graph"], 1),
+    (["hungarian", "w3.weights"], 0),
+    (["mwpm", "k33.graph", "w3.weights"], 0),
+    (["mwpm", "pmfree.graph", "w2.weights"], 1),
+]
+
+
 class TestJsonText:
     """The report writer is json.dumps(..., indent=2, sort_keys=True),
     byte for byte, on every payload the commands build and on the values
@@ -557,18 +570,7 @@ class TestJsonText:
         assert out == text + "\n"
         reports.clear()
 
-    @pytest.mark.parametrize(
-        "argv, code",
-        [
-            (["decide", "k33.graph"], 0),
-            (["decide", "pmfree.graph"], 1),
-            (["find", "k33.graph"], 0),
-            (["find", "pmfree.graph"], 1),
-            (["hungarian", "w3.weights"], 0),
-            (["mwpm", "k33.graph", "w3.weights"], 0),
-            (["mwpm", "pmfree.graph", "w2.weights"], 1),
-        ],
-    )
+    @pytest.mark.parametrize("argv, code", REPORT_COMMANDS)
     def test_command_payloads(self, capsys, files, reports, argv, code):
         argv = [files.get(a, a) for a in argv]
         self.assert_reports(capsys, reports, argv, code)
@@ -625,10 +627,45 @@ class TestJsonText:
             {"cover_u": [10**15 * 32, 2**64 - 1], "min_rate": 0.45, "ok": [False]},
             {ODD_NAME: ODD_NAME, "é": [], "A": None, "a": {"b": [{"c": 1.25}]}},
             {"rates": {"3": [0.5, 1.0]}, "rows": [[0, 1], [2, 3]]},
+            # Lists of int rows, joined a row at a time, and the shapes
+            # next to them that must take the general path.
+            [[0, 1], [1, 2], [2, 0]],
+            [[(i * 7 + j * 5) % 144 + 1 for j in range(12)] for i in range(12)],
+            ((0, 1), (1, 0)),
+            [(3, 4), [5, 6]],
+            [[True, False, True]],
+            [[1, 2], [True, 0]],
+            [[1, 2], []],
+            [[], [1]],
+            [[1], [2, 3, 4], [5, 6]],
+            [[10**19, -(10**19) - 1], [-1, 0], [-(2**64), 2**64 - 1]],
+            [[[1, 2], [3]], [[4]]],
+            [[1, 2], 3],
+            [[1, 2], None],
+            [[1, 2.0]],
+            {"weights": [[1, 2], [3, 4]], "matching": ((0, 1), (1, 0))},
         ],
     )
     def test_values(self, value):
         assert cli._json_text(value) == reference_json(value)
+
+    @pytest.mark.parametrize("argv, code", REPORT_COMMANDS)
+    def test_json_builds_no_text(self, capsys, files, monkeypatch, argv, code):
+        # The text lines are built only under --format text, so a JSON
+        # report never reaches the matching's text form.
+        argv = [files.get(a, a) for a in argv] + ["--format", "json"]
+        expected = run(capsys, argv)
+        assert expected[0] == code
+
+        def refuse(m):
+            raise RuntimeError("text built for a JSON report")
+
+        monkeypatch.setattr(cli, "_matching_text", refuse)
+        assert run(capsys, argv) == expected
+        if code == 0:
+            with pytest.raises(RuntimeError, match="text built"):
+                cli.main(argv[:-2])
+            capsys.readouterr()
 
     def test_non_str_keys_take_json_dumps(self, monkeypatch):
         # Nested two levels deep, so the fallback is re-indented.

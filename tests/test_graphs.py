@@ -81,6 +81,41 @@ class TestBipartiteGraph:
             )
             assert g.num_edges == sum(map(sum, rows)) == len(g.edge_list())
 
+    def test_edge_list_is_the_row_major_definition(self):
+        def definition(g):
+            n = g.n
+            return tuple((i, j) for i in range(n) for j in range(n) if g.edges[i][j])
+
+        rng = random.Random(23)
+        graphs = [BipartiteGraph.complete(n) for n in (1, 2, 9)]
+        graphs += [BipartiteGraph.empty(n) for n in (1, 2, 9)]
+        for n in range(1, 10):
+            for p in (0.2, 0.5, 0.8):
+                graphs.append(
+                    BipartiteGraph.from_rows(
+                        [[rng.random() < p for _ in range(n)] for _ in range(n)]
+                    )
+                )
+        # Rows 1 and 4 and columns 1 and 3 have no edge.
+        graphs.append(
+            BipartiteGraph.from_rows(
+                [[1, 0, 1, 0, 0], [0] * 5, [1, 0, 0, 0, 1], [0, 0, 1, 0, 1], [0] * 5]
+            )
+        )
+        # CI's n = 100 graph, read from its file: density 1/2 with a
+        # planted perfect matching, drawn by random.Random(100).
+        n = 100
+        r = random.Random(n)
+        p = r.sample(range(n), n)
+        rows = [[int(j == p[i] or r.random() < 0.5) for j in range(n)] for i in range(n)]
+        graphs.append(parse_graph(f"{n}\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows)))
+        for g in graphs:
+            expected = definition(g)
+            assert g.edge_list() == expected
+            assert g.num_edges == len(expected)
+            assert all(type(i) is int and type(j) is int for i, j in g.edge_list())
+        assert graphs[-1].num_edges == sum(map(sum, rows))
+
     def test_without_edge(self):
         g = BipartiteGraph.complete(2).without_edge(0, 1)
         assert not g.has_edge(0, 1)
