@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from math import inf
-from operator import getitem, mul, neg, sub
+from operator import getitem, neg, sub
 from typing import NamedTuple, Optional, Sequence
 
 from .graphs import BipartiteGraph, Matching, WeightAssignment
@@ -321,6 +321,18 @@ def _dual_steps(
     first least key: the steps, ties and flips of an argmin, slack sweep
     and slack update over all n columns, so the covers and matching are
     theirs, at O(n) per step, O(n^2) per root and O(n^3) in all.
+
+    A pass stops at a right with no mate whose key equals ``shift``:
+    its slack is 0, the least a slack can be, so it is the pass's first
+    least key whatever follows.  Its step is 0 and the tree augments
+    there, and the next root starts with fresh keys and parents, so
+    none that the rest of the pass would have updated is read again.
+    The root's own pass is not run at all when the first column of its
+    row's maximum has no mate: the root's u is still that maximum (a
+    left's u moves only inside a tree, and it is in none before its
+    own), and a right with no mate has v = 0 (v grows only on a tree's
+    rights, which all end matched), so that column is the pass's first
+    slack of 0, where it would stop and augment by the one edge.
     """
     n = len(w)
     u = list(map(max, w))
@@ -329,6 +341,11 @@ def _dual_steps(
     mate_of_right = [-1] * n
     deltas = []
     for root in range(n):
+        j = w[root].index(u[root])
+        if mate_of_right[j] < 0:
+            # Where the root's own pass would stop (see the docstring).
+            mate_of_right[j], mate_of_left[root] = root, j
+            continue
         free = list(range(n))
         lefts, rights = [root], []
         key, parent = [inf] * n, [root] * n
@@ -344,6 +361,8 @@ def _dual_steps(
                     parent[k] = i
                 if kk < low:
                     low, j = kk, k
+                    if kk == shift and mate_of_right[k] < 0:
+                        break
             delta = low - shift
             if delta:
                 for i in lefts:
@@ -389,6 +408,11 @@ def hungarian_max_weight(w: Sequence[Sequence[int]]) -> tuple[Matching, WeightCo
     return Matching.from_columns(cols), WeightCover(tuple(u), tuple(v))
 
 
+def _check_dimensions(g: BipartiteGraph, w: WeightAssignment) -> None:
+    if w.n != g.n:
+        raise ValueError(f"weights are {w.n}x{w.n}, graph is {g.n}x{g.n}")
+
+
 def _mwpm_with_dual(
     g: BipartiteGraph, w: WeightAssignment
 ) -> tuple[Optional[list[int]], tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -411,14 +435,12 @@ def _mwpm_with_dual(
     :func:`_dual_steps` unchecked, once.  The cover (u, v) of the
     transformed instance maps back to a = c - u, b = -v.
     """
+    _check_dimensions(g, w)
     n = g.n
-    if w.n != n:
-        raise ValueError(f"weights are {w.n}x{w.n}, graph is {n}x{n}")
     rows = tuple(zip(w.grid, g.edges))
     max_w = max(max(compress(row, edges), default=0) for row, edges in rows)
     c = n * max_w + 1
-    # (c - x) * True is c - x and (c - x) * False is 0.
-    transformed = [list(map(mul, map(c.__sub__, row), edges)) for row, edges in rows]
+    transformed = [[c - x if e else 0 for x, e in zip(row, edges)] for row, edges in rows]
     cols, u, v, _ = _dual_steps(transformed)
     dual = (tuple(map(c.__sub__, u)), tuple(map(neg, v)))
     return (cols if all(map(getitem, g.edges, cols)) else None), dual
@@ -426,7 +448,15 @@ def _mwpm_with_dual(
 
 def mwpm(g: BipartiteGraph, w: WeightAssignment) -> Matching:
     """Minimum-weight perfect matching of g, or the empty matching if g
-    has no perfect matching: one :func:`_mwpm_with_dual` solve (see it
-    for the reduction), its columns made a :class:`Matching`."""
-    cols = _mwpm_with_dual(g, w)[0]
-    return Matching.empty() if cols is None else Matching.from_columns(cols)
+    has no perfect matching.
+
+    After the size check, a graph with no perfect matching is answered
+    by :meth:`~wmatch.graphs.BipartiteGraph.has_perfect_matching`, the
+    graph's kept Kuhn pass, with no solve; the padded solve would find
+    the same (a non-edge in its columns) at O(n^3).  Any other graph
+    takes one :func:`_mwpm_with_dual` solve (see it for the reduction),
+    its columns made a :class:`Matching`."""
+    _check_dimensions(g, w)
+    if not g.has_perfect_matching():
+        return Matching.empty()
+    return Matching.from_columns(_mwpm_with_dual(g, w)[0])

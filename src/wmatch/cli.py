@@ -168,6 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(handler=cmd_verify)
 
+    parser.commands = sub.choices  # each command's parser, for _parse_args
     return parser
 
 
@@ -448,9 +449,35 @@ def report_schema() -> dict:
     return json.loads(schema.read_text(encoding="utf-8"))
 
 
-def main(argv=None) -> int:
+def _parse_args(argv=None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, in one parse where argparse
+    makes two.
+
+    argparse hands every argument after a command's name to that
+    command's parser whatever they are, so when ``argv[0]`` names a
+    command, its parser's ``parse_known_args`` of the rest, on a
+    namespace holding ``command``, is the whole parse: the same
+    namespace, and the same help, usage or error wherever that parser
+    stops.  The top-level parse runs only where it would answer
+    differently: for an empty ``argv``, a first argument that is no
+    command (``-h`` or an unknown name), and arguments the command's
+    parser leaves over, so every usage line, help text and error is
+    argparse's own."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in parser.commands:
+        args, extra = parser.commands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0])
+        )
+        if not extra:
+            return args
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    """Run the command that ``argv`` (default ``sys.argv[1:]``) names,
+    parsed by :func:`_parse_args`, and return its exit code."""
+    args = _parse_args(argv)
     try:
         code = args.handler(args)
         # Flush here so a closed pipe surfaces inside this try block

@@ -717,8 +717,10 @@ class TestDualStepsAgainstReference:
                 self.assert_same(random_rows(rng, n, hi))
 
     @pytest.mark.parametrize("n", [32, 64])
-    @pytest.mark.parametrize("hi", [10, 10**6, 10**15])
+    @pytest.mark.parametrize("hi", [1, 10, 10**6, 10**15])
     def test_random_production_sizes(self, n, hi):
+        # With 0/1 weights nearly every root ends on a slack of 0 at a
+        # right with no mate, where the sweep stops early.
         rng = random.Random(n * hi)
         for _ in range(3):
             self.assert_same(random_rows(rng, n, hi))
@@ -860,6 +862,63 @@ class TestMwpm:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             mwpm(BipartiteGraph.complete(2), WeightAssignment.from_grid([[1]]))
+
+    @staticmethod
+    def pm_free_cases():
+        """(graph, weights) with no perfect matching: every such 3x3
+        graph, random graphs with n <= 8, and CI's violators (rows 0..2
+        see only columns 0 and 1) at n = 32 and 100."""
+        rng = random.Random(71)
+        for g in all_graphs(3):
+            if not g.has_perfect_matching():
+                yield g, random_rows(rng, 3, 9)
+        for n in range(1, 9):
+            for _ in range(40):
+                g = BipartiteGraph.from_rows(
+                    [[rng.random() < 0.4 for _ in range(n)] for _ in range(n)]
+                )
+                if not g.has_perfect_matching():
+                    yield g, random_rows(rng, n, 10 ** rng.randint(1, 15))
+        for n in (32, 100):
+            r = random.Random(n)
+            g = BipartiteGraph.from_rows(
+                [[j < 2 if i < 3 else i == j or r.random() < 0.5 for j in range(n)]
+                 for i in range(n)]
+            )
+            yield g, random_rows(rng, n, 10**15)
+
+    def test_pm_free_answered_without_a_solve(self, monkeypatch):
+        calls = []
+
+        def spy(w):
+            calls.append(len(w))
+            return _dual_steps(w)
+
+        monkeypatch.setattr(classical, "_dual_steps", spy)
+        count = 0
+        for g, rows in self.pm_free_cases():
+            w = WeightAssignment.from_grid(rows)
+            assert mwpm(g, w) == Matching.empty()
+            assert calls == []
+            # The padded solve, kept as the reference, finds the same.
+            assert _mwpm_with_dual(g, w)[0] is None
+            assert calls == [g.n]
+            calls.clear()
+            count += 1
+        assert count > 400
+
+    def test_dimension_checked_before_the_kuhn_pass(self, monkeypatch):
+        def no_pass(masks):
+            raise AssertionError("Kuhn pass run before the size check")
+
+        monkeypatch.setattr(classical, "_kuhn", no_pass)
+        for rows in ([[0, 0], [1, 1]], [[1, 1], [1, 1]]):
+            g = BipartiteGraph.from_rows(rows)
+            for grid in ([[1]], [[1, 2, 3]] * 3):
+                w = WeightAssignment.from_grid(grid)
+                with pytest.raises(ValueError, match=rf"^weights are {w.n}x{w.n}, graph is 2x2$"):
+                    mwpm(g, w)
+            assert "matching_columns" not in vars(g)
 
 
 class TestMwpmDual:

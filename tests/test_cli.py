@@ -684,3 +684,92 @@ class TestJsonText:
         with pytest.raises(TypeError) as got:
             cli._json_text(value)
         assert str(got.value) == str(expected.value)
+
+
+# argv as main takes it; names of the ``files`` fixture stand for their paths.
+ARGV_CORPUS = [
+    [],
+    ["decide", "k33.graph"],
+    ["decide", "pmfree.graph", "--trials", "3", "--seed", "7", "--format", "json"],
+    ["find", "k33.graph", "--format=json"],
+    ["find", "k33.graph", "--form", "json", "--tri", "2"],
+    ["find", "k33.graph", "--seed=1", "--seed", "2"],
+    ["find", "--seed", "3", "k33.graph"],
+    ["hungarian", "w3.weights"],
+    ["hungarian", "w2.weights", "--format", "json", "--format", "text"],
+    ["mwpm", "k33.graph", "w3.weights"],
+    ["mwpm", "pmfree.graph", "w2.weights", "--format", "json"],
+    ["mwpm", "k33.graph", "w2.weights"],
+    ["verify", "classical", "--max-n=1", "--format", "json"],
+    ["verify", "det", "--max-n", "1", "--trials", "1", "--budget", "50"],
+    ["mwpm", "--", "k33.graph", "w3.weights"],
+    ["find", "k33.graph", "--"],
+    ["find", "--seed", "3", "--", "k33.graph"],
+    ["find", "--", "--seed", "3"],
+    ["find", "k33.graph", "k33.graph"],
+    ["mwpm", "k33.graph", "w3.weights", "w3.weights", "--format", "json"],
+    ["hungarian", "w3.weights", "--", "extra"],
+    ["find"],
+    ["mwpm", "k33.graph"],
+    ["verify"],
+    ["decide", "--format", "json"],
+    ["find", "k33.graph", "--seed", "-1"],
+    ["find", "k33.graph", "--seed", "abc"],
+    ["find", "k33.graph", f"--seed={2**64}"],
+    ["find", "k33.graph", "--seed"],
+    ["find", "k33.graph", "--trials", "0"],
+    ["find", "-5"],
+    ["find", "k33.graph", "--bogus"],
+    ["find", "k33.graph", "--bogus", "1", "-x"],
+    ["find", "--bogus", "k33.graph"],
+    ["find", "k33.graph", "--format", "xml"],
+    ["verify", "det", "--max", "2"],
+    ["verify", "nope"],
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["-h", "find"],
+    ["find", "-h"],
+    ["find", "k33.graph", "--help"],
+    ["verify", "--help"],
+    ["mwpm", "--h"],
+    ["nope"],
+    ["nope", "k33.graph"],
+    ["Find", "k33.graph"],
+    ["fin", "k33.graph"],
+    ["--format", "json", "find", "k33.graph"],
+    ["--", "find", "k33.graph"],
+    ["-", "k33.graph"],
+    ["find", "-"],
+]
+
+
+class TestOneParse:
+    """``cli._parse_args`` is ``build_parser().parse_args`` for every
+    argv: the same namespace or the same exit, usage, help and error,
+    and through ``cli.main`` the same exit code, stdout and stderr."""
+
+    @staticmethod
+    def outcome(capsys, call):
+        try:
+            result = call()
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return result, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", ARGV_CORPUS, ids=" ".join)
+    def test_same_as_two_parses(self, capsys, files, monkeypatch, argv):
+        argv = [files.get(a, a) for a in argv]
+        parser = cli.build_parser()
+        expected = self.outcome(capsys, lambda: vars(parser.parse_args(argv)))
+        assert self.outcome(capsys, lambda: vars(cli._parse_args(argv))) == expected
+        assert self.outcome(capsys, lambda: vars(cli._parse_args(tuple(argv)))) == expected
+
+        got = self.outcome(capsys, lambda: cli.main(argv))
+        monkeypatch.setattr(cli, "_parse_args", lambda argv=None: parser.parse_args(argv))
+        assert self.outcome(capsys, lambda: cli.main(argv)) == got
+
+    def test_default_argv_is_sys_argv(self, capsys, files, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["wmatch", "decide", files["k33.graph"], "--trials", "2"])
+        assert vars(cli._parse_args()) == vars(cli.build_parser().parse_args())
