@@ -322,17 +322,13 @@ def _dual_steps(
     and slack update over all n columns, so the covers and matching are
     theirs, at O(n) per step, O(n^2) per root and O(n^3) in all.
 
-    A pass stops at a right with no mate whose key equals ``shift``:
-    its slack is 0, the least a slack can be, so it is the pass's first
-    least key whatever follows.  Its step is 0 and the tree augments
-    there, and the next root starts with fresh keys and parents, so
-    none that the rest of the pass would have updated is read again.
     The root's own pass is not run at all when the first column of its
     row's maximum has no mate: the root's u is still that maximum (a
     left's u moves only inside a tree, and it is in none before its
     own), and a right with no mate has v = 0 (v grows only on a tree's
     rights, which all end matched), so that column is the pass's first
-    slack of 0, where it would stop and augment by the one edge.
+    slack of 0, the least a slack can be: its step is 0 and the tree
+    would augment there by the one edge.
     """
     n = len(w)
     u = list(map(max, w))
@@ -361,8 +357,6 @@ def _dual_steps(
                     parent[k] = i
                 if kk < low:
                     low, j = kk, k
-                    if kk == shift and mate_of_right[k] < 0:
-                        break
             delta = low - shift
             if delta:
                 for i in lefts:

@@ -290,15 +290,19 @@ def cmd_decide(args) -> int:
     :meth:`~wmatch.graphs.BipartiteGraph.has_perfect_matching` answers
     NO at once, with no trial run.  Otherwise each trial draws one
     random evaluation (:func:`~wmatch.edmonds.lovasz_sample`) and
-    extracts a matching from it (:func:`~wmatch.edmonds.extract_pm`):
-    the test and the matching mod the prime P
-    (:func:`~wmatch.edmonds.extract_diagonal_mod`), and the exact
-    :func:`~wmatch.linalg.cofactors` on the same sample only when the
-    determinant is 0 mod P or a zero cofactor residue is not proved
-    zero.  A zero determinant is therefore always decided exactly, and
-    its :class:`~wmatch.edmonds.ZeroDeterminantError` ends the trial; a
-    trial with a nonzero residue runs no exact elimination.  Both
-    answers are printed by :func:`_trial_report`.
+    extracts a matching from it (:func:`~wmatch.edmonds.extract_pm`).
+    The matching is read off the sample's nonzero pattern, which is
+    the graph's, starting from the graph's kept Kuhn pass, and one
+    elimination mod the prime P certifies it
+    (:func:`~wmatch.edmonds.extract_pattern_mod`).  Only a sample whose
+    certificate fails runs the inverse mod P
+    (:func:`~wmatch.edmonds.extract_diagonal_mod`), and only one that
+    leaves unsettled runs the exact :func:`~wmatch.linalg.cofactors`:
+    its determinant is 0 mod P or a zero cofactor residue is not
+    proved zero.  A zero determinant is therefore always decided
+    exactly, and its :class:`~wmatch.edmonds.ZeroDeterminantError` ends
+    the trial; a trial with a nonzero residue runs no exact
+    elimination.  Both answers are printed by :func:`_trial_report`.
     """
     g = _read(args.graph, parse_graph)
     for t in range(args.trials if g.has_perfect_matching() else 0):

@@ -11,22 +11,27 @@ itself: :func:`extract_pm_trace` on a :func:`lovasz_sample` either
 raises :class:`ZeroDeterminantError` (the answer no) or returns a
 perfect matching (the answer yes, with its certificate).
 
-:func:`extract_pm_trace` is the one extraction every caller runs.  It
-works modulo the prime :data:`~wmatch.linalg.P` first
-(:func:`extract_diagonal_mod`): a nonzero residue proves its integer
-nonzero, and a zero cofactor residue counts only when the minor's
-pattern has no perfect matching.  Where neither settles a choice, or
-the determinant is 0 mod P, it reruns the extraction exactly
+:func:`extract_pm_trace` is the one extraction every caller runs, in
+three tiers that return the same matching wherever they answer.  The
+first (:func:`extract_pattern_mod`) reads the choice of every row off
+b's nonzero pattern alone and certifies it with one elimination
+modulo the prime :data:`~wmatch.linalg.P`: it answers nearly every
+sample with a nonzero determinant.  Where a leading minor cancels or
+is a multiple of P, the second (:func:`extract_diagonal_mod`) works
+from the inverse mod P: a nonzero residue proves its integer nonzero,
+and a zero cofactor residue counts only when the minor's pattern has
+no perfect matching.  Where neither settles a choice, or the
+determinant is 0 mod P, the third reruns the extraction exactly
 (:func:`extract_diagonal`), whose forward pass also decides a zero
-determinant.  Both paths return the same answer and the same matching.
+determinant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
-from .classical import matches_every_row
+from .classical import _alternating_reach, _kuhn, matches_every_row
 from .graphs import (
     BipartiteGraph,
     Matching,
@@ -40,6 +45,7 @@ from .linalg import (  # noqa: F401  (perfbench/tests wraps det_berkowitz here)
     det_berkowitz,
     inverse_mod,
     inverse_residue,
+    leading_minors_mod,
     minor_cofactors,
     minor_inverse_mod,
 )
@@ -169,8 +175,10 @@ def extract_diagonal_mod(b: IntMatrix) -> Optional[ExtractionTrace]:
 
     None is also returned when det(b) is 0 mod P.  Every returned trace
     therefore equals the exact extraction's, at a few big-integer
-    operations per packed row and step: about 0.8 ms per sample at
-    n = 20 and 26 ms at n = 100 (see :mod:`wmatch.linalg`).
+    operations per packed row and step: about 0.41 ms per sample at
+    n = 20 and 12.4 ms at n = 100 (see :mod:`wmatch.linalg`).
+    :func:`extract_pm_trace` runs it only on the samples that
+    :func:`extract_pattern_mod` rejects.
     """
     inv = inverse_mod(b)
     if inv is None:
@@ -197,6 +205,89 @@ def extract_diagonal_mod(b: IntMatrix) -> Optional[ExtractionTrace]:
     return _walk(b.n, choose)
 
 
+def pattern_sigma(masks: Sequence[int], cols: Sequence[int]) -> tuple[int, ...]:
+    """The least-column rule run on a pattern instead of on values.
+
+    ``masks`` are the row masks of a square pattern (bit j of masks[i]
+    set iff entry (i, j) may be nonzero) and ``cols`` a perfect matching
+    of it, row i to column cols[i].  Bottom up, row i takes the least
+    column left in its row such that rows 0..i - 1 still have a perfect
+    matching on the columns left without it; that column is deleted
+    from every row above.
+
+    Row i's own column f always qualifies.  A column c below f does
+    exactly when an alternating path runs from c's row r to f, once r
+    gives c up: :func:`~wmatch.classical._alternating_reach` from r,
+    with f the one free column, or no search at all where r sees f, the
+    search's first answer.  The path is flipped, so rows 0..i - 1 keep
+    a perfect matching on the columns left.  A search that ends
+    elsewhere rules c out, and the next column of row i is tried.
+    """
+    n = len(masks)
+    masks = list(masks)
+    mate_of_left = list(cols)
+    mate_of_right = {j: i for i, j in enumerate(cols)}
+    sigma = [0] * n
+    for i in range(n - 1, 0, -1):
+        f = mate_of_left[i]
+        j = f
+        cand = masks[i] & ((1 << f) - 1)
+        while cand:
+            c = (cand & -cand).bit_length() - 1
+            r = mate_of_right[c]
+            if masks[r] >> f & 1:
+                parent = {n + f: r}  # the search's own first answer
+            else:
+                order, parent = _alternating_reach(masks, mate_of_right, 1 << f, r)
+                if order[-1] != n + f:
+                    cand ^= 1 << c
+                    continue
+            # Flip the path from f back to r, which gives up c.
+            k = f
+            while True:
+                v = parent[n + k]
+                mate_of_right[k] = v
+                mate_of_left[v], k = k, mate_of_left[v]
+                if v == r:
+                    break
+            j = c
+            break
+        sigma[i] = j
+        keep = ~(1 << j)
+        for q in range(i):
+            masks[q] &= keep
+    sigma[0] = mate_of_left[0]
+    return tuple(sigma)
+
+
+def extract_pattern_mod(
+    b: IntMatrix, masks: Sequence[int], cols: Sequence[int]
+) -> Optional[ExtractionTrace]:
+    """:func:`extract_diagonal` under :func:`least_column`, read off b's
+    nonzero pattern and certified mod the prime
+    :data:`~wmatch.linalg.P`, or None where the certificate fails.
+
+    ``masks`` are b's nonzero row masks and ``cols`` any matching of
+    them, row i to column cols[i] or -1 (a Kuhn pass).  A pattern with
+    no perfect matching gives None.  Otherwise σ is
+    :func:`pattern_sigma`, and
+    :func:`~wmatch.linalg.leading_minors_mod` checks that every
+    leading principal minor of b with its columns in σ's order is
+    nonzero mod P.  Then σ is the exact rule's trace, by induction from
+    the bottom row: row i's cofactor at column σ(i) is ± the order-i
+    leading minor, nonzero, while at every smaller column left with a
+    nonzero entry the minor's pattern has no perfect matching, so its
+    cofactor is 0 for every value of the entries, and det(b), the
+    order-n leading minor, is nonzero too.  A failed certificate (a
+    leading minor that cancels or is a multiple of P, or det(b) = 0)
+    proves nothing, and None is returned.
+    """
+    if -1 in cols:
+        return None
+    sigma = pattern_sigma(masks, cols)
+    return ExtractionTrace(sigma) if leading_minors_mod(b, sigma) else None
+
+
 def extract_pm_trace(g: BipartiteGraph, b: IntMatrix) -> ExtractionTrace:
     """Extract a nonzero diagonal of b, recording every choice.
 
@@ -205,14 +296,26 @@ def extract_pm_trace(g: BipartiteGraph, b: IntMatrix) -> ExtractionTrace:
     entry times the determinant of its minor is nonzero (one exists, by
     cofactor expansion along that row), then delete that row and column
     and recurse.  Each chosen entry is nonzero, hence sits on an edge
-    of g.  :func:`extract_diagonal_mod` runs first; only its None runs
-    the exact :func:`extract_diagonal`, so a zero determinant is always
+    of g.  :func:`extract_pattern_mod` runs first, on b's row masks;
+    where they are g's own (a :func:`lovasz_sample`, say), it starts
+    from g's kept Kuhn pass, :attr:`~wmatch.graphs.BipartiteGraph.matching_columns`,
+    and otherwise from a Kuhn pass of its own.  Only its None runs
+    :func:`extract_diagonal_mod`, and only that one's None runs the
+    exact :func:`extract_diagonal`, so a zero determinant is always
     decided exactly and raises :class:`ZeroDeterminantError`.  Raises
     ValueError unless the diagonal found is a perfect matching of g.
+    Per Lovász sample of a density-1/2 graph (CPU time, 2-core x86-64
+    VM, CPython 3.11.7, best of five), this takes 0.23 ms at n = 20,
+    1.1 ms at n = 48, 5.6 ms at n = 100 and 31 ms at n = 200, against
+    0.41, 2.0, 12.4 and 78 ms for :func:`extract_diagonal_mod`.
     """
     if b.n != g.n:
         raise ValueError(f"matrix is {b.n}x{b.n}, graph is {g.n}x{g.n}")
-    trace = extract_diagonal_mod(b)
+    masks = nonzero_masks(b.rows)
+    cols = g.matching_columns if masks == g.row_masks else _kuhn(masks)
+    trace = extract_pattern_mod(b, masks, cols)
+    if trace is None:
+        trace = extract_diagonal_mod(b)
     if trace is None:
         _, trace = extract_diagonal(b, least_column)
     if not is_perfect_matching(g, trace.matching):

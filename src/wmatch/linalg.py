@@ -53,13 +53,17 @@ adjugate instead:
 Extracting a matching (``edmonds.extract_pm_trace``, which ``decide``
 and ``verify`` both run) needs only which
 cofactors are zero, and a nonzero residue proves an integer nonzero.
-:func:`inverse_mod` inverts A modulo the prime P = 1,073,741,789 by
-Gauss-Jordan elimination, and :func:`minor_inverse_mod` is
-:func:`minor_cofactors` in inverse form, mod P.  A zero residue proves
-nothing: ``edmonds`` proves it zero another way or falls back to
-:func:`cofactors`, so the results are exact whatever P is.
+Its first tier reads the choices off the matrix's nonzero pattern and
+needs only :func:`leading_minors_mod`: whether every leading principal
+minor, with the columns in the order chosen, is nonzero modulo the
+prime P = 1,073,741,789, by one Gaussian elimination without pivoting.
+Where that fails, :func:`inverse_mod` inverts A mod P by Gauss-Jordan
+elimination, and :func:`minor_inverse_mod` is :func:`minor_cofactors`
+in inverse form, mod P.  A zero residue proves nothing: ``edmonds``
+proves it zero another way or falls back to :func:`cofactors`, so the
+results are exact whatever P is.
 
-Both keep each row of the working matrix packed in one integer of
+All three keep each row of the working matrix packed in one integer of
 F-bit fields, one field per column, and update it whole: a row step is
 a few big-integer operations, not one interpreter operation per entry
 (residues packed into one wide integer: Dumas, Fousse and Salvy,
@@ -73,12 +77,13 @@ the rows with F, as ``(rows, F)``, and :func:`minor_inverse_mod` and
 :func:`inverse_residue` read F from there, so a caller hands the packed
 inverse on and never names a width.
 P is the largest prime below 2^30, so a product of two residues stays
-below 2^60 and a multiplier is one CPython digit.  CPU time for the
-inverse and the whole extraction chain on one Lovász sample of a
-density-1/2 graph (2-core x86-64 VM, CPython 3.11.7), packed against
-one operation per entry, median of three: n = 20 0.8 against 2.1 ms,
-n = 32 1.8 against 7.8 ms, n = 48 4 against 24 ms, n = 100 26 against
-180 ms, n = 200 0.15 against 1.4 s.
+below 2^60 and a multiplier is one CPython digit.  CPU time on one
+Lovász sample of a density-1/2 graph (2-core x86-64 VM, CPython
+3.11.7, best of five): the inverse and the whole extraction chain take
+0.41 ms at n = 20, 2.0 ms at n = 48, 12.4 ms at n = 100 and 78 ms at
+n = 200 (one operation per entry took 2.1 ms, 24 ms, 180 ms and 1.4 s
+when packed rows replaced it), and the pattern tier, certificate
+included, 0.23, 1.1, 5.6 and 31 ms.
 
 The MVV finder reads only 2-adic valuations off the power matrix 2^w,
 whose determinant has about 30,000 bits at n = 32.
@@ -486,6 +491,13 @@ def _fold(x: int, bound: int, lo: int, hi: int) -> int:
     return x
 
 
+def _scale(x: int, t: int, bits: int, lo: int, hi: int) -> int:
+    """x, every field below 2^bits, folded below 2P, times the residue
+    t and folded below 2P again: the scaled pivot row of every packed
+    elimination mod P, each of its fields in [0, 2P)."""
+    return _fold(_fold(x, 1 << bits, lo, hi) * t, 2 * P * P, lo, hi)
+
+
 def inverse_mod(m: IntMatrix) -> Optional[tuple[list[int], int]]:
     """Inverse of m modulo the prime :data:`P`, packed, or None when
     det(m) is 0 mod P.
@@ -548,12 +560,47 @@ def inverse_mod(m: IntMatrix) -> Optional[tuple[list[int], int]]:
         pr = rows[p] + (1 << (n - k + orig[p]) * bits)
         rows[p], orig[p] = rows[k], orig[k]
         t = pow(pr & mask, -1, P)
-        pr = _fold(_fold(pr >> bits, 1 << bits, lo, hi) * t, 2 * P * P, lo, hi)
+        pr = _scale(pr >> bits, t, bits, lo, hi)
         width = -(-pr.bit_length() // bits)
         neg = (pp >> (2 * n - width) * bits) - pr
         rows = [(row >> bits) + (row & mask) % P * neg for row in rows]
         rows[k] = pr
     return rows, bits
+
+
+def leading_minors_mod(m: IntMatrix, order: Sequence[int]) -> bool:
+    """Whether every leading principal minor of m with its columns taken
+    in ``order`` is nonzero modulo the prime :data:`P`: for each k, the
+    determinant of rows 0..k - 1 of m on columns ``order[:k]``.
+
+    Gaussian elimination without pivoting on the rows of that column
+    permutation of m, each packed as in :func:`inverse_mod` in fields of
+    the same width F = 62 + bitlen(n), column ``order[k]`` in field k.
+    The leading minors are the products of the first pivots, so they
+    are all nonzero mod P exactly when every pivot, the lowest field of
+    row k at step k, is; the first that is not answers False.  The pivot
+    row is folded, scaled and folded as in :func:`inverse_mod`, and
+    every row below it becomes ``(row >> F) + f * (2P - y)``, so each
+    row loses a field per step.  A row meets at most n - 1 steps before
+    it is the pivot row, so every field stays below
+    ``P + 2 (n - 1) P^2``, within :func:`inverse_mod`'s bound.
+    n (n - 1) / 2 row steps, against the n^2 of :func:`inverse_mod` on
+    rows of up to 2n fields.
+    """
+    n = m.n
+    bits = 62 + n.bit_length()
+    mask = (1 << bits) - 1
+    lo, hi, pp = _masks(bits, n)
+    rows = [_pack([row[c] for c in order], bits, P) for row in m.rows]
+    for k in range(n):
+        pr = rows[k]
+        piv = (pr & mask) % P
+        if not piv:
+            return False
+        if k + 1 < n:
+            neg = (pp >> (k + 1) * bits) - _scale(pr >> bits, pow(piv, -1, P), bits, lo, hi)
+            rows[k + 1:] = [(row >> bits) + (row & mask) % P * neg for row in rows[k + 1:]]
+    return True
 
 
 def inverse_residue(inv: tuple[Sequence[int], int], c: int, i: int) -> int:
@@ -588,7 +635,7 @@ def minor_inverse_mod(inv: tuple[Sequence[int], int], j: int) -> tuple[list[int]
     lo, hi, pp = _masks(bits, i)
     row_j = rows[j]
     t = pow((row_j >> shift) % P, -1, P)
-    neg = pp - _fold(_fold(row_j & low, 1 << bits, lo, hi) * t, 2 * P * P, lo, hi)
+    neg = pp - _scale(row_j & low, t, bits, lo, hi)
     return [(row & low) + (row >> shift) % P * neg for r, row in enumerate(rows) if r != j], bits
 
 

@@ -720,7 +720,7 @@ class TestDualStepsAgainstReference:
     @pytest.mark.parametrize("hi", [1, 10, 10**6, 10**15])
     def test_random_production_sizes(self, n, hi):
         # With 0/1 weights nearly every root ends on a slack of 0 at a
-        # right with no mate, where the sweep stops early.
+        # right with no mate.
         rng = random.Random(n * hi)
         for _ in range(3):
             self.assert_same(random_rows(rng, n, hi))

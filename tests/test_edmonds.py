@@ -1,7 +1,9 @@
 import random
+from itertools import product
 
 import pytest
 
+from wmatch import classical
 from wmatch import edmonds, linalg
 from wmatch.edmonds import (
     ZeroDeterminantError,
@@ -13,6 +15,7 @@ from wmatch.edmonds import (
     lovasz_sample,
 )
 from wmatch.graphs import BipartiteGraph, is_perfect_matching, random_weights
+from wmatch.graphs import nonzero_masks
 from wmatch.linalg import P, IntMatrix, cofactors, det_bareiss, det_berkowitz, inverse_mod, minor
 from wmatch.rng import derive_seed
 
@@ -406,3 +409,157 @@ class TestProofsOnRowMasks:
         # perfect matching: the one proof says so, and the chain stops.
         b = IntMatrix.from_rows([[1, 1, 2], [3, 2, 4], [1, 1, 1]])
         assert self.verdicts_of(monkeypatch, b) == reference_proofs(b) == (None, [True])
+
+
+def first_tier(b):
+    """extract_pattern_mod as extract_pm_trace calls it: b's own row
+    masks and their Kuhn pass."""
+    masks = nonzero_masks(b.rows)
+    return edmonds.extract_pattern_mod(b, masks, classical._kuhn(masks))
+
+
+def leading_minors_exact(b, sigma):
+    """Every leading principal minor of b with its columns in sigma's
+    order, exactly."""
+    return [
+        det_bareiss(IntMatrix.from_rows([[row[c] for c in sigma[:k]] for row in b.rows[:k]]))
+        for k in range(1, b.n + 1)
+    ]
+
+
+class TestPatternTier:
+    """The first tier of extract_pm_trace, the least-column rule on the
+    nonzero pattern certified by the leading minors mod P, against the
+    exact extraction: it answers with the exact trace or not at all,
+    and it answers exactly when the pattern's choice is the exact one
+    and its minors are nonzero mod P."""
+
+    @staticmethod
+    def check(b):
+        """first_tier(b) against the exact path; whether it answered."""
+        exact = exact_trial(BipartiteGraph.from_rows(b.rows), b)
+        trace = first_tier(b)
+        if exact is None:
+            assert trace is None
+            return False
+        masks = nonzero_masks(b.rows)
+        sigma = edmonds.pattern_sigma(masks, classical._kuhn(masks))
+        certified = all(x % P for x in leading_minors_exact(b, exact.sigma))
+        assert (trace is not None) is (sigma == exact.sigma and certified)
+        assert trace is None or trace == exact
+        return trace is not None
+
+    def test_every_3x3_sign_matrix(self):
+        answered = 0
+        for values in product((-1, 0, 1), repeat=9):
+            b = IntMatrix.from_rows([values[0:3], values[3:6], values[6:9]])
+            answered += self.check(b)
+        # det != 0 on 11,808 of the 19,683; cancellation takes the rest.
+        assert answered == 11040
+
+    def test_seeded_small_matrices_with_cancellation(self):
+        rng = random.Random(61)
+        value_sets = ((-1, 0, 1), (0, 1, 2), (-2, -1, 0, 1, 2), (0, 1), (0, 0, 1, 1, 2, 3),
+                      (0, 1, P, P + 1))
+        answered = 0
+        for _ in range(3000):
+            n = rng.randint(1, 7)
+            values = rng.choice(value_sets)
+            b = IntMatrix.from_rows([[rng.choice(values) for _ in range(n)] for _ in range(n)])
+            answered += self.check(b)
+        assert answered > 1000
+
+    def test_equals_mod_tier_on_lovasz_samples(self):
+        # decide's samples on planted-matching graphs at three densities
+        # for n = 1..48: the same trace as extract_diagonal_mod wherever
+        # both answer, and an answer on nearly every sample.
+        rng = random.Random(67)
+        answered = samples = 0
+        for n in range(1, 49):
+            for density in (0.15, 0.5, 0.9):
+                g = planted_graph(rng, n, density)
+                for t in range(3):
+                    b = lovasz_sample(g, derive_seed(n, t))
+                    mod = extract_diagonal_mod(b)
+                    trace = first_tier(b)
+                    assert trace is None or mod is None or trace == mod
+                    assert trace is None or is_perfect_matching(g, trace.matching)
+                    answered += trace is not None
+                    samples += 1
+        assert answered >= samples - 20
+
+    def test_pattern_without_perfect_matching(self):
+        b = IntMatrix.from_rows([[1, 0], [2, 0]])
+        assert first_tier(b) is None
+        with pytest.raises(ZeroDeterminantError):
+            extract_pm_trace(BipartiteGraph.from_rows(b.rows), b)
+
+
+class TestPatternTierFallback:
+    """What the first tier answers, the later tiers never see; what it
+    rejects goes on to extract_diagonal_mod and then the exact path."""
+
+    @pytest.mark.parametrize("n", [20, 48])
+    def test_yes_sample_needs_no_inverse_and_no_elimination(self, n, monkeypatch):
+        g = planted_graph(random.Random(f"certified:{n}"), n, 0.5)
+        b = lovasz_sample(g, derive_seed(n, 0))
+        expected = extract_diagonal_mod(b)
+        assert expected is not None
+
+        def refuse(*args):
+            raise AssertionError("the inverse or the exact elimination ran")
+
+        for module, name in ((linalg, "inverse_mod"), (edmonds, "inverse_mod"),
+                             (linalg, "_eliminate")):
+            monkeypatch.setattr(module, name, refuse)
+        assert extract_pm_trace(g, b) == expected
+
+    @staticmethod
+    def reaching_mod_tier(monkeypatch, g, b):
+        """extract_pm_trace(g, b) with extract_diagonal_mod counted."""
+        calls = []
+        mod = edmonds.extract_diagonal_mod
+        monkeypatch.setattr(edmonds, "extract_diagonal_mod",
+                            lambda m: calls.append(m) or mod(m))
+        return extract_pm_trace(g, b), calls
+
+    def test_leading_minor_zero_by_cancellation(self, monkeypatch):
+        # The pattern is complete, so row 2 takes column 0 and row 1
+        # column 1; in that order the order-2 leading minor is
+        # det [[2, 1], [4, 2]] = 0, as is row 2's exact cofactor there.
+        g = BipartiteGraph.complete(3)
+        b = IntMatrix.from_rows([[1, 1, 2], [3, 2, 4], [1, 1, 1]])
+        assert edmonds.pattern_sigma(g.row_masks, g.matching_columns) == (2, 1, 0)
+        assert leading_minors_exact(b, (2, 1, 0)) == [2, 0, -1]
+        assert first_tier(b) is None
+        trace, calls = self.reaching_mod_tier(monkeypatch, g, b)
+        assert calls == [b]
+        assert trace == exact_trial(g, b)
+        assert trace.sigma == (2, 0, 1)
+
+    def test_leading_minor_a_multiple_of_p(self, monkeypatch):
+        # Row 1 takes column 0, so the order-1 leading minor is the
+        # entry P: zero mod P, nonzero exactly, and the pattern's choice
+        # is the exact one.
+        g = BipartiteGraph.complete(2)
+        b = IntMatrix.from_rows([[1, P], [1, 1]])
+        assert leading_minors_exact(b, (1, 0)) == [P, P - 1]
+        assert first_tier(b) is None
+        trace, calls = self.reaching_mod_tier(monkeypatch, g, b)
+        assert calls == [b]
+        assert trace == exact_trial(g, b)
+        assert trace.sigma == (1, 0)
+
+    def test_graph_masks_reused_only_for_the_same_pattern(self, monkeypatch):
+        # A sample with every edge nonzero reuses the graph's Kuhn pass;
+        # an evaluation with a zero on an edge runs its own.
+        g = BipartiteGraph.complete(3)
+        g.matching_columns
+        passes = []
+        kuhn = classical._kuhn
+        monkeypatch.setattr(edmonds, "_kuhn", lambda masks: passes.append(masks) or kuhn(masks))
+        extract_pm_trace(g, IntMatrix.from_rows([[2, 1, 1], [1, 2, 1], [1, 1, 2]]))
+        assert passes == []
+        b = IntMatrix.from_rows([[2, 0, 1], [1, 2, 1], [1, 1, 2]])
+        assert extract_pm_trace(g, b) == exact_trial(g, b)
+        assert passes == [(0b101, 0b111, 0b111)]

@@ -895,6 +895,21 @@ class TestRowWiseParserAgainstReference:
         kind = bool if parse is parse_graph else int
         assert all(type(x) is kind for row in entries for x in row)
 
+    @pytest.mark.parametrize("n", [1, 2, 12, 20, 31, 32, 100, 200])
+    def test_canonical_graph_masks_come_with_the_read(self, monkeypatch, n):
+        # The one-pass read fills row_masks from its own cells, so no
+        # nonzero_masks call follows; a file read token by token makes
+        # them on first use, and both equal the edges' masks.
+        text = self.canonical(n, lambda r: int(r.random() < 0.5))
+        calls = []
+        masks = graphs.nonzero_masks
+        monkeypatch.setattr(graphs, "nonzero_masks",
+                            lambda rows: calls.append(rows) or masks(rows))
+        g = parse_graph(text)
+        assert g.row_masks == masks(g.edges) and calls == []
+        h = parse_graph(text.replace("\n", "\t\n"))
+        assert h == g and h.row_masks == g.row_masks and calls == [h.edges]
+
     # Rows of the canonical total length whose token counts differ: a
     # read that checked only the total would take the graph's rows as
     # 1 0 1 / 1 1 0 / 0 1 0.

@@ -19,6 +19,7 @@ from wmatch.linalg import (
     det_lagrange,
     inverse_mod,
     inverse_residue,
+    leading_minors_mod,
     minor,
     minor_cofactors,
     minor_inverse_mod,
@@ -971,6 +972,81 @@ class TestInverseMod:
                     expected = inverse_mod_list(minor(m, i, j))
                     assert unpack(minor_inverse_mod(inv, j)) == expected
                     assert minor_inverse_mod_list(ref, i, j) == expected
+
+
+def leading_minors_list(m, order):
+    """Reference for leading_minors_mod: Gaussian elimination mod P
+    without pivoting, one operation per entry, on m's columns taken in
+    ``order``; whether every pivot is nonzero mod P."""
+    a = [[row[c] % P for c in order] for row in m.rows]
+    for k in range(len(a)):
+        if not a[k][k]:
+            return False
+        t = pow(a[k][k], -1, P)
+        for row in a[k + 1:]:
+            f = row[k] * t % P
+            row[k:] = [(x - f * y) % P for x, y in zip(row[k:], a[k][k:])]
+    return True
+
+
+def exact_leading_minors(m, order):
+    """What leading_minors_mod must return, from exact determinants."""
+    return all(
+        det_bareiss(IntMatrix.from_rows([[row[c] for c in order[:k]] for row in m.rows[:k]])) % P
+        for k in range(1, m.n + 1)
+    )
+
+
+class TestLeadingMinorsMod:
+    def test_matches_exact_minors(self):
+        # The values of TestInverseMod, so minors cancel, vanish and
+        # reach multiples of P, each matrix under a random column order.
+        rng = random.Random(53)
+        values = (0, 0, 1, 2, -3, 7, P - 1, P + 2, 10**40, 2**64 + 5, -(2**70), P, 3 * P, -P)
+        answers = set()
+        for _ in range(400):
+            n = rng.randint(1, 8)
+            m = IntMatrix.from_rows([[rng.choice(values) for _ in range(n)] for _ in range(n)])
+            order = rng.sample(range(n), n)
+            expected = exact_leading_minors(m, order)
+            assert leading_minors_mod(m, order) is expected
+            assert leading_minors_list(m, order) is expected
+            answers.add(expected)
+        assert answers == {True, False}
+
+    def test_every_01_matrix_and_order_at_n3(self):
+        for m in all_01_matrices(3):
+            for order in permutations(range(3)):
+                assert leading_minors_mod(m, order) is exact_leading_minors(m, order)
+
+    def test_minor_a_multiple_of_p(self):
+        # det [[P]] = P and det [[1, P + 1], [1, 1]] = -P: zero mod P,
+        # nonzero exactly; the other order's minors are 1 and 1 - P.
+        m = IntMatrix.from_rows([[1, P], [1, 1]])
+        assert leading_minors_mod(m, (1, 0)) is False
+        assert leading_minors_mod(m, (0, 1)) is True
+        m = IntMatrix.from_rows([[1, P + 1], [1, 1]])
+        assert leading_minors_mod(m, (0, 1)) is False
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64, 100])
+    def test_field_width_boundaries(self, n):
+        # inverse_mod's field width on both sides of each of its steps,
+        # with residues uniform mod P, so every row step adds terms near
+        # 2P^2, against the list elimination; and one minor made to
+        # vanish mod P, the last, which the whole elimination reaches.
+        rng = random.Random(f"minors:{n}")
+        m = IntMatrix.from_rows([[rng.randrange(P) for _ in range(n)] for _ in range(n)])
+        order = rng.sample(range(n), n)
+        assert leading_minors_mod(m, order) is leading_minors_list(m, order) is True
+        rows = [list(row) for row in m.rows]
+        # Row n - 1 made 5 times row 0 keeps every smaller leading
+        # minor and makes the determinant 0.
+        if n > 1:
+            rows[-1] = [x * 5 for x in rows[0]]
+        else:
+            rows[0] = [P]
+        m = IntMatrix.from_rows(rows)
+        assert leading_minors_mod(m, order) is leading_minors_list(m, order) is False
 
 
 def exact_valuation(w):

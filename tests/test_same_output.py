@@ -1,11 +1,17 @@
 """``tools/same_output.py`` keeps comparing when a command raises: the
 exception is that command's result, reported as a difference, and the
-other commands are still compared."""
+other commands are still compared.  Its corpus's fallback ``decide``
+runs do reach the extraction's later tiers."""
 
 import importlib.util
 import json
 import shutil
 from pathlib import Path
+
+from wmatch import edmonds
+from wmatch.graphs import parse_graph
+from wmatch.linalg import det_bareiss
+from wmatch.rng import derive_seed
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "same_output.py"
@@ -50,3 +56,15 @@ def test_a_raising_command_is_reported_and_the_rest_compared(tmp_path, capsys):
     assert out[0] == "differs (exit code, stdout): wmatch find k33.graph --format json"
     assert out[1].startswith("  base: 0; this tree: raised RuntimeError ")
     assert len(out) == 2
+
+
+def test_fallback_decide_runs_reach_the_fallback():
+    # Each of these decide runs answers YES from a sample whose first
+    # tier fails, so the corpus compares the later tiers' bytes too.
+    tool = load_tool()
+    for n, seeds in tool.FALLBACK_DECIDE:
+        g = parse_graph(tool.ci_graph(n))
+        for seed in seeds:
+            samples = (edmonds.lovasz_sample(g, derive_seed(seed, t)) for t in range(10))
+            b = next(b for b in samples if det_bareiss(b))
+            assert edmonds.extract_pattern_mod(b, g.row_masks, g.matching_columns) is None

@@ -25,6 +25,10 @@ The corpus:
 * ``decide`` on those graphs at n = 16 to 200 and on the n = 500 one,
   in JSON and text, and ``find`` and ``decide`` on CI's n = 100 and
   n = 200 Hall violators;
+* ``decide`` on the graphs built the same way at n = 4, 6 and 8, at
+  three seeds each whose YES sample the extraction's first tier
+  rejects (a leading minor in the pattern's column order cancels), so
+  that the mod-P chain or the exact path answers, in JSON and text;
 * ``hungarian`` on CI's n = 100 grid of weights up to 10^15, and
   ``mwpm`` under it on the n = 100 graph and the n = 100 Hall violator,
   in JSON and text;
@@ -60,6 +64,8 @@ FIND_N = (16, 32, 48, 100)
 FIND_JSON_N = 200
 DECIDE_N = (16, 32, 48, 100, 200, 500)
 VIOLATOR_N = (100, 200)
+# (n, seeds) of the decide runs whose YES sample the first tier rejects.
+FALLBACK_DECIDE = ((4, (7, 8, 50)), (6, (21, 212, 286)), (8, (26, 45, 276)))
 WEIGHTS_N = 100
 BENCH_WORKLOADS = ("search", "solve")
 BENCH_SEEDS = (1, 2, 3)
@@ -144,7 +150,7 @@ def corpus(workdir: Path) -> list[list[str]]:
                 commands.append(argv + ["--seed", seed] if seed else argv)
     for option, value in VERIFY_CAPS:
         commands.append(["verify", "all", option, value, "--format", "json"])
-    for n in sorted({*FIND_N, FIND_JSON_N, *DECIDE_N}):
+    for n in sorted({*FIND_N, FIND_JSON_N, *DECIDE_N, *(n for n, _ in FALLBACK_DECIDE)}):
         (workdir / f"n{n}.graph").write_text(ci_graph(n), encoding="utf-8")
     for n in VIOLATOR_N:
         (workdir / f"n{n}-violator.graph").write_text(ci_graph(n, True), encoding="utf-8")
@@ -157,6 +163,8 @@ def corpus(workdir: Path) -> list[list[str]]:
     runs += [("decide", f"n{n}.graph") for n in DECIDE_N]
     runs += [(command, f"n{n}-violator.graph")
              for n in VIOLATOR_N for command in ("find", "decide")]
+    runs += [("decide", f"n{n}.graph", "--seed", str(seed))
+             for n, seeds in FALLBACK_DECIDE for seed in seeds]
     runs += [("hungarian", weights)]
     runs += [("mwpm", graph, weights)
              for graph in (f"n{WEIGHTS_N}.graph", f"n{WEIGHTS_N}-violator.graph")]
